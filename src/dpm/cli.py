@@ -19,6 +19,7 @@ import sys
 import time
 
 from . import __version__
+from .characterize import characterize_from_samples
 from .measures import BaseModel
 from .moments import build_moment_table, multi_indices
 from .samplers import RngStream, sample_jump_measure, sample_stick_breaking
@@ -26,7 +27,6 @@ from .verify import (
     CAMPAIGN_NAMES,
     CampaignSettings,
     campaign_ok,
-    characterize_from_samples,
     probe_symmetric,
     run_verify,
 )

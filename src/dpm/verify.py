@@ -7,13 +7,18 @@ and turns each test into a :class:`TestReport` carrying a z-score computed
 from the paired, common-random-number variance of the two sides.  KS-type
 tests report the statistic and its asymptotic p-value instead.
 
-Campaigns are cut into fixed-size shards, each driven by its own named RNG
-substream, and shard results are merged in shard order; reports are
-therefore bitwise independent of how many worker processes ran them.
-Every campaign also runs documented negative controls -- a wrong mixing
-law, a wrong constant, a non-conforming weight sequence -- whose reports
-are marked ``expected_failure`` and must come back with a ``fail``
-verdict for the campaign to count as OK.
+Every campaign has one shape.  A batch kernel turns one chunk of rows
+into named statistics: paired (lhs, rhs) columns, (x, y) covariance
+columns, or sample arrays for the KS tests.  Each pair of columns is
+summarized by a mergeable :class:`Moments` accumulator (count, means and
+centered power sums), and one builder, :meth:`_Campaign.reports`, turns merged
+statistics into reports.  Campaigns are cut into fixed-size shards, each
+driven by its own named RNG substream; chunk and shard statistics are
+merged in order, so reports are bitwise independent of how many worker
+processes ran them.  Every campaign also runs documented negative
+controls -- a wrong mixing law, a wrong constant, a non-conforming weight
+sequence -- whose reports are marked ``expected_failure`` and must come
+back with a ``fail`` verdict for the campaign to count as OK.
 """
 
 from __future__ import annotations
@@ -21,17 +26,13 @@ from __future__ import annotations
 import math
 import multiprocessing
 from dataclasses import dataclass, replace
+from functools import partial, reduce
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .measures import BaseModel, Block, Partition, block_probabilities
-from .moments import (
-    beta_moment,
-    dirichlet_mixed_moment,
-    multi_indices,
-    quadratic_weight_c,
-    recover_moment_sequence,
-)
+from .moments import dirichlet_mixed_moment, multi_indices, quadratic_weight_c
 from .samplers import (
     RngStream,
     gamma_projection_chunk,
@@ -110,241 +111,265 @@ def campaign_ok(reports) -> bool:
     return all(r.ok() for r in reports)
 
 
-def _z_verdict(z: float, threshold: float) -> str:
-    if math.isnan(z):
-        return "degenerate"
-    return "pass" if abs(z) <= threshold else "fail"
+# ---------------------------------------------------------------------------
+# mergeable accumulator
 
 
-def _paired_z_report(
-    name: str,
-    n: int,
-    sum_lhs: float,
-    sum_rhs: float,
-    sum_d: float,
-    sum_d2: float,
-    threshold: float,
-    seed: int,
-    kind: str = "z",
-    expected_failure: bool = False,
-    notes: str = "",
-) -> TestReport:
-    mean_d = sum_d / n
-    var = max((sum_d2 - sum_d * sum_d / n) / (n - 1), 0.0)
-    se = math.sqrt(var / n)
-    if se == 0.0:
-        z = 0.0 if mean_d == 0.0 else math.inf
-    else:
-        z = mean_d / se
-    return TestReport(
-        name=name,
-        kind=kind,
-        statistic=z,
-        p_value=two_sided_p(z) if math.isfinite(z) else 0.0,
-        lhs=sum_lhs / n,
-        rhs=sum_rhs / n,
-        stderr=se,
-        n_samples=n,
-        seed=seed,
-        verdict=_z_verdict(z, threshold),
-        expected_failure=expected_failure,
-        notes=notes,
-    )
+class Estimate(NamedTuple):
+    """Columnwise lhs, rhs, estimated difference and its standard error."""
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    diff: np.ndarray
+    se: np.ndarray
+    n: int
 
 
-def _onesample_z_report(
-    name: str,
-    n: int,
-    sum_x: float,
-    sum_x2: float,
-    target: float,
-    threshold: float,
-    seed: int,
-    expected_failure: bool = False,
-    notes: str = "",
-) -> TestReport:
-    mean = sum_x / n
-    var = max((sum_x2 - sum_x * sum_x / n) / (n - 1), 0.0)
-    se = math.sqrt(var / n)
-    if se == 0.0:
-        z = 0.0 if mean == target else math.inf
-    else:
-        z = (mean - target) / se
-    return TestReport(
-        name=name,
-        kind="z",
-        statistic=z,
-        p_value=two_sided_p(z) if math.isfinite(z) else 0.0,
-        lhs=mean,
-        rhs=target,
-        stderr=se,
-        n_samples=n,
-        seed=seed,
-        verdict=_z_verdict(z, threshold),
-        expected_failure=expected_failure,
-        notes=notes,
-    )
+@dataclass(frozen=True)
+class Moments:
+    """Count, means and centered power sums of k columns of (x, y) pairs.
+
+    ``mean`` has shape (2, k): the means of x and of y.  ``sums[a, b]``
+    holds S_ab = sum (x - mean_x)^a (y - mean_y)^b for every a, b up to
+    the accumulator's order, with S_00 = n and S_10 = S_01 = 0.  Order
+    (2, 0) is enough for z-tests on x; the covariance tests read S_11 and
+    S_22 and need order (2, 2).  Accumulating centered sums avoids the
+    cancellation of raw power sums when |mean| is large against the
+    spread.
+    """
+
+    n: int
+    mean: np.ndarray
+    sums: np.ndarray
+
+    @classmethod
+    def of(cls, x, y, order=(2, 0)) -> "Moments":
+        """Moments of one batch; x is (k, m) or (m,), y broadcasts against it.
+
+        A y that is constant along the rows, shape (k, 1) or a scalar,
+        keeps its exact value as its mean.
+        """
+        x = np.atleast_2d(x)
+        y = np.atleast_2d(y)
+        k, m = x.shape
+        mean = np.stack([x.mean(axis=-1), np.broadcast_to(y.mean(axis=-1), (k,))])
+        dx = x - mean[0][:, None]
+        dy = y - mean[1][:, None] if order[1] else None
+        sums = np.zeros((order[0] + 1, order[1] + 1, k))
+        sums[0, 0] = m
+        for a, b in _cells(sums.shape):
+            # One fused product-sum over a factors dx and b factors dy.
+            sums[a, b] = np.einsum(",".join(["ij"] * (a + b)) + "->i", *[dx] * a, *[dy] * b)
+        return cls(m, mean, sums)
+
+    def merge(self, other: "Moments") -> "Moments":
+        """Moments of both batches, by shifting each batch's sums to the
+        combined mean with the binomial formula (Chan, Golub & LeVeque
+        1979; Pebay 2008, SAND2008-6212)."""
+        n = self.n + other.n
+        delta = other.mean - self.mean
+        shifts = ((self, -delta * (other.n / n)), (other, delta * (self.n / n)))
+        sums = np.zeros_like(self.sums)
+        sums[0, 0] = n
+        for a, b in _cells(self.sums.shape):
+            for part, (dx, dy) in shifts:
+                for i in range(a + 1):
+                    for j in range(b + 1):
+                        # S_10 and S_01 are zero.
+                        if (a - i) + (b - j) != 1:
+                            term = part.sums[a - i, b - j] * dx**i * dy**j
+                            sums[a, b] += math.comb(a, i) * math.comb(b, j) * term
+        return Moments(n, self.mean + delta * (other.n / n), sums)
+
+    @staticmethod
+    def stack(parts) -> "Moments":
+        """The columns of accumulators over the same rows, side by side."""
+        mean = np.concatenate([part.mean for part in parts], axis=-1)
+        return Moments(parts[0].n, mean, np.concatenate([part.sums for part in parts], axis=-1))
+
+    def paired(self) -> Estimate:
+        """Read-out of a paired statistic accumulated by :func:`_pair`."""
+        se = np.sqrt(self.sums[2, 0] / (self.n - 1) / self.n)
+        return Estimate(self.mean[0] + self.mean[1], self.mean[1], self.mean[0], se, self.n)
+
+    def covariance(self) -> Estimate:
+        """Sample covariance of x and y with its delta-method standard error."""
+        cov = self.sums[1, 1] / self.n
+        var_cov = np.maximum(self.sums[2, 2] / self.n - cov * cov, 0.0) / self.n
+        return Estimate(cov, np.zeros_like(cov), cov, np.sqrt(var_cov), self.n)
 
 
-def _ks_report(
-    name: str,
-    samples: np.ndarray,
-    cdf,
-    seed: int,
-    p_floor: float = DEFAULT_P_FLOOR,
-    expected_failure: bool = False,
-    notes: str = "",
-) -> TestReport:
-    stat, p = ks_test(samples, cdf)
-    return TestReport(
-        name=name,
-        kind="ks",
-        statistic=stat,
-        p_value=p,
-        lhs=stat,
-        rhs=0.0,
-        stderr=0.0,
-        n_samples=int(len(samples)),
-        seed=seed,
-        verdict="pass" if p >= p_floor else "fail",
-        expected_failure=expected_failure,
-        notes=notes,
-    )
+def _cells(shape):
+    """Indices (a, b) of the centered sums of total order at least 2."""
+    return [(a, b) for a in range(shape[0]) for b in range(shape[1]) if a + b >= 2]
 
 
-_COV_KEYS = ("x", "y", "xy", "x2", "y2", "x2y", "xy2", "x2y2")
+def _pair(lhs, rhs) -> Moments:
+    """A paired statistic: the moments of lhs - rhs, with the mean of rhs
+    carried along.  A constant rhs (a target moment) stays exact."""
+    return Moments.of(lhs - rhs, rhs)
 
 
-def _cov_sums(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    x2 = x * x
-    y2 = y * y
-    return np.array(
-        [
-            x.sum(),
-            y.sum(),
-            (x * y).sum(),
-            x2.sum(),
-            y2.sum(),
-            (x2 * y).sum(),
-            (x * y2).sum(),
-            (x2 * y2).sum(),
-        ]
-    )
+def _cov(x, y) -> Moments:
+    return Moments.of(x, y, order=(2, 2))
 
 
-def _cov_report(
-    name: str,
-    sums: np.ndarray,
-    n: int,
-    threshold: float,
-    seed: int,
-    notes: str = "",
-) -> TestReport:
-    mx, my, mxy, mx2, my2, mx2y, mxy2, mx2y2 = (s / n for s in sums)
-    cov = mxy - mx * my
-    # E[(x - mx)^2 (y - my)^2], expanded in raw moments.
-    m22 = (
-        mx2y2
-        - 2.0 * my * mx2y
-        + my * my * mx2
-        - 2.0 * mx * mxy2
-        + 4.0 * mx * my * mxy
-        - 2.0 * mx * my * my * mx
-        + mx * mx * my2
-        - 2.0 * mx * mx * my * my
-        + mx * mx * my * my
-    )
-    var_cov = max(m22 - cov * cov, 0.0) / n
-    se = math.sqrt(var_cov)
-    z = cov / se if se > 0.0 else (0.0 if cov == 0.0 else math.inf)
-    return TestReport(
-        name=name,
-        kind="cov",
-        statistic=z,
-        p_value=two_sided_p(z) if math.isfinite(z) else 0.0,
-        lhs=cov,
-        rhs=0.0,
-        stderr=se,
-        n_samples=n,
-        seed=seed,
-        verdict=_z_verdict(z, threshold),
-        notes=notes,
-    )
-
-
-def _aggregate_control(
-    name: str,
-    reports,
-    threshold: float,
-    seed: int,
-    notes: str,
-) -> TestReport:
-    worst = max(reports, key=lambda r: abs(r.statistic))
-    return TestReport(
-        name=name,
-        kind="control",
-        statistic=worst.statistic,
-        p_value=worst.p_value,
-        lhs=worst.lhs,
-        rhs=worst.rhs,
-        stderr=worst.stderr,
-        n_samples=worst.n_samples,
-        seed=seed,
-        verdict="fail" if abs(worst.statistic) > threshold else "pass",
-        expected_failure=True,
-        notes=f"{notes}; worst sub-test {worst.name}",
-    )
+def _two_sample(a: Moments, b: Moments) -> Estimate:
+    """Difference of the x-means of two independent paired statistics."""
+    lhs, rhs = a.paired().lhs, b.paired().lhs
+    se = np.sqrt(a.sums[2, 0] / (a.n - 1) / a.n + b.sums[2, 0] / (b.n - 1) / b.n)
+    return Estimate(lhs, rhs, lhs - rhs, se, a.n + b.n)
 
 
 # ---------------------------------------------------------------------------
-# sharded execution
+# campaign shape and report builder
 
 
 def _shard_sizes(n: int):
+    if n < 2:
+        raise ValueError(f"campaign needs at least 2 samples, got {n}")
     full, rem = divmod(int(n), SHARD_SIZE)
+    if full + (rem > 0) > _CONTROL_STREAM_OFFSET:
+        # Shard k draws from substream base + k and control j from base +
+        # j * _CONTROL_STREAM_OFFSET; more shards would reuse a control's
+        # random numbers.
+        raise ValueError(
+            f"n={n} needs more than {_CONTROL_STREAM_OFFSET} shards of {SHARD_SIZE} samples; "
+            f"at most {SHARD_SIZE * _CONTROL_STREAM_OFFSET} samples are supported"
+        )
     return [SHARD_SIZE] * full + ([rem] if rem else [])
 
 
-def _invoke(task):
-    worker, cfg, size, shard = task
-    return worker(cfg, size, shard)
-
-
-def _merge(parts) -> dict:
-    out: dict = {}
-    for part in parts:
-        for key, val in part.items():
-            if key.startswith("samples/"):
-                out.setdefault(key, []).append(val)
-            elif key in out:
-                out[key] = out[key] + val
-            else:
-                out[key] = val
-    for key in list(out):
-        if key.startswith("samples/"):
-            out[key] = np.concatenate(out[key])
+def _combine(parts) -> dict:
+    """Merge per-chunk or per-shard statistics in order: accumulators
+    merge, sample arrays concatenate."""
+    out = {}
+    for key in parts[0]:
+        vals = [part[key] for part in parts]
+        if isinstance(vals[0], Moments):
+            out[key] = reduce(Moments.merge, vals)
+        else:
+            out[key] = np.concatenate(vals)
     return out
 
 
-def _run_sharded(worker, cfg, n: int, jobs: int) -> dict:
-    if n < 2:
-        raise ValueError(f"campaign needs at least 2 samples, got {n}")
-    tasks = [(worker, cfg, size, shard) for shard, size in enumerate(_shard_sizes(n))]
-    if jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
-            parts = pool.map(_invoke, tasks)
-    else:
-        parts = [_invoke(t) for t in tasks]
-    return _merge(parts)
+def _shard(task) -> dict:
+    kernel, rows, size, seed, stream = task
+    gen = RngStream(seed, stream).gen
+    return _combine([kernel(min(rows, size - lo), gen) for lo in range(0, size, rows)])
+
+
+@dataclass(frozen=True)
+class _Campaign:
+    """A batch kernel with its parameters, and where and how to run it.
+
+    ``kernel(m, gen, **params)`` turns m rows drawn from ``gen`` into
+    named statistics: :class:`Moments` built by :func:`_pair` or
+    :func:`_cov`, or sample arrays.  A campaign's main paired statistic is
+    named "identity"; its negative controls rerun it with changed
+    parameters on their own substreams.
+    """
+
+    kernel: Callable[..., dict]
+    params: dict
+    n: int
+    rng: RngStream
+    jobs: int = 1
+    threshold: float = DEFAULT_THRESHOLD
+    rows: int = _CHUNK_ROWS
+
+    def run(self, offset: int = 0, **changes) -> dict:
+        """The kernel's statistics over n rows, with shard k drawn from
+        substream stream_id + offset + k and shards merged in order."""
+        kernel = partial(self.kernel, **{**self.params, **changes})
+        stream = self.rng.stream_id + offset
+        tasks = [
+            (kernel, self.rows, size, self.rng.seed, stream + k)
+            for k, size in enumerate(_shard_sizes(self.n))
+        ]
+        if self.jobs > 1 and len(tasks) > 1:
+            with multiprocessing.Pool(min(self.jobs, len(tasks))) as pool:
+                parts = pool.map(_shard, tasks)
+        else:
+            parts = [_shard(t) for t in tasks]
+        return _combine(parts)
+
+    def reports(
+        self,
+        names,
+        est: Estimate,
+        *,
+        kind: str = "z",
+        ks: tuple[float, float] | None = None,
+        expected_failure: bool = False,
+        notes: str = "",
+    ) -> list[TestReport]:
+        """The report builder: one report per column of ``est``.
+
+        A z-type report grades z = diff / se against the threshold; se == 0
+        gives z = 0 when diff is 0 as well and z = inf otherwise.  With
+        ``ks`` = (D, p) the report is a KS test, graded by p >=
+        DEFAULT_P_FLOOR.  "probe" reports always carry the verdict
+        "degenerate".
+        """
+        out = []
+        for i, name in enumerate(names):
+            if ks is None:
+                diff, se = est.diff[i], est.se[i]
+                stat = diff / se if se != 0.0 else (0.0 if diff == 0.0 else math.inf)
+                p = two_sided_p(stat) if math.isfinite(stat) else 0.0
+                if math.isnan(stat):
+                    verdict = "degenerate"
+                else:
+                    verdict = "pass" if abs(stat) <= self.threshold else "fail"
+            else:
+                stat, p = ks
+                verdict = "pass" if p >= DEFAULT_P_FLOOR else "fail"
+            out.append(
+                TestReport(
+                    name=name,
+                    kind=kind,
+                    statistic=stat,
+                    p_value=p,
+                    lhs=est.lhs[i],
+                    rhs=est.rhs[i],
+                    stderr=est.se[i],
+                    n_samples=est.n,
+                    seed=self.rng.seed,
+                    verdict="degenerate" if kind == "probe" else verdict,
+                    expected_failure=expected_failure,
+                    notes=notes,
+                )
+            )
+        return out
+
+    def control(self, name: str, names, offset: int, notes: str, **changes) -> TestReport:
+        """Rerun the "identity" statistic with ``changes`` and keep its
+        worst z-test; the control must reject."""
+        est = self.run(offset, **changes)["identity"].paired()
+        worst = max(self.reports(names, est), key=lambda r: abs(r.statistic))
+        return replace(
+            worst,
+            name=name,
+            kind="control",
+            verdict="fail" if abs(worst.statistic) > self.threshold else "pass",
+            expected_failure=True,
+            notes=f"{notes}; worst sub-test {worst.name}",
+        )
+
+
+def _ks_estimate(n: int, lhs: float, rhs: float = 0.0) -> Estimate:
+    """The one column a KS report shows; it carries no standard error."""
+    return Estimate([lhs], [rhs], [0.0], [0.0], n)
 
 
 # ---------------------------------------------------------------------------
-# mixing laws and test-function families
+# mixing laws and test functions
 
 
 @dataclass(frozen=True)
 class MixingLaw:
-    """Law of the mixing weight W: Be(1, alpha), a point mass, or U[0, hi]."""
+    """Law of the mixing weight W: Be(1, alpha) or a point mass."""
 
     kind: str = "beta"
     alpha: float | None = None
@@ -354,75 +379,66 @@ class MixingLaw:
         if self.kind == "beta":
             if self.alpha is None or not self.alpha > 0.0:
                 raise ValueError("beta mixing needs alpha > 0")
-        elif self.kind in ("point", "scaled_uniform"):
+        elif self.kind == "point":
             if self.value is None or not 0.0 < self.value <= 1.0:
-                raise ValueError(f"{self.kind} mixing needs a value in (0, 1]")
+                raise ValueError("point mixing needs a value in (0, 1]")
         else:
             raise ValueError(f"unknown mixing kind {self.kind!r}")
 
     def draw(self, gen: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "beta":
             return gen.beta(1.0, self.alpha, size=size)
-        if self.kind == "point":
-            return np.full(size, self.value)
-        return gen.random(size) * self.value
+        return np.full(size, self.value)
 
     def label(self) -> str:
         if self.kind == "beta":
             return f"Be(1,{self.alpha:g})"
-        if self.kind == "point":
-            return f"delta({self.value:g})"
-        return f"U[0,{self.value:g}]"
+        return f"delta({self.value:g})"
 
 
-@dataclass(frozen=True)
-class TestFunctionSpec:
-    """One test function f(zeta, x) = g(projection of zeta) * h(x).
-
-    ``g_terms`` is a polynomial in the block projections, a tuple of
-    (exponent multi-index, coefficient) pairs.  ``h_block_weights`` gives
-    the value of h on each block; ``None`` means f depends on the measure
-    alone (no x argument).
-    """
-
-    name: str
-    g_terms: tuple[tuple[tuple[int, ...], float], ...]
-    h_block_weights: tuple[float, ...] | None = None
-
-    def g_degree(self) -> int:
-        return max(sum(ks) for ks, _ in self.g_terms)
+def _exponents(n_blocks: int, max_degree: int, min_degree: int = 1):
+    """Exponent multi-indices of the monomial test functions, by degree."""
+    return tuple(
+        tuple(ks)
+        for degree in range(min_degree, max_degree + 1)
+        for ks in multi_indices(n_blocks, degree)
+    )
 
 
 def _monomial_name(ks) -> str:
     return "*".join(f"Z{j}^{k}" for j, k in enumerate(ks) if k > 0) or "1"
 
 
-def mecke_family(n_blocks: int, max_g_degree: int = 2) -> tuple[TestFunctionSpec, ...]:
-    """Monomial g's paired with every block indicator as h."""
-    specs = []
-    for degree in range(0, max_g_degree + 1):
-        for ks in multi_indices(n_blocks, degree):
-            for j in range(n_blocks):
-                h = tuple(1.0 if i == j else 0.0 for i in range(n_blocks))
-                specs.append(
-                    TestFunctionSpec(
-                        name=f"g={_monomial_name(ks)},h=B{j}",
-                        g_terms=((tuple(ks), 1.0),),
-                        h_block_weights=h,
-                    )
-                )
-    return tuple(specs)
+def _monomials(cols: np.ndarray, exponents) -> np.ndarray:
+    """prod_j cols[:, j]**ks[j] for every multi-index ks, shape (len(exponents), m)."""
+    kmax = max(sum(ks) for ks in exponents)
+    powers = []
+    for j in range(cols.shape[1]):
+        pows = [np.ones_like(cols[:, j])]
+        for _ in range(kmax):
+            pows.append(pows[-1] * cols[:, j])
+        powers.append(pows)
+    out = np.empty((len(exponents), cols.shape[0]))
+    for t, ks in enumerate(exponents):
+        term = None
+        for j, k in enumerate(ks):
+            if k > 0:
+                term = powers[j][k] if term is None else term * powers[j][k]
+        out[t] = 1.0 if term is None else term
+    return out
 
 
-def unweighted_family(n_blocks: int, max_degree: int = 3) -> tuple[TestFunctionSpec, ...]:
-    """Monomial test functions of the projections alone."""
-    specs = []
-    for degree in range(1, max_degree + 1):
-        for ks in multi_indices(n_blocks, degree):
-            specs.append(
-                TestFunctionSpec(name=f"g={_monomial_name(ks)}", g_terms=((tuple(ks), 1.0),))
-            )
-    return tuple(specs)
+def _block_projection(weights: np.ndarray, marks: np.ndarray, n_blocks: int) -> np.ndarray:
+    proj = np.empty((weights.shape[0], n_blocks))
+    for j in range(n_blocks):
+        proj[:, j] = (weights * (marks == j)).sum(axis=1)
+    return proj
+
+
+def _draw_blocks(probs, gen: np.random.Generator, size) -> np.ndarray:
+    """Block indices of base draws, one per entry of an array of ``size``."""
+    cum = np.cumsum(probs)
+    return np.minimum(np.searchsorted(cum, gen.random(size), side="right"), len(cum) - 1)
 
 
 def default_partition(model: BaseModel, max_blocks: int = 4) -> Partition:
@@ -453,124 +469,52 @@ def default_partition(model: BaseModel, max_blocks: int = 4) -> Partition:
 # projection-identity campaigns (weighted and unweighted)
 
 
-@dataclass(frozen=True)
-class _MixCfg:
-    seed: int
-    stream_base: int
-    alpha: float
-    block_probs: tuple[float, ...]
-    construction: str
-    trunc_eps: float
-    jump_eps: float
-    mixing: MixingLaw
-    weighted: bool
-    tests: tuple[TestFunctionSpec, ...]
-
-
-def _powers(arr2d: np.ndarray, kmax: int):
-    cols = []
-    for j in range(arr2d.shape[1]):
-        base = arr2d[:, j]
-        pows = [np.ones_like(base)]
-        for _ in range(kmax):
-            pows.append(pows[-1] * base)
-        cols.append(pows)
-    return cols
-
-
-def _poly_eval(powers, g_terms) -> np.ndarray:
-    acc = None
-    for ks, coef in g_terms:
-        term = None
-        for j, k in enumerate(ks):
-            if k > 0:
-                term = powers[j][k] if term is None else term * powers[j][k]
-        if term is None:
-            term = np.ones_like(powers[0][0])
-        term = coef * term
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def _construction_proj(cfg: _MixCfg, m: int, gen: np.random.Generator) -> np.ndarray:
-    if cfg.construction == "stick":
-        return stick_projection_chunk(
-            cfg.alpha, cfg.block_probs, m, gen, trunc_eps=cfg.trunc_eps
-        )
-    if cfg.construction == "gamma":
-        proj, _, _ = gamma_projection_chunk(
-            cfg.alpha, cfg.block_probs, m, gen, trunc_eps=cfg.jump_eps
-        )
-        return proj
-    if cfg.construction == "iid":
+def _projections(construction, alpha, probs, m, gen, trunc_eps, jump_eps):
+    """Block projections of m measures, with their unnormalized totals
+    under the jump construction (None otherwise)."""
+    if construction == "stick":
+        return stick_projection_chunk(alpha, probs, m, gen, trunc_eps=trunc_eps), None
+    if construction == "gamma":
+        proj, totals, _ = gamma_projection_chunk(alpha, probs, m, gen, trunc_eps=jump_eps)
+        return proj, totals
+    if construction == "iid":
         # Degenerate single-atom measure at one base draw; a negative
         # control, not a sampler of the target law.
-        cum = np.cumsum(cfg.block_probs)
-        blk = np.minimum(np.searchsorted(cum, gen.random(m), side="right"), len(cum) - 1)
-        proj = np.zeros((m, len(cfg.block_probs)))
-        proj[np.arange(m), blk] = 1.0
-        return proj
-    raise ValueError(f"unknown construction {cfg.construction!r}")
+        proj = np.zeros((m, len(probs)))
+        proj[np.arange(m), _draw_blocks(probs, gen, m)] = 1.0
+        return proj, None
+    raise ValueError(f"unknown construction {construction!r}")
 
 
-def _mix_worker(cfg: _MixCfg, size: int, shard: int) -> dict:
-    gen = RngStream(cfg.seed, cfg.stream_base + shard).gen
-    cum = np.cumsum(cfg.block_probs)
-    nt = len(cfg.tests)
-    kmax = max(t.g_degree() for t in cfg.tests)
-    sums = {
-        "n": size,
-        "sum_lhs": np.zeros(nt),
-        "sum_rhs": np.zeros(nt),
-        "sum_d": np.zeros(nt),
-        "sum_d2": np.zeros(nt),
-    }
-    done = 0
-    while done < size:
-        m = min(_CHUNK_ROWS, size - done)
-        done += m
-        proj = _construction_proj(cfg, m, gen)
-        u = cfg.mixing.draw(gen, m)
-        xblk = np.minimum(np.searchsorted(cum, gen.random(m), side="right"), len(cum) - 1)
-        mixed = (1.0 - u)[:, None] * proj
-        mixed[np.arange(m), xblk] += u
-        pw = _powers(proj, kmax)
-        pw2 = _powers(mixed, kmax)
-        for t, spec in enumerate(cfg.tests):
-            g1 = _poly_eval(pw, spec.g_terms)
-            g2 = _poly_eval(pw2, spec.g_terms)
-            if cfg.weighted:
-                h = np.asarray(spec.h_block_weights)
-                lhs = g1 * (proj @ h)
-                rhs = g2 * h[xblk]
-            else:
-                lhs = g1
-                rhs = g2
-            d = lhs - rhs
-            sums["sum_lhs"][t] += lhs.sum()
-            sums["sum_rhs"][t] += rhs.sum()
-            sums["sum_d"][t] += d.sum()
-            sums["sum_d2"][t] += (d * d).sum()
-    return sums
+def _mix_kernel(
+    m, gen, *, alpha, probs, construction, trunc_eps, jump_eps, mixing, exponents, weighted
+) -> dict:
+    proj, _ = _projections(construction, alpha, probs, m, gen, trunc_eps, jump_eps)
+    u = mixing.draw(gen, m)
+    xblk = _draw_blocks(probs, gen, m)
+    mixed = (1.0 - u)[:, None] * proj
+    mixed[np.arange(m), xblk] += u
+    # Weighted, f(zeta, x) = g(proj) h(x) for every monomial g and block
+    # indicator h: the lhs integrates h against zeta, the rhs reads it at
+    # the fresh mark.  One batch per g keeps the temporaries small.
+    if weighted:
+        h_lhs, h_rhs = np.ascontiguousarray(proj.T), xblk == np.arange(len(probs))[:, None]
+    else:
+        h_lhs = h_rhs = 1.0
+    pairs = zip(_monomials(proj, exponents), _monomials(mixed, exponents))
+    return {"identity": Moments.stack([_pair(g1 * h_lhs, g2 * h_rhs) for g1, g2 in pairs])}
 
 
-def _mix_campaign(cfg: _MixCfg, n: int, jobs: int, threshold: float, prefix: str):
-    merged = _run_sharded(_mix_worker, cfg, n, jobs)
-    reports = []
-    for t, spec in enumerate(cfg.tests):
-        reports.append(
-            _paired_z_report(
-                name=f"{prefix}[{spec.name}]",
-                n=merged["n"],
-                sum_lhs=merged["sum_lhs"][t],
-                sum_rhs=merged["sum_rhs"][t],
-                sum_d=merged["sum_d"][t],
-                sum_d2=merged["sum_d2"][t],
-                threshold=threshold,
-                seed=cfg.seed,
-            )
-        )
-    return reports
+def _mix_params(model, construction, trunc_eps, jump_eps) -> dict:
+    """Kernel parameters shared by the mecke and sethuraman campaigns."""
+    return dict(
+        alpha=model.alpha,
+        probs=tuple(block_probabilities(model, default_partition(model))),
+        construction=construction,
+        trunc_eps=trunc_eps,
+        jump_eps=jump_eps,
+        mixing=MixingLaw("beta", alpha=model.alpha),
+    )
 
 
 def verify_mecke(
@@ -578,75 +522,40 @@ def verify_mecke(
     n: int = DEFAULT_N,
     rng: RngStream | None = None,
     *,
-    partition: Partition | None = None,
     construction: str = "stick",
-    f_family: tuple[TestFunctionSpec, ...] | None = None,
-    mixing: MixingLaw | None = None,
     threshold: float = DEFAULT_THRESHOLD,
     jobs: int = 1,
     trunc_eps: float = 1e-12,
     jump_eps: float = 1e-8,
-    max_g_degree: int = 2,
     negative_controls: bool = True,
 ) -> list[TestReport]:
     """Check the defining integral identity on a polynomial family.
 
-    For each f(zeta, x) = g(proj(zeta)) h(x), compares the sample mean of
-    the measure-weighted side  g(proj) * sum_j proj_j h_j  against
+    For each f(zeta, x) = g(proj(zeta)) h(x), with g a monomial of degree
+    at most 2 and h a block indicator, compares the sample mean of the
+    measure-weighted side  g(proj) * sum_j proj_j h_j  against
     g(proj') h(X) where proj' mixes the projection with a fresh base mark
-    X by a Be(1, alpha) weight.  Negative controls rerun a subfamily with
-    a point-mass mixing law of the correct mean, and with a single-atom
+    X by a Be(1, alpha) weight.  Negative controls rerun the family with a
+    point-mass mixing law of the correct mean, and with a single-atom
     construction in place of the target sampler; both must fail.
     """
-    rng = rng or RngStream(0)
-    partition = partition or default_partition(model)
-    probs = tuple(block_probabilities(model, partition))
-    family = f_family or mecke_family(len(probs), max_g_degree)
-    mix = mixing or MixingLaw("beta", alpha=model.alpha)
-    cfg = _MixCfg(
-        seed=rng.seed,
-        stream_base=rng.stream_id,
-        alpha=model.alpha,
-        block_probs=probs,
-        construction=construction,
-        trunc_eps=trunc_eps,
-        jump_eps=jump_eps,
-        mixing=mix,
-        weighted=True,
-        tests=tuple(family),
-    )
-    reports = _mix_campaign(cfg, n, jobs, threshold, prefix="mecke")
+    params = _mix_params(model, construction, trunc_eps, jump_eps)
+    nb = len(params["probs"])
+    exponents = _exponents(nb, 2, min_degree=0)
+    params.update(exponents=exponents, weighted=True)
+    c = _Campaign(_mix_kernel, params, n, rng or RngStream(0), jobs, threshold)
+    names = [f"mecke[g={_monomial_name(ks)},h=B{j}]" for ks in exponents for j in range(nb)]
+    reports = c.reports(names, c.run()["identity"].paired())
     if negative_controls:
         point = MixingLaw("point", value=1.0 / (model.alpha + 1.0))
-        ctl_cfg = replace(
-            cfg, mixing=point, stream_base=cfg.stream_base + _CONTROL_STREAM_OFFSET
-        )
-        ctl = _mix_campaign(ctl_cfg, n, jobs, threshold, prefix="mecke")
-        reports.append(
-            _aggregate_control(
-                "mecke:control:point-mass-mixing",
-                ctl,
-                threshold,
-                rng.seed,
-                notes=f"mixing law {point.label()} matches the mean of "
-                f"{mix.label()} but not its spread",
-            )
-        )
-        ctl_cfg = replace(
-            cfg,
-            construction="iid",
-            stream_base=cfg.stream_base + 2 * _CONTROL_STREAM_OFFSET,
-        )
-        ctl = _mix_campaign(ctl_cfg, n, jobs, threshold, prefix="mecke")
-        reports.append(
-            _aggregate_control(
-                "mecke:control:single-atom-input",
-                ctl,
-                threshold,
-                rng.seed,
-                notes="input measure replaced by a Dirac at one base draw",
-            )
-        )
+        label = c.params["mixing"].label()
+        notes = f"mixing law {point.label()} matches the mean of {label} but not its spread"
+        name = "mecke:control:point-mass-mixing"
+        reports.append(c.control(name, names, _CONTROL_STREAM_OFFSET, notes, mixing=point))
+        notes = "input measure replaced by a Dirac at one base draw"
+        name = "mecke:control:single-atom-input"
+        offset = 2 * _CONTROL_STREAM_OFFSET
+        reports.append(c.control(name, names, offset, notes, construction="iid"))
     return reports
 
 
@@ -655,157 +564,67 @@ def verify_sethuraman(
     n: int = DEFAULT_N,
     rng: RngStream | None = None,
     *,
-    partition: Partition | None = None,
     construction: str = "stick",
-    f_family: tuple[TestFunctionSpec, ...] | None = None,
     threshold: float = DEFAULT_THRESHOLD,
     jobs: int = 1,
     trunc_eps: float = 1e-12,
     jump_eps: float = 1e-8,
-    max_degree: int = 3,
     negative_controls: bool = True,
 ) -> list[TestReport]:
     """Check the distributional fixed point under Dirac mixing.
 
     Compares E f(zeta) against E f((1-W)zeta + W delta_X) for monomial f
-    of the projections, W ~ Be(1, alpha), X a fresh base draw.  The
-    negative control reruns the family with a mixing law of the wrong
-    shape; degree >= 2 tests must fail.
+    of the projections up to degree 3, W ~ Be(1, alpha), X a fresh base
+    draw.  The negative control reruns the family with a mixing law of the
+    wrong shape; degree >= 2 tests must fail.
     """
-    rng = rng or RngStream(0)
-    partition = partition or default_partition(model)
-    probs = tuple(block_probabilities(model, partition))
-    family = f_family or unweighted_family(len(probs), max_degree)
-    cfg = _MixCfg(
-        seed=rng.seed,
-        stream_base=rng.stream_id,
-        alpha=model.alpha,
-        block_probs=probs,
-        construction=construction,
-        trunc_eps=trunc_eps,
-        jump_eps=jump_eps,
-        mixing=MixingLaw("beta", alpha=model.alpha),
-        weighted=False,
-        tests=tuple(family),
-    )
-    reports = _mix_campaign(cfg, n, jobs, threshold, prefix="sethuraman")
+    params = _mix_params(model, construction, trunc_eps, jump_eps)
+    exponents = _exponents(len(params["probs"]), 3)
+    params.update(exponents=exponents, weighted=False)
+    c = _Campaign(_mix_kernel, params, n, rng or RngStream(0), jobs, threshold)
+    names = [f"sethuraman[g={_monomial_name(ks)}]" for ks in exponents]
+    reports = c.reports(names, c.run()["identity"].paired())
     if negative_controls:
         wrong = MixingLaw("beta", alpha=model.alpha + 2.0)
-        ctl_cfg = replace(
-            cfg, mixing=wrong, stream_base=cfg.stream_base + _CONTROL_STREAM_OFFSET
-        )
-        ctl = _mix_campaign(ctl_cfg, n, jobs, threshold, prefix="sethuraman")
-        reports.append(
-            _aggregate_control(
-                "sethuraman:control:wrong-mixing-shape",
-                ctl,
-                threshold,
-                rng.seed,
-                notes=f"mixing law {wrong.label()} instead of Be(1,{model.alpha:g})",
-            )
-        )
+        notes = f"mixing law {wrong.label()} instead of Be(1,{model.alpha:g})"
+        name = "sethuraman:control:wrong-mixing-shape"
+        reports.append(c.control(name, names, _CONTROL_STREAM_OFFSET, notes, mixing=wrong))
     return reports
 
 
 # ---------------------------------------------------------------------------
 # scalar Beta identity campaigns
 
-
-@dataclass(frozen=True)
-class _ScalarCfg:
-    seed: int
-    stream_base: int
-    p: float
-    alpha: float
-    p_used: float
-    c_used: float
-    k_max: int
-    mode: str  # "pair" or "quadratic"
+_TBETA_DEGREE = 6
+_TBETA2_DEGREE = 4
 
 
-def _scalar_worker(cfg: _ScalarCfg, size: int, shard: int) -> dict:
-    gen = RngStream(cfg.seed, cfg.stream_base + shard).gen
-    a = cfg.p * cfg.alpha
-    b = (1.0 - cfg.p) * cfg.alpha
-    nt = cfg.k_max + 1
-    out: dict = {"n": size}
-    if cfg.mode == "pair":
-        for key in ("pick_d", "pick_d2", "pick_lhs", "pick_rhs", "rest_d", "rest_d2", "rest_lhs", "rest_rhs"):
-            out[key] = np.zeros(nt)
-    else:
-        for key in ("quad_d", "quad_d2", "quad_lhs", "quad_rhs"):
-            out[key] = np.zeros(nt)
-        for key in ("cov_id_id", "cov_id_sq", "cov_sq_id", "cov_sq_sq"):
-            out[key] = np.zeros(len(_COV_KEYS))
-    done = 0
-    while done < size:
-        m = min(_CHUNK_ROWS, size - done)
-        done += m
-        z = gen.beta(a, b, size=m)
-        w = gen.beta(1.0, cfg.alpha, size=m)
-        mixed = (1.0 - w) * z + w
-        shrunk = (1.0 - w) * z
-        if cfg.mode == "pair":
-            zk = np.ones_like(z)
-            mk = np.ones_like(z)
-            sk = np.ones_like(z)
-            for k in range(nt):
-                lhs = zk * z
-                rhs = cfg.p_used * mk
-                d = lhs - rhs
-                out["pick_lhs"][k] += lhs.sum()
-                out["pick_rhs"][k] += rhs.sum()
-                out["pick_d"][k] += d.sum()
-                out["pick_d2"][k] += (d * d).sum()
-                lhs = zk * (1.0 - z)
-                rhs = (1.0 - cfg.p_used) * sk
-                d = lhs - rhs
-                out["rest_lhs"][k] += lhs.sum()
-                out["rest_rhs"][k] += rhs.sum()
-                out["rest_d"][k] += d.sum()
-                out["rest_d2"][k] += (d * d).sum()
-                zk = zk * z
-                mk = mk * mixed
-                sk = sk * shrunk
-        else:
-            zk = np.ones_like(z)
-            mk = np.ones_like(z)
-            for k in range(nt):
-                lhs = zk * z * z
-                rhs = cfg.c_used * mk * w
-                d = lhs - rhs
-                out["quad_lhs"][k] += lhs.sum()
-                out["quad_rhs"][k] += rhs.sum()
-                out["quad_d"][k] += d.sum()
-                out["quad_d2"][k] += (d * d).sum()
-                zk = zk * z
-                mk = mk * mixed
-            ratio = w / mixed
-            out["cov_id_id"] += _cov_sums(ratio, mixed)
-            out["cov_id_sq"] += _cov_sums(ratio, mixed * mixed)
-            out["cov_sq_id"] += _cov_sums(ratio * ratio, mixed)
-            out["cov_sq_sq"] += _cov_sums(ratio * ratio, mixed * mixed)
-    return out
+def _check_p_alpha(p: float, alpha: float) -> None:
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must lie in (0, 1), got {p}")
+    if not alpha > 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
 
 
-def _scalar_pair_reports(cfg: _ScalarCfg, n: int, jobs: int, threshold: float, prefix: str):
-    merged = _run_sharded(_scalar_worker, cfg, n, jobs)
-    reports = []
-    for branch in ("pick", "rest"):
-        for k in range(cfg.k_max + 1):
-            reports.append(
-                _paired_z_report(
-                    name=f"{prefix}:{branch}[g=x^{k}]",
-                    n=merged["n"],
-                    sum_lhs=merged[f"{branch}_lhs"][k],
-                    sum_rhs=merged[f"{branch}_rhs"][k],
-                    sum_d=merged[f"{branch}_d"][k],
-                    sum_d2=merged[f"{branch}_d2"][k],
-                    threshold=threshold,
-                    seed=cfg.seed,
-                )
-            )
-    return reports
+def _beta_draws(m, gen, p, alpha):
+    """Z ~ Be(p alpha, (1-p) alpha), W ~ Be(1, alpha) and (1-W)Z + W."""
+    z = gen.beta(p * alpha, (1.0 - p) * alpha, size=m)
+    w = gen.beta(1.0, alpha, size=m)
+    return z, w, (1.0 - w) * z + w
+
+
+def _tbeta_kernel(m, gen, *, p, alpha, p_used) -> dict:
+    z, w, mixed = _beta_draws(m, gen, p, alpha)
+    shrunk = (1.0 - w) * z
+    zk = mk = sk = np.ones_like(z)
+    pick, rest = [], []
+    for _ in range(_TBETA_DEGREE + 1):
+        pick.append(_pair(zk * z, p_used * mk))
+        rest.append(_pair(zk * (1.0 - z), (1.0 - p_used) * sk))
+        zk = zk * z
+        mk = mk * mixed
+        sk = sk * shrunk
+    return {"identity": Moments.stack(pick + rest)}
 
 
 def verify_beta_sizebias(
@@ -814,7 +633,6 @@ def verify_beta_sizebias(
     n: int = DEFAULT_N,
     rng: RngStream | None = None,
     *,
-    k_max: int = 6,
     threshold: float = DEFAULT_THRESHOLD,
     jobs: int = 1,
     negative_controls: bool = True,
@@ -822,44 +640,41 @@ def verify_beta_sizebias(
     """Check the paired size-biased moment equations for the Beta family.
 
     For Z ~ Be(p*alpha, (1-p)*alpha) and W ~ Be(1, alpha) independent, and
-    g = x^k up to k_max, tests
+    g = x^k up to k = 6, tests
         E g(Z) Z       = p     E g((1-W)Z + W)      (the picked branch)
         E g(Z) (1 - Z) = (1-p) E g((1-W)Z)          (the complement).
     The k = 0 picked test is the normalization E Z = p.  The negative
     control reruns the family with p shifted by 0.15; it must fail.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    rng = rng or RngStream(0)
-    cfg = _ScalarCfg(
-        seed=rng.seed,
-        stream_base=rng.stream_id,
-        p=p,
-        alpha=alpha,
-        p_used=p,
-        c_used=0.0,
-        k_max=k_max,
-        mode="pair",
-    )
-    reports = _scalar_pair_reports(cfg, n, jobs, threshold, prefix="tbeta")
+    _check_p_alpha(p, alpha)
+    params = dict(p=p, alpha=alpha, p_used=p)
+    c = _Campaign(_tbeta_kernel, params, n, rng or RngStream(0), jobs, threshold)
+    branches = ("pick", "rest")
+    names = [f"tbeta:{b}[g=x^{k}]" for b in branches for k in range(_TBETA_DEGREE + 1)]
+    reports = c.reports(names, c.run()["identity"].paired())
     if negative_controls:
         p_wrong = p + 0.15 if p + 0.15 < 1.0 else p - 0.15
-        ctl_cfg = replace(
-            cfg, p_used=p_wrong, stream_base=cfg.stream_base + _CONTROL_STREAM_OFFSET
-        )
-        ctl = _scalar_pair_reports(ctl_cfg, n, jobs, threshold, prefix="tbeta")
-        reports.append(
-            _aggregate_control(
-                "tbeta:control:wrong-p",
-                ctl,
-                threshold,
-                rng.seed,
-                notes=f"identities evaluated with p={p_wrong:g} against data at p={p:g}",
-            )
-        )
+        notes = f"identities evaluated with p={p_wrong:g} against data at p={p:g}"
+        name = "tbeta:control:wrong-p"
+        reports.append(c.control(name, names, _CONTROL_STREAM_OFFSET, notes, p_used=p_wrong))
     return reports
+
+
+def _tbeta2_kernel(m, gen, *, p, alpha, c_used) -> dict:
+    z, w, mixed = _beta_draws(m, gen, p, alpha)
+    zk = mk = np.ones_like(z)
+    quadratic = []
+    for _ in range(_TBETA2_DEGREE + 1):
+        quadratic.append(_pair(zk * z * z, c_used * mk * w))
+        zk = zk * z
+        mk = mk * mixed
+    ratio = w / mixed
+    ratio2 = ratio * ratio
+    mixed2 = mixed * mixed
+    return {
+        "identity": Moments.stack(quadratic),
+        "indep": _cov(np.array([ratio, ratio, ratio2, ratio2]), np.array([mixed, mixed2] * 2)),
+    }
 
 
 def verify_beta_general(
@@ -868,94 +683,35 @@ def verify_beta_general(
     n: int = DEFAULT_N,
     rng: RngStream | None = None,
     *,
-    k_max: int = 4,
     threshold: float = DEFAULT_THRESHOLD,
     jobs: int = 1,
     negative_controls: bool = True,
-    c_override: float | None = None,
 ) -> list[TestReport]:
     """Check the quadratic mixing identity and its independence corollary.
 
     Tests E g(Z) Z^2 = c E g((1-W)Z + W) W with c = p(alpha p + 1) for
-    monomial g, and that the ratio W/(Z + W - WZ) is uncorrelated with
-    Z + W - WZ through first and second powers of each.  The negative
-    control reruns the identity with c + 0.1 and must fail.
+    monomial g up to degree 4, and that the ratio W/(Z + W - WZ) is
+    uncorrelated with Z + W - WZ through first and second powers of each.
+    The negative control reruns the identity with c + 0.1 and must fail.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    rng = rng or RngStream(0)
-    c = quadratic_weight_c(p, alpha) if c_override is None else float(c_override)
-    cfg = _ScalarCfg(
-        seed=rng.seed,
-        stream_base=rng.stream_id,
-        p=p,
-        alpha=alpha,
-        p_used=p,
-        c_used=c,
-        k_max=k_max,
-        mode="quadratic",
+    _check_p_alpha(p, alpha)
+    const = quadratic_weight_c(p, alpha)
+    params = dict(p=p, alpha=alpha, c_used=const)
+    c = _Campaign(_tbeta2_kernel, params, n, rng or RngStream(0), jobs, threshold)
+    stats = c.run()
+    names = [f"tbeta2:quadratic[g=x^{k}]" for k in range(_TBETA2_DEGREE + 1)]
+    reports = c.reports(names, stats["identity"].paired(), notes=f"c={const:.12g}")
+    pairs = ("ratio,sum", "ratio,sum^2", "ratio^2,sum", "ratio^2,sum^2")
+    reports += c.reports(
+        [f"tbeta2:indep[{pair}]" for pair in pairs],
+        stats["indep"].covariance(),
+        kind="cov",
+        notes="ratio = W/(Z+W-WZ), sum = Z+W-WZ",
     )
-    merged = _run_sharded(_scalar_worker, cfg, n, jobs)
-    reports = []
-    for k in range(k_max + 1):
-        reports.append(
-            _paired_z_report(
-                name=f"tbeta2:quadratic[g=x^{k}]",
-                n=merged["n"],
-                sum_lhs=merged["quad_lhs"][k],
-                sum_rhs=merged["quad_rhs"][k],
-                sum_d=merged["quad_d"][k],
-                sum_d2=merged["quad_d2"][k],
-                threshold=threshold,
-                seed=cfg.seed,
-                notes=f"c={c:.12g}",
-            )
-        )
-    for pair, key in (
-        ("ratio,sum", "cov_id_id"),
-        ("ratio,sum^2", "cov_id_sq"),
-        ("ratio^2,sum", "cov_sq_id"),
-        ("ratio^2,sum^2", "cov_sq_sq"),
-    ):
-        reports.append(
-            _cov_report(
-                name=f"tbeta2:indep[{pair}]",
-                sums=merged[key],
-                n=merged["n"],
-                threshold=threshold,
-                seed=cfg.seed,
-                notes="ratio = W/(Z+W-WZ), sum = Z+W-WZ",
-            )
-        )
-    if negative_controls and c_override is None:
-        ctl_cfg = replace(
-            cfg, c_used=c + 0.1, stream_base=cfg.stream_base + _CONTROL_STREAM_OFFSET
-        )
-        ctl_merged = _run_sharded(_scalar_worker, ctl_cfg, n, jobs)
-        ctl = [
-            _paired_z_report(
-                name=f"tbeta2:quadratic[g=x^{k}]",
-                n=ctl_merged["n"],
-                sum_lhs=ctl_merged["quad_lhs"][k],
-                sum_rhs=ctl_merged["quad_rhs"][k],
-                sum_d=ctl_merged["quad_d"][k],
-                sum_d2=ctl_merged["quad_d2"][k],
-                threshold=threshold,
-                seed=cfg.seed,
-            )
-            for k in range(k_max + 1)
-        ]
-        reports.append(
-            _aggregate_control(
-                "tbeta2:control:wrong-c",
-                ctl,
-                threshold,
-                rng.seed,
-                notes=f"constant c shifted to {c + 0.1:.12g}",
-            )
-        )
+    if negative_controls:
+        notes = f"constant c shifted to {const + 0.1:.12g}"
+        offset = _CONTROL_STREAM_OFFSET
+        reports.append(c.control("tbeta2:control:wrong-c", names, offset, notes, c_used=const + 0.1))
     return reports
 
 
@@ -963,70 +719,30 @@ def verify_beta_general(
 # size-biased pick-and-remove invariance
 
 
-@dataclass(frozen=True)
-class _PickCfg:
-    seed: int
-    stream_base: int
-    alpha: float
-    block_probs: tuple[float, ...]
-    trunc_eps: float
-    exponents: tuple[tuple[int, ...], ...]
-
-
-def _pick_worker(cfg: _PickCfg, size: int, shard: int) -> dict:
-    gen = RngStream(cfg.seed, cfg.stream_base + shard).gen
-    nb = len(cfg.block_probs)
-    nt = len(cfg.exponents)
-    out: dict = {
-        "n": size,
-        "sum_lhs": np.zeros(nt),
-        "sum_rhs": np.zeros(nt),
-        "sum_d": np.zeros(nt),
-        "sum_d2": np.zeros(nt),
-        "samples/w": [],
+def _removal_kernel(m, gen, *, alpha, probs, trunc_eps, exponents) -> dict:
+    nb = len(probs)
+    weights, marks = stick_ensemble_chunk(alpha, probs, m, gen, trunc_eps=trunc_eps)
+    rows = np.arange(m)
+    proj = _block_projection(weights, marks, nb)
+    cum = np.cumsum(weights, axis=1)
+    u = gen.random(m)
+    kappa = np.minimum((cum < u[:, None]).sum(axis=1), weights.shape[1] - 1)
+    w_k = weights[rows, kappa]
+    b_k = marks[rows, kappa]
+    removed = proj.copy()
+    removed[rows, b_k] -= w_k
+    removed /= np.maximum(1.0 - w_k, 1e-300)[:, None]
+    # Per block j: (removed proj_j, weight), (removed proj_j, pick in j),
+    # (weight, pick in j).
+    in_j = (b_k == np.arange(nb)[:, None]).astype(float)
+    w_j = np.broadcast_to(w_k, (nb, m))
+    x = np.stack([removed.T, removed.T, w_j], axis=1).reshape(3 * nb, m)
+    y = np.stack([w_j, in_j, in_j], axis=1).reshape(3 * nb, m)
+    return {
+        "identity": _pair(_monomials(removed, exponents), _monomials(proj, exponents)),
+        "indep": _cov(x, y),
+        "weight": w_k,
     }
-    for j in range(nb):
-        out[f"cov_projw_{j}"] = np.zeros(len(_COV_KEYS))
-        out[f"cov_projt_{j}"] = np.zeros(len(_COV_KEYS))
-        out[f"cov_wt_{j}"] = np.zeros(len(_COV_KEYS))
-    kmax = max(sum(ks) for ks in cfg.exponents)
-    done = 0
-    while done < size:
-        m = min(_ENSEMBLE_CHUNK_ROWS, size - done)
-        done += m
-        weights, marks = stick_ensemble_chunk(
-            cfg.alpha, cfg.block_probs, m, gen, trunc_eps=cfg.trunc_eps
-        )
-        rows = np.arange(m)
-        proj = np.empty((m, nb))
-        for j in range(nb):
-            proj[:, j] = (weights * (marks == j)).sum(axis=1)
-        cum = np.cumsum(weights, axis=1)
-        u = gen.random(m)
-        kappa = np.minimum((cum < u[:, None]).sum(axis=1), weights.shape[1] - 1)
-        w_k = weights[rows, kappa]
-        b_k = marks[rows, kappa]
-        removed = proj.copy()
-        removed[rows, b_k] -= w_k
-        removed /= np.maximum(1.0 - w_k, 1e-300)[:, None]
-        pw_orig = _powers(proj, kmax)
-        pw_rm = _powers(removed, kmax)
-        for t, ks in enumerate(cfg.exponents):
-            lhs = _poly_eval(pw_rm, ((ks, 1.0),))
-            rhs = _poly_eval(pw_orig, ((ks, 1.0),))
-            d = lhs - rhs
-            out["sum_lhs"][t] += lhs.sum()
-            out["sum_rhs"][t] += rhs.sum()
-            out["sum_d"][t] += d.sum()
-            out["sum_d2"][t] += (d * d).sum()
-        for j in range(nb):
-            tj = (b_k == j).astype(float)
-            out[f"cov_projw_{j}"] += _cov_sums(removed[:, j], w_k)
-            out[f"cov_projt_{j}"] += _cov_sums(removed[:, j], tj)
-            out[f"cov_wt_{j}"] += _cov_sums(w_k, tj)
-        out["samples/w"].append(w_k)
-    out["samples/w"] = np.concatenate(out["samples/w"])
-    return out
 
 
 def verify_sizebias_invariance(
@@ -1035,22 +751,20 @@ def verify_sizebias_invariance(
     rng: RngStream | None = None,
     *,
     base: BaseModel | None = None,
-    partition: Partition | None = None,
     threshold: float = DEFAULT_THRESHOLD,
-    p_floor: float = DEFAULT_P_FLOOR,
     jobs: int = 1,
     trunc_eps: float = 1e-12,
-    max_degree: int = 3,
     negative_controls: bool = True,
 ) -> list[TestReport]:
     """Check invariance under removal of a size-biased pick.
 
     Requires a diffuse base (marks almost surely distinct); picking an
     atom tau with probability its weight and removing it with
-    renormalization must leave the law of the projections unchanged, the
-    removed weight must follow Be(1, alpha), and removed measure, removed
-    weight and pick location must be pairwise uncorrelated.  The negative
-    control tests the removed weight against a deliberately wrong shape.
+    renormalization must leave the law of the projections on [0, 0.2),
+    [0.2, 0.5), [0.5, 1] unchanged (monomials up to degree 3), the removed
+    weight must follow Be(1, alpha), and removed measure, removed weight
+    and pick location must be pairwise uncorrelated.  The negative control
+    tests the removed weight against a deliberately wrong shape.
     """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -1062,95 +776,39 @@ def verify_sizebias_invariance(
         )
     if base.alpha != alpha:
         raise ValueError("base model alpha does not match campaign alpha")
+    probs = tuple(block_probabilities(base, Partition.of_interval_bounds((0.0, 0.2, 0.5, 1.0))))
+    exponents = _exponents(len(probs), 3)
+    params = dict(alpha=alpha, probs=probs, trunc_eps=trunc_eps, exponents=exponents)
     rng = rng or RngStream(0)
-    partition = partition or Partition.of_interval_bounds((0.0, 0.2, 0.5, 1.0))
-    probs = tuple(block_probabilities(base, partition))
-    exponents = tuple(
-        tuple(ks)
-        for degree in range(1, max_degree + 1)
-        for ks in multi_indices(len(probs), degree)
+    c = _Campaign(_removal_kernel, params, n, rng, jobs, threshold, _ENSEMBLE_CHUNK_ROWS)
+    stats = c.run()
+    reports = c.reports(
+        [f"sizebias:moment[{_monomial_name(ks)}]" for ks in exponents],
+        stats["identity"].paired(),
+        notes="lhs = after removal, rhs = before",
     )
-    cfg = _PickCfg(
-        seed=rng.seed,
-        stream_base=rng.stream_id,
-        alpha=alpha,
-        block_probs=probs,
-        trunc_eps=trunc_eps,
-        exponents=exponents,
+    w = stats["weight"]
+    stat, p = ks_test(w, lambda x: 1.0 - (1.0 - x) ** alpha)
+    reports += c.reports(
+        ["sizebias:picked-weight-law"],
+        _ks_estimate(len(w), stat),
+        kind="ks",
+        ks=(stat, p),
+        notes=f"picked weight against Be(1,{alpha:g})",
     )
-    merged = _run_sharded(_pick_worker, cfg, n, jobs)
-    reports = []
-    for t, ks in enumerate(exponents):
-        reports.append(
-            _paired_z_report(
-                name=f"sizebias:moment[{_monomial_name(ks)}]",
-                n=merged["n"],
-                sum_lhs=merged["sum_lhs"][t],
-                sum_rhs=merged["sum_rhs"][t],
-                sum_d=merged["sum_d"][t],
-                sum_d2=merged["sum_d2"][t],
-                threshold=threshold,
-                seed=cfg.seed,
-                notes="lhs = after removal, rhs = before",
-            )
-        )
-    w_samples = merged["samples/w"]
-    reports.append(
-        _ks_report(
-            "sizebias:picked-weight-law",
-            w_samples,
-            lambda x: 1.0 - (1.0 - x) ** alpha,
-            seed=cfg.seed,
-            p_floor=p_floor,
-            notes=f"picked weight against Be(1,{alpha:g})",
-        )
-    )
-    for j in range(len(probs)):
-        reports.append(
-            _cov_report(
-                f"sizebias:indep[removed-proj{j},weight]",
-                merged[f"cov_projw_{j}"],
-                merged["n"],
-                threshold,
-                cfg.seed,
-            )
-        )
-        reports.append(
-            _cov_report(
-                f"sizebias:indep[removed-proj{j},pick-block{j}]",
-                merged[f"cov_projt_{j}"],
-                merged["n"],
-                threshold,
-                cfg.seed,
-            )
-        )
-        reports.append(
-            _cov_report(
-                f"sizebias:indep[weight,pick-block{j}]",
-                merged[f"cov_wt_{j}"],
-                merged["n"],
-                threshold,
-                cfg.seed,
-            )
-        )
+    pairs = ("removed-proj{j},weight", "removed-proj{j},pick-block{j}", "weight,pick-block{j}")
+    names = [f"sizebias:indep[{pair.format(j=j)}]" for j in range(len(probs)) for pair in pairs]
+    reports += c.reports(names, stats["indep"].covariance(), kind="cov")
     if negative_controls:
         wrong = alpha + 1.5
-        stat, p = ks_test(w_samples, lambda x: 1.0 - (1.0 - x) ** wrong)
-        reports.append(
-            TestReport(
-                name="sizebias:control:wrong-weight-shape",
-                kind="control",
-                statistic=stat,
-                p_value=p,
-                lhs=stat,
-                rhs=0.0,
-                stderr=0.0,
-                n_samples=int(len(w_samples)),
-                seed=cfg.seed,
-                verdict="fail" if p < p_floor else "pass",
-                expected_failure=True,
-                notes=f"picked weight against Be(1,{wrong:g}) must be rejected",
-            )
+        stat, p = ks_test(w, lambda x: 1.0 - (1.0 - x) ** wrong)
+        reports += c.reports(
+            ["sizebias:control:wrong-weight-shape"],
+            _ks_estimate(len(w), stat),
+            kind="control",
+            ks=(stat, p),
+            expected_failure=True,
+            notes=f"picked weight against Be(1,{wrong:g}) must be rejected",
         )
     return reports
 
@@ -1159,73 +817,27 @@ def verify_sizebias_invariance(
 # sequence-level invariance: GEM weights with i.i.d. marks
 
 
-@dataclass(frozen=True)
-class _SeqCfg:
-    seed: int
-    stream_base: int
-    alpha: float
-    block_probs: tuple[float, ...]
-    trunc_eps: float
-    jump_eps: float
-    exponents: tuple[tuple[int, ...], ...]
-    mode: str  # "gem", "pd-largest" or "fixed-weights"
-    geometric_ratio: float = 0.9
-
-
-def _seq_worker(cfg: _SeqCfg, size: int, shard: int) -> dict:
-    gen = RngStream(cfg.seed, cfg.stream_base + shard).gen
-    nb = len(cfg.block_probs)
-    out: dict = {"n": size}
-    if cfg.mode == "pd-largest":
-        out["samples/largest"] = []
-        done = 0
-        while done < size:
-            m = min(_ENSEMBLE_CHUNK_ROWS, size - done)
-            done += m
-            _, _, largest = gamma_projection_chunk(
-                cfg.alpha, cfg.block_probs, m, gen, trunc_eps=cfg.jump_eps
-            )
-            out["samples/largest"].append(largest)
-        out["samples/largest"] = np.concatenate(out["samples/largest"])
-        return out
-
-    nt = len(cfg.exponents)
-    out["sum_m"] = np.zeros(nt)
-    out["sum_m2"] = np.zeros(nt)
-    if cfg.mode == "gem":
-        out["samples/largest"] = []
-    kmax = max(sum(ks) for ks in cfg.exponents)
-    cum = np.cumsum(cfg.block_probs)
-    if cfg.mode == "fixed-weights":
-        r = cfg.geometric_ratio
+def _marked_kernel(m, gen, *, alpha, probs, trunc_eps, exponents, targets, geometric) -> dict:
+    out = {}
+    if geometric:
+        # Negative control: deterministic weights (1 - r) r^i with r = 0.9,
+        # renormalized, and i.i.d. marks.
+        r = 0.9
         k_fix = max(64, int(math.log(1e-12) / math.log(r)) + 1)
         fixed = (1.0 - r) * r ** np.arange(k_fix)
         fixed /= fixed.sum()
-    done = 0
-    while done < size:
-        m = min(_ENSEMBLE_CHUNK_ROWS, size - done)
-        done += m
-        if cfg.mode == "gem":
-            weights, marks = stick_ensemble_chunk(
-                cfg.alpha, cfg.block_probs, m, gen, trunc_eps=cfg.trunc_eps
-            )
-            out["samples/largest"].append(weights.max(axis=1))
-        else:
-            weights = np.broadcast_to(fixed, (m, len(fixed)))
-            marks = np.minimum(
-                np.searchsorted(cum, gen.random((m, len(fixed))), side="right"), nb - 1
-            )
-        proj = np.empty((m, nb))
-        for j in range(nb):
-            proj[:, j] = (weights * (marks == j)).sum(axis=1)
-        pw = _powers(proj, kmax)
-        for t, ks in enumerate(cfg.exponents):
-            mono = _poly_eval(pw, ((ks, 1.0),))
-            out["sum_m"][t] += mono.sum()
-            out["sum_m2"][t] += (mono * mono).sum()
-    if cfg.mode == "gem":
-        out["samples/largest"] = np.concatenate(out["samples/largest"])
+        weights = np.broadcast_to(fixed, (m, len(fixed)))
+        marks = _draw_blocks(probs, gen, (m, len(fixed)))
+    else:
+        weights, marks = stick_ensemble_chunk(alpha, probs, m, gen, trunc_eps=trunc_eps)
+        out["largest"] = weights.max(axis=1)
+    proj = _block_projection(weights, marks, len(probs))
+    out["identity"] = _pair(_monomials(proj, exponents), np.array(targets)[:, None])
     return out
+
+
+def _largest_jump_kernel(m, gen, *, alpha, probs, jump_eps) -> dict:
+    return {"largest": gamma_projection_chunk(alpha, probs, m, gen, trunc_eps=jump_eps)[2]}
 
 
 def verify_marked_sizebias(
@@ -1235,22 +847,21 @@ def verify_marked_sizebias(
     *,
     nu_prime: tuple[float, ...] = (0.25, 0.75),
     threshold: float = DEFAULT_THRESHOLD,
-    p_floor: float = DEFAULT_P_FLOOR,
     jobs: int = 1,
     trunc_eps: float = 1e-12,
     jump_eps: float = 1e-8,
-    max_degree: int = 3,
     negative_controls: bool = True,
 ) -> list[TestReport]:
     """Check the sequence-level characterization of stick weights.
 
     Pairs stick-breaking (GEM) weights with i.i.d. marks over the atom
     probabilities ``nu_prime`` and tests the projections against the exact
-    mixed moments of the Dirichlet law, and the largest weight against the
-    jump-construction path via a two-sample KS test (the ranked weight
-    sets share one law, so their maxima do too).  The negative control
-    replaces the weights by a deterministic geometric sequence with the
-    same marks; its degree-2 moments must fail.
+    mixed moments of the Dirichlet law (monomials up to degree 3), and the
+    largest weight against the jump-construction path via a two-sample KS
+    test (the ranked weight sets share one law, so their maxima do too).
+    The negative control replaces the weights by a deterministic geometric
+    sequence with the same marks; its degree-2 and degree-3 moments must
+    fail.
     """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -1258,83 +869,35 @@ def verify_marked_sizebias(
         raise ValueError("nu_prime must be positive probabilities summing to one")
     rng = rng or RngStream(0)
     probs = tuple(float(q) for q in nu_prime)
-    exponents = tuple(
-        tuple(ks)
-        for degree in range(1, max_degree + 1)
-        for ks in multi_indices(len(probs), degree)
-    )
-    cfg = _SeqCfg(
-        seed=rng.seed,
-        stream_base=rng.stream_id,
-        alpha=alpha,
-        block_probs=probs,
-        trunc_eps=trunc_eps,
-        jump_eps=jump_eps,
-        exponents=exponents,
-        mode="gem",
-    )
-    merged = _run_sharded(_seq_worker, cfg, n, jobs)
-    reports = []
-    rho = [alpha * q for q in probs]
-    for t, ks in enumerate(exponents):
-        reports.append(
-            _onesample_z_report(
-                name=f"thm52:moment[{_monomial_name(ks)}]",
-                n=merged["n"],
-                sum_x=merged["sum_m"][t],
-                sum_x2=merged["sum_m2"][t],
-                target=dirichlet_mixed_moment(rho, ks),
-                threshold=threshold,
-                seed=cfg.seed,
-            )
-        )
-    pd_cfg = replace(
-        cfg, mode="pd-largest", stream_base=cfg.stream_base + 3 * _CONTROL_STREAM_OFFSET
-    )
-    pd_merged = _run_sharded(_seq_worker, pd_cfg, n, jobs)
-    stat, p = ks_two_sample(merged["samples/largest"], pd_merged["samples/largest"])
-    reports.append(
-        TestReport(
-            name="thm52:largest-weight-paths",
-            kind="ks",
-            statistic=stat,
-            p_value=p,
-            lhs=float(np.mean(merged["samples/largest"])),
-            rhs=float(np.mean(pd_merged["samples/largest"])),
-            stderr=0.0,
-            n_samples=merged["n"] + pd_merged["n"],
-            seed=cfg.seed,
-            verdict="pass" if p >= p_floor else "fail",
-            notes="largest stick weight vs largest normalized jump",
-        )
+
+    def moments(min_degree):
+        exponents = _exponents(len(probs), 3, min_degree)
+        targets = tuple(dirichlet_mixed_moment([alpha * q for q in probs], ks) for ks in exponents)
+        names = [f"thm52:moment[{_monomial_name(ks)}]" for ks in exponents]
+        return names, dict(exponents=exponents, targets=targets)
+
+    names, family = moments(1)
+    params = dict(alpha=alpha, probs=probs, trunc_eps=trunc_eps, geometric=False, **family)
+    c = _Campaign(_marked_kernel, params, n, rng, jobs, threshold, _ENSEMBLE_CHUNK_ROWS)
+    gem = c.run()
+    reports = c.reports(names, gem["identity"].paired())
+    params = dict(alpha=alpha, probs=probs, jump_eps=jump_eps)
+    pd = _Campaign(_largest_jump_kernel, params, n, rng, jobs, threshold, _ENSEMBLE_CHUNK_ROWS)
+    jumps = pd.run(3 * _CONTROL_STREAM_OFFSET)
+    a, b = gem["largest"], jumps["largest"]
+    reports += c.reports(
+        ["thm52:largest-weight-paths"],
+        _ks_estimate(len(a) + len(b), float(np.mean(a)), float(np.mean(b))),
+        kind="ks",
+        ks=ks_two_sample(a, b),
+        notes="largest stick weight vs largest normalized jump",
     )
     if negative_controls:
-        ctl_cfg = replace(
-            cfg, mode="fixed-weights", stream_base=cfg.stream_base + _CONTROL_STREAM_OFFSET
-        )
-        ctl_merged = _run_sharded(_seq_worker, ctl_cfg, n, jobs)
-        ctl = [
-            _onesample_z_report(
-                name=f"thm52:moment[{_monomial_name(ks)}]",
-                n=ctl_merged["n"],
-                sum_x=ctl_merged["sum_m"][t],
-                sum_x2=ctl_merged["sum_m2"][t],
-                target=dirichlet_mixed_moment(rho, ks),
-                threshold=threshold,
-                seed=cfg.seed,
-            )
-            for t, ks in enumerate(exponents)
-            if sum(ks) >= 2
-        ]
-        reports.append(
-            _aggregate_control(
-                "thm52:control:geometric-weights",
-                ctl,
-                threshold,
-                rng.seed,
-                notes="deterministic geometric weights (ratio 0.9) with i.i.d. marks",
-            )
-        )
+        names, family = moments(2)
+        notes = "deterministic geometric weights (ratio 0.9) with i.i.d. marks"
+        name = "thm52:control:geometric-weights"
+        offset = _CONTROL_STREAM_OFFSET
+        reports.append(c.control(name, names, offset, notes, geometric=True, **family))
     return reports
 
 
@@ -1342,355 +905,62 @@ def verify_marked_sizebias(
 # construction equivalence
 
 
+def _equivalence_kernel(
+    m, gen, *, alpha, probs, construction, trunc_eps, jump_eps, exponents
+) -> dict:
+    proj, totals = _projections(construction, alpha, probs, m, gen, trunc_eps, jump_eps)
+    out = {"identity": _pair(_monomials(proj, exponents), 0.0)}
+    if totals is not None:
+        out.update(total=_pair(totals, alpha), indep=_cov(proj.T, totals))
+    return out
+
+
 def verify_construction_equivalence(
     model: BaseModel,
     n: int = DEFAULT_N,
     rng: RngStream | None = None,
     *,
-    partition: Partition | None = None,
     threshold: float = DEFAULT_THRESHOLD,
     jobs: int = 1,
     trunc_eps: float = 1e-12,
     jump_eps: float = 1e-8,
-    max_degree: int = 3,
 ) -> list[TestReport]:
     """Compare the stick and jump constructions of the same law.
 
-    Two-sample z-tests on every projection monomial up to ``max_degree``,
-    a one-sample z-test of the unnormalized total mass against its mean
+    Two-sample z-tests on every projection monomial up to degree 3, a
+    one-sample z-test of the unnormalized total mass against its mean
     alpha, and covariance checks that the normalized projections are
     uncorrelated with the total.
     """
-    rng = rng or RngStream(0)
-    partition = partition or default_partition(model)
-    probs = tuple(block_probabilities(model, partition))
-    exponents = tuple(
-        tuple(ks)
-        for degree in range(1, max_degree + 1)
-        for ks in multi_indices(len(probs), degree)
+    probs = tuple(block_probabilities(model, default_partition(model)))
+    exponents = _exponents(len(probs), 3)
+    params = dict(
+        alpha=model.alpha, probs=probs, trunc_eps=trunc_eps, jump_eps=jump_eps, exponents=exponents
     )
-    stick_cfg = _EquivCfg(
-        seed=rng.seed,
-        stream_base=rng.stream_id,
-        alpha=model.alpha,
-        block_probs=probs,
-        trunc_eps=trunc_eps,
-        jump_eps=jump_eps,
-        exponents=exponents,
-        construction="stick",
+    c = _Campaign(_equivalence_kernel, params, n, rng or RngStream(0), jobs, threshold)
+    stick = c.run(construction="stick")
+    gamma = c.run(_CONTROL_STREAM_OFFSET, construction="gamma")
+    reports = c.reports(
+        [f"construction:moment[{_monomial_name(ks)}]" for ks in exponents],
+        _two_sample(stick["identity"], gamma["identity"]),
+        notes="stick vs jump construction",
     )
-    gamma_cfg = replace(
-        stick_cfg,
-        construction="gamma",
-        stream_base=stick_cfg.stream_base + _CONTROL_STREAM_OFFSET,
+    reports += c.reports(
+        ["construction:total-mass-mean"],
+        gamma["total"].paired(),
+        notes="unnormalized jump total against alpha",
     )
-    sums_s = _run_sharded(_equiv_worker, stick_cfg, n, jobs)
-    sums_g = _run_sharded(_equiv_worker, gamma_cfg, n, jobs)
-    reports = []
-    for t, ks in enumerate(exponents):
-        n1, n2 = sums_s["n"], sums_g["n"]
-        m1 = sums_s["sum_m"][t] / n1
-        m2 = sums_g["sum_m"][t] / n2
-        v1 = max((sums_s["sum_m2"][t] - n1 * m1 * m1) / (n1 - 1), 0.0)
-        v2 = max((sums_g["sum_m2"][t] - n2 * m2 * m2) / (n2 - 1), 0.0)
-        se = math.sqrt(v1 / n1 + v2 / n2)
-        z = (m1 - m2) / se if se > 0.0 else (0.0 if m1 == m2 else math.inf)
-        reports.append(
-            TestReport(
-                name=f"construction:moment[{_monomial_name(ks)}]",
-                kind="z",
-                statistic=z,
-                p_value=two_sided_p(z) if math.isfinite(z) else 0.0,
-                lhs=m1,
-                rhs=m2,
-                stderr=se,
-                n_samples=n1 + n2,
-                seed=rng.seed,
-                verdict=_z_verdict(z, threshold),
-                notes="stick vs jump construction",
-            )
-        )
-    reports.append(
-        _onesample_z_report(
-            name="construction:total-mass-mean",
-            n=sums_g["n"],
-            sum_x=sums_g["sum_total"],
-            sum_x2=sums_g["sum_total2"],
-            target=model.alpha,
-            threshold=threshold,
-            seed=rng.seed,
-            notes="unnormalized jump total against alpha",
-        )
+    reports += c.reports(
+        [f"construction:indep[proj{j},total]" for j in range(len(probs))],
+        gamma["indep"].covariance(),
+        kind="cov",
+        notes="normalized projection vs unnormalized total",
     )
-    for j in range(len(probs)):
-        reports.append(
-            _cov_report(
-                f"construction:indep[proj{j},total]",
-                sums_g[f"cov_pt_{j}"],
-                sums_g["n"],
-                threshold,
-                rng.seed,
-                notes="normalized projection vs unnormalized total",
-            )
-        )
     return reports
-
-
-@dataclass(frozen=True)
-class _EquivCfg:
-    seed: int
-    stream_base: int
-    alpha: float
-    block_probs: tuple[float, ...]
-    trunc_eps: float
-    jump_eps: float
-    exponents: tuple[tuple[int, ...], ...]
-    construction: str
-
-
-def _equiv_worker(cfg: _EquivCfg, size: int, shard: int) -> dict:
-    gen = RngStream(cfg.seed, cfg.stream_base + shard).gen
-    nb = len(cfg.block_probs)
-    nt = len(cfg.exponents)
-    out: dict = {"n": size, "sum_m": np.zeros(nt), "sum_m2": np.zeros(nt)}
-    if cfg.construction == "gamma":
-        out["sum_total"] = 0.0
-        out["sum_total2"] = 0.0
-        for j in range(nb):
-            out[f"cov_pt_{j}"] = np.zeros(len(_COV_KEYS))
-    kmax = max(sum(ks) for ks in cfg.exponents)
-    done = 0
-    while done < size:
-        m = min(_CHUNK_ROWS, size - done)
-        done += m
-        if cfg.construction == "stick":
-            proj = stick_projection_chunk(
-                cfg.alpha, cfg.block_probs, m, gen, trunc_eps=cfg.trunc_eps
-            )
-        else:
-            proj, totals, _ = gamma_projection_chunk(
-                cfg.alpha, cfg.block_probs, m, gen, trunc_eps=cfg.jump_eps
-            )
-            out["sum_total"] += totals.sum()
-            out["sum_total2"] += (totals * totals).sum()
-            for j in range(nb):
-                out[f"cov_pt_{j}"] += _cov_sums(proj[:, j], totals)
-        pw = _powers(proj, kmax)
-        for t, ks in enumerate(cfg.exponents):
-            mono = _poly_eval(pw, ((ks, 1.0),))
-            out["sum_m"][t] += mono.sum()
-            out["sum_m2"][t] += (mono * mono).sum()
-    return out
-
-
-# ---------------------------------------------------------------------------
-# moment-chain characterization from samples
-
-
-@dataclass(frozen=True)
-class CharacterizationRow:
-    degree: int
-    predicted: float
-    empirical: float
-    reference: float
-    stderr: float
-    z: float
-    condition: float
-
-    def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "predicted": self.predicted,
-            "empirical": self.empirical,
-            "reference": self.reference,
-            "stderr": self.stderr,
-            "z": self.z,
-            "condition": self.condition,
-        }
-
-
-@dataclass(frozen=True)
-class CharacterizationReport:
-    """Result of recovering the mixing-weight moments from raw samples."""
-
-    p_hat: float
-    alpha_hat: float
-    depth: int
-    n_z: int
-    n_w: int
-    rows: tuple[CharacterizationRow, ...]
-    max_abs_z: float
-    ill_conditioned: bool
-    verdict: str
-    notes: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "p_hat": self.p_hat,
-            "alpha_hat": self.alpha_hat,
-            "depth": self.depth,
-            "n_z": self.n_z,
-            "n_w": self.n_w,
-            "rows": [r.to_dict() for r in self.rows],
-            "max_abs_z": self.max_abs_z,
-            "ill_conditioned": self.ill_conditioned,
-            "verdict": self.verdict,
-            "notes": self.notes,
-        }
-
-
-MAX_CHARACTERIZE_DEPTH = 8
-ILL_CONDITION_WINDOW = 0.02
-
-
-def _empirical_moments(x: np.ndarray, depth: int) -> np.ndarray:
-    out = np.empty(depth)
-    acc = np.ones_like(x)
-    for k in range(depth):
-        acc = acc * x
-        out[k] = acc.mean()
-    return out
-
-
-def characterize_from_samples(
-    z_samples,
-    w_samples,
-    depth: int = 6,
-    *,
-    p: float | None = None,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> CharacterizationReport:
-    """Recover the mixing-weight moments from data and grade the fit.
-
-    Estimates p and the Z-moments from ``z_samples``, seeds the chain with
-    the first empirical W-moment, predicts the higher W-moments degree by
-    degree, and compares each prediction against its empirical value with
-    a delta-method standard error propagated through the whole chain.
-    The ``reference`` column restates the Be(1, alpha_hat) moments implied
-    by the first one.  Estimated p within 0.02 of 1/2 makes the
-    odd-degree steps (b_3, b_5, ...) ill-conditioned; a chain deep enough
-    to contain one is then graded "degenerate" rather than pass/fail.
-    """
-    z = np.asarray(z_samples, dtype=float).ravel()
-    w = np.asarray(w_samples, dtype=float).ravel()
-    if z.size < 100 or w.size < 100:
-        raise ValueError("need at least 100 samples on each side")
-    if np.any((z < 0) | (z > 1)) or np.any((w < 0) | (w > 1)):
-        raise ValueError("samples must lie in [0, 1]")
-    if not 1 <= depth <= MAX_CHARACTERIZE_DEPTH:
-        raise ValueError(f"depth must lie in [1, {MAX_CHARACTERIZE_DEPTH}]")
-    a_full = _empirical_moments(z, 2 * depth)
-    b_full = _empirical_moments(w, 2 * depth)
-    a = a_full[:depth]
-    b = b_full[:depth]
-    p_hat = float(p) if p is not None else float(a[0])
-    b1 = float(b[0])
-    alpha_hat = 1.0 / b1 - 1.0
-    # Only chains reaching b_3 pass through a step that degenerates at the
-    # symmetric point; the b_2 step is regular for every p.
-    ill = abs(p_hat - 0.5) < ILL_CONDITION_WINDOW and depth >= 3
-
-    def chain(theta: np.ndarray):
-        a_in = theta[:depth]
-        b1_in = theta[depth]
-        p_in = float(p) if p is not None else float(a_in[0])
-        return recover_moment_sequence(list(a_in), b1_in, p_in, depth)
-
-    theta = np.concatenate([a, [b1]])
-    try:
-        predicted, conditions = chain(theta)
-    except ArithmeticError as exc:
-        return CharacterizationReport(
-            p_hat=p_hat,
-            alpha_hat=alpha_hat,
-            depth=depth,
-            n_z=int(z.size),
-            n_w=int(w.size),
-            rows=(),
-            max_abs_z=math.nan,
-            ill_conditioned=True,
-            verdict="degenerate",
-            notes=f"recovery chain is singular: {exc}",
-        )
-
-    # Delta method: Jacobian of the predicted sequence in (a_1..a_depth, b_1).
-    jac = np.zeros((depth, depth + 1))
-    for i in range(depth + 1):
-        h = 1e-6 * max(1.0, abs(theta[i]))
-        tp = theta.copy()
-        tp[i] += h
-        tm = theta.copy()
-        tm[i] -= h
-        try:
-            fp, _ = chain(tp)
-            fm, _ = chain(tm)
-        except ArithmeticError:
-            jac[:, i] = np.nan
-            continue
-        jac[:, i] = (np.array(fp) - np.array(fm)) / (2.0 * h)
-
-    # Sampling covariance of the empirical moments (independent sides).
-    cov_a = np.empty((depth, depth))
-    cov_b = np.empty((depth, depth))
-    for i in range(depth):
-        for j in range(depth):
-            cov_a[i, j] = (a_full[i + j + 1] - a_full[i] * a_full[j]) / z.size
-            cov_b[i, j] = (b_full[i + j + 1] - b_full[i] * b_full[j]) / w.size
-
-    rows = []
-    max_abs_z = 0.0
-    for k in range(2, depth + 1):
-        # d_k = predicted_k(a, b1) - empirical b_k.
-        grad_a = jac[k - 1, :depth]
-        db1 = jac[k - 1, depth]
-        var = float(grad_a @ cov_a @ grad_a)
-        grad_b = np.zeros(depth)
-        grad_b[0] = db1
-        grad_b[k - 1] -= 1.0
-        var += float(grad_b @ cov_b @ grad_b)
-        se = math.sqrt(max(var, 0.0))
-        diff = predicted[k - 1] - b_full[k - 1]
-        z_score = diff / se if se > 0.0 else math.nan
-        max_abs_z = max(max_abs_z, abs(z_score)) if math.isfinite(z_score) else math.inf
-        rows.append(
-            CharacterizationRow(
-                degree=k,
-                predicted=float(predicted[k - 1]),
-                empirical=float(b_full[k - 1]),
-                reference=beta_moment(1.0, alpha_hat, k) if alpha_hat > 0 else math.nan,
-                stderr=se,
-                z=float(z_score),
-                condition=float(conditions[k - 1]),
-            )
-        )
-    if ill:
-        verdict = "degenerate"
-    else:
-        verdict = "pass" if max_abs_z <= threshold else "fail"
-    notes = ""
-    if ill:
-        notes = (
-            f"estimated p={p_hat:.4f} lies within {ILL_CONDITION_WINDOW} of 1/2; "
-            "odd-degree recovery steps are ill-conditioned and z-scores are unreliable"
-        )
-    return CharacterizationReport(
-        p_hat=p_hat,
-        alpha_hat=alpha_hat,
-        depth=depth,
-        n_z=int(z.size),
-        n_w=int(w.size),
-        rows=tuple(rows),
-        max_abs_z=max_abs_z,
-        ill_conditioned=ill,
-        verdict=verdict,
-        notes=notes,
-    )
 
 
 # ---------------------------------------------------------------------------
 # campaign registry
-
-CAMPAIGN_NAMES = ("mecke", "sethuraman", "tbeta", "tbeta2", "sizebias", "thm52")
 
 _CAMPAIGN_STREAM_SPACING = 1_000_000
 
@@ -1712,8 +982,23 @@ class CampaignSettings:
     negative_controls: bool = True
 
 
-def _default_projection_base(alpha: float) -> BaseModel:
-    return BaseModel(alpha=alpha, atom_probs=(0.2, 0.35), diffuse_weight=0.45)
+def _projection_args(s: CampaignSettings) -> tuple[BaseModel]:
+    return (s.base or BaseModel(alpha=s.alpha, atom_probs=(0.2, 0.35), diffuse_weight=0.45),)
+
+
+# name -> (campaign, its leading arguments from the settings, the settings
+# it takes by keyword besides threshold, jobs and negative_controls).  The
+# order is the order of "all" and fixes each campaign's substream, so new
+# campaigns go at the end.
+_CAMPAIGNS = {
+    "mecke": (verify_mecke, _projection_args, ("construction", "trunc_eps", "jump_eps")),
+    "sethuraman": (verify_sethuraman, _projection_args, ("construction", "trunc_eps", "jump_eps")),
+    "tbeta": (verify_beta_sizebias, lambda s: (s.p, s.alpha), ()),
+    "tbeta2": (verify_beta_general, lambda s: (s.p, s.alpha), ()),
+    "sizebias": (verify_sizebias_invariance, lambda s: (s.alpha,), ("base", "trunc_eps")),
+    "thm52": (verify_marked_sizebias, lambda s: (s.alpha,), ("trunc_eps", "jump_eps")),
+}
+CAMPAIGN_NAMES = tuple(_CAMPAIGNS)
 
 
 def run_verify(name: str, settings: CampaignSettings | None = None) -> list[TestReport]:
@@ -1735,84 +1020,32 @@ def run_verify(name: str, settings: CampaignSettings | None = None) -> list[Test
             )
             reports.extend(run_verify(sub, sub_settings))
         return reports
-    if name not in CAMPAIGN_NAMES:
+    if name not in _CAMPAIGNS:
         raise ValueError(
             f"unknown campaign {name!r}; expected one of {CAMPAIGN_NAMES + ('all',)}"
         )
     rng = RngStream(
         settings.seed, _CAMPAIGN_STREAM_SPACING * (CAMPAIGN_NAMES.index(name) + 1)
     )
-    if name == "mecke":
-        model = settings.base or _default_projection_base(settings.alpha)
-        return verify_mecke(
-            model,
-            settings.n,
-            rng,
-            construction=settings.construction,
-            threshold=settings.threshold,
-            jobs=settings.jobs,
-            trunc_eps=settings.trunc_eps,
-            jump_eps=settings.jump_eps,
-            negative_controls=settings.negative_controls,
-        )
-    if name == "sethuraman":
-        model = settings.base or _default_projection_base(settings.alpha)
-        return verify_sethuraman(
-            model,
-            settings.n,
-            rng,
-            construction=settings.construction,
-            threshold=settings.threshold,
-            jobs=settings.jobs,
-            trunc_eps=settings.trunc_eps,
-            jump_eps=settings.jump_eps,
-            negative_controls=settings.negative_controls,
-        )
-    if name == "tbeta":
-        return verify_beta_sizebias(
-            settings.p,
-            settings.alpha,
-            settings.n,
-            rng,
-            threshold=settings.threshold,
-            jobs=settings.jobs,
-            negative_controls=settings.negative_controls,
-        )
-    if name == "tbeta2":
-        return verify_beta_general(
-            settings.p,
-            settings.alpha,
-            settings.n,
-            rng,
-            threshold=settings.threshold,
-            jobs=settings.jobs,
-            negative_controls=settings.negative_controls,
-        )
-    if name == "sizebias":
-        return verify_sizebias_invariance(
-            settings.alpha,
-            settings.n,
-            rng,
-            base=settings.base,
-            threshold=settings.threshold,
-            jobs=settings.jobs,
-            trunc_eps=settings.trunc_eps,
-            negative_controls=settings.negative_controls,
-        )
-    return verify_marked_sizebias(
-        settings.alpha,
-        settings.n,
-        rng,
-        threshold=settings.threshold,
-        jobs=settings.jobs,
-        trunc_eps=settings.trunc_eps,
-        jump_eps=settings.jump_eps,
-        negative_controls=settings.negative_controls,
+    verify, leading, options = _CAMPAIGNS[name]
+    keywords = ("threshold", "jobs", "negative_controls") + options
+    return verify(
+        *leading(settings), settings.n, rng, **{k: getattr(settings, k) for k in keywords}
     )
 
 
 # ---------------------------------------------------------------------------
 # symmetric-point probe
+
+
+def _probe_kernel(m, gen, *, alpha, depth) -> dict:
+    z = gen.beta(alpha / 2.0, alpha / 2.0, size=m)
+    omz = np.ones_like(z)
+    identity = []
+    for k in range(depth + 1):
+        identity.append(_pair(omz * z, 0.5 * omz * (alpha / (alpha + k))))
+        omz = omz * (1.0 - z)
+    return {"identity": Moments.stack(identity)}
 
 
 def probe_symmetric(
@@ -1834,65 +1067,11 @@ def probe_symmetric(
     """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    rng = rng or RngStream(0)
-    cfg = _ProbeCfg(seed=rng.seed, stream_base=rng.stream_id, alpha=alpha, depth=depth)
-    merged = _run_sharded(_probe_worker, cfg, n, jobs)
-    reports = []
-    for k in range(depth + 1):
-        nr = merged["n"]
-        mean_d = merged["sum_d"][k] / nr
-        var = max((merged["sum_d2"][k] - merged["sum_d"][k] ** 2 / nr) / (nr - 1), 0.0)
-        se = math.sqrt(var / nr)
-        z = mean_d / se if se > 0 else 0.0
-        reports.append(
-            TestReport(
-                name=f"probe:symmetric[k={k}]",
-                kind="probe",
-                statistic=z,
-                p_value=two_sided_p(z),
-                lhs=merged["sum_lhs"][k] / nr,
-                rhs=merged["sum_rhs"][k] / nr,
-                stderr=se,
-                n_samples=nr,
-                seed=cfg.seed,
-                verdict="degenerate",
-                notes="informational only; the symmetric point carries no verdict",
-            )
-        )
-    return reports
-
-
-@dataclass(frozen=True)
-class _ProbeCfg:
-    seed: int
-    stream_base: int
-    alpha: float
-    depth: int
-
-
-def _probe_worker(cfg: _ProbeCfg, size: int, shard: int) -> dict:
-    gen = RngStream(cfg.seed, cfg.stream_base + shard).gen
-    nt = cfg.depth + 1
-    out = {
-        "n": size,
-        "sum_lhs": np.zeros(nt),
-        "sum_rhs": np.zeros(nt),
-        "sum_d": np.zeros(nt),
-        "sum_d2": np.zeros(nt),
-    }
-    done = 0
-    while done < size:
-        m = min(_CHUNK_ROWS, size - done)
-        done += m
-        z = gen.beta(cfg.alpha / 2.0, cfg.alpha / 2.0, size=m)
-        omz = np.ones_like(z)
-        for k in range(nt):
-            lhs = omz * z
-            rhs = 0.5 * omz * (cfg.alpha / (cfg.alpha + k))
-            d = lhs - rhs
-            out["sum_lhs"][k] += lhs.sum()
-            out["sum_rhs"][k] += rhs.sum()
-            out["sum_d"][k] += d.sum()
-            out["sum_d2"][k] += (d * d).sum()
-            omz = omz * (1.0 - z)
-    return out
+    params = dict(alpha=alpha, depth=depth)
+    c = _Campaign(_probe_kernel, params, n, rng or RngStream(0), jobs)
+    return c.reports(
+        [f"probe:symmetric[k={k}]" for k in range(depth + 1)],
+        c.run()["identity"].paired(),
+        kind="probe",
+        notes="informational only; the symmetric point carries no verdict",
+    )

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from dpm import __version__
+from dpm import __version__, verify
 from dpm.cli import main
 from dpm.measures import DiscreteMeasure
 
@@ -213,6 +213,15 @@ class TestVerify:
         )
         assert code == 2
         assert "diffuse" in err
+
+    def test_n_reaching_control_streams_is_usage_error(self, capsys, monkeypatch):
+        # With 2-sample shards, n = 100_001 needs a 50_001st shard, whose
+        # substream is the control's first.
+        monkeypatch.setattr(verify, "SHARD_SIZE", 2)
+        code, out, err = run_cli(capsys, "verify", "tbeta", "--n", "100001")
+        assert code == 2
+        assert out == ""
+        assert "shards" in err
 
 
 class TestCharacterize:

@@ -1,22 +1,26 @@
 """Tests for the statistical verification campaigns and their plumbing."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 
+from dpm import verify
+from dpm.characterize import CharacterizationReport, characterize_from_samples
 from dpm.measures import BaseModel, Partition
 from dpm.samplers import RngStream
 from dpm.verify import (
     CAMPAIGN_NAMES,
     CampaignSettings,
-    CharacterizationReport,
     MixingLaw,
+    Moments,
     TestReport as Report,
-    _merge,
+    _combine,
+    _cov,
+    _pair,
     _shard_sizes,
     campaign_ok,
-    characterize_from_samples,
     default_partition,
     probe_symmetric,
     run_verify,
@@ -98,13 +102,10 @@ class TestMixingLaw:
         assert w.shape == (1000,) and np.all((w > 0) & (w < 1))
         w = MixingLaw("point", value=0.25).draw(gen, 10)
         assert np.all(w == 0.25)
-        w = MixingLaw("scaled_uniform", value=0.5).draw(gen, 1000)
-        assert np.all((w >= 0) & (w <= 0.5))
 
     def test_labels(self):
         assert MixingLaw("beta", alpha=2.0).label() == "Be(1,2)"
         assert MixingLaw("point", value=0.25).label() == "delta(0.25)"
-        assert MixingLaw("scaled_uniform", value=0.5).label() == "U[0,0.5]"
 
 
 class TestSharding:
@@ -113,15 +114,74 @@ class TestSharding:
         assert _shard_sizes(300_000) == [125_000, 125_000, 50_000]
         assert _shard_sizes(7) == [7]
 
-    def test_merge_sums_and_concatenates(self):
+    def test_rejects_shards_that_would_reach_control_streams(self, monkeypatch):
+        # Shard k draws from substream base + k and control j from base +
+        # j * 50_000, so a 50_001st shard would reuse the first control's
+        # random numbers.
+        monkeypatch.setattr(verify, "SHARD_SIZE", 10)
+        limit = 10 * verify._CONTROL_STREAM_OFFSET
+        assert len(_shard_sizes(limit)) == verify._CONTROL_STREAM_OFFSET
+        with pytest.raises(ValueError, match="shards"):
+            _shard_sizes(limit + 1)
+
+
+def _chunks(arr, cuts):
+    return [arr[..., lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+
+class TestMoments:
+    def test_uneven_shards_merge_to_two_pass_reference(self):
+        gen = np.random.default_rng(5)
+        x = gen.gamma(2.0, 1.5, (3, 1000)) + 4.0
+        y = 0.5 * x + gen.gamma(3.0, size=(3, 1000))
+        cuts = [0, 7, 300, 301, 640, 1000]
+        parts = [{"s": _cov(a, b)} for a, b in zip(_chunks(x, cuts), _chunks(y, cuts))]
+        merged = _combine(parts)["s"]
+        dx = x - x.mean(axis=1, keepdims=True)
+        dy = y - y.mean(axis=1, keepdims=True)
+        assert merged.n == 1000
+        np.testing.assert_allclose(merged.mean, [x.mean(axis=1), y.mean(axis=1)], rtol=1e-12)
+        for a in range(3):
+            for b in range(3):
+                if a + b >= 2:
+                    ref = (dx**a * dy**b).sum(axis=1)
+                    np.testing.assert_allclose(merged.sums[a, b], ref, rtol=1e-12)
+
+    def test_independent_pair_at_large_offset_is_not_rejected(self):
+        # Expanded in raw power sums, E[(x - mx)^2 (y - my)^2] loses every
+        # digit to the 1e5 offset and the covariance z-score is infinite.
+        gen = np.random.default_rng(11)
+        x = 1e5 + gen.standard_normal(200_000)
+        y = 1e5 + gen.standard_normal(200_000)
+        cuts = list(range(0, 200_001, 25_000))
+        est = reduce(Moments.merge, map(_cov, _chunks(x, cuts), _chunks(y, cuts))).covariance()
+        dx, dy = x - x.mean(), y - y.mean()
+        cov = np.mean(dx * dy)
+        se = math.sqrt((np.mean(dx * dx * dy * dy) - cov * cov) / x.size)
+        assert abs(est.diff[0] / est.se[0]) < 4.0
+        assert est.diff[0] == pytest.approx(cov, rel=1e-9)
+        assert est.se[0] == pytest.approx(se, rel=1e-9)
+
+    def test_paired_difference_at_large_offset_keeps_its_stderr(self):
+        gen = np.random.default_rng(12)
+        rhs = gen.random(100_000)
+        lhs = rhs + 1e7 + 1e-2 * gen.standard_normal(100_000)
+        cuts = list(range(0, 100_001, 25_000))
+        est = reduce(Moments.merge, map(_pair, _chunks(lhs, cuts), _chunks(rhs, cuts))).paired()
+        d = lhs - rhs
+        assert est.se[0] > 0.0
+        assert est.se[0] == pytest.approx(d.std(ddof=1) / math.sqrt(d.size), rel=1e-9)
+        assert est.lhs[0] == pytest.approx(lhs.mean(), rel=1e-12)
+        assert est.rhs[0] == pytest.approx(rhs.mean(), rel=1e-12)
+
+    def test_samples_concatenate_in_shard_order(self):
         parts = [
-            {"n": 2, "sum": 1.5, "samples/w": np.array([1.0, 2.0])},
-            {"n": 3, "sum": 0.5, "samples/w": np.array([3.0])},
+            {"w": np.array([1.0, 2.0]), "s": _pair(np.array([1.0, 2.0]), 0.0)},
+            {"w": np.array([3.0]), "s": _pair(np.array([3.0]), 0.0)},
         ]
-        out = _merge(parts)
-        assert out["n"] == 5
-        assert out["sum"] == 2.0
-        assert np.array_equal(out["samples/w"], [1.0, 2.0, 3.0])
+        out = _combine(parts)
+        assert np.array_equal(out["w"], [1.0, 2.0, 3.0])
+        assert out["s"].n == 3
 
 
 @pytest.fixture(scope="module")
@@ -260,6 +320,17 @@ class TestRunVerify:
             base=BaseModel(alpha=2.0, atom_probs=(0.4, 0.6), diffuse_weight=0.0),
         )
         assert campaign_ok(run_verify("all", settings))
+
+    def test_every_campaign_is_independent_of_worker_count(self, monkeypatch):
+        # Small shards put every campaign and the probe across four shards.
+        monkeypatch.setattr(verify, "SHARD_SIZE", 5_000)
+
+        def reports(jobs):
+            settings = CampaignSettings(n=20_000, seed=53, jobs=jobs)
+            probe = probe_symmetric(2.0, 20_000, RngStream(53, 7_000_000), jobs=jobs)
+            return [r.to_dict() for r in run_verify("all", settings) + probe]
+
+        assert reports(1) == reports(2)
 
     def test_worker_count_does_not_change_reports(self):
         # Three shards at 260k; the merge must be associative in shard order.
