@@ -20,10 +20,8 @@ from .measures import (
     block_probabilities,
     cont_point,
     is_good,
-    mix_with_dirac,
     nu_of,
     project,
-    remove_atom,
 )
 from .moments import (
     MissingMomentError,
@@ -41,19 +39,14 @@ from .moments import (
     solve_b_next,
 )
 from .samplers import (
-    JumpSet,
     RngStream,
     StickConfig,
     TruncationError,
-    drop_index,
     expected_jump_count,
-    renormalize_drop,
     sample_base_point,
     sample_jump_measure,
     sample_poisson_dirichlet,
-    sample_poisson_gamma,
     sample_stick_breaking,
-    size_biased_pick,
 )
 from .specialfn import exp_integral_e1, inverse_e1
 from .stats import kolmogorov_sf, ks_test, ks_two_sample
@@ -84,10 +77,8 @@ __all__ = [
     "block_probabilities",
     "cont_point",
     "is_good",
-    "mix_with_dirac",
     "nu_of",
     "project",
-    "remove_atom",
     "MissingMomentError",
     "MomentTable",
     "ScalarMomentSeq",
@@ -101,19 +92,14 @@ __all__ = [
     "quadratic_weight_c",
     "recover_moment_sequence",
     "solve_b_next",
-    "JumpSet",
     "RngStream",
     "StickConfig",
     "TruncationError",
-    "drop_index",
     "expected_jump_count",
-    "renormalize_drop",
     "sample_base_point",
     "sample_jump_measure",
     "sample_poisson_dirichlet",
-    "sample_poisson_gamma",
     "sample_stick_breaking",
-    "size_biased_pick",
     "exp_integral_e1",
     "inverse_e1",
     "kolmogorov_sf",

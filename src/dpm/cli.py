@@ -22,7 +22,7 @@ from . import __version__
 from .characterize import characterize_from_samples
 from .measures import BaseModel
 from .moments import build_moment_table, multi_indices
-from .samplers import RngStream, sample_jump_measure, sample_stick_breaking
+from .samplers import RngStream, beta_pairs, sample_jump_measure, sample_stick_breaking
 from .verify import (
     CAMPAIGN_NAMES,
     CampaignSettings,
@@ -85,6 +85,8 @@ def _resolve_jobs(explicit: int | None) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     seed = _parse_seed(args.seed)
+    if args.n < 0:
+        raise ValueError(f"n must be non-negative, got {args.n}")
     base = _parse_base(args.base) if args.base else None
     alpha = args.alpha if args.alpha is not None else (base.alpha if base else 2.0)
     if base is not None and args.alpha is not None and base.alpha != args.alpha:
@@ -248,6 +250,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"alpha must be positive, got {settings.alpha}")
     if settings.n < 2:
         raise ValueError(f"n must be at least 2, got {settings.n}")
+    if not 0.0 < settings.trunc_eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {settings.trunc_eps}")
+    if not 0.0 < settings.jump_eps <= 0.1:
+        raise ValueError(f"jump eps must lie in (0, 0.1], got {settings.jump_eps}")
     probe = bool(_pick(args.probe_symmetric, config, "probe_symmetric", False))
     depth = int(_pick(args.depth, config, "depth", 6))
     started = time.monotonic()
@@ -311,10 +317,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
         raise ValueError(f"alpha must be positive, got {args.alpha}")
     if args.n < 100:
         raise ValueError(f"n must be at least 100, got {args.n}")
-    rng = RngStream(seed)
-    gen = rng.gen
-    z = gen.beta(args.p * args.alpha, (1.0 - args.p) * args.alpha, size=args.n)
-    w = gen.beta(1.0, args.alpha, size=args.n)
+    z, w = beta_pairs(args.p, args.alpha, args.n, RngStream(seed).gen)
     report = characterize_from_samples(
         z,
         w,

@@ -4,8 +4,7 @@ The ground space consists of a finite list of named atoms plus an optional
 diffuse component represented by the unit interval with Lebesgue measure.
 This module holds the value types shared by the samplers and the
 verification engine -- weighted atom lists, base models, partitions -- and
-the two measure surgeries the integral identities are built from: convex
-mixing with a Dirac mass and atom removal with renormalization.
+the projection of a measure onto the blocks of a partition.
 
 All values are immutable after construction and every operation is a pure
 function, so instances can be shared freely across threads and worker
@@ -20,7 +19,6 @@ import numpy as np
 
 TOTAL_RTOL = 1e-12
 PROBABILITY_ATOL = 1e-9
-PRUNE_EPS = 1e-15
 
 
 @dataclass(frozen=True)
@@ -79,8 +77,7 @@ class DiscreteMeasure:
 
     Construct through :meth:`from_pairs`, which merges duplicate points by
     summing their weights and caches the total mass.  The zero measure
-    (``total == 0.0``, no atoms) is a valid value; it is the flagged
-    degenerate outcome of removing an atom that carries all the mass.
+    (``total == 0.0``, no atoms) is a valid value.
     """
 
     atoms: tuple[tuple[GroundPoint, float], ...]
@@ -327,40 +324,6 @@ def is_good(model: BaseModel) -> bool:
         if qualifies(partial):
             return True
     return False
-
-
-def mix_with_dirac(mu: DiscreteMeasure, u: float, x: GroundPoint) -> DiscreteMeasure:
-    """Convex combination (1-u)*mu + u*delta_x, merging an existing atom at x."""
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"mixing weight must lie in [0, 1], got {u}")
-    if not mu.total > 0.0:
-        raise ValueError("mix_with_dirac needs a measure with positive mass")
-    if u == 0.0:
-        return mu
-    if u == 1.0:
-        return DiscreteMeasure.dirac(x)
-    pairs = [(p, (1.0 - u) * w) for p, w in mu.atoms]
-    pairs.append((x, u))
-    return DiscreteMeasure.from_pairs(pairs)
-
-
-def remove_atom(mu: DiscreteMeasure, x: GroundPoint) -> DiscreteMeasure:
-    """Remove the atom at x and renormalize the rest to a probability measure.
-
-    If x carries all the mass the convention a/0 := 0 applies and the zero
-    measure is returned; callers detect this degenerate outcome through
-    ``result.is_zero`` rather than an exception.  Weights falling below
-    1e-15 after renormalization are pruned.
-    """
-    if not mu.is_probability():
-        raise ValueError(f"remove_atom expects a probability measure, total={mu.total!r}")
-    rest = [(p, w) for p, w in mu.atoms if p != x]
-    remaining = sum(w for _, w in rest)
-    if remaining == 0.0:
-        return DiscreteMeasure.zero()
-    scale = 1.0 / remaining
-    pairs = [(p, w * scale) for p, w in rest if w * scale > PRUNE_EPS]
-    return DiscreteMeasure.from_pairs(pairs)
 
 
 def project(mu: DiscreteMeasure, partition: Partition) -> np.ndarray:

@@ -10,11 +10,18 @@ Two independent constructions target the same random probability measure:
   pushed through the inverse of alpha * E1 to produce the jump sizes of a
   gamma random measure, which normalization turns into the target.
 
-Both exist at two granularities: object-level samplers returning
-:class:`~dpm.measures.DiscreteMeasure` values, and chunk kernels returning
-numpy arrays of many samples at once for the verification campaigns.  All
-randomness flows through :class:`RngStream`, a named substream of a root
-seed, so campaigns are reproducible and independent of worker scheduling.
+Each construction is written once for many samples at a time.  One stick
+loop, :func:`_stick_columns`, yields a (weights, blocks) column per stick;
+:func:`stick_projection_chunk` accumulates the columns into block
+projections and :func:`stick_ensemble_chunk` stacks them.  One jump kernel,
+:func:`gamma_jumps`, returns a matrix of decreasing jumps; it feeds
+:func:`gamma_projection_chunk` and, at one row, the per-measure sampler
+:func:`sample_jump_measure`.  Marks are drawn by :func:`draw_blocks` and
+projected by :func:`block_projection`.  Only :func:`sample_stick_breaking`
+keeps its own scalar loop, which is faster for one measure at a time.
+All randomness flows through :class:`RngStream`, a named substream of a
+root seed, so campaigns are reproducible and independent of worker
+scheduling.
 """
 
 from __future__ import annotations
@@ -101,40 +108,6 @@ class StickConfig:
         return StickConfig(alpha=alpha, trunc_eps=trunc_eps, max_sticks=max(64, 4 * needed))
 
 
-@dataclass(frozen=True)
-class JumpSet:
-    """Decreasing jump sizes of a truncated gamma random measure.
-
-    Jumps below ``trunc_eps`` are dropped, except that the largest jump is
-    always retained so the normalized measure exists even in the rare event
-    that every jump falls below the threshold.
-    """
-
-    jumps: tuple[float, ...]
-    alpha: float
-    trunc_eps: float
-
-    def __post_init__(self) -> None:
-        for x, y in zip(self.jumps, self.jumps[1:]):
-            if not x > y:
-                raise ValueError("jumps must be strictly decreasing")
-        if self.jumps and not self.jumps[0] > 0.0:
-            raise ValueError("jumps must be positive")
-        if any(j < self.trunc_eps * (1.0 - 1e-9) for j in self.jumps[1:]):
-            raise ValueError("a retained jump lies below the truncation threshold")
-
-    @property
-    def total(self) -> float:
-        return float(sum(self.jumps))
-
-    def normalized(self) -> np.ndarray:
-        """Jump sizes divided by their sum: a descending probability vector."""
-        if not self.jumps:
-            raise ValueError("cannot normalize an empty jump set")
-        arr = np.array(self.jumps)
-        return arr / arr.sum()
-
-
 def expected_jump_count(alpha: float, trunc_eps: float) -> float:
     """Mean number of jumps of size >= trunc_eps: alpha * E1(trunc_eps)."""
     if not alpha > 0.0:
@@ -143,38 +116,7 @@ def expected_jump_count(alpha: float, trunc_eps: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# scalar draws
-
-
-def sample_gamma(shape: float, rng: RngStream, size=None):
-    """Gamma(shape, 1) draws."""
-    if not shape > 0.0:
-        raise ValueError(f"gamma shape must be positive, got {shape}")
-    out = rng.gen.gamma(shape, size=size)
-    return float(out) if size is None else out
-
-
-def sample_beta(a: float, b: float, rng: RngStream, size=None):
-    """Beta(a, b) draws."""
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"beta parameters must be positive, got ({a}, {b})")
-    out = rng.gen.beta(a, b, size=size)
-    return float(out) if size is None else out
-
-
-def sample_dirichlet(alphas, rng: RngStream) -> np.ndarray:
-    """One Dirichlet(alphas) draw via normalized independent gammas."""
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.ndim != 1 or len(alphas) < 2:
-        raise ValueError("need at least two Dirichlet parameters")
-    if np.any(alphas <= 0.0):
-        raise ValueError("Dirichlet parameters must be positive")
-    for _ in range(100):
-        g = rng.gen.gamma(alphas)
-        s = g.sum()
-        if s > 0.0:
-            return g / s
-    raise ArithmeticError("gamma draws underflowed to zero repeatedly")
+# base draws
 
 
 def sample_base_point(model: BaseModel, rng: RngStream) -> GroundPoint:
@@ -195,6 +137,88 @@ def _draw_base_point(model: BaseModel, gen: np.random.Generator) -> GroundPoint:
     # absorbs the sliver.
     last = max(i for i, p in enumerate(model.atom_probs) if p > 0.0)
     return GroundPoint(atom=last)
+
+
+def draw_blocks(block_probs, gen: np.random.Generator, size) -> np.ndarray:
+    """Block indices of independent base draws, an array of shape ``size``."""
+    cum = np.cumsum(block_probs)
+    return np.minimum(np.searchsorted(cum, gen.random(size), side="right"), len(cum) - 1)
+
+
+def beta_pairs(p: float, alpha: float, m: int, gen: np.random.Generator):
+    """m independent draws of Z ~ Be(p alpha, (1-p) alpha), the mass of a
+    block of base mass p, and W ~ Be(1, alpha), the mixing weight of the
+    size-biased identities."""
+    z = gen.beta(p * alpha, (1.0 - p) * alpha, size=m)
+    return z, gen.beta(1.0, alpha, size=m)
+
+
+# ---------------------------------------------------------------------------
+# the sampling core: one stick loop, one jump kernel, one block projection
+
+
+def _stick_columns(alpha, block_probs, m, gen, trunc_eps, max_sticks):
+    """Yield (weights, blocks) of one stick for each of m rows at a time.
+
+    Sticks are Be(1, alpha) and marks fall in block j with probability
+    ``block_probs[j]``.  Every row keeps receiving sticks until the largest
+    leftover among the m rows is at most ``trunc_eps`` (extra sticks on
+    finished rows only sharpen their truncation); the closing leftover then
+    comes last, on a fresh mark, so each row sums to one up to rounding.
+    Raises :class:`TruncationError` at the stick cap.
+    """
+    if max_sticks is None:
+        max_sticks = StickConfig.for_alpha(alpha, trunc_eps).max_sticks
+    tail = np.ones(m)
+    for _ in range(max_sticks):
+        w = gen.beta(1.0, alpha, size=m)
+        yield tail * w, draw_blocks(block_probs, gen, m)
+        tail = tail * (1.0 - w)
+        if tail.max() <= trunc_eps:
+            yield tail, draw_blocks(block_probs, gen, m)
+            return
+    raise TruncationError(float(tail.max()), max_sticks)
+
+
+def gamma_jumps(
+    alpha: float,
+    m: int,
+    gen: np.random.Generator,
+    trunc_eps: float = DEFAULT_JUMP_EPS,
+) -> np.ndarray:
+    """Decreasing jumps of m gamma random measures with total mass alpha.
+
+    Returns an (m, K) matrix.  Each row maps unit-rate Poisson arrivals
+    G_1 < G_2 < ... through the inverse of E1 at G_k / alpha; the map is
+    decreasing, so the jumps come out sorted.  Arrivals beyond
+    alpha * E1(trunc_eps) would invert below the threshold: their jumps
+    read 0, except that every row keeps its first, largest jump.  Arrivals
+    are drawn until every row has passed that limit.
+    """
+    if not alpha > 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < trunc_eps <= 0.1:
+        raise ValueError(f"trunc_eps must lie in (0, 0.1], got {trunc_eps}")
+    limit = alpha * exp_integral_e1(trunc_eps)
+    k0 = int(limit + 8.0 * math.sqrt(limit) + 16.0)
+    arr = gen.exponential(size=(m, k0)).cumsum(axis=1)
+    while arr[:, -1].min() <= limit:
+        extra = arr[:, -1:] + gen.exponential(size=(m, 16)).cumsum(axis=1)
+        arr = np.concatenate([arr, extra], axis=1)
+    keep = arr <= limit
+    keep[:, 0] = True
+    jumps = np.zeros_like(arr)
+    jumps[keep] = inverse_e1(arr[keep] / alpha)
+    return jumps
+
+
+def block_projection(weights: np.ndarray, blocks: np.ndarray, n_blocks: int) -> np.ndarray:
+    """Per-row block masses: the sum of ``weights`` over the entries whose
+    mark lies in block j, shape (m, n_blocks)."""
+    proj = np.empty((weights.shape[0], n_blocks))
+    for j in range(n_blocks):
+        proj[:, j] = (weights * (blocks == j)).sum(axis=1)
+    return proj
 
 
 # ---------------------------------------------------------------------------
@@ -228,56 +252,16 @@ def sample_stick_breaking(
     raise TruncationError(tail, cfg.max_sticks)
 
 
-def sample_poisson_gamma(
-    alpha: float,
-    rng: RngStream,
-    trunc_eps: float = DEFAULT_JUMP_EPS,
-) -> JumpSet:
-    """Decreasing jumps of a gamma random measure with total mass alpha.
-
-    Unit-rate Poisson arrivals G_1 < G_2 < ... are mapped through the
-    inverse of E1 at G_k / alpha; the map is decreasing, so the jumps come
-    out sorted.  Arrivals beyond alpha * E1(trunc_eps) would invert below
-    the threshold and are not generated, except that the first jump is
-    always kept.
-    """
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if not 0.0 < trunc_eps <= 0.1:
-        raise ValueError(f"trunc_eps must lie in (0, 0.1], got {trunc_eps}")
-    gen = rng.gen
-    limit = alpha * exp_integral_e1(trunc_eps)
-    first = gen.exponential()
-    if first <= limit:
-        # Draw the remaining inter-arrival times in batches sized to cover
-        # the expected count plus slack, so almost every draw finishes in
-        # one pass and the E1 inversion runs vectorized over all arrivals.
-        batch = max(32, int(limit - first + 6.0 * math.sqrt(limit + 1.0)) + 1)
-        pos = first
-        pieces = []
-        while True:
-            cum = pos + np.cumsum(gen.exponential(size=batch))
-            inside = int(np.searchsorted(cum, limit, side="right"))
-            pieces.append(cum[:inside])
-            if inside < batch:
-                break
-            pos = float(cum[-1])
-        arrivals = np.concatenate([np.array([first]), *pieces])
-    else:
-        arrivals = np.array([first])
-    jumps = np.atleast_1d(inverse_e1(arrivals / alpha))
-    return JumpSet(
-        jumps=tuple(float(j) for j in jumps), alpha=alpha, trunc_eps=trunc_eps
-    )
-
-
 def sample_poisson_dirichlet(
     alpha: float,
     rng: RngStream,
     trunc_eps: float = DEFAULT_JUMP_EPS,
 ) -> np.ndarray:
-    """Descending normalized jump sizes: one draw of the ranked-weight law."""
-    return sample_poisson_gamma(alpha, rng, trunc_eps).normalized()
+    """Descending normalized jump sizes: one draw of the ranked-weight law,
+    the nonzero jumps of :func:`gamma_jumps` at one row."""
+    jumps = gamma_jumps(alpha, 1, rng.gen, trunc_eps)[0]
+    jumps = jumps[jumps > 0.0]
+    return jumps / jumps.sum()
 
 
 def sample_jump_measure(
@@ -297,65 +281,17 @@ def sample_jump_measure(
     return DiscreteMeasure.from_pairs(pairs)
 
 
-def size_biased_pick(zeta: DiscreteMeasure, rng: RngStream) -> tuple[int, GroundPoint, float]:
-    """Pick atom i of a probability measure with probability its weight.
-
-    Returns (index, point, weight).
-    """
-    if zeta.is_zero:
-        raise ValueError("cannot size-bias the zero measure")
-    if not zeta.is_probability():
-        raise ValueError(f"size-biased pick expects a probability measure, total={zeta.total!r}")
-    r = rng.gen.random() * zeta.total
-    acc = 0.0
-    for i, (point, w) in enumerate(zeta.atoms):
-        acc += w
-        if r < acc:
-            return i, point, w
-    i = len(zeta.atoms) - 1
-    point, w = zeta.atoms[i]
-    return i, point, w
-
-
-def drop_index(x, i: int) -> tuple[float, ...]:
-    """The sequence with its i-th entry removed (1-based index)."""
-    if not 1 <= i <= len(x):
-        raise ValueError(f"index {i} out of range for length {len(x)}")
-    return tuple(x[: i - 1]) + tuple(x[i:])
-
-
-def renormalize_drop(x, i: int) -> tuple[float, ...]:
-    """Drop entry i (1-based) and rescale the rest by 1/(1 - x_i).
-
-    When x_i equals one, the convention a/0 := 0 applies and the all-zero
-    sequence is returned.
-    """
-    dropped = drop_index(x, i)
-    xi = float(x[i - 1])
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError(f"entry {xi} outside [0, 1]")
-    if xi == 1.0:
-        return (0.0,) * len(dropped)
-    scale = 1.0 / (1.0 - xi)
-    return tuple(float(v) * scale for v in dropped)
-
-
 # ---------------------------------------------------------------------------
 # vectorized chunk kernels
 
 
-def _cumulative_probs(block_probs) -> np.ndarray:
+def _check_block_probs(block_probs) -> np.ndarray:
     p = np.asarray(block_probs, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise ValueError("block probabilities must be a nonempty vector")
     if np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-9:
         raise ValueError("block probabilities must be nonnegative and sum to one")
-    return np.cumsum(p)
-
-
-def _categorical(gen: np.random.Generator, cum: np.ndarray, size) -> np.ndarray:
-    idx = np.searchsorted(cum, gen.random(size), side="right")
-    return np.minimum(idx, len(cum) - 1)
+    return p
 
 
 def stick_projection_chunk(
@@ -368,31 +304,15 @@ def stick_projection_chunk(
 ) -> np.ndarray:
     """Block projections of m stick-breaking samples, shape (m, n_blocks).
 
-    Runs one global stick loop: every row keeps receiving sticks until the
-    largest leftover in the chunk is below ``trunc_eps`` (extra sticks on
-    finished rows only sharpen their truncation).  The final leftover goes
-    to a fresh mark per row, so each row sums to one exactly up to
-    rounding.
+    Accumulates the sticks of :func:`_stick_columns` as they are drawn, so
+    no (m, n_sticks) matrix is held.
     """
-    cum = _cumulative_probs(block_probs)
-    cap = (
-        max_sticks
-        if max_sticks is not None
-        else StickConfig.for_alpha(alpha, trunc_eps).max_sticks
-    )
-    proj = np.zeros((m, len(cum)))
-    tail = np.ones(m)
+    p = _check_block_probs(block_probs)
+    proj = np.zeros((m, len(p)))
     rows = np.arange(m)
-    for _ in range(cap):
-        w = gen.beta(1.0, alpha, size=m)
-        blk = _categorical(gen, cum, m)
-        proj[rows, blk] += tail * w
-        tail *= 1.0 - w
-        if tail.max() <= trunc_eps:
-            blk = _categorical(gen, cum, m)
-            proj[rows, blk] += tail
-            return proj
-    raise TruncationError(float(tail.max()), cap)
+    for w, blk in _stick_columns(alpha, p, m, gen, trunc_eps, max_sticks):
+        proj[rows, blk] += w
+    return proj
 
 
 def stick_ensemble_chunk(
@@ -410,26 +330,9 @@ def stick_ensemble_chunk(
     column is the closing leftover).  Needed by campaigns that pick and
     remove individual sticks rather than just projecting.
     """
-    cum = _cumulative_probs(block_probs)
-    cap = (
-        max_sticks
-        if max_sticks is not None
-        else StickConfig.for_alpha(alpha, trunc_eps).max_sticks
-    )
-    cols_w: list[np.ndarray] = []
-    cols_b: list[np.ndarray] = []
-    tail = np.ones(m)
-    for _ in range(cap):
-        w = gen.beta(1.0, alpha, size=m)
-        blk = _categorical(gen, cum, m)
-        cols_w.append(tail * w)
-        cols_b.append(blk)
-        tail = tail * (1.0 - w)
-        if tail.max() <= trunc_eps:
-            cols_w.append(tail)
-            cols_b.append(_categorical(gen, cum, m))
-            return np.column_stack(cols_w), np.column_stack(cols_b)
-    raise TruncationError(float(tail.max()), cap)
+    p = _check_block_probs(block_probs)
+    cols_w, cols_b = zip(*_stick_columns(alpha, p, m, gen, trunc_eps, max_sticks))
+    return np.column_stack(cols_w), np.column_stack(cols_b)
 
 
 def gamma_projection_chunk(
@@ -447,21 +350,9 @@ def gamma_projection_chunk(
     per row.  Jumps and marks are independent, so ``totals`` should be
     uncorrelated with every column of ``proj``.
     """
-    cum = _cumulative_probs(block_probs)
-    limit = alpha * exp_integral_e1(trunc_eps)
-    k0 = int(limit + 8.0 * math.sqrt(limit) + 16.0)
-    arr = gen.exponential(size=(m, k0)).cumsum(axis=1)
-    while arr[:, -1].min() <= limit:
-        extra = arr[:, -1:] + gen.exponential(size=(m, 16)).cumsum(axis=1)
-        arr = np.concatenate([arr, extra], axis=1)
-    keep = arr <= limit
-    keep[:, 0] = True  # the largest jump is always retained
-    jumps = np.zeros_like(arr)
-    jumps[keep] = inverse_e1(arr[keep] / alpha)
-    blk = _categorical(gen, cum, arr.shape)
-    proj = np.empty((m, len(cum)))
-    for j in range(len(cum)):
-        proj[:, j] = (jumps * (blk == j)).sum(axis=1)
+    p = _check_block_probs(block_probs)
+    jumps = gamma_jumps(alpha, m, gen, trunc_eps)
+    proj = block_projection(jumps, draw_blocks(p, gen, jumps.shape), len(p))
     totals = jumps.sum(axis=1)
     proj /= totals[:, None]
     largest = jumps[:, 0] / totals

@@ -79,12 +79,6 @@ def log_beta(a: float, b: float) -> float:
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
-def beta_fn(a: float, b: float) -> float:
-    """The beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b)."""
-    num = LogReal.from_log(log_gamma(a)) * LogReal.from_log(log_gamma(b))
-    return (num / LogReal.from_log(log_gamma(a + b))).value()
-
-
 def _e1_series(x: np.ndarray) -> np.ndarray:
     # Alternating series -gamma - ln x + sum_k (-1)^{k+1} x^k / (k k!),
     # converged well below 1e-15 for x <= 1 at 48 terms.  E1 >= 0.21 on

@@ -35,6 +35,9 @@ from .measures import BaseModel, Block, Partition, block_probabilities
 from .moments import dirichlet_mixed_moment, multi_indices, quadratic_weight_c
 from .samplers import (
     RngStream,
+    beta_pairs,
+    block_projection,
+    draw_blocks,
     gamma_projection_chunk,
     stick_ensemble_chunk,
     stick_projection_chunk,
@@ -428,19 +431,6 @@ def _monomials(cols: np.ndarray, exponents) -> np.ndarray:
     return out
 
 
-def _block_projection(weights: np.ndarray, marks: np.ndarray, n_blocks: int) -> np.ndarray:
-    proj = np.empty((weights.shape[0], n_blocks))
-    for j in range(n_blocks):
-        proj[:, j] = (weights * (marks == j)).sum(axis=1)
-    return proj
-
-
-def _draw_blocks(probs, gen: np.random.Generator, size) -> np.ndarray:
-    """Block indices of base draws, one per entry of an array of ``size``."""
-    cum = np.cumsum(probs)
-    return np.minimum(np.searchsorted(cum, gen.random(size), side="right"), len(cum) - 1)
-
-
 def default_partition(model: BaseModel, max_blocks: int = 4) -> Partition:
     """A small default partition adapted to the model's support."""
     reserve = 1 if model.diffuse_weight > 0.0 else 0
@@ -480,9 +470,7 @@ def _projections(construction, alpha, probs, m, gen, trunc_eps, jump_eps):
     if construction == "iid":
         # Degenerate single-atom measure at one base draw; a negative
         # control, not a sampler of the target law.
-        proj = np.zeros((m, len(probs)))
-        proj[np.arange(m), _draw_blocks(probs, gen, m)] = 1.0
-        return proj, None
+        return block_projection(np.ones((m, 1)), draw_blocks(probs, gen, (m, 1)), len(probs)), None
     raise ValueError(f"unknown construction {construction!r}")
 
 
@@ -491,7 +479,7 @@ def _mix_kernel(
 ) -> dict:
     proj, _ = _projections(construction, alpha, probs, m, gen, trunc_eps, jump_eps)
     u = mixing.draw(gen, m)
-    xblk = _draw_blocks(probs, gen, m)
+    xblk = draw_blocks(probs, gen, m)
     mixed = (1.0 - u)[:, None] * proj
     mixed[np.arange(m), xblk] += u
     # Weighted, f(zeta, x) = g(proj) h(x) for every monomial g and block
@@ -606,15 +594,9 @@ def _check_p_alpha(p: float, alpha: float) -> None:
         raise ValueError(f"alpha must be positive, got {alpha}")
 
 
-def _beta_draws(m, gen, p, alpha):
-    """Z ~ Be(p alpha, (1-p) alpha), W ~ Be(1, alpha) and (1-W)Z + W."""
-    z = gen.beta(p * alpha, (1.0 - p) * alpha, size=m)
-    w = gen.beta(1.0, alpha, size=m)
-    return z, w, (1.0 - w) * z + w
-
-
 def _tbeta_kernel(m, gen, *, p, alpha, p_used) -> dict:
-    z, w, mixed = _beta_draws(m, gen, p, alpha)
+    z, w = beta_pairs(p, alpha, m, gen)
+    mixed = (1.0 - w) * z + w
     shrunk = (1.0 - w) * z
     zk = mk = sk = np.ones_like(z)
     pick, rest = [], []
@@ -661,7 +643,8 @@ def verify_beta_sizebias(
 
 
 def _tbeta2_kernel(m, gen, *, p, alpha, c_used) -> dict:
-    z, w, mixed = _beta_draws(m, gen, p, alpha)
+    z, w = beta_pairs(p, alpha, m, gen)
+    mixed = (1.0 - w) * z + w
     zk = mk = np.ones_like(z)
     quadratic = []
     for _ in range(_TBETA2_DEGREE + 1):
@@ -723,7 +706,7 @@ def _removal_kernel(m, gen, *, alpha, probs, trunc_eps, exponents) -> dict:
     nb = len(probs)
     weights, marks = stick_ensemble_chunk(alpha, probs, m, gen, trunc_eps=trunc_eps)
     rows = np.arange(m)
-    proj = _block_projection(weights, marks, nb)
+    proj = block_projection(weights, marks, nb)
     cum = np.cumsum(weights, axis=1)
     u = gen.random(m)
     kappa = np.minimum((cum < u[:, None]).sum(axis=1), weights.shape[1] - 1)
@@ -827,11 +810,11 @@ def _marked_kernel(m, gen, *, alpha, probs, trunc_eps, exponents, targets, geome
         fixed = (1.0 - r) * r ** np.arange(k_fix)
         fixed /= fixed.sum()
         weights = np.broadcast_to(fixed, (m, len(fixed)))
-        marks = _draw_blocks(probs, gen, (m, len(fixed)))
+        marks = draw_blocks(probs, gen, (m, len(fixed)))
     else:
         weights, marks = stick_ensemble_chunk(alpha, probs, m, gen, trunc_eps=trunc_eps)
         out["largest"] = weights.max(axis=1)
-    proj = _block_projection(weights, marks, len(probs))
+    proj = block_projection(weights, marks, len(probs))
     out["identity"] = _pair(_monomials(proj, exponents), np.array(targets)[:, None])
     return out
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from dpm import __version__, verify
+from dpm import __version__, cli, verify
 from dpm.cli import main
 from dpm.measures import DiscreteMeasure
 
@@ -67,6 +67,12 @@ class TestSample:
         code, _, err = run_cli(capsys, "sample", "--base", "{not json")
         assert code == 2
         assert "dpm: error" in err
+
+    def test_negative_n_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "--n", "-3")
+        assert code == 2
+        assert out == ""
+        assert "n must be non-negative" in err
 
 
 class TestMoments:
@@ -222,6 +228,22 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "shards" in err
+
+    def test_truncation_levels_are_usage_errors(self, capsys, monkeypatch):
+        # Rejected before any campaign runs, not reported as failed tests.
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("a campaign ran")
+
+        monkeypatch.setattr(cli, "run_verify", no_campaign)
+        for flag, value in (("--jump-eps", "0.5"), ("--jump-eps", "0"), ("--eps", "1.0"),
+                            ("--eps", "-1e-12")):
+            code, out, err = run_cli(
+                capsys, "verify", "sethuraman", "--construction", "gamma", "--n", "2000",
+                f"{flag}={value}",
+            )
+            assert code == 2
+            assert out == ""
+            assert "eps must lie in" in err
 
 
 class TestCharacterize:

@@ -17,10 +17,8 @@ from dpm.measures import (
     block_probabilities,
     cont_point,
     is_good,
-    mix_with_dirac,
     nu_of,
     project,
-    remove_atom,
 )
 
 
@@ -281,88 +279,3 @@ class TestIsGood:
     def test_many_atoms_greedy_path(self):
         probs = tuple([1.0 / 32] * 32)
         assert is_good(BaseModel(alpha=1.0, atom_probs=probs))
-
-
-class TestMixWithDirac:
-    def test_basic_mix(self):
-        mu = DiscreteMeasure.from_pairs([(atom_point(0), 1.0)])
-        out = mix_with_dirac(mu, 0.25, atom_point(1))
-        assert out.mass_at(atom_point(0)) == pytest.approx(0.75)
-        assert out.mass_at(atom_point(1)) == pytest.approx(0.25)
-        assert out.is_probability()
-
-    def test_mix_merges_existing_atom(self):
-        mu = DiscreteMeasure.from_pairs([(atom_point(0), 0.5), (atom_point(1), 0.5)])
-        out = mix_with_dirac(mu, 0.2, atom_point(0))
-        assert out.mass_at(atom_point(0)) == pytest.approx(0.8 * 0.5 + 0.2)
-        assert len(out.atoms) == 2
-
-    def test_mix_u_zero_and_one(self):
-        mu = DiscreteMeasure.from_pairs([(atom_point(0), 1.0)])
-        assert mix_with_dirac(mu, 0.0, atom_point(1)) == mu
-        top = mix_with_dirac(mu, 1.0, atom_point(1))
-        assert top == DiscreteMeasure.dirac(atom_point(1))
-
-    def test_mix_rejects_bad_u(self):
-        mu = DiscreteMeasure.from_pairs([(atom_point(0), 1.0)])
-        with pytest.raises(ValueError):
-            mix_with_dirac(mu, -0.1, atom_point(1))
-        with pytest.raises(ValueError):
-            mix_with_dirac(mu, 1.1, atom_point(1))
-
-    def test_mix_rejects_zero_measure(self):
-        with pytest.raises(ValueError):
-            mix_with_dirac(DiscreteMeasure.zero(), 0.5, atom_point(0))
-
-    @given(st.floats(0.0, 1.0, allow_nan=False))
-    @settings(max_examples=100, deadline=None)
-    def test_mix_preserves_total(self, u):
-        mu = DiscreteMeasure.from_pairs(
-            [(atom_point(0), 0.3), (atom_point(1), 0.3), (cont_point(0.5), 0.4)]
-        )
-        out = mix_with_dirac(mu, u, cont_point(0.25))
-        assert out.total == pytest.approx(1.0, abs=1e-12)
-
-
-class TestRemoveAtom:
-    def test_remove_and_renormalize(self):
-        mu = DiscreteMeasure.from_pairs([(atom_point(0), 0.25), (atom_point(1), 0.75)])
-        out = remove_atom(mu, atom_point(0))
-        assert out.mass_at(atom_point(1)) == pytest.approx(1.0)
-        assert out.is_probability()
-
-    def test_remove_missing_point_just_renormalizes(self):
-        mu = DiscreteMeasure.from_pairs([(atom_point(0), 1.0)])
-        out = remove_atom(mu, atom_point(9))
-        assert out == mu
-
-    def test_remove_total_mass_gives_zero(self):
-        mu = DiscreteMeasure.dirac(atom_point(0))
-        out = remove_atom(mu, atom_point(0))
-        assert out.is_zero
-
-    def test_remove_requires_probability(self):
-        mu = DiscreteMeasure.from_pairs([(atom_point(0), 2.0)])
-        with pytest.raises(ValueError):
-            remove_atom(mu, atom_point(0))
-
-    def test_mix_then_remove_round_trip(self):
-        # removing the freshly mixed-in atom undoes the mixing exactly
-        mu = DiscreteMeasure.from_pairs([(atom_point(0), 0.5), (atom_point(1), 0.5)])
-        x = cont_point(0.123)
-        out = remove_atom(mix_with_dirac(mu, 0.3, x), x)
-        assert out.mass_at(atom_point(0)) == pytest.approx(0.5, abs=1e-12)
-        assert out.mass_at(atom_point(1)) == pytest.approx(0.5, abs=1e-12)
-
-    @given(st.floats(0.001, 0.999), st.floats(0.0, 1.0))
-    @settings(max_examples=150, deadline=None)
-    def test_mix_remove_property(self, u, coord):
-        mu = DiscreteMeasure.from_pairs(
-            [(atom_point(0), 0.25), (atom_point(1), 0.35), (cont_point(0.5), 0.4)]
-        )
-        x = cont_point(coord)
-        if mu.mass_at(x) > 0:
-            return
-        out = remove_atom(mix_with_dirac(mu, u, x), x)
-        for p, w in mu.atoms:
-            assert out.mass_at(p) == pytest.approx(w, rel=1e-9)

@@ -6,29 +6,23 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dpm.measures import BaseModel, DiscreteMeasure, Partition, atom_point, project
+from dpm.measures import BaseModel, Partition, atom_point, project
 from dpm.samplers import (
-    JumpSet,
     RngStream,
     StickConfig,
     TruncationError,
-    drop_index,
+    beta_pairs,
+    block_projection,
     expected_jump_count,
+    gamma_jumps,
     gamma_projection_chunk,
-    renormalize_drop,
     sample_base_point,
-    sample_beta,
-    sample_dirichlet,
-    sample_gamma,
     sample_jump_measure,
     sample_poisson_dirichlet,
-    sample_poisson_gamma,
     sample_stick_breaking,
-    size_biased_pick,
     stick_ensemble_chunk,
     stick_projection_chunk,
 )
-from dpm.specialfn import exp_integral_e1
 
 
 class TestRngStream:
@@ -55,33 +49,12 @@ class TestRngStream:
 
 
 class TestScalarDraws:
-    def test_gamma_moments(self):
-        x = sample_gamma(2.5, RngStream(3), size=200_000)
-        assert x.mean() == pytest.approx(2.5, abs=4 * 2.5 / math.sqrt(200_000) * 2)
-        assert x.var() == pytest.approx(2.5, rel=0.05)
-
-    def test_gamma_scalar(self):
-        assert isinstance(sample_gamma(1.0, RngStream(3)), float)
-
     def test_beta_against_scipy_ks(self):
-        x = sample_beta(0.6, 1.4, RngStream(4), size=50_000)
-        stat, p = stats.kstest(x, stats.beta(0.6, 1.4).cdf)
+        z, w = beta_pairs(0.3, 2.0, 50_000, RngStream(4).gen)
+        stat, p = stats.kstest(z, stats.beta(0.6, 1.4).cdf)
         assert p > 1e-3
-
-    def test_dirichlet_mean_and_cov(self):
-        alphas = np.array([0.5, 1.5, 3.0])
-        draws = np.array([sample_dirichlet(alphas, RngStream(5, i)) for i in range(4000)])
-        mean = alphas / alphas.sum()
-        assert draws.mean(axis=0) == pytest.approx(mean, abs=0.02)
-        a0 = alphas.sum()
-        var00 = mean[0] * (1 - mean[0]) / (a0 + 1)
-        assert draws[:, 0].var() == pytest.approx(var00, rel=0.15)
-
-    def test_dirichlet_validation(self):
-        with pytest.raises(ValueError):
-            sample_dirichlet([1.0], RngStream(0))
-        with pytest.raises(ValueError):
-            sample_dirichlet([1.0, -1.0], RngStream(0))
+        stat, p = stats.kstest(w, stats.beta(1.0, 2.0).cdf)
+        assert p > 1e-3
 
     def test_base_point_frequencies(self):
         model = BaseModel(alpha=1.0, atom_probs=(0.2, 0.35), diffuse_weight=0.45)
@@ -161,18 +134,18 @@ class TestStickBreaking:
 
 class TestJumpConstruction:
     def test_jumps_decreasing_and_thresholded(self):
-        rng = RngStream(10)
-        for _ in range(20):
-            js = sample_poisson_gamma(2.0, rng, trunc_eps=1e-4)
-            arr = np.array(js.jumps)
-            assert np.all(np.diff(arr) < 0)
-            assert np.all(arr[1:] >= 1e-4 * (1 - 1e-9))
+        jumps = gamma_jumps(2.0, 20, RngStream(10).gen, trunc_eps=1e-4)
+        for row in jumps:
+            kept = row[row > 0]
+            # the kept jumps are a prefix and every row keeps its largest
+            assert kept.size >= 1 and np.all(row[kept.size:] == 0.0)
+            assert np.all(np.diff(kept) < 0)
+            assert np.all(kept[1:] >= 1e-4 * (1 - 1e-9))
 
     def test_expected_jump_count(self):
         eps = 1e-3
         alpha = 2.0
-        rng = RngStream(11)
-        counts = [len(sample_poisson_gamma(alpha, rng, eps).jumps) for _ in range(3000)]
+        counts = np.count_nonzero(gamma_jumps(alpha, 3000, RngStream(11).gen, eps), axis=1)
         target = expected_jump_count(alpha, eps)
         se = np.std(counts) / math.sqrt(len(counts))
         assert abs(np.mean(counts) - target) < 5 * se
@@ -180,10 +153,22 @@ class TestJumpConstruction:
     def test_total_mass_is_gamma(self):
         # total of the untruncated jumps is Gamma(alpha); with eps=1e-8 the
         # truncation bias is far below KS resolution
-        rng = RngStream(12)
-        totals = np.array([sample_poisson_gamma(1.5, rng).total for _ in range(3000)])
+        totals = gamma_jumps(1.5, 3000, RngStream(12).gen).sum(axis=1)
         stat, p = stats.kstest(totals, stats.gamma(1.5).cdf)
         assert p > 1e-3
+
+    def test_kernel_validation(self):
+        gen = RngStream(0).gen
+        for alpha, eps in ((0.0, 1e-8), (-1.0, 1e-8), (2.0, 0.0), (2.0, 0.5)):
+            with pytest.raises(ValueError):
+                gamma_jumps(alpha, 10, gen, eps)
+
+    def test_per_measure_path_is_row_zero_of_the_kernel(self):
+        for seed, alpha in ((30, 2.0), (31, 0.3), (32, 15.0)):
+            weights = sample_poisson_dirichlet(alpha, RngStream(seed), 1e-6)
+            row = gamma_jumps(alpha, 1, RngStream(seed).gen, 1e-6)[0]
+            row = row[row > 0]
+            assert np.array_equal(weights, row / row.sum())
 
     def test_normalized_sums_to_one(self):
         w = sample_poisson_dirichlet(2.0, RngStream(13))
@@ -202,12 +187,6 @@ class TestJumpConstruction:
         zeta = sample_jump_measure(model, RngStream(15))
         assert zeta.is_probability()
 
-    def test_jumpset_validation(self):
-        with pytest.raises(ValueError):
-            JumpSet(jumps=(0.1, 0.2), alpha=1.0, trunc_eps=1e-8)
-        with pytest.raises(ValueError):
-            JumpSet(jumps=(0.5, 1e-9), alpha=1.0, trunc_eps=1e-8)
-
 
 class TestTwoConstructionsAgree:
     def test_projection_distributions_match(self):
@@ -222,54 +201,6 @@ class TestTwoConstructionsAgree:
         )
         stat, p = stats.ks_2samp(a, b)
         assert p > 1e-3
-
-
-class TestSizeBiasedPick:
-    def test_frequencies_match_weights(self):
-        mu = DiscreteMeasure.from_pairs(
-            [(atom_point(0), 0.5), (atom_point(1), 0.3), (atom_point(2), 0.2)]
-        )
-        rng = RngStream(17)
-        n = 30_000
-        counts = np.zeros(3)
-        for _ in range(n):
-            i, point, w = size_biased_pick(mu, rng)
-            assert mu.atoms[i] == (point, w)
-            counts[i] += 1
-        assert counts / n == pytest.approx([0.5, 0.3, 0.2], abs=0.012)
-
-    def test_rejects_zero_and_unnormalized(self):
-        with pytest.raises(ValueError):
-            size_biased_pick(DiscreteMeasure.zero(), RngStream(0))
-        with pytest.raises(ValueError):
-            size_biased_pick(
-                DiscreteMeasure.from_pairs([(atom_point(0), 2.0)]), RngStream(0)
-            )
-
-
-class TestSequenceOps:
-    def test_drop_index(self):
-        assert drop_index((0.5, 0.3, 0.2), 1) == (0.3, 0.2)
-        assert drop_index((0.5, 0.3, 0.2), 3) == (0.5, 0.3)
-
-    def test_drop_index_bounds(self):
-        with pytest.raises(ValueError):
-            drop_index((1.0,), 0)
-        with pytest.raises(ValueError):
-            drop_index((1.0,), 2)
-
-    def test_renormalize_drop(self):
-        out = renormalize_drop((0.5, 0.3, 0.2), 1)
-        assert out == pytest.approx((0.6, 0.4))
-        assert sum(out) == pytest.approx(1.0)
-
-    def test_renormalize_drop_total_mass_convention(self):
-        # dropping a weight of one leaves 0/0, defined as the zero vector
-        assert renormalize_drop((1.0, 0.0), 1) == (0.0,)
-
-    def test_renormalize_drop_bounds(self):
-        with pytest.raises(ValueError):
-            renormalize_drop((0.5, 0.5), 0)
 
 
 class TestChunkKernels:
@@ -305,6 +236,12 @@ class TestChunkKernels:
         assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
         assert np.all((b >= 0) & (b <= 2))
         assert np.all(w >= 0)
+
+    def test_projection_and_ensemble_share_one_stick_loop(self):
+        for alpha, probs in ((2.0, (0.2, 0.3, 0.5)), (0.5, (0.6, 0.4)), (8.0, (1.0,))):
+            proj = stick_projection_chunk(alpha, probs, 300, RngStream(27).gen)
+            w, b = stick_ensemble_chunk(alpha, probs, 300, RngStream(27).gen)
+            assert np.max(np.abs(proj - block_projection(w, b, len(probs)))) <= 1e-14
 
     def test_gamma_projection_chunk_consistency(self):
         gen = RngStream(23).gen
