@@ -19,7 +19,6 @@ from .measures import (
     atom_point,
     block_probabilities,
     cont_point,
-    is_good,
     nu_of,
     project,
 )
@@ -43,7 +42,6 @@ from .samplers import (
     StickConfig,
     TruncationError,
     expected_jump_count,
-    sample_base_point,
     sample_jump_measure,
     sample_poisson_dirichlet,
     sample_stick_breaking,
@@ -76,7 +74,6 @@ __all__ = [
     "atom_point",
     "block_probabilities",
     "cont_point",
-    "is_good",
     "nu_of",
     "project",
     "MissingMomentError",
@@ -96,7 +93,6 @@ __all__ = [
     "StickConfig",
     "TruncationError",
     "expected_jump_count",
-    "sample_base_point",
     "sample_jump_measure",
     "sample_poisson_dirichlet",
     "sample_stick_breaking",

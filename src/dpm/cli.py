@@ -22,7 +22,13 @@ from . import __version__
 from .characterize import characterize_from_samples
 from .measures import BaseModel
 from .moments import build_moment_table, multi_indices
-from .samplers import RngStream, beta_pairs, sample_jump_measure, sample_stick_breaking
+from .samplers import (
+    DEFAULT_JUMP_EPS,
+    RngStream,
+    beta_pairs,
+    sample_jump_measure,
+    sample_stick_breaking,
+)
 from .verify import (
     CAMPAIGN_NAMES,
     CampaignSettings,
@@ -70,13 +76,9 @@ def _parse_base(raw: str) -> BaseModel:
 
 def _resolve_jobs(explicit: int | None) -> int:
     if explicit is not None:
-        jobs = explicit
-    else:
-        env = os.environ.get("DPM_JOBS")
-        jobs = int(env) if env else 1
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    return jobs
+        return explicit
+    env = os.environ.get("DPM_JOBS")
+    return int(env) if env else 1
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +95,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         raise ValueError(
             f"--alpha {args.alpha:g} conflicts with the base model's alpha {base.alpha:g}"
         )
+    if args.eps is not None and args.construction == "stick":
+        raise ValueError("--eps applies to --construction gamma only")
+    eps = DEFAULT_JUMP_EPS if args.eps is None else args.eps
     model = base or BaseModel(alpha=alpha, atom_probs=(0.2, 0.35), diffuse_weight=0.45)
     rng = RngStream(seed)
     lines = []
@@ -100,7 +105,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         if args.construction == "stick":
             zeta = sample_stick_breaking(model, rng)
         else:
-            zeta = sample_jump_measure(model, rng, trunc_eps=args.eps)
+            zeta = sample_jump_measure(model, rng, trunc_eps=eps)
         lines.append(_canonical_json(zeta.to_dict()))
     _emit("".join(lines), args.out)
     return 0
@@ -192,6 +197,13 @@ def _reports_csv(reports) -> str:
     return buf.getvalue()
 
 
+# The keys _cmd_verify reads from a config file.
+_CONFIG_KEYS = (
+    "seed", "base", "alpha", "p", "n", "threshold", "jobs", "construction", "eps", "jump_eps",
+    "probe_symmetric", "depth",
+)
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -202,6 +214,9 @@ def _load_config(path: str) -> dict:
         raise ValueError(f"config file is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
+    unknown = sorted(set(data) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}; expected some of {list(_CONFIG_KEYS)}")
     return data
 
 
@@ -224,10 +239,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         base = None
     alpha = _pick(args.alpha, config, "alpha", None)
-    if base is not None and alpha is not None and base.alpha != alpha:
-        raise ValueError(
-            f"--alpha {alpha:g} conflicts with the base model's alpha {base.alpha:g}"
-        )
     if alpha is None:
         alpha = base.alpha if base is not None else 2.0
     settings = CampaignSettings(
@@ -242,30 +253,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         trunc_eps=float(_pick(args.eps, config, "eps", 1e-12)),
         jump_eps=float(_pick(args.jump_eps, config, "jump_eps", 1e-8)),
     )
-    if settings.construction not in ("stick", "gamma"):
-        raise ValueError(f"construction must be 'stick' or 'gamma', got {settings.construction!r}")
-    if not 0.0 < settings.p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {settings.p}")
-    if settings.alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {settings.alpha}")
-    if settings.n < 2:
-        raise ValueError(f"n must be at least 2, got {settings.n}")
-    if not 0.0 < settings.trunc_eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {settings.trunc_eps}")
-    if not 0.0 < settings.jump_eps <= 0.1:
-        raise ValueError(f"jump eps must lie in (0, 0.1], got {settings.jump_eps}")
     probe = bool(_pick(args.probe_symmetric, config, "probe_symmetric", False))
     depth = int(_pick(args.depth, config, "depth", 6))
     started = time.monotonic()
-    reports = run_verify(args.campaign, settings)
-    if probe:
-        reports = reports + probe_symmetric(
-            settings.alpha,
-            settings.n,
-            RngStream(seed, _PROBE_STREAM_BASE),
-            depth=depth,
-            jobs=settings.jobs,
-        )
+    # The probe runs first, so a bad depth is rejected before any campaign.
+    probe_reports = (
+        probe_symmetric(settings, RngStream(seed, _PROBE_STREAM_BASE), depth) if probe else []
+    )
+    reports = run_verify(args.campaign, settings) + probe_reports
     elapsed = time.monotonic() - started
     ok = campaign_ok(reports)
     if args.format == "csv":
@@ -390,7 +385,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default="stick",
         help="stick-breaking or normalized-jump sampler",
     )
-    sp.add_argument("--eps", type=float, default=1e-8, help="jump truncation level")
+    sp.add_argument(
+        "--eps", type=float, default=None, help="jump truncation level (gamma only; 1e-8)"
+    )
     sp.add_argument("--out", default=None, help="write output to this file")
     sp.set_defaults(func=_cmd_sample)
 

@@ -98,26 +98,8 @@ class DiscreteMeasure:
         total = float(sum(w for _, w in atoms))
         return cls(atoms=atoms, total=total)
 
-    @classmethod
-    def zero(cls) -> "DiscreteMeasure":
-        return cls(atoms=(), total=0.0)
-
-    @classmethod
-    def dirac(cls, point: GroundPoint) -> "DiscreteMeasure":
-        return cls(atoms=((point, 1.0),), total=1.0)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.total == 0.0
-
     def is_probability(self, atol: float = PROBABILITY_ATOL) -> bool:
         return abs(self.total - 1.0) <= atol
-
-    def mass_at(self, point: GroundPoint) -> float:
-        for p, w in self.atoms:
-            if p == point:
-                return w
-        return 0.0
 
     def to_dict(self) -> dict:
         return {"atoms": [{"point": p.to_dict(), "w": w} for p, w in self.atoms]}
@@ -285,45 +267,6 @@ def block_probabilities(model: BaseModel, partition: Partition) -> np.ndarray:
     """Vector of base-measure masses of the partition blocks."""
     partition.validate_for(model)
     return np.array([nu_of(model, b) for b in partition.blocks], dtype=float)
-
-
-def is_good(model: BaseModel) -> bool:
-    """Whether some measurable set has base mass in (0,1) other than 1/2.
-
-    Any positive diffuse weight qualifies immediately (sub-intervals take a
-    continuum of masses).  For atomic parts, single atoms are checked
-    first, then all atom subsets up to 20 atoms; beyond that a greedy
-    partial-sum scan of the sorted weights is used.
-    """
-
-    def qualifies(mass: float) -> bool:
-        return 0.0 < mass < 1.0 and mass != 0.5
-
-    if model.diffuse_weight > 0.0:
-        return True
-    probs = [p for p in model.atom_probs if p > 0.0]
-    if any(qualifies(p) for p in probs):
-        return True
-    n = len(probs)
-    if n <= 20:
-        for mask in range(1, 1 << n):
-            s = 0.0
-            m = mask
-            i = 0
-            while m:
-                if m & 1:
-                    s += probs[i]
-                m >>= 1
-                i += 1
-            if qualifies(s):
-                return True
-        return False
-    partial = 0.0
-    for p in sorted(probs, reverse=True):
-        partial += p
-        if qualifies(partial):
-            return True
-    return False
 
 
 def project(mu: DiscreteMeasure, partition: Partition) -> np.ndarray:

@@ -119,12 +119,8 @@ def expected_jump_count(alpha: float, trunc_eps: float) -> float:
 # base draws
 
 
-def sample_base_point(model: BaseModel, rng: RngStream) -> GroundPoint:
-    """One draw from the normalized base measure."""
-    return _draw_base_point(model, rng.gen)
-
-
 def _draw_base_point(model: BaseModel, gen: np.random.Generator) -> GroundPoint:
+    """One draw from the normalized base measure."""
     r = gen.random()
     acc = 0.0
     for i, p in enumerate(model.atom_probs):
@@ -193,7 +189,10 @@ def gamma_jumps(
     decreasing, so the jumps come out sorted.  Arrivals beyond
     alpha * E1(trunc_eps) would invert below the threshold: their jumps
     read 0, except that every row keeps its first, largest jump.  Arrivals
-    are drawn until every row has passed that limit.
+    are drawn until every row has passed that limit.  A first arrival with
+    G_1 / alpha > 690 (possible at small alpha) inverts at 690 instead:
+    that jump is then its row's only one, about 1e-300 or less either way,
+    so the normalized row is the same single unit weight.
     """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -208,7 +207,7 @@ def gamma_jumps(
     keep = arr <= limit
     keep[:, 0] = True
     jumps = np.zeros_like(arr)
-    jumps[keep] = inverse_e1(arr[keep] / alpha)
+    jumps[keep] = inverse_e1(np.minimum(arr[keep] / alpha, 690.0))
     return jumps
 
 

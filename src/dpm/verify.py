@@ -7,18 +7,22 @@ and turns each test into a :class:`TestReport` carrying a z-score computed
 from the paired, common-random-number variance of the two sides.  KS-type
 tests report the statistic and its asymptotic p-value instead.
 
-Every campaign has one shape.  A batch kernel turns one chunk of rows
-into named statistics: paired (lhs, rhs) columns, (x, y) covariance
-columns, or sample arrays for the KS tests.  Each pair of columns is
-summarized by a mergeable :class:`Moments` accumulator (count, means and
-centered power sums), and one builder, :meth:`_Campaign.reports`, turns merged
-statistics into reports.  Campaigns are cut into fixed-size shards, each
-driven by its own named RNG substream; chunk and shard statistics are
-merged in order, so reports are bitwise independent of how many worker
-processes ran them.  Every campaign also runs documented negative
-controls -- a wrong mixing law, a wrong constant, a non-conforming weight
-sequence -- whose reports are marked ``expected_failure`` and must come
-back with a ``fail`` verdict for the campaign to count as OK.
+Every campaign has one shape and one signature: ``verify_*(settings,
+rng)`` reads everything it needs from a :class:`CampaignSettings`, whose
+constructor is the one place the settings are checked, and draws from
+``rng``.  A batch kernel turns one chunk of rows into named statistics:
+paired (lhs, rhs) columns, (x, y) covariance columns, or sample arrays for
+the KS tests.  Each pair of columns is summarized by a mergeable
+:class:`Moments` accumulator (count, means and centered power sums), and
+one builder, :meth:`_Campaign.reports`, turns merged statistics into
+reports.  Campaigns are cut into fixed-size shards, each driven by its own
+named RNG substream; chunk and shard statistics are merged in order, so
+reports are bitwise independent of how many worker processes ran them.
+Every campaign also runs documented negative controls -- a wrong mixing
+law, a wrong constant, a non-conforming weight sequence -- whose reports
+are marked ``expected_failure`` and must come back with a ``fail`` verdict
+for the campaign to count as OK.  :data:`_CAMPAIGNS` maps each campaign's
+name to its function.
 """
 
 from __future__ import annotations
@@ -228,9 +232,50 @@ def _two_sample(a: Moments, b: Moments) -> Estimate:
 # campaign shape and report builder
 
 
+@dataclass(frozen=True)
+class CampaignSettings:
+    """Everything a campaign reads besides its random stream; ``seed``
+    roots the streams :func:`run_verify` hands out.
+
+    The constructor checks every field, so a campaign can trust them.  A
+    ``base`` given with a different ``alpha`` is rejected.
+    """
+
+    alpha: float = 2.0
+    p: float = 0.3
+    n: int = DEFAULT_N
+    seed: int = 12345
+    threshold: float = DEFAULT_THRESHOLD
+    jobs: int = 1
+    base: BaseModel | None = None
+    construction: str = "stick"
+    trunc_eps: float = 1e-12
+    jump_eps: float = 1e-8
+
+    def __post_init__(self) -> None:
+        if self.construction not in ("stick", "gamma"):
+            raise ValueError(f"construction must be 'stick' or 'gamma', got {self.construction!r}")
+        if not 0.0 < self.p < 1.0:
+            raise ValueError(f"p must lie in (0, 1), got {self.p}")
+        if not self.alpha > 0.0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if self.base is not None and self.base.alpha != self.alpha:
+            raise ValueError(
+                f"alpha {self.alpha:g} conflicts with the base model's alpha {self.base.alpha:g}"
+            )
+        if not self.n >= 2:
+            raise ValueError(f"n must be at least 2, got {self.n}")
+        if not 0.0 < self.trunc_eps < 1.0:
+            raise ValueError(f"eps must lie in (0, 1), got {self.trunc_eps}")
+        if not 0.0 < self.jump_eps <= 0.1:
+            raise ValueError(f"jump eps must lie in (0, 0.1], got {self.jump_eps}")
+        if not 0.0 < self.threshold < math.inf:
+            raise ValueError(f"threshold must be finite and positive, got {self.threshold}")
+        if not self.jobs >= 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+
+
 def _shard_sizes(n: int):
-    if n < 2:
-        raise ValueError(f"campaign needs at least 2 samples, got {n}")
     full, rem = divmod(int(n), SHARD_SIZE)
     if full + (rem > 0) > _CONTROL_STREAM_OFFSET:
         # Shard k draws from substream base + k and control j from base +
@@ -264,21 +309,21 @@ def _shard(task) -> dict:
 
 @dataclass(frozen=True)
 class _Campaign:
-    """A batch kernel with its parameters, and where and how to run it.
+    """A batch kernel with its parameters, and the settings and stream it
+    runs under.
 
     ``kernel(m, gen, **params)`` turns m rows drawn from ``gen`` into
     named statistics: :class:`Moments` built by :func:`_pair` or
     :func:`_cov`, or sample arrays.  A campaign's main paired statistic is
     named "identity"; its negative controls rerun it with changed
-    parameters on their own substreams.
+    parameters on their own substreams.  ``n``, ``jobs`` and ``threshold``
+    come from the settings.
     """
 
     kernel: Callable[..., dict]
     params: dict
-    n: int
+    settings: CampaignSettings
     rng: RngStream
-    jobs: int = 1
-    threshold: float = DEFAULT_THRESHOLD
     rows: int = _CHUNK_ROWS
 
     def run(self, offset: int = 0, **changes) -> dict:
@@ -288,10 +333,11 @@ class _Campaign:
         stream = self.rng.stream_id + offset
         tasks = [
             (kernel, self.rows, size, self.rng.seed, stream + k)
-            for k, size in enumerate(_shard_sizes(self.n))
+            for k, size in enumerate(_shard_sizes(self.settings.n))
         ]
-        if self.jobs > 1 and len(tasks) > 1:
-            with multiprocessing.Pool(min(self.jobs, len(tasks))) as pool:
+        jobs = self.settings.jobs
+        if jobs > 1 and len(tasks) > 1:
+            with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
                 parts = pool.map(_shard, tasks)
         else:
             parts = [_shard(t) for t in tasks]
@@ -324,7 +370,7 @@ class _Campaign:
                 if math.isnan(stat):
                     verdict = "degenerate"
                 else:
-                    verdict = "pass" if abs(stat) <= self.threshold else "fail"
+                    verdict = "pass" if abs(stat) <= self.settings.threshold else "fail"
             else:
                 stat, p = ks
                 verdict = "pass" if p >= DEFAULT_P_FLOOR else "fail"
@@ -355,7 +401,7 @@ class _Campaign:
             worst,
             name=name,
             kind="control",
-            verdict="fail" if abs(worst.statistic) > self.threshold else "pass",
+            verdict="fail" if abs(worst.statistic) > self.settings.threshold else "pass",
             expected_failure=True,
             notes=f"{notes}; worst sub-test {worst.name}",
         )
@@ -493,30 +539,26 @@ def _mix_kernel(
     return {"identity": Moments.stack([_pair(g1 * h_lhs, g2 * h_rhs) for g1, g2 in pairs])}
 
 
-def _mix_params(model, construction, trunc_eps, jump_eps) -> dict:
+def _projection_probs(s: CampaignSettings) -> tuple[float, ...]:
+    """Block probabilities of the default partition of the configured base,
+    or of the default base: atoms 0.2 and 0.35 plus 0.45 diffuse."""
+    model = s.base or BaseModel(alpha=s.alpha, atom_probs=(0.2, 0.35), diffuse_weight=0.45)
+    return tuple(block_probabilities(model, default_partition(model)))
+
+
+def _mix_params(s: CampaignSettings) -> dict:
     """Kernel parameters shared by the mecke and sethuraman campaigns."""
     return dict(
-        alpha=model.alpha,
-        probs=tuple(block_probabilities(model, default_partition(model))),
-        construction=construction,
-        trunc_eps=trunc_eps,
-        jump_eps=jump_eps,
-        mixing=MixingLaw("beta", alpha=model.alpha),
+        alpha=s.alpha,
+        probs=_projection_probs(s),
+        construction=s.construction,
+        trunc_eps=s.trunc_eps,
+        jump_eps=s.jump_eps,
+        mixing=MixingLaw("beta", alpha=s.alpha),
     )
 
 
-def verify_mecke(
-    model: BaseModel,
-    n: int = DEFAULT_N,
-    rng: RngStream | None = None,
-    *,
-    construction: str = "stick",
-    threshold: float = DEFAULT_THRESHOLD,
-    jobs: int = 1,
-    trunc_eps: float = 1e-12,
-    jump_eps: float = 1e-8,
-    negative_controls: bool = True,
-) -> list[TestReport]:
+def verify_mecke(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     """Check the defining integral identity on a polynomial family.
 
     For each f(zeta, x) = g(proj(zeta)) h(x), with g a monomial of degree
@@ -527,38 +569,26 @@ def verify_mecke(
     point-mass mixing law of the correct mean, and with a single-atom
     construction in place of the target sampler; both must fail.
     """
-    params = _mix_params(model, construction, trunc_eps, jump_eps)
+    params = _mix_params(s)
     nb = len(params["probs"])
     exponents = _exponents(nb, 2, min_degree=0)
     params.update(exponents=exponents, weighted=True)
-    c = _Campaign(_mix_kernel, params, n, rng or RngStream(0), jobs, threshold)
+    c = _Campaign(_mix_kernel, params, s, rng)
     names = [f"mecke[g={_monomial_name(ks)},h=B{j}]" for ks in exponents for j in range(nb)]
     reports = c.reports(names, c.run()["identity"].paired())
-    if negative_controls:
-        point = MixingLaw("point", value=1.0 / (model.alpha + 1.0))
-        label = c.params["mixing"].label()
-        notes = f"mixing law {point.label()} matches the mean of {label} but not its spread"
-        name = "mecke:control:point-mass-mixing"
-        reports.append(c.control(name, names, _CONTROL_STREAM_OFFSET, notes, mixing=point))
-        notes = "input measure replaced by a Dirac at one base draw"
-        name = "mecke:control:single-atom-input"
-        offset = 2 * _CONTROL_STREAM_OFFSET
-        reports.append(c.control(name, names, offset, notes, construction="iid"))
+    point = MixingLaw("point", value=1.0 / (s.alpha + 1.0))
+    label = c.params["mixing"].label()
+    notes = f"mixing law {point.label()} matches the mean of {label} but not its spread"
+    name = "mecke:control:point-mass-mixing"
+    reports.append(c.control(name, names, _CONTROL_STREAM_OFFSET, notes, mixing=point))
+    notes = "input measure replaced by a Dirac at one base draw"
+    name = "mecke:control:single-atom-input"
+    offset = 2 * _CONTROL_STREAM_OFFSET
+    reports.append(c.control(name, names, offset, notes, construction="iid"))
     return reports
 
 
-def verify_sethuraman(
-    model: BaseModel,
-    n: int = DEFAULT_N,
-    rng: RngStream | None = None,
-    *,
-    construction: str = "stick",
-    threshold: float = DEFAULT_THRESHOLD,
-    jobs: int = 1,
-    trunc_eps: float = 1e-12,
-    jump_eps: float = 1e-8,
-    negative_controls: bool = True,
-) -> list[TestReport]:
+def verify_sethuraman(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     """Check the distributional fixed point under Dirac mixing.
 
     Compares E f(zeta) against E f((1-W)zeta + W delta_X) for monomial f
@@ -566,17 +596,16 @@ def verify_sethuraman(
     draw.  The negative control reruns the family with a mixing law of the
     wrong shape; degree >= 2 tests must fail.
     """
-    params = _mix_params(model, construction, trunc_eps, jump_eps)
+    params = _mix_params(s)
     exponents = _exponents(len(params["probs"]), 3)
     params.update(exponents=exponents, weighted=False)
-    c = _Campaign(_mix_kernel, params, n, rng or RngStream(0), jobs, threshold)
+    c = _Campaign(_mix_kernel, params, s, rng)
     names = [f"sethuraman[g={_monomial_name(ks)}]" for ks in exponents]
     reports = c.reports(names, c.run()["identity"].paired())
-    if negative_controls:
-        wrong = MixingLaw("beta", alpha=model.alpha + 2.0)
-        notes = f"mixing law {wrong.label()} instead of Be(1,{model.alpha:g})"
-        name = "sethuraman:control:wrong-mixing-shape"
-        reports.append(c.control(name, names, _CONTROL_STREAM_OFFSET, notes, mixing=wrong))
+    wrong = MixingLaw("beta", alpha=s.alpha + 2.0)
+    notes = f"mixing law {wrong.label()} instead of Be(1,{s.alpha:g})"
+    name = "sethuraman:control:wrong-mixing-shape"
+    reports.append(c.control(name, names, _CONTROL_STREAM_OFFSET, notes, mixing=wrong))
     return reports
 
 
@@ -585,13 +614,6 @@ def verify_sethuraman(
 
 _TBETA_DEGREE = 6
 _TBETA2_DEGREE = 4
-
-
-def _check_p_alpha(p: float, alpha: float) -> None:
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
 
 
 def _tbeta_kernel(m, gen, *, p, alpha, p_used) -> dict:
@@ -609,16 +631,7 @@ def _tbeta_kernel(m, gen, *, p, alpha, p_used) -> dict:
     return {"identity": Moments.stack(pick + rest)}
 
 
-def verify_beta_sizebias(
-    p: float,
-    alpha: float,
-    n: int = DEFAULT_N,
-    rng: RngStream | None = None,
-    *,
-    threshold: float = DEFAULT_THRESHOLD,
-    jobs: int = 1,
-    negative_controls: bool = True,
-) -> list[TestReport]:
+def verify_beta_sizebias(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     """Check the paired size-biased moment equations for the Beta family.
 
     For Z ~ Be(p*alpha, (1-p)*alpha) and W ~ Be(1, alpha) independent, and
@@ -628,17 +641,15 @@ def verify_beta_sizebias(
     The k = 0 picked test is the normalization E Z = p.  The negative
     control reruns the family with p shifted by 0.15; it must fail.
     """
-    _check_p_alpha(p, alpha)
-    params = dict(p=p, alpha=alpha, p_used=p)
-    c = _Campaign(_tbeta_kernel, params, n, rng or RngStream(0), jobs, threshold)
+    p = s.p
+    c = _Campaign(_tbeta_kernel, dict(p=p, alpha=s.alpha, p_used=p), s, rng)
     branches = ("pick", "rest")
     names = [f"tbeta:{b}[g=x^{k}]" for b in branches for k in range(_TBETA_DEGREE + 1)]
     reports = c.reports(names, c.run()["identity"].paired())
-    if negative_controls:
-        p_wrong = p + 0.15 if p + 0.15 < 1.0 else p - 0.15
-        notes = f"identities evaluated with p={p_wrong:g} against data at p={p:g}"
-        name = "tbeta:control:wrong-p"
-        reports.append(c.control(name, names, _CONTROL_STREAM_OFFSET, notes, p_used=p_wrong))
+    p_wrong = p + 0.15 if p + 0.15 < 1.0 else p - 0.15
+    notes = f"identities evaluated with p={p_wrong:g} against data at p={p:g}"
+    name = "tbeta:control:wrong-p"
+    reports.append(c.control(name, names, _CONTROL_STREAM_OFFSET, notes, p_used=p_wrong))
     return reports
 
 
@@ -660,16 +671,7 @@ def _tbeta2_kernel(m, gen, *, p, alpha, c_used) -> dict:
     }
 
 
-def verify_beta_general(
-    p: float,
-    alpha: float,
-    n: int = DEFAULT_N,
-    rng: RngStream | None = None,
-    *,
-    threshold: float = DEFAULT_THRESHOLD,
-    jobs: int = 1,
-    negative_controls: bool = True,
-) -> list[TestReport]:
+def verify_beta_general(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     """Check the quadratic mixing identity and its independence corollary.
 
     Tests E g(Z) Z^2 = c E g((1-W)Z + W) W with c = p(alpha p + 1) for
@@ -677,10 +679,8 @@ def verify_beta_general(
     uncorrelated with Z + W - WZ through first and second powers of each.
     The negative control reruns the identity with c + 0.1 and must fail.
     """
-    _check_p_alpha(p, alpha)
-    const = quadratic_weight_c(p, alpha)
-    params = dict(p=p, alpha=alpha, c_used=const)
-    c = _Campaign(_tbeta2_kernel, params, n, rng or RngStream(0), jobs, threshold)
+    const = quadratic_weight_c(s.p, s.alpha)
+    c = _Campaign(_tbeta2_kernel, dict(p=s.p, alpha=s.alpha, c_used=const), s, rng)
     stats = c.run()
     names = [f"tbeta2:quadratic[g=x^{k}]" for k in range(_TBETA2_DEGREE + 1)]
     reports = c.reports(names, stats["identity"].paired(), notes=f"c={const:.12g}")
@@ -691,10 +691,9 @@ def verify_beta_general(
         kind="cov",
         notes="ratio = W/(Z+W-WZ), sum = Z+W-WZ",
     )
-    if negative_controls:
-        notes = f"constant c shifted to {const + 0.1:.12g}"
-        offset = _CONTROL_STREAM_OFFSET
-        reports.append(c.control("tbeta2:control:wrong-c", names, offset, notes, c_used=const + 0.1))
+    notes = f"constant c shifted to {const + 0.1:.12g}"
+    offset = _CONTROL_STREAM_OFFSET
+    reports.append(c.control("tbeta2:control:wrong-c", names, offset, notes, c_used=const + 0.1))
     return reports
 
 
@@ -728,42 +727,29 @@ def _removal_kernel(m, gen, *, alpha, probs, trunc_eps, exponents) -> dict:
     }
 
 
-def verify_sizebias_invariance(
-    alpha: float,
-    n: int = DEFAULT_N,
-    rng: RngStream | None = None,
-    *,
-    base: BaseModel | None = None,
-    threshold: float = DEFAULT_THRESHOLD,
-    jobs: int = 1,
-    trunc_eps: float = 1e-12,
-    negative_controls: bool = True,
-) -> list[TestReport]:
+def verify_sizebias_invariance(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     """Check invariance under removal of a size-biased pick.
 
-    Requires a diffuse base (marks almost surely distinct); picking an
-    atom tau with probability its weight and removing it with
+    Requires a purely diffuse base (marks almost surely distinct), the
+    default when ``s.base`` is None; picking an atom tau with probability
+    its weight and removing it with
     renormalization must leave the law of the projections on [0, 0.2),
     [0.2, 0.5), [0.5, 1] unchanged (monomials up to degree 3), the removed
     weight must follow Be(1, alpha), and removed measure, removed weight
     and pick location must be pairwise uncorrelated.  The negative control
     tests the removed weight against a deliberately wrong shape.
     """
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    base = base or BaseModel(alpha=alpha, atom_probs=(), diffuse_weight=1.0)
+    alpha = s.alpha
+    base = s.base or BaseModel(alpha=alpha, atom_probs=(), diffuse_weight=1.0)
     if base.diffuse_weight != 1.0:
         raise ValueError(
             "size-biased removal invariance requires a diffuse base measure; "
             f"got atoms with total weight {sum(base.atom_probs):g}"
         )
-    if base.alpha != alpha:
-        raise ValueError("base model alpha does not match campaign alpha")
     probs = tuple(block_probabilities(base, Partition.of_interval_bounds((0.0, 0.2, 0.5, 1.0))))
     exponents = _exponents(len(probs), 3)
-    params = dict(alpha=alpha, probs=probs, trunc_eps=trunc_eps, exponents=exponents)
-    rng = rng or RngStream(0)
-    c = _Campaign(_removal_kernel, params, n, rng, jobs, threshold, _ENSEMBLE_CHUNK_ROWS)
+    params = dict(alpha=alpha, probs=probs, trunc_eps=s.trunc_eps, exponents=exponents)
+    c = _Campaign(_removal_kernel, params, s, rng, _ENSEMBLE_CHUNK_ROWS)
     stats = c.run()
     reports = c.reports(
         [f"sizebias:moment[{_monomial_name(ks)}]" for ks in exponents],
@@ -782,17 +768,16 @@ def verify_sizebias_invariance(
     pairs = ("removed-proj{j},weight", "removed-proj{j},pick-block{j}", "weight,pick-block{j}")
     names = [f"sizebias:indep[{pair.format(j=j)}]" for j in range(len(probs)) for pair in pairs]
     reports += c.reports(names, stats["indep"].covariance(), kind="cov")
-    if negative_controls:
-        wrong = alpha + 1.5
-        stat, p = ks_test(w, lambda x: 1.0 - (1.0 - x) ** wrong)
-        reports += c.reports(
-            ["sizebias:control:wrong-weight-shape"],
-            _ks_estimate(len(w), stat),
-            kind="control",
-            ks=(stat, p),
-            expected_failure=True,
-            notes=f"picked weight against Be(1,{wrong:g}) must be rejected",
-        )
+    wrong = alpha + 1.5
+    stat, p = ks_test(w, lambda x: 1.0 - (1.0 - x) ** wrong)
+    reports += c.reports(
+        ["sizebias:control:wrong-weight-shape"],
+        _ks_estimate(len(w), stat),
+        kind="control",
+        ks=(stat, p),
+        expected_failure=True,
+        notes=f"picked weight against Be(1,{wrong:g}) must be rejected",
+    )
     return reports
 
 
@@ -823,22 +808,14 @@ def _largest_jump_kernel(m, gen, *, alpha, probs, jump_eps) -> dict:
     return {"largest": gamma_projection_chunk(alpha, probs, m, gen, trunc_eps=jump_eps)[2]}
 
 
-def verify_marked_sizebias(
-    alpha: float,
-    n: int = DEFAULT_N,
-    rng: RngStream | None = None,
-    *,
-    nu_prime: tuple[float, ...] = (0.25, 0.75),
-    threshold: float = DEFAULT_THRESHOLD,
-    jobs: int = 1,
-    trunc_eps: float = 1e-12,
-    jump_eps: float = 1e-8,
-    negative_controls: bool = True,
-) -> list[TestReport]:
+_THM52_MARKS = (0.25, 0.75)
+
+
+def verify_marked_sizebias(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     """Check the sequence-level characterization of stick weights.
 
-    Pairs stick-breaking (GEM) weights with i.i.d. marks over the atom
-    probabilities ``nu_prime`` and tests the projections against the exact
+    Pairs stick-breaking (GEM) weights with i.i.d. marks over two atoms of
+    probabilities 0.25 and 0.75 and tests the projections against the exact
     mixed moments of the Dirichlet law (monomials up to degree 3), and the
     largest weight against the jump-construction path via a two-sample KS
     test (the ranked weight sets share one law, so their maxima do too).
@@ -846,12 +823,7 @@ def verify_marked_sizebias(
     sequence with the same marks; its degree-2 and degree-3 moments must
     fail.
     """
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if abs(sum(nu_prime) - 1.0) > 1e-9 or any(q <= 0.0 for q in nu_prime):
-        raise ValueError("nu_prime must be positive probabilities summing to one")
-    rng = rng or RngStream(0)
-    probs = tuple(float(q) for q in nu_prime)
+    alpha, probs = s.alpha, _THM52_MARKS
 
     def moments(min_degree):
         exponents = _exponents(len(probs), 3, min_degree)
@@ -860,12 +832,12 @@ def verify_marked_sizebias(
         return names, dict(exponents=exponents, targets=targets)
 
     names, family = moments(1)
-    params = dict(alpha=alpha, probs=probs, trunc_eps=trunc_eps, geometric=False, **family)
-    c = _Campaign(_marked_kernel, params, n, rng, jobs, threshold, _ENSEMBLE_CHUNK_ROWS)
+    params = dict(alpha=alpha, probs=probs, trunc_eps=s.trunc_eps, geometric=False, **family)
+    c = _Campaign(_marked_kernel, params, s, rng, _ENSEMBLE_CHUNK_ROWS)
     gem = c.run()
     reports = c.reports(names, gem["identity"].paired())
-    params = dict(alpha=alpha, probs=probs, jump_eps=jump_eps)
-    pd = _Campaign(_largest_jump_kernel, params, n, rng, jobs, threshold, _ENSEMBLE_CHUNK_ROWS)
+    params = dict(alpha=alpha, probs=probs, jump_eps=s.jump_eps)
+    pd = _Campaign(_largest_jump_kernel, params, s, rng, _ENSEMBLE_CHUNK_ROWS)
     jumps = pd.run(3 * _CONTROL_STREAM_OFFSET)
     a, b = gem["largest"], jumps["largest"]
     reports += c.reports(
@@ -875,12 +847,11 @@ def verify_marked_sizebias(
         ks=ks_two_sample(a, b),
         notes="largest stick weight vs largest normalized jump",
     )
-    if negative_controls:
-        names, family = moments(2)
-        notes = "deterministic geometric weights (ratio 0.9) with i.i.d. marks"
-        name = "thm52:control:geometric-weights"
-        offset = _CONTROL_STREAM_OFFSET
-        reports.append(c.control(name, names, offset, notes, geometric=True, **family))
+    names, family = moments(2)
+    notes = "deterministic geometric weights (ratio 0.9) with i.i.d. marks"
+    name = "thm52:control:geometric-weights"
+    offset = _CONTROL_STREAM_OFFSET
+    reports.append(c.control(name, names, offset, notes, geometric=True, **family))
     return reports
 
 
@@ -898,29 +869,21 @@ def _equivalence_kernel(
     return out
 
 
-def verify_construction_equivalence(
-    model: BaseModel,
-    n: int = DEFAULT_N,
-    rng: RngStream | None = None,
-    *,
-    threshold: float = DEFAULT_THRESHOLD,
-    jobs: int = 1,
-    trunc_eps: float = 1e-12,
-    jump_eps: float = 1e-8,
-) -> list[TestReport]:
+def verify_construction_equivalence(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     """Compare the stick and jump constructions of the same law.
 
     Two-sample z-tests on every projection monomial up to degree 3, a
     one-sample z-test of the unnormalized total mass against its mean
     alpha, and covariance checks that the normalized projections are
-    uncorrelated with the total.
+    uncorrelated with the total.  ``s.construction`` is not read: both
+    constructions run.
     """
-    probs = tuple(block_probabilities(model, default_partition(model)))
+    probs = _projection_probs(s)
     exponents = _exponents(len(probs), 3)
     params = dict(
-        alpha=model.alpha, probs=probs, trunc_eps=trunc_eps, jump_eps=jump_eps, exponents=exponents
+        alpha=s.alpha, probs=probs, trunc_eps=s.trunc_eps, jump_eps=s.jump_eps, exponents=exponents
     )
-    c = _Campaign(_equivalence_kernel, params, n, rng or RngStream(0), jobs, threshold)
+    c = _Campaign(_equivalence_kernel, params, s, rng)
     stick = c.run(construction="stick")
     gamma = c.run(_CONTROL_STREAM_OFFSET, construction="gamma")
     reports = c.reports(
@@ -947,39 +910,15 @@ def verify_construction_equivalence(
 
 _CAMPAIGN_STREAM_SPACING = 1_000_000
 
-
-@dataclass(frozen=True)
-class CampaignSettings:
-    """Shared knobs for the named verification campaigns."""
-
-    alpha: float = 2.0
-    p: float = 0.3
-    n: int = DEFAULT_N
-    seed: int = 12345
-    threshold: float = DEFAULT_THRESHOLD
-    jobs: int = 1
-    base: BaseModel | None = None
-    construction: str = "stick"
-    trunc_eps: float = 1e-12
-    jump_eps: float = 1e-8
-    negative_controls: bool = True
-
-
-def _projection_args(s: CampaignSettings) -> tuple[BaseModel]:
-    return (s.base or BaseModel(alpha=s.alpha, atom_probs=(0.2, 0.35), diffuse_weight=0.45),)
-
-
-# name -> (campaign, its leading arguments from the settings, the settings
-# it takes by keyword besides threshold, jobs and negative_controls).  The
-# order is the order of "all" and fixes each campaign's substream, so new
-# campaigns go at the end.
+# The order is the order of "all" and fixes each campaign's substream, so
+# new campaigns go at the end.
 _CAMPAIGNS = {
-    "mecke": (verify_mecke, _projection_args, ("construction", "trunc_eps", "jump_eps")),
-    "sethuraman": (verify_sethuraman, _projection_args, ("construction", "trunc_eps", "jump_eps")),
-    "tbeta": (verify_beta_sizebias, lambda s: (s.p, s.alpha), ()),
-    "tbeta2": (verify_beta_general, lambda s: (s.p, s.alpha), ()),
-    "sizebias": (verify_sizebias_invariance, lambda s: (s.alpha,), ("base", "trunc_eps")),
-    "thm52": (verify_marked_sizebias, lambda s: (s.alpha,), ("trunc_eps", "jump_eps")),
+    "mecke": verify_mecke,
+    "sethuraman": verify_sethuraman,
+    "tbeta": verify_beta_sizebias,
+    "tbeta2": verify_beta_general,
+    "sizebias": verify_sizebias_invariance,
+    "thm52": verify_marked_sizebias,
 }
 CAMPAIGN_NAMES = tuple(_CAMPAIGNS)
 
@@ -1010,11 +949,7 @@ def run_verify(name: str, settings: CampaignSettings | None = None) -> list[Test
     rng = RngStream(
         settings.seed, _CAMPAIGN_STREAM_SPACING * (CAMPAIGN_NAMES.index(name) + 1)
     )
-    verify, leading, options = _CAMPAIGNS[name]
-    keywords = ("threshold", "jobs", "negative_controls") + options
-    return verify(
-        *leading(settings), settings.n, rng, **{k: getattr(settings, k) for k in keywords}
-    )
+    return _CAMPAIGNS[name](settings, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -1031,27 +966,20 @@ def _probe_kernel(m, gen, *, alpha, depth) -> dict:
     return {"identity": Moments.stack(identity)}
 
 
-def probe_symmetric(
-    alpha: float,
-    n: int = DEFAULT_N,
-    rng: RngStream | None = None,
-    *,
-    depth: int = 6,
-    jobs: int = 1,
-) -> list[TestReport]:
+def probe_symmetric(s: CampaignSettings, rng: RngStream, depth: int = 6) -> list[TestReport]:
     """Record the symmetric-point moment identities without judging them.
 
     At p = 1/2 the recovery of the odd-degree mixing moments degenerates,
     so the recovery chain carries no verdict there.  This probe samples
     Z ~ Be(alpha/2, alpha/2) and
-    reports E (1-Z)^k Z - (1/2) E (1-Z)^k * (alpha/(alpha+k)) for each k:
+    reports E (1-Z)^k Z - (1/2) E (1-Z)^k * (alpha/(alpha+k)) for each k
+    up to ``depth``:
     data for the open symmetric case, flagged "probe"/"degenerate" and
     excluded from campaign verdicts.
     """
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    params = dict(alpha=alpha, depth=depth)
-    c = _Campaign(_probe_kernel, params, n, rng or RngStream(0), jobs)
+    if depth < 0:
+        raise ValueError(f"depth must be non-negative, got {depth}")
+    c = _Campaign(_probe_kernel, dict(alpha=s.alpha, depth=depth), s, rng)
     return c.reports(
         [f"probe:symmetric[k={k}]" for k in range(depth + 1)],
         c.run()["identity"].paired(),

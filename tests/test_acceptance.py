@@ -92,7 +92,8 @@ def test_criterion_02_moment_recovery_round_trip():
 def test_criterion_03_integral_identity_campaign_at_scale():
     model = BaseModel(alpha=2.0, atom_probs=(0.3, 0.7), diffuse_weight=0.0)
     started = time.monotonic()
-    reports = verify_mecke(model, 1_000_000, RngStream(2026), construction="stick")
+    settings = CampaignSettings(n=1_000_000, base=model, construction="stick")
+    reports = verify_mecke(settings, RngStream(2026))
     elapsed = time.monotonic() - started
     controls = [r for r in reports if r.kind == "control"]
     point_control = next(r for r in controls if "point" in r.name or "delta" in r.notes)
@@ -115,9 +116,8 @@ def test_criterion_04_projection_marginal_is_beta():
 
 def test_criterion_05_constructions_are_equivalent():
     model = BaseModel(alpha=2.0, atom_probs=(0.2, 0.35), diffuse_weight=0.45)
-    reports = verify_construction_equivalence(
-        model, 100_000, RngStream(505), jump_eps=1e-8
-    )
+    settings = CampaignSettings(n=100_000, base=model, jump_eps=1e-8)
+    reports = verify_construction_equivalence(settings, RngStream(505))
     ok = campaign_ok(reports)
     total = next(r for r in reports if r.name == "construction:total-mass-mean")
     passed = ok and abs(total.statistic) <= 4.0 and total.rhs == 2.0
@@ -127,7 +127,7 @@ def test_criterion_05_constructions_are_equivalent():
 
 
 def test_criterion_06_quadratic_identity_and_independence():
-    reports = verify_beta_general(0.3, 2.0, 1_000_000, RngStream(606))
+    reports = verify_beta_general(CampaignSettings(p=0.3, n=1_000_000), RngStream(606))
     by_name = {r.name: r for r in reports}
     anchor = by_name["tbeta2:quadratic[g=x^0]"]
     c = quadratic_weight_c(0.3, 2.0)
@@ -151,7 +151,8 @@ def test_criterion_07_removal_invariance_both_alphas():
     details = []
     all_ok = True
     for alpha, seed in ((1.0, 707), (3.0, 708)):
-        reports = verify_sizebias_invariance(alpha, 100_000, RngStream(seed))
+        settings = CampaignSettings(alpha=alpha, n=100_000)
+        reports = verify_sizebias_invariance(settings, RngStream(seed))
         ks = [r for r in reports if r.kind == "ks" and not r.expected_failure]
         covs = [r for r in reports if r.kind == "cov"]
         ok = campaign_ok(reports) and ks and covs
@@ -162,7 +163,7 @@ def test_criterion_07_removal_invariance_both_alphas():
 
 
 def test_criterion_08_marked_weights_match_dirichlet():
-    reports = verify_marked_sizebias(2.0, 100_000, RngStream(808), nu_prime=(0.25, 0.75))
+    reports = verify_marked_sizebias(CampaignSettings(n=100_000), RngStream(808))
     ok = campaign_ok(reports)
     ks = next(r for r in reports if r.kind == "ks" and not r.expected_failure)
     passed = ok and ks.p_value > 0.001

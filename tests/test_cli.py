@@ -74,6 +74,25 @@ class TestSample:
         assert out == ""
         assert "n must be non-negative" in err
 
+    def test_eps_with_stick_construction_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "--eps", "0.5")
+        assert code == 2
+        assert out == ""
+        assert "--construction gamma only" in err
+
+    def test_gamma_construction_at_small_alpha(self, capsys):
+        # Some rows' first arrival G_1 / alpha lies beyond 690, where E1
+        # cannot be inverted; each such row is a single unit weight.
+        code, out, _ = run_cli(
+            capsys, "sample", "--construction", "gamma", "--alpha", "0.01", "--n", "3000",
+            "--seed", "1",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 3000
+        for line in lines:
+            assert abs(sum(a["w"] for a in json.loads(line)["atoms"]) - 1.0) <= 1e-9
+
 
 class TestMoments:
     def test_csv_values(self, capsys):
@@ -244,6 +263,31 @@ class TestVerify:
             assert code == 2
             assert out == ""
             assert "eps must lie in" in err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--threshold", "nan"), "threshold must be finite and positive"),
+            (("--threshold=-1",), "threshold must be finite and positive"),
+            (("--jobs", "0"), "jobs must be at least 1"),
+            (("--probe-symmetric", "--depth=-1"), "depth must be non-negative"),
+            (("--config", "{config}"), "unknown config keys ['jumpeps']"),
+        ],
+        ids=["threshold-nan", "threshold-negative", "jobs-zero", "depth-negative", "config-key"],
+    )
+    def test_bad_settings_are_usage_errors(self, capsys, monkeypatch, tmp_path, args, message):
+        # Rejected before any campaign runs, not reported as failed tests.
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("a campaign ran")
+
+        monkeypatch.setattr(cli, "run_verify", no_campaign)
+        config = tmp_path / "verify.json"
+        config.write_text(json.dumps({"jumpeps": 0.5}))
+        argv = [arg.format(config=config) for arg in args]
+        code, out, err = run_cli(capsys, "verify", "tbeta", "--n", "2000", *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
 
 class TestCharacterize:

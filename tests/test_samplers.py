@@ -11,12 +11,12 @@ from dpm.samplers import (
     RngStream,
     StickConfig,
     TruncationError,
+    _draw_base_point,
     beta_pairs,
     block_projection,
     expected_jump_count,
     gamma_jumps,
     gamma_projection_chunk,
-    sample_base_point,
     sample_jump_measure,
     sample_poisson_dirichlet,
     sample_stick_breaking,
@@ -62,7 +62,7 @@ class TestScalarDraws:
         n = 30_000
         counts = {"atom0": 0, "atom1": 0, "cont": 0}
         for _ in range(n):
-            p = sample_base_point(model, rng)
+            p = _draw_base_point(model, rng.gen)
             if p.is_atom:
                 counts[f"atom{p.atom}"] += 1
             else:
@@ -125,9 +125,8 @@ class TestStickBreaking:
         # zeta({atom}) ~ Be(alpha*nu(atom), alpha*(1-nu(atom)))
         model = BaseModel(alpha=2.0, atom_probs=(0.3, 0.7))
         rng = RngStream(9)
-        vals = np.array(
-            [sample_stick_breaking(model, rng).mass_at(atom_point(0)) for _ in range(4000)]
-        )
+        atoms = [dict(sample_stick_breaking(model, rng).atoms) for _ in range(4000)]
+        vals = np.array([a.get(atom_point(0), 0.0) for a in atoms])
         stat, p = stats.kstest(vals, stats.beta(0.6, 1.4).cdf)
         assert p > 1e-3
 

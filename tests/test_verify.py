@@ -191,7 +191,7 @@ def base_model():
 
 class TestMeckeCampaign:
     def test_passes_with_failing_controls(self, base_model):
-        reports = verify_mecke(base_model, N_SMOKE, RngStream(71))
+        reports = verify_mecke(CampaignSettings(n=N_SMOKE, base=base_model), RngStream(71))
         assert campaign_ok(reports)
         controls = [r for r in reports if r.kind == "control"]
         assert len(controls) == 2
@@ -199,30 +199,22 @@ class TestMeckeCampaign:
         # 3 blocks, g of degree <= 2 (10 monomials), one h per block.
         assert sum(r.kind == "z" for r in reports) == 30
 
-    def test_controls_can_be_disabled(self, base_model):
-        reports = verify_mecke(
-            base_model, N_SMOKE, RngStream(71), negative_controls=False
-        )
-        assert all(r.kind == "z" for r in reports)
-        assert not any(r.expected_failure for r in reports)
-
     def test_gamma_construction_also_passes(self, base_model):
-        reports = verify_mecke(
-            base_model, N_SMOKE, RngStream(72), construction="gamma"
-        )
+        settings = CampaignSettings(n=N_SMOKE, base=base_model, construction="gamma")
+        reports = verify_mecke(settings, RngStream(72))
         assert campaign_ok(reports)
 
 
 class TestSethuramanCampaign:
     def test_passes_with_failing_control(self, base_model):
-        reports = verify_sethuraman(base_model, N_SMOKE, RngStream(73))
+        reports = verify_sethuraman(CampaignSettings(n=N_SMOKE, base=base_model), RngStream(73))
         assert campaign_ok(reports)
         assert any(r.kind == "control" and r.verdict == "fail" for r in reports)
 
 
 class TestBetaSizebiasCampaign:
     def test_passes_and_anchors_normalization(self):
-        reports = verify_beta_sizebias(0.3, 2.0, N_SMOKE, RngStream(74))
+        reports = verify_beta_sizebias(CampaignSettings(p=0.3, n=N_SMOKE), RngStream(74))
         assert campaign_ok(reports)
         by_name = {r.name: r for r in reports}
         anchor = by_name["tbeta:pick[g=x^0]"]
@@ -231,62 +223,54 @@ class TestBetaSizebiasCampaign:
         assert anchor.lhs == pytest.approx(0.3, abs=0.02)
 
     def test_wrong_p_control_fails_hard(self):
-        reports = verify_beta_sizebias(0.3, 2.0, N_SMOKE, RngStream(74))
+        reports = verify_beta_sizebias(CampaignSettings(p=0.3, n=N_SMOKE), RngStream(74))
         control = next(r for r in reports if r.kind == "control")
         assert control.verdict == "fail"
         assert abs(control.statistic) > 20
 
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
-            verify_beta_sizebias(0.0, 2.0, N_SMOKE)
+            verify_beta_sizebias(CampaignSettings(p=0.0, n=N_SMOKE), RngStream(0))
         with pytest.raises(ValueError):
-            verify_beta_sizebias(1.0, 2.0, N_SMOKE)
+            verify_beta_sizebias(CampaignSettings(p=1.0, n=N_SMOKE), RngStream(0))
 
 
 class TestBetaGeneralCampaign:
     def test_passes_with_cov_checks(self):
-        reports = verify_beta_general(0.3, 2.0, N_SMOKE, RngStream(75))
+        reports = verify_beta_general(CampaignSettings(p=0.3, n=N_SMOKE), RngStream(75))
         assert campaign_ok(reports)
         assert sum(r.kind == "cov" for r in reports) == 4
 
     def test_wrong_c_fails(self):
-        reports = verify_beta_general(
-            0.3, 2.0, N_SMOKE, RngStream(75), negative_controls=True
-        )
+        reports = verify_beta_general(CampaignSettings(p=0.3, n=N_SMOKE), RngStream(75))
         control = next(r for r in reports if r.kind == "control")
         assert control.verdict == "fail"
 
 
 class TestSizebiasInvarianceCampaign:
     def test_passes_on_diffuse_base(self):
-        reports = verify_sizebias_invariance(2.0, N_SMOKE, RngStream(76))
+        reports = verify_sizebias_invariance(CampaignSettings(n=N_SMOKE), RngStream(76))
         assert campaign_ok(reports)
         assert any(r.kind == "ks" for r in reports)
 
     def test_atomic_base_rejected(self):
         with pytest.raises(ValueError, match="diffuse"):
-            verify_sizebias_invariance(
-                2.0,
-                N_SMOKE,
-                base=BaseModel(alpha=2.0, atom_probs=(0.5, 0.5), diffuse_weight=0.0),
-            )
+            atomic = BaseModel(alpha=2.0, atom_probs=(0.5, 0.5), diffuse_weight=0.0)
+            verify_sizebias_invariance(CampaignSettings(n=N_SMOKE, base=atomic), RngStream(0))
 
 
 class TestMarkedSizebiasCampaign:
     def test_passes_with_failing_control(self):
-        reports = verify_marked_sizebias(2.0, N_SMOKE, RngStream(77))
+        reports = verify_marked_sizebias(CampaignSettings(n=N_SMOKE), RngStream(77))
         assert campaign_ok(reports)
         control = next(r for r in reports if r.kind == "control")
         assert control.verdict == "fail"
 
-    def test_bad_marks_rejected(self):
-        with pytest.raises(ValueError):
-            verify_marked_sizebias(2.0, N_SMOKE, nu_prime=(0.5, 0.6))
-
 
 class TestConstructionEquivalence:
     def test_constructions_agree(self, base_model):
-        reports = verify_construction_equivalence(base_model, N_SMOKE, RngStream(78))
+        settings = CampaignSettings(n=N_SMOKE, base=base_model)
+        reports = verify_construction_equivalence(settings, RngStream(78))
         assert campaign_ok(reports)
         names = {r.name for r in reports}
         assert any("total" in n for n in names)
@@ -327,7 +311,7 @@ class TestRunVerify:
 
         def reports(jobs):
             settings = CampaignSettings(n=20_000, seed=53, jobs=jobs)
-            probe = probe_symmetric(2.0, 20_000, RngStream(53, 7_000_000), jobs=jobs)
+            probe = probe_symmetric(settings, RngStream(53, 7_000_000))
             return [r.to_dict() for r in run_verify("all", settings) + probe]
 
         assert reports(1) == reports(2)
@@ -413,7 +397,7 @@ class TestCharacterize:
 
 class TestProbeSymmetric:
     def test_probe_reports_are_informational(self):
-        reports = probe_symmetric(2.0, N_SMOKE, RngStream(88), depth=4)
+        reports = probe_symmetric(CampaignSettings(n=N_SMOKE), RngStream(88), depth=4)
         assert len(reports) == 5
         assert all(r.kind == "probe" for r in reports)
         assert all(r.verdict == "degenerate" for r in reports)
@@ -424,7 +408,7 @@ class TestProbeSymmetric:
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
-            probe_symmetric(-1.0, N_SMOKE)
+            probe_symmetric(CampaignSettings(alpha=-1.0, n=N_SMOKE), RngStream(0))
 
 
 class TestDefaultPartition:
