@@ -10,22 +10,10 @@ case and the recovery of the mixing-weight moment sequence from data.
 __version__ = "1.0.0"
 
 from .characterize import CharacterizationReport, characterize_from_samples
-from .measures import (
-    BaseModel,
-    Block,
-    DiscreteMeasure,
-    GroundPoint,
-    Partition,
-    atom_point,
-    block_probabilities,
-    cont_point,
-    nu_of,
-    project,
-)
+from .measures import BaseModel, DiscreteMeasure, GroundPoint
 from .moments import (
     MissingMomentError,
     MomentTable,
-    ScalarMomentSeq,
     SingularSystemError,
     beta_moment,
     build_moment_table,
@@ -37,15 +25,7 @@ from .moments import (
     recover_moment_sequence,
     solve_b_next,
 )
-from .samplers import (
-    RngStream,
-    StickConfig,
-    TruncationError,
-    expected_jump_count,
-    sample_jump_measure,
-    sample_poisson_dirichlet,
-    sample_stick_breaking,
-)
+from .samplers import RngStream, TruncationError, sample_jump_measure, sample_stick_breaking
 from .specialfn import exp_integral_e1, inverse_e1
 from .stats import kolmogorov_sf, ks_test, ks_two_sample
 from .verify import (
@@ -67,18 +47,10 @@ from .verify import (
 __all__ = [
     "__version__",
     "BaseModel",
-    "Block",
     "DiscreteMeasure",
     "GroundPoint",
-    "Partition",
-    "atom_point",
-    "block_probabilities",
-    "cont_point",
-    "nu_of",
-    "project",
     "MissingMomentError",
     "MomentTable",
-    "ScalarMomentSeq",
     "SingularSystemError",
     "beta_moment",
     "build_moment_table",
@@ -90,11 +62,8 @@ __all__ = [
     "recover_moment_sequence",
     "solve_b_next",
     "RngStream",
-    "StickConfig",
     "TruncationError",
-    "expected_jump_count",
     "sample_jump_measure",
-    "sample_poisson_dirichlet",
     "sample_stick_breaking",
     "exp_integral_e1",
     "inverse_e1",

@@ -10,8 +10,10 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import secrets
@@ -38,18 +40,28 @@ from .verify import (
 )
 
 _PROBE_STREAM_BASE = 7_000_000
+# Rows per sampler call in `dpm sample`: output is written batch by batch,
+# so memory stays flat in --n.
+_SAMPLE_BATCH = 64
 
 
 def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _output(out: str | None):
+    """The file named by ``--out``, or stdout."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(text: str, out: str | None) -> None:
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _parse_seed(raw: str) -> int:
@@ -100,14 +112,20 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     eps = DEFAULT_JUMP_EPS if args.eps is None else args.eps
     model = base or BaseModel(alpha=alpha, atom_probs=(0.2, 0.35), diffuse_weight=0.45)
     rng = RngStream(seed)
-    lines = []
-    for _ in range(args.n):
+
+    def draw(start: int):
+        m = min(_SAMPLE_BATCH, args.n - start)
         if args.construction == "stick":
-            zeta = sample_stick_breaking(model, rng)
-        else:
-            zeta = sample_jump_measure(model, rng, trunc_eps=eps)
-        lines.append(_canonical_json(zeta.to_dict()))
-    _emit("".join(lines), args.out)
+            return sample_stick_breaking(model, rng, m)
+        return sample_jump_measure(model, rng, m, trunc_eps=eps)
+
+    batches = map(draw, range(0, args.n, _SAMPLE_BATCH))
+    # The first batch is drawn before --out is opened, so an error only the
+    # sampler detects (a gamma --eps out of range) leaves that file as it was.
+    first = next(batches, [])
+    with _output(args.out) as fh:
+        for batch in itertools.chain([first], batches):
+            fh.write("".join(_canonical_json(zeta.to_dict()) for zeta in batch))
     return 0
 
 
@@ -197,11 +215,24 @@ def _reports_csv(reports) -> str:
     return buf.getvalue()
 
 
-# The keys _cmd_verify reads from a config file.
-_CONFIG_KEYS = (
-    "seed", "base", "alpha", "p", "n", "threshold", "jobs", "construction", "eps", "jump_eps",
-    "probe_symmetric", "depth",
-)
+# The keys _cmd_verify reads from a config file, with the JSON types each
+# accepts.  JSON true and false are never numbers here.
+_NUMBER = ("a number", (int, float))
+_INTEGER = ("an integer", (int,))
+_CONFIG_KEYS = {
+    "seed": ("an integer or a string", (int, str)),
+    "base": ("an object or a string", (dict, str)),
+    "alpha": _NUMBER,
+    "p": _NUMBER,
+    "n": _INTEGER,
+    "threshold": _NUMBER,
+    "jobs": _INTEGER,
+    "construction": ("a string", (str,)),
+    "eps": _NUMBER,
+    "jump_eps": _NUMBER,
+    "probe_symmetric": ("true or false", (bool,)),
+    "depth": _INTEGER,
+}
 
 
 def _load_config(path: str) -> dict:
@@ -217,6 +248,10 @@ def _load_config(path: str) -> dict:
     unknown = sorted(set(data) - set(_CONFIG_KEYS))
     if unknown:
         raise ValueError(f"unknown config keys {unknown}; expected some of {list(_CONFIG_KEYS)}")
+    for key, value in data.items():
+        label, types = _CONFIG_KEYS[key]
+        if isinstance(value, bool) != (types == (bool,)) or not isinstance(value, types):
+            raise ValueError(f"config key {key!r} must be {label}, got {value!r}")
     return data
 
 

@@ -17,9 +17,8 @@ which `check_solvability` predicts in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .specialfn import LogReal, log_beta, log_gamma
+from .specialfn import log_beta, log_gamma
 
 SOLVE_SINGULAR_ATOL = 1e-13
 _VALUE_SLACK = 1e-9
@@ -40,29 +39,20 @@ class SingularSystemError(ArithmeticError):
     """The moment-recovery step is degenerate at these parameters."""
 
 
-@dataclass(frozen=True)
-class MomentEntry:
-    value: float
-    stderr: float = 0.0
-    kind: str = "exact"
-
-
 class MomentTable:
     """Sparse table of mixed moments indexed by exponent multi-indices.
 
     Entries are probabilities of intersections of simplex events, so every
     value lies in [0, 1], the all-zeros index is pinned to 1, and raising
-    any exponent can only shrink an exact value.  Violations are rejected
-    at insertion (estimated entries skip the monotonicity check, which
-    sampling noise would trip).
+    any exponent can only shrink the value.  Violations are rejected at
+    insertion.
     """
 
     def __init__(self, size: int):
         if size < 1:
             raise ValueError("table needs at least one coordinate")
         self.size = size
-        self._entries: dict[tuple[int, ...], MomentEntry] = {}
-        self._entries[(0,) * size] = MomentEntry(1.0)
+        self._entries: dict[tuple[int, ...], float] = {(0,) * size: 1.0}
 
     def _check_index(self, ks) -> tuple[int, ...]:
         ks = tuple(int(k) for k in ks)
@@ -70,65 +60,26 @@ class MomentTable:
             raise ValueError(f"bad moment index {ks} for size {self.size}")
         return ks
 
-    def put(self, ks, value: float, stderr: float = 0.0, kind: str = "exact") -> None:
+    def put(self, ks, value: float) -> None:
         ks = self._check_index(ks)
         if not -_VALUE_SLACK <= value <= 1.0 + _VALUE_SLACK:
             raise ValueError(f"moment value {value} at {ks} outside [0, 1]")
         if sum(ks) == 0 and abs(value - 1.0) > _VALUE_SLACK:
             raise ValueError("the empty moment must equal 1")
-        if kind == "exact":
-            for j in range(self.size):
-                if ks[j] == 0:
-                    continue
-                lower = ks[:j] + (ks[j] - 1,) + ks[j + 1 :]
-                ent = self._entries.get(lower)
-                if ent is not None and ent.kind == "exact" and value > ent.value + _VALUE_SLACK:
-                    raise ValueError(f"moment at {ks} exceeds its lower neighbour {lower}")
-        self._entries[ks] = MomentEntry(float(value), float(stderr), kind)
-
-    def has(self, ks) -> bool:
-        return self._check_index(ks) in self._entries
-
-    def entry(self, ks) -> MomentEntry:
-        ks = self._check_index(ks)
-        ent = self._entries.get(ks)
-        if ent is None:
-            raise MissingMomentError(ks)
-        return ent
+        for j in range(self.size):
+            if ks[j] == 0:
+                continue
+            lower = ks[:j] + (ks[j] - 1,) + ks[j + 1 :]
+            below = self._entries.get(lower)
+            if below is not None and value > below + _VALUE_SLACK:
+                raise ValueError(f"moment at {ks} exceeds its lower neighbour {lower}")
+        self._entries[ks] = float(value)
 
     def value(self, ks) -> float:
-        return self.entry(ks).value
-
-    def indices(self):
-        return sorted(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-@dataclass(frozen=True)
-class ScalarMomentSeq:
-    """Moments E X, E X^2, ... of a [0,1] variable, in degree order."""
-
-    values: tuple[float, ...]
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        prev = 1.0
-        for v in self.values:
-            if not -_VALUE_SLACK <= v <= prev + _VALUE_SLACK:
-                raise ValueError(f"not a [0,1] moment sequence: {self.values}")
-            prev = v
-
-    @property
-    def depth(self) -> int:
-        return len(self.values)
-
-    def moment(self, n: int) -> float:
-        """E X^n, 1-based; n = 0 returns 1."""
-        if n == 0:
-            return 1.0
-        return self.values[n - 1]
+        ks = self._check_index(ks)
+        if ks not in self._entries:
+            raise MissingMomentError(ks)
+        return self._entries[ks]
 
 
 def multi_indices(size: int, degree: int):
@@ -173,12 +124,12 @@ def dirichlet_mixed_moment(alphas, ks) -> float:
         raise ValueError("at least one Dirichlet parameter must be positive")
     if any(a == 0.0 and k > 0 for a, k in zip(alphas, ks)):
         return 0.0
-    ksum = sum(ks)
-    acc = LogReal.from_log(log_gamma(total) - log_gamma(total + ksum))
+    # Summed in log space, so chains of gamma-function ratios never overflow.
+    log_value = log_gamma(total) - log_gamma(total + sum(ks))
     for a, k in zip(alphas, ks):
         if a > 0.0 and k > 0:
-            acc = acc * LogReal.from_log(log_gamma(a + k) - log_gamma(a))
-    return acc.value()
+            log_value = log_value + (log_gamma(a + k) - log_gamma(a))
+    return math.exp(log_value)
 
 
 def moment_recursion_step(table: MomentTable, alphas, j: int, ks) -> float:

@@ -15,19 +15,18 @@ loop, :func:`_stick_columns`, yields a (weights, blocks) column per stick;
 :func:`stick_projection_chunk` accumulates the columns into block
 projections and :func:`stick_ensemble_chunk` stacks them.  One jump kernel,
 :func:`gamma_jumps`, returns a matrix of decreasing jumps; it feeds
-:func:`gamma_projection_chunk` and, at one row, the per-measure sampler
-:func:`sample_jump_measure`.  Marks are drawn by :func:`draw_blocks` and
-projected by :func:`block_projection`.  Only :func:`sample_stick_breaking`
-keeps its own scalar loop, which is faster for one measure at a time.
-All randomness flows through :class:`RngStream`, a named substream of a
-root seed, so campaigns are reproducible and independent of worker
-scheduling.
+:func:`gamma_projection_chunk`.  Marks are drawn by :func:`draw_blocks` and
+projected by :func:`block_projection`.  The samplers behind ``dpm
+sample``, :func:`sample_stick_breaking` and :func:`sample_jump_measure`,
+draw a batch of rows from the same kernels and turn each row into a
+:class:`DiscreteMeasure`, its serialization view.  All randomness flows
+through :class:`RngStream`, a named substream of a root seed, so campaigns
+are reproducible and independent of worker scheduling.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,65 +73,8 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
-@dataclass(frozen=True)
-class StickConfig:
-    """Truncation policy for stick breaking.
-
-    ``max_sticks`` must be generous enough that the *expected* leftover
-    mass at the cap, (alpha/(alpha+1))^max_sticks, is already below
-    ``trunc_eps``; hitting the cap is then a tail event reported through
-    :class:`TruncationError` rather than a silent bias.
-    """
-
-    alpha: float
-    trunc_eps: float = DEFAULT_STICK_EPS
-    max_sticks: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not 0.0 < self.trunc_eps < 1.0:
-            raise ValueError(f"trunc_eps must lie in (0, 1), got {self.trunc_eps}")
-        if self.max_sticks < 1:
-            raise ValueError("max_sticks must be at least 1")
-        if self.max_sticks * math.log(self.alpha / (self.alpha + 1.0)) > math.log(self.trunc_eps):
-            raise ValueError(
-                f"max_sticks={self.max_sticks} cannot reach tail {self.trunc_eps} "
-                f"even in expectation at alpha={self.alpha}"
-            )
-
-    @staticmethod
-    def for_alpha(alpha: float, trunc_eps: float = DEFAULT_STICK_EPS) -> "StickConfig":
-        """A cap with a factor-four margin over the expected stick count."""
-        needed = math.ceil(math.log(trunc_eps) / math.log(alpha / (alpha + 1.0)))
-        return StickConfig(alpha=alpha, trunc_eps=trunc_eps, max_sticks=max(64, 4 * needed))
-
-
-def expected_jump_count(alpha: float, trunc_eps: float) -> float:
-    """Mean number of jumps of size >= trunc_eps: alpha * E1(trunc_eps)."""
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    return alpha * exp_integral_e1(trunc_eps)
-
-
 # ---------------------------------------------------------------------------
 # base draws
-
-
-def _draw_base_point(model: BaseModel, gen: np.random.Generator) -> GroundPoint:
-    """One draw from the normalized base measure."""
-    r = gen.random()
-    acc = 0.0
-    for i, p in enumerate(model.atom_probs):
-        acc += p
-        if r < acc:
-            return GroundPoint(atom=i)
-    if model.diffuse_weight > 0.0:
-        return GroundPoint(cont=float(gen.random()))
-    # Rounding pushed r past the accumulated total; the last positive atom
-    # absorbs the sliver.
-    last = max(i for i, p in enumerate(model.atom_probs) if p > 0.0)
-    return GroundPoint(atom=last)
 
 
 def draw_blocks(block_probs, gen: np.random.Generator, size) -> np.ndarray:
@@ -153,7 +95,18 @@ def beta_pairs(p: float, alpha: float, m: int, gen: np.random.Generator):
 # the sampling core: one stick loop, one jump kernel, one block projection
 
 
-def _stick_columns(alpha, block_probs, m, gen, trunc_eps, max_sticks):
+def _stick_cap(alpha: float, trunc_eps: float) -> int:
+    """Stick cap with a factor-four margin over the expected stick count.
+
+    The expected leftover at the cap, (alpha/(alpha+1))^cap, is then far
+    below ``trunc_eps``, so hitting the cap is a tail event reported
+    through :class:`TruncationError` rather than a silent bias.
+    """
+    needed = math.ceil(math.log(trunc_eps) / math.log(alpha / (alpha + 1.0)))
+    return max(64, 4 * needed)
+
+
+def _stick_columns(alpha, block_probs, m, gen, trunc_eps):
     """Yield (weights, blocks) of one stick for each of m rows at a time.
 
     Sticks are Be(1, alpha) and marks fall in block j with probability
@@ -163,8 +116,11 @@ def _stick_columns(alpha, block_probs, m, gen, trunc_eps, max_sticks):
     comes last, on a fresh mark, so each row sums to one up to rounding.
     Raises :class:`TruncationError` at the stick cap.
     """
-    if max_sticks is None:
-        max_sticks = StickConfig.for_alpha(alpha, trunc_eps).max_sticks
+    if not alpha > 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < trunc_eps < 1.0:
+        raise ValueError(f"trunc_eps must lie in (0, 1), got {trunc_eps}")
+    max_sticks = _stick_cap(alpha, trunc_eps)
     tail = np.ones(m)
     for _ in range(max_sticks):
         w = gen.beta(1.0, alpha, size=m)
@@ -221,66 +177,6 @@ def block_projection(weights: np.ndarray, blocks: np.ndarray, n_blocks: int) -> 
 
 
 # ---------------------------------------------------------------------------
-# object-level constructions
-
-
-def sample_stick_breaking(
-    model: BaseModel,
-    rng: RngStream,
-    config: StickConfig | None = None,
-) -> DiscreteMeasure:
-    """One truncated stick-breaking sample as an exact probability measure.
-
-    Sticks are Be(1, alpha), marks are i.i.d. base draws, and once the
-    leftover mass reaches ``config.trunc_eps`` it is assigned to one fresh
-    mark, closing the measure at total mass exactly one.
-    """
-    cfg = config if config is not None else StickConfig.for_alpha(model.alpha)
-    if cfg.alpha != model.alpha:
-        raise ValueError(f"config alpha {cfg.alpha} does not match model alpha {model.alpha}")
-    gen = rng.gen
-    pairs: list[tuple[GroundPoint, float]] = []
-    tail = 1.0
-    for _ in range(cfg.max_sticks):
-        w = gen.beta(1.0, cfg.alpha)
-        pairs.append((_draw_base_point(model, gen), tail * w))
-        tail *= 1.0 - w
-        if tail <= cfg.trunc_eps:
-            pairs.append((_draw_base_point(model, gen), tail))
-            return DiscreteMeasure.from_pairs(pairs)
-    raise TruncationError(tail, cfg.max_sticks)
-
-
-def sample_poisson_dirichlet(
-    alpha: float,
-    rng: RngStream,
-    trunc_eps: float = DEFAULT_JUMP_EPS,
-) -> np.ndarray:
-    """Descending normalized jump sizes: one draw of the ranked-weight law,
-    the nonzero jumps of :func:`gamma_jumps` at one row."""
-    jumps = gamma_jumps(alpha, 1, rng.gen, trunc_eps)[0]
-    jumps = jumps[jumps > 0.0]
-    return jumps / jumps.sum()
-
-
-def sample_jump_measure(
-    model: BaseModel,
-    rng: RngStream,
-    trunc_eps: float = DEFAULT_JUMP_EPS,
-) -> DiscreteMeasure:
-    """One normalized-jump draw with i.i.d. base marks, as a measure.
-
-    Same law as :func:`sample_stick_breaking` up to truncation error, by a
-    different construction: ranked normalized jumps of a gamma random
-    measure, each carrying an independent base draw.
-    """
-    weights = sample_poisson_dirichlet(model.alpha, rng, trunc_eps)
-    gen = rng.gen
-    pairs = [(_draw_base_point(model, gen), float(w)) for w in weights]
-    return DiscreteMeasure.from_pairs(pairs)
-
-
-# ---------------------------------------------------------------------------
 # vectorized chunk kernels
 
 
@@ -299,7 +195,6 @@ def stick_projection_chunk(
     m: int,
     gen: np.random.Generator,
     trunc_eps: float = DEFAULT_STICK_EPS,
-    max_sticks: int | None = None,
 ) -> np.ndarray:
     """Block projections of m stick-breaking samples, shape (m, n_blocks).
 
@@ -309,7 +204,7 @@ def stick_projection_chunk(
     p = _check_block_probs(block_probs)
     proj = np.zeros((m, len(p)))
     rows = np.arange(m)
-    for w, blk in _stick_columns(alpha, p, m, gen, trunc_eps, max_sticks):
+    for w, blk in _stick_columns(alpha, p, m, gen, trunc_eps):
         proj[rows, blk] += w
     return proj
 
@@ -320,7 +215,6 @@ def stick_ensemble_chunk(
     m: int,
     gen: np.random.Generator,
     trunc_eps: float = DEFAULT_STICK_EPS,
-    max_sticks: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full stick weights and mark blocks of m samples.
 
@@ -330,7 +224,7 @@ def stick_ensemble_chunk(
     remove individual sticks rather than just projecting.
     """
     p = _check_block_probs(block_probs)
-    cols_w, cols_b = zip(*_stick_columns(alpha, p, m, gen, trunc_eps, max_sticks))
+    cols_w, cols_b = zip(*_stick_columns(alpha, p, m, gen, trunc_eps))
     return np.column_stack(cols_w), np.column_stack(cols_b)
 
 
@@ -356,3 +250,74 @@ def gamma_projection_chunk(
     proj /= totals[:, None]
     largest = jumps[:, 0] / totals
     return proj, totals, largest
+
+
+# ---------------------------------------------------------------------------
+# the samplers behind `dpm sample`: kernel rows as measures
+
+
+def _base_blocks(model: BaseModel) -> tuple[float, ...]:
+    """Block probabilities of the base: one per atom, then the diffuse
+    weight when it is positive."""
+    d = model.diffuse_weight
+    return model.atom_probs + ((d,) if d > 0.0 else ())
+
+
+def _measures(model: BaseModel, weights, blocks, gen: np.random.Generator):
+    """The rows of (weights, blocks), each as a :class:`DiscreteMeasure`.
+
+    Entries of zero weight are left out; a mark in the diffuse block gets
+    a uniform coordinate, drawn in row-major order.
+    """
+    n_atoms = model.n_atoms
+    diffuse = (blocks == n_atoms) & (weights > 0.0)
+    coords = np.zeros(weights.shape)
+    coords[diffuse] = gen.random(np.count_nonzero(diffuse))
+    return [
+        DiscreteMeasure.from_pairs(
+            (GroundPoint(atom=b) if b < n_atoms else GroundPoint(cont=u), w)
+            for w, b, u in zip(w_row, b_row, u_row)
+            if w > 0.0
+        )
+        for w_row, b_row, u_row in zip(weights.tolist(), blocks.tolist(), coords.tolist())
+    ]
+
+
+def sample_stick_breaking(
+    model: BaseModel,
+    rng: RngStream,
+    n: int,
+    trunc_eps: float = DEFAULT_STICK_EPS,
+) -> list[DiscreteMeasure]:
+    """n truncated stick-breaking samples as exact probability measures.
+
+    The rows of one :func:`stick_ensemble_chunk` call: each row closes at
+    its own first leftover at most ``trunc_eps``, which goes to the row's
+    next, fresh mark, so the batch's later sticks are not part of it.
+    """
+    w, b = stick_ensemble_chunk(model.alpha, _base_blocks(model), n, rng.gen, trunc_eps)
+    # left[:, j] is a row's mass from column j on; the closing weight sits
+    # on the column after the row's first stick with left[:, j + 1] <= eps.
+    left = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
+    close = np.argmax(left[:, 1:] <= trunc_eps, axis=1) + 1
+    rows = np.arange(n)
+    w = np.where(np.arange(w.shape[1]) < close[:, None], w, 0.0)
+    w[rows, close] = left[rows, close]
+    return _measures(model, w, b, rng.gen)
+
+
+def sample_jump_measure(
+    model: BaseModel,
+    rng: RngStream,
+    n: int,
+    trunc_eps: float = DEFAULT_JUMP_EPS,
+) -> list[DiscreteMeasure]:
+    """n normalized-jump samples with i.i.d. base marks, as measures.
+
+    Same law as :func:`sample_stick_breaking` up to truncation error, by a
+    different construction: the ranked jumps of one :func:`gamma_jumps`
+    call, normalized per row, each carrying an independent base draw.
+    """
+    jumps = gamma_jumps(model.alpha, n, rng.gen, trunc_eps)
+    blocks = draw_blocks(_base_blocks(model), rng.gen, jumps.shape)
+    return _measures(model, jumps / jumps.sum(axis=1, keepdims=True), blocks, rng.gen)

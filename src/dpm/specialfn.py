@@ -1,8 +1,7 @@
 """Special functions for the moment engine and the jump-size samplers.
 
-Provides the log-gamma/beta family, a signed log-space scalar type for
-overflow-free moment products, and the exponential integral E1 with its
-inverse.  E1 uses the classical split: an alternating power series below
+Provides the log-gamma/beta family and the exponential integral E1 with
+its inverse.  E1 uses the classical split: an alternating power series below
 x = 1 and a modified Lentz continued fraction above; both branches hit
 relative error below 1e-13 over [1e-12, 50], comfortably inside the 1e-10
 contract.  The inverse runs a bracketed Newton iteration and accepts either
@@ -13,7 +12,6 @@ matrices at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,46 +23,6 @@ _CF_EPS = 1e-15
 _TINY = 1e-300
 # E1(x) for y above this would need x below the smallest positive double.
 _E1_MAX_INVERTIBLE = 690.0
-
-
-@dataclass(frozen=True)
-class LogReal:
-    """A real number stored as (log|value|, sign).
-
-    Multiplication and division act on the logs, so chains of gamma-function
-    ratios never overflow.  The sign is -1, 0 or +1; zero is represented by
-    sign 0 (the stored log is ignored then).
-    """
-
-    log_abs: float
-    sign: int
-
-    @classmethod
-    def from_value(cls, x: float) -> "LogReal":
-        if x == 0.0:
-            return cls(log_abs=float("-inf"), sign=0)
-        return cls(log_abs=math.log(abs(x)), sign=1 if x > 0 else -1)
-
-    @classmethod
-    def from_log(cls, log_abs: float, sign: int = 1) -> "LogReal":
-        return cls(log_abs=log_abs, sign=sign)
-
-    def __mul__(self, other: "LogReal") -> "LogReal":
-        if self.sign == 0 or other.sign == 0:
-            return LogReal(float("-inf"), 0)
-        return LogReal(self.log_abs + other.log_abs, self.sign * other.sign)
-
-    def __truediv__(self, other: "LogReal") -> "LogReal":
-        if other.sign == 0:
-            raise ZeroDivisionError("division by a zero LogReal")
-        if self.sign == 0:
-            return self
-        return LogReal(self.log_abs - other.log_abs, self.sign * other.sign)
-
-    def value(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_abs)
 
 
 def log_gamma(a: float) -> float:

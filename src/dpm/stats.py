@@ -2,7 +2,7 @@
 
 Implements the one- and two-sample Kolmogorov-Smirnov statistics with
 asymptotic p-values from the alternating Kolmogorov series, plus the
-normal-tail helpers behind the z-score reports.  Everything here is a pure
+normal tail behind the z-score reports.  Everything here is a pure
 function of its sample arrays.
 """
 
@@ -14,11 +14,6 @@ import numpy as np
 
 _KOLMOGOROV_TERM_EPS = 1e-12
 MIN_KS_SAMPLES = 100
-
-
-def normal_sf(z: float) -> float:
-    """P(N(0,1) > z)."""
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
 def two_sided_p(z: float) -> float:

@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .measures import BaseModel, Block, Partition, block_probabilities
+from .measures import BaseModel
 from .moments import dirichlet_mixed_moment, multi_indices, quadratic_weight_c
 from .samplers import (
     RngStream,
@@ -477,28 +477,19 @@ def _monomials(cols: np.ndarray, exponents) -> np.ndarray:
     return out
 
 
-def default_partition(model: BaseModel, max_blocks: int = 4) -> Partition:
-    """A small default partition adapted to the model's support."""
-    reserve = 1 if model.diffuse_weight > 0.0 else 0
-    n = model.n_atoms
-    blocks: list[Block] = []
-    if n > 0:
-        avail = max_blocks - reserve
-        if n <= avail:
-            blocks = [Block(atoms=frozenset([i])) for i in range(n)]
-        else:
-            blocks = [Block(atoms=frozenset([i])) for i in range(avail - 1)]
-            blocks.append(Block(atoms=frozenset(range(avail - 1, n))))
-    if model.diffuse_weight > 0.0:
-        if n > 0:
-            blocks.append(Block(intervals=((0.0, 1.0),)))
-        else:
-            blocks = [
-                Block(intervals=((0.0, 0.2),)),
-                Block(intervals=((0.2, 0.5),)),
-                Block(intervals=((0.5, 1.0),)),
-            ]
-    return Partition(tuple(blocks))
+def _block_probs(model: BaseModel) -> tuple[float, ...]:
+    """Base masses of the projection blocks of ``model``: one block per
+    atom, with the trailing atoms lumped into one when they do not fit in
+    four blocks, plus the diffuse part as one block; a purely diffuse base
+    is cut into [0, 0.2), [0.2, 0.5) and [0.5, 1]."""
+    d = model.diffuse_weight
+    if not model.atom_probs:
+        return tuple(d * (hi - lo) for lo, hi in ((0.0, 0.2), (0.2, 0.5), (0.5, 1.0)))
+    atoms = tuple(float(p) for p in model.atom_probs)
+    room = 3 if d > 0.0 else 4
+    if len(atoms) > room:
+        atoms = atoms[: room - 1] + (sum(atoms[room - 1 :]),)
+    return atoms + ((d,) if d > 0.0 else ())
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +531,11 @@ def _mix_kernel(
 
 
 def _projection_probs(s: CampaignSettings) -> tuple[float, ...]:
-    """Block probabilities of the default partition of the configured base,
-    or of the default base: atoms 0.2 and 0.35 plus 0.45 diffuse."""
-    model = s.base or BaseModel(alpha=s.alpha, atom_probs=(0.2, 0.35), diffuse_weight=0.45)
-    return tuple(block_probabilities(model, default_partition(model)))
+    """Block probabilities of the configured base, or of the default base:
+    atoms 0.2 and 0.35 plus 0.45 diffuse."""
+    return _block_probs(
+        s.base or BaseModel(alpha=s.alpha, atom_probs=(0.2, 0.35), diffuse_weight=0.45)
+    )
 
 
 def _mix_params(s: CampaignSettings) -> dict:
@@ -741,12 +733,12 @@ def verify_sizebias_invariance(s: CampaignSettings, rng: RngStream) -> list[Test
     """
     alpha = s.alpha
     base = s.base or BaseModel(alpha=alpha, atom_probs=(), diffuse_weight=1.0)
-    if base.diffuse_weight != 1.0:
+    if base.atom_probs or base.diffuse_weight != 1.0:
         raise ValueError(
             "size-biased removal invariance requires a diffuse base measure; "
             f"got atoms with total weight {sum(base.atom_probs):g}"
         )
-    probs = tuple(block_probabilities(base, Partition.of_interval_bounds((0.0, 0.2, 0.5, 1.0))))
+    probs = _block_probs(base)
     exponents = _exponents(len(probs), 3)
     params = dict(alpha=alpha, probs=probs, trunc_eps=s.trunc_eps, exponents=exponents)
     c = _Campaign(_removal_kernel, params, s, rng, _ENSEMBLE_CHUNK_ROWS)

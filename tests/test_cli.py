@@ -8,7 +8,6 @@ import pytest
 
 from dpm import __version__, cli, verify
 from dpm.cli import main
-from dpm.measures import DiscreteMeasure
 
 
 def run_cli(capsys, *argv):
@@ -17,15 +16,28 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def weight_sums(out):
+    """Total weight of each measure that `dpm sample` printed."""
+    return [sum(a["w"] for a in json.loads(line)["atoms"]) for line in out.splitlines()]
+
+
 class TestSample:
     def test_json_lines(self, capsys):
         code, out, _ = run_cli(capsys, "sample", "--n", "5", "--seed", "3")
         assert code == 0
-        lines = out.splitlines()
-        assert len(lines) == 5
-        for line in lines:
-            zeta = DiscreteMeasure.from_dict(json.loads(line))
-            assert zeta.is_probability()
+        sums = weight_sums(out)
+        assert len(sums) == 5
+        assert all(abs(total - 1.0) <= 1e-9 for total in sums)
+
+    @pytest.mark.parametrize("construction", ["stick", "gamma"])
+    def test_draws_cross_batch_boundaries(self, capsys, construction):
+        code, out, _ = run_cli(
+            capsys, "sample", "--n", "65", "--seed", "3", "--construction", construction
+        )
+        assert code == 0
+        sums = weight_sums(out)
+        assert len(sums) == 65
+        assert all(abs(total - 1.0) <= 1e-9 for total in sums)
 
     def test_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "sample", "--n", "3", "--seed", "11")
@@ -51,6 +63,12 @@ class TestSample:
         )
         assert code == 0
         assert out == ""
+        assert len(target.read_text().splitlines()) == 2
+        # A usage error leaves an existing file as it was.
+        code, _, _ = run_cli(
+            capsys, "sample", "--construction", "gamma", "--eps", "0.5", "--out", str(target)
+        )
+        assert code == 2
         assert len(target.read_text().splitlines()) == 2
 
     def test_alpha_base_conflict(self, capsys):
@@ -88,10 +106,9 @@ class TestSample:
             "--seed", "1",
         )
         assert code == 0
-        lines = out.splitlines()
-        assert len(lines) == 3000
-        for line in lines:
-            assert abs(sum(a["w"] for a in json.loads(line)["atoms"]) - 1.0) <= 1e-9
+        sums = weight_sums(out)
+        assert len(sums) == 3000
+        assert all(abs(total - 1.0) <= 1e-9 for total in sums)
 
 
 class TestMoments:
@@ -288,6 +305,38 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert message in err
+
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("probe_symmetric", "false"),
+            ("probe_symmetric", 1),
+            ("depth", 2.7),
+            ("n", True),
+            ("jobs", "2"),
+            ("alpha", False),
+            ("p", "0.3"),
+            ("construction", 1),
+            ("seed", 4.5),
+            ("base", [1.0]),
+        ],
+        ids=["probe-string", "probe-integer", "depth-float", "n-bool", "jobs-string",
+             "alpha-bool", "p-string", "construction-integer", "seed-float", "base-list"],
+    )
+    def test_config_values_of_the_wrong_type_are_usage_errors(
+        self, capsys, monkeypatch, tmp_path, key, value
+    ):
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("a campaign ran")
+
+        monkeypatch.setattr(cli, "run_verify", no_campaign)
+        config = tmp_path / "verify.json"
+        config.write_text(json.dumps({key: value}))
+        code, out, err = run_cli(capsys, "verify", "tbeta", "--n", "2000", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert f"config key {key!r} must be" in err
 
 
 class TestCharacterize:

@@ -6,23 +6,31 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dpm.measures import BaseModel, Partition, atom_point, project
+from dpm import samplers
+from dpm.measures import BaseModel, GroundPoint
 from dpm.samplers import (
     RngStream,
-    StickConfig,
     TruncationError,
-    _draw_base_point,
     beta_pairs,
     block_projection,
-    expected_jump_count,
+    draw_blocks,
     gamma_jumps,
     gamma_projection_chunk,
     sample_jump_measure,
-    sample_poisson_dirichlet,
     sample_stick_breaking,
     stick_ensemble_chunk,
     stick_projection_chunk,
 )
+from dpm.specialfn import exp_integral_e1
+
+
+def atom0_masses(measures):
+    """Mass of atom 0 in each measure."""
+    return np.array([dict(mu.atoms).get(GroundPoint(atom=0), 0.0) for mu in measures])
+
+
+def normalized_rows(jumps):
+    return jumps / jumps.sum(axis=1, keepdims=True)
 
 
 class TestRngStream:
@@ -57,78 +65,84 @@ class TestScalarDraws:
         assert p > 1e-3
 
     def test_base_point_frequencies(self):
-        model = BaseModel(alpha=1.0, atom_probs=(0.2, 0.35), diffuse_weight=0.45)
-        rng = RngStream(6)
         n = 30_000
-        counts = {"atom0": 0, "atom1": 0, "cont": 0}
-        for _ in range(n):
-            p = _draw_base_point(model, rng.gen)
-            if p.is_atom:
-                counts[f"atom{p.atom}"] += 1
-            else:
-                counts["cont"] += 1
-                assert 0.0 <= p.cont <= 1.0
-        assert counts["atom0"] / n == pytest.approx(0.2, abs=0.01)
-        assert counts["atom1"] / n == pytest.approx(0.35, abs=0.012)
-        assert counts["cont"] / n == pytest.approx(0.45, abs=0.012)
+        blocks = draw_blocks((0.2, 0.35, 0.45), RngStream(6).gen, n)
+        freq = np.bincount(blocks, minlength=3) / n
+        assert freq[0] == pytest.approx(0.2, abs=0.01)
+        assert freq[1] == pytest.approx(0.35, abs=0.012)
+        assert freq[2] == pytest.approx(0.45, abs=0.012)
 
 
 class TestStickConfig:
+    """The stick cap and the parameter checks of the stick samplers."""
+
     def test_for_alpha_has_margin(self):
-        cfg = StickConfig.for_alpha(2.0)
-        assert cfg.max_sticks >= 64
-        expected_tail = cfg.max_sticks * math.log(2.0 / 3.0)
-        assert expected_tail <= math.log(cfg.trunc_eps)
+        cap = samplers._stick_cap(2.0, 1e-12)
+        assert cap >= 64
+        expected_tail = cap * math.log(2.0 / 3.0)
+        assert expected_tail <= math.log(1e-12)
 
     def test_rejects_impossible_cap(self):
-        with pytest.raises(ValueError):
-            StickConfig(alpha=5.0, trunc_eps=1e-12, max_sticks=10)
+        # The cap is derived from (alpha, eps), so no (alpha, eps) gets a cap
+        # whose expected leftover is still above eps; large alpha and tiny
+        # eps need many sticks.
+        for alpha, eps in ((5.0, 1e-12), (50.0, 1e-12), (0.1, 0.5)):
+            cap = samplers._stick_cap(alpha, eps)
+            assert cap * math.log(alpha / (alpha + 1.0)) <= math.log(eps)
+        assert samplers._stick_cap(50.0, 1e-12) > 4 * 1300
 
     def test_rejects_bad_params(self):
+        model = BaseModel(alpha=1.0, atom_probs=(1.0,))
         with pytest.raises(ValueError):
-            StickConfig(alpha=0.0, max_sticks=100)
+            stick_ensemble_chunk(0.0, (1.0,), 4, RngStream(0).gen)
         with pytest.raises(ValueError):
-            StickConfig(alpha=1.0, trunc_eps=0.0, max_sticks=100)
+            sample_stick_breaking(model, RngStream(0), 1, trunc_eps=0.0)
+        with pytest.raises(ValueError):
+            sample_jump_measure(model, RngStream(0), 1, trunc_eps=0.0)
 
 
 class TestStickBreaking:
     def test_total_is_exactly_one(self):
         model = BaseModel(alpha=2.0, atom_probs=(), diffuse_weight=1.0)
-        rng = RngStream(7)
-        for _ in range(50):
-            zeta = sample_stick_breaking(model, rng)
+        for zeta in sample_stick_breaking(model, RngStream(7), 50):
             assert zeta.total == pytest.approx(1.0, abs=1e-12)
             assert all(w > 0 for _, w in zeta.atoms)
 
-    def test_truncation_error_at_tiny_cap(self):
-        # Feasible in expectation (5 * ln(3/4) <= ln(0.3)) but the random
-        # residual prod(1 - w_i) still exceeds the target roughly 30% of
-        # the time, so the cap must fire on some draws.
+    def test_truncation_error_at_tiny_cap(self, monkeypatch):
+        # At alpha 3 the leftover after 5 sticks exceeds 0.3 roughly 30% of
+        # the time, so among 200 rows some must hit a 5-stick cap.
+        monkeypatch.setattr(samplers, "_stick_cap", lambda alpha, eps: 5)
         model = BaseModel(alpha=3.0, atom_probs=(1.0,))
-        cfg = StickConfig(alpha=3.0, trunc_eps=0.3, max_sticks=5)
-        hits = 0
-        rng = RngStream(8)
-        for _ in range(200):
-            try:
-                sample_stick_breaking(model, rng, cfg)
-            except TruncationError as exc:
-                hits += 1
-                assert exc.tail_mass > 0.3
-        assert hits > 0
-
-    def test_config_model_mismatch(self):
-        model = BaseModel(alpha=2.0, atom_probs=(1.0,))
-        with pytest.raises(ValueError):
-            sample_stick_breaking(model, RngStream(0), StickConfig.for_alpha(3.0))
+        with pytest.raises(TruncationError) as exc:
+            sample_stick_breaking(model, RngStream(8), 200, trunc_eps=0.3)
+        assert exc.value.tail_mass > 0.3
 
     def test_atom_marginal_is_beta(self):
         # zeta({atom}) ~ Be(alpha*nu(atom), alpha*(1-nu(atom)))
         model = BaseModel(alpha=2.0, atom_probs=(0.3, 0.7))
-        rng = RngStream(9)
-        atoms = [dict(sample_stick_breaking(model, rng).atoms) for _ in range(4000)]
-        vals = np.array([a.get(atom_point(0), 0.0) for a in atoms])
+        vals = atom0_masses(sample_stick_breaking(model, RngStream(9), 4000))
         stat, p = stats.kstest(vals, stats.beta(0.6, 1.4).cdf)
         assert p > 1e-3
+
+    def test_rows_close_at_their_own_first_small_leftover(self):
+        # With a diffuse base no marks merge, so a row's weights are its
+        # sticks in order, then the closing leftover.
+        eps = samplers.DEFAULT_STICK_EPS
+        model = BaseModel(alpha=2.0, atom_probs=(), diffuse_weight=1.0)
+        for zeta in sample_stick_breaking(model, RngStream(40), 300):
+            w = [w for _, w in zeta.atoms]
+            assert len(w) >= 2
+            assert w[-1] <= eps < w[-2] + w[-1]
+
+    @pytest.mark.parametrize("sampler", [sample_stick_breaking, sample_jump_measure])
+    def test_marks_follow_the_base_support(self, sampler):
+        atoms_only = BaseModel(alpha=2.0, atom_probs=(0.4, 0.6))
+        diffuse = BaseModel(alpha=2.0, atom_probs=(), diffuse_weight=1.0)
+        for zeta in sampler(atoms_only, RngStream(41), 100):
+            assert all(p.cont is None and p.atom in (0, 1) for p, _ in zeta.atoms)
+        coords = [p.cont for zeta in sampler(diffuse, RngStream(42), 100) for p, _ in zeta.atoms]
+        assert None not in coords
+        assert stats.kstest(coords, stats.uniform.cdf).pvalue > 1e-3
 
 
 class TestJumpConstruction:
@@ -145,7 +159,7 @@ class TestJumpConstruction:
         eps = 1e-3
         alpha = 2.0
         counts = np.count_nonzero(gamma_jumps(alpha, 3000, RngStream(11).gen, eps), axis=1)
-        target = expected_jump_count(alpha, eps)
+        target = alpha * exp_integral_e1(eps)
         se = np.std(counts) / math.sqrt(len(counts))
         assert abs(np.mean(counts) - target) < 5 * se
 
@@ -163,41 +177,38 @@ class TestJumpConstruction:
                 gamma_jumps(alpha, 10, gen, eps)
 
     def test_per_measure_path_is_row_zero_of_the_kernel(self):
+        # With a diffuse base no jumps merge: each measure's weights are a
+        # normalized row of the kernel's jumps, in decreasing order.
         for seed, alpha in ((30, 2.0), (31, 0.3), (32, 15.0)):
-            weights = sample_poisson_dirichlet(alpha, RngStream(seed), 1e-6)
-            row = gamma_jumps(alpha, 1, RngStream(seed).gen, 1e-6)[0]
-            row = row[row > 0]
-            assert np.array_equal(weights, row / row.sum())
+            model = BaseModel(alpha=alpha, atom_probs=(), diffuse_weight=1.0)
+            measures = sample_jump_measure(model, RngStream(seed), 5, 1e-6)
+            rows = normalized_rows(gamma_jumps(alpha, 5, RngStream(seed).gen, 1e-6))
+            for zeta, row in zip(measures, rows):
+                assert np.array_equal([w for _, w in zeta.atoms], row[row > 0])
 
     def test_normalized_sums_to_one(self):
-        w = sample_poisson_dirichlet(2.0, RngStream(13))
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(np.diff(w) <= 0)
+        for w in normalized_rows(gamma_jumps(2.0, 20, RngStream(13).gen)):
+            assert w.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.all(np.diff(w) <= 0)
 
     def test_largest_weight_mean_matches_ranked_law(self):
         # E(largest weight) for alpha=1 is known to be 0.6243...; a loose
         # band around it exercises the whole pipeline
-        rng = RngStream(14)
-        largest = np.array([sample_poisson_dirichlet(1.0, rng)[0] for _ in range(4000)])
+        largest = normalized_rows(gamma_jumps(1.0, 4000, RngStream(14).gen))[:, 0]
         assert largest.mean() == pytest.approx(0.6243, abs=0.012)
 
     def test_jump_measure_is_probability(self):
         model = BaseModel(alpha=2.0, atom_probs=(0.2, 0.35), diffuse_weight=0.45)
-        zeta = sample_jump_measure(model, RngStream(15))
-        assert zeta.is_probability()
+        for zeta in sample_jump_measure(model, RngStream(15), 20):
+            assert abs(zeta.total - 1.0) <= 1e-9
 
 
 class TestTwoConstructionsAgree:
     def test_projection_distributions_match(self):
         model = BaseModel(alpha=2.0, atom_probs=(0.3, 0.7))
-        part = Partition.of_atoms(2)
         rng = RngStream(16)
-        a = np.array(
-            [project(sample_stick_breaking(model, rng), part)[0] for _ in range(2500)]
-        )
-        b = np.array(
-            [project(sample_jump_measure(model, rng), part)[0] for _ in range(2500)]
-        )
+        a = atom0_masses(sample_stick_breaking(model, rng, 2500))
+        b = atom0_masses(sample_jump_measure(model, rng, 2500))
         stat, p = stats.ks_2samp(a, b)
         assert p > 1e-3
 
@@ -217,13 +228,9 @@ class TestChunkKernels:
         assert p > 1e-3
 
     def test_chunk_matches_object_level_law(self):
-        # same distribution as the object-level sampler (different stream use)
+        # same distribution as the per-measure sampler (different stream use)
         model = BaseModel(alpha=1.5, atom_probs=(0.4, 0.6))
-        part = Partition.of_atoms(2)
-        rng = RngStream(20)
-        obj = np.array(
-            [project(sample_stick_breaking(model, rng), part)[0] for _ in range(2500)]
-        )
+        obj = atom0_masses(sample_stick_breaking(model, RngStream(20), 2500))
         vec = stick_projection_chunk(1.5, (0.4, 0.6), 2500, RngStream(21).gen)[:, 0]
         stat, p = stats.ks_2samp(obj, vec)
         assert p > 1e-3
@@ -265,7 +272,16 @@ class TestChunkKernels:
         corr = np.corrcoef(proj[:, 0], totals)[0, 1]
         assert abs(corr) < 4.0 / math.sqrt(40_000)
 
-    def test_truncation_error_with_tight_cap(self):
+    def test_truncation_error_with_tight_cap(self, monkeypatch):
+        monkeypatch.setattr(samplers, "_stick_cap", lambda alpha, eps: 12)
         gen = RngStream(26).gen
         with pytest.raises(TruncationError):
-            stick_projection_chunk(3.0, (1.0,), 200, gen, trunc_eps=1e-12, max_sticks=12)
+            stick_projection_chunk(3.0, (1.0,), 200, gen, trunc_eps=1e-12)
+
+    def test_stick_kernel_validation(self):
+        gen = RngStream(0).gen
+        for alpha, eps in ((0.0, 1e-12), (-1.0, 1e-12), (2.0, 0.0), (2.0, 1.0), (2.0, -1e-12)):
+            with pytest.raises(ValueError):
+                stick_projection_chunk(alpha, (1.0,), 10, gen, trunc_eps=eps)
+            with pytest.raises(ValueError):
+                stick_ensemble_chunk(alpha, (1.0,), 10, gen, trunc_eps=eps)

@@ -15,7 +15,6 @@ from scipy import integrate
 
 from dpm.specialfn import (
     EULER_GAMMA,
-    LogReal,
     exp_integral_e1,
     inverse_e1,
     log_beta,
@@ -59,22 +58,6 @@ class TestBeta:
         a, b = 0.6, 2.9
         beta = lambda a, b: math.exp(log_beta(a, b))
         assert beta(a, b) == pytest.approx(beta(a + 1, b) + beta(a, b + 1), rel=1e-13)
-
-
-class TestLogReal:
-    def test_overflow_free_chain(self):
-        # Gamma(300)/Gamma(299) = 299 without overflowing the intermediates.
-        x = LogReal.from_log(log_gamma(300.0)) / LogReal.from_log(log_gamma(299.0))
-        assert x.value() == pytest.approx(299.0, rel=1e-12)
-
-    def test_signs_multiply(self):
-        x = LogReal.from_value(-2.0) * LogReal.from_value(-3.0)
-        assert x.value() == pytest.approx(6.0, rel=1e-14)
-        y = LogReal.from_value(-2.0) * LogReal.from_value(3.0)
-        assert y.value() == pytest.approx(-6.0, rel=1e-14)
-
-    def test_zero(self):
-        assert (LogReal.from_value(0.0) * LogReal.from_value(5.0)).value() == 0.0
 
 
 def _e1_quad(x: float) -> tuple[float, float]:

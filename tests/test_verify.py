@@ -8,7 +8,7 @@ import pytest
 
 from dpm import verify
 from dpm.characterize import CharacterizationReport, characterize_from_samples
-from dpm.measures import BaseModel, Partition
+from dpm.measures import BaseModel
 from dpm.samplers import RngStream
 from dpm.verify import (
     CAMPAIGN_NAMES,
@@ -19,9 +19,9 @@ from dpm.verify import (
     _combine,
     _cov,
     _pair,
+    _block_probs,
     _shard_sizes,
     campaign_ok,
-    default_partition,
     probe_symmetric,
     run_verify,
     verify_beta_general,
@@ -412,11 +412,20 @@ class TestProbeSymmetric:
 
 
 class TestDefaultPartition:
+    # Base masses of the projection blocks the campaigns use.
     def test_mixed_base(self, base_model):
-        part = default_partition(base_model)
-        assert len(part.blocks) == 3
+        assert _block_probs(base_model) == (0.2, 0.35, 0.45)
 
     def test_pure_diffuse_base(self):
-        part = default_partition(BaseModel(alpha=1.0, atom_probs=(), diffuse_weight=1.0))
-        assert len(part.blocks) == 3
-        assert all(b.intervals for b in part.blocks)
+        probs = _block_probs(BaseModel(alpha=1.0, atom_probs=(), diffuse_weight=1.0))
+        assert probs == pytest.approx((0.2, 0.3, 0.5), abs=1e-15)
+
+    def test_trailing_atoms_share_a_block(self):
+        atoms = (0.1, 0.2, 0.05, 0.15, 0.3, 0.2)
+        assert _block_probs(BaseModel(alpha=2.0, atom_probs=atoms)) == (
+            0.1, 0.2, 0.05, 0.15 + 0.3 + 0.2
+        )
+        mixed = BaseModel(alpha=2.0, atom_probs=(0.1,) * 5, diffuse_weight=0.5)
+        assert _block_probs(mixed) == (0.1, 0.1, 0.1 + 0.1 + 0.1, 0.5)
+        four = BaseModel(alpha=2.0, atom_probs=(0.1, 0.2, 0.3, 0.4))
+        assert _block_probs(four) == (0.1, 0.2, 0.3, 0.4)
