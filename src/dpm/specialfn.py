@@ -4,9 +4,13 @@ Provides the log-gamma/beta family and the exponential integral E1 with
 its inverse.  E1 uses the classical split: an alternating power series below
 x = 1 and a modified Lentz continued fraction above; both branches hit
 relative error below 1e-13 over [1e-12, 50], comfortably inside the 1e-10
-contract.  The inverse runs a bracketed Newton iteration and accepts either
-scalars or numpy arrays, since the jump samplers invert whole arrival
-matrices at once.
+contract, and each stops at the term count of the largest (series) or
+smallest (continued fraction) argument it is given.  The inverse groups its
+targets by root range between fixed edges, so each E1 call sees one narrow
+range of arguments and each range has an exact bracket; within a range it
+takes Halley steps from an asymptotic start, bisecting when a step leaves
+the bracket.  Both accept scalars or numpy arrays, since the jump samplers
+invert whole arrival matrices at once.
 """
 
 from __future__ import annotations
@@ -40,71 +44,63 @@ def log_beta(a: float, b: float) -> float:
 def _e1_series(x: np.ndarray) -> np.ndarray:
     # Alternating series -gamma - ln x + sum_k (-1)^{k+1} x^k / (k k!),
     # converged well below 1e-15 for x <= 1 at 48 terms.  E1 >= 0.21 on
-    # (0, 1], so an absolute tail bound of 1e-18 keeps full precision.
+    # (0, 1], so an absolute tail bound of 1e-18 keeps full precision.  The
+    # loop stops at the term count of the largest x, and works in place.
+    nx = -x
     acc = np.zeros_like(x)
     term = np.ones_like(x)
+    step = np.empty_like(x)
     for k in range(1, _SERIES_TERMS + 1):
-        term = term * (-x) / k
-        acc -= term / k
-        if np.abs(term).max() < 1e-18:
+        term *= nx
+        term /= k
+        np.divide(term, k, out=step)
+        acc -= step
+        if np.abs(term, out=step).max(initial=0.0) < 1e-18:
             break
-    return -EULER_GAMMA - np.log(x) + acc
+    out = np.log(x)
+    np.subtract(-EULER_GAMMA, out, out=out)
+    out += acc
+    return out
 
 
 def _e1_lentz(x: np.ndarray) -> np.ndarray:
     # Continued fraction E1(x) = e^{-x} / (x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...)))
-    # evaluated with the modified Lentz algorithm.
+    # evaluated in place with the modified Lentz algorithm.
     b = x + 1.0
     c = np.full_like(x, 1.0 / _TINY)
     d = 1.0 / b
     f = d.copy()
-    for i in range(1, _CF_MAX_ITER + 1):
-        a = -float(i) * float(i)
-        b = b + 2.0
-        d = b + a * d
-        d = np.where(np.abs(d) < _TINY, _TINY, d)
-        d = 1.0 / d
-        c = b + a / c
-        c = np.where(np.abs(c) < _TINY, _TINY, c)
-        delta = c * d
-        f = f * delta
-        if np.all(np.abs(delta - 1.0) < _CF_EPS):
-            break
-    return np.exp(-x) * f
-
-
-def _e1_scalar(v: float) -> float:
-    # Same series/continued-fraction split as the array branches, in plain
-    # floats; numpy dispatch overhead dominates the arithmetic for small
-    # inputs, so tiny arrays route through here.
-    if v <= 1.0:
-        acc = 0.0
-        term = 1.0
-        for k in range(1, _SERIES_TERMS + 1):
-            term *= -v / k
-            acc -= term / k
-            if abs(term) < 1e-18:
-                break
-        return -EULER_GAMMA - math.log(v) + acc
-    b = v + 1.0
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    f = d
+    delta = np.empty_like(x)
     for i in range(1, _CF_MAX_ITER + 1):
         a = -float(i) * float(i)
         b += 2.0
-        d = b + a * d
-        if abs(d) < _TINY:
-            d = _TINY
-        d = 1.0 / d
-        c = b + a / c
-        if abs(c) < _TINY:
-            c = _TINY
-        delta = c * d
+        d *= a
+        d += b
+        d[np.abs(d) < _TINY] = _TINY
+        np.divide(1.0, d, out=d)
+        np.divide(a, c, out=c)
+        c += b
+        c[np.abs(c) < _TINY] = _TINY
+        np.multiply(c, d, out=delta)
         f *= delta
-        if abs(delta - 1.0) < _CF_EPS:
+        delta -= 1.0
+        if np.abs(delta, out=delta).max(initial=0.0) < _CF_EPS:
             break
-    return math.exp(-v) * f
+    f *= np.exp(-x)
+    return f
+
+
+def _split(mask: np.ndarray, v: np.ndarray, on, off) -> np.ndarray:
+    # on(v[mask]) and off(v[~mask]) gathered into one array; a branch that
+    # gets every element runs on v itself, without the copies.
+    if mask.all():
+        return on(v)
+    if not mask.any():
+        return off(v)
+    out = np.empty_like(v)
+    out[mask] = on(v[mask])
+    out[~mask] = off(v[~mask])
+    return out
 
 
 def exp_integral_e1(x):
@@ -113,80 +109,83 @@ def exp_integral_e1(x):
     Accepts a float or an ndarray; returns the matching type.
     """
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
     if np.any(arr <= 0.0):
         raise ValueError("exp_integral_e1 requires positive arguments")
-    if arr.size <= 16:
-        flat = [_e1_scalar(float(v)) for v in arr.ravel()]
-        return flat[0] if scalar else np.array(flat).reshape(arr.shape)
-    out = np.empty_like(arr)
-    lo = arr <= 1.0
-    nlo = int(np.count_nonzero(lo))
-    if nlo:
-        sub = arr[lo]
-        out[lo] = [_e1_scalar(float(v)) for v in sub] if nlo <= 16 else _e1_series(sub)
-    if nlo < arr.size:
-        sub = arr[~lo]
-        if sub.size <= 16:
-            out[~lo] = [_e1_scalar(float(v)) for v in sub]
-        else:
-            out[~lo] = _e1_lentz(sub)
-    return float(out[0]) if scalar else out
+    flat = arr.ravel()
+    out = _split(flat <= 1.0, flat, _e1_series, _e1_lentz)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def _inverse_e1_initial(y: np.ndarray) -> np.ndarray:
-    # For y >= 2 the root is small and E1(x) ~ -gamma - ln x, giving
-    # x ~ exp(-gamma - y).  For y < 2 the root is order one or larger and
-    # E1(x) ~ e^{-x}/x, giving x ~ t - ln(t + 1) + ln(1 + 1/t) with
-    # t = -ln y.  Both guesses land inside the Newton basin; the bracket
-    # plus bisection fallback covers the rest.
-    x = np.empty_like(y)
-    big = y >= 2.0
-    x[big] = np.exp(-EULER_GAMMA - y[big])
-    t = np.maximum(-np.log(np.minimum(y[~big], 1.9)), 0.1)
-    x[~big] = np.maximum(t - np.log(t + 1.0) + np.log1p(1.0 / t), 0.05)
-    return np.maximum(x, 1e-308)
+# Root-range edges b, decreasing.  E1 decreases, so y >= E1(b) exactly when
+# the root x <= b: the targets between two edges' E1 values have their
+# roots between the edges.
+_EDGES = np.array([1.0, 0.5, 0.2, 0.05, 1e-2, 1e-3, 1e-5])
+_EDGE_E1 = exp_integral_e1(_EDGES)
+_BRACKETS = np.concatenate([[745.0], _EDGES, [0.0]])
+
+
+def _small_root(y: np.ndarray) -> np.ndarray:
+    # For y >= 2 the root is below 0.09 and the series of E1 gives it as the
+    # fixed point of x -> exp(-gamma - y + x - x^2/4 + x^3/18 - x^4/96).
+    # From x = exp(-gamma - y) each pass multiplies the relative error by
+    # about x, so the largest root sets the passes that bring it to 1e-13.
+    x = np.exp(-EULER_GAMMA - y)
+    for _ in range(int(-30.0 / math.log(x.max()))):
+        x = np.exp(-EULER_GAMMA - y + x * (1.0 - x * (0.25 - x * (1.0 / 18.0 - x / 96.0))))
+    return x
+
+
+def _large_root(y: np.ndarray) -> np.ndarray:
+    # For y < 2, E1(x) ~ e^{-x}/x gives x ~ t - ln(t + 1) + ln(1 + 1/t)
+    # with t = -ln y; the bracket catches the guesses it misses.
+    t = np.maximum(-np.log(np.minimum(y, 1.9)), 0.1)
+    return t - np.log(t + 1.0) + np.log1p(1.0 / t)
+
+
+def _halley(y: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    # Halley steps on f(x) = E1(x) - y for roots in [lo, hi]; a step that
+    # leaves the bracket bisects it instead.  With E1' = -e^{-x}/x and
+    # E1''/E1' = -(1 + x)/x, the step is x -> x (1 + u / (1 - u (1 + x)/2))
+    # with u = f e^x, which needs no x^2 near the 690 cap.
+    x = np.clip(_split(y >= 2.0, y, _small_root, _large_root), lo, hi)
+    pos, xa, ya = np.arange(y.size), x, y
+    la, ha = np.full_like(y, lo), np.full_like(y, hi)
+    for _ in range(80):
+        f = exp_integral_e1(xa) - ya
+        miss = np.abs(f) > 1e-12 * ya
+        if not miss.any():
+            break
+        pos, xa, ya, f, la, ha = (v[miss] for v in (pos, xa, ya, f, la, ha))
+        # E1 decreases, so f > 0 means x is below the root.
+        la = np.where(f > 0.0, xa, la)
+        ha = np.where(f < 0.0, xa, ha)
+        u = f * np.exp(xa)
+        xn = xa * (1.0 + u / (1.0 - 0.5 * u * (1.0 + xa)))
+        xa = np.where(np.isfinite(xn) & (xn > la) & (xn < ha), xn, 0.5 * (la + ha))
+        x[pos] = xa
+    return x
 
 
 def inverse_e1(y):
-    """Solve E1(x) = y for x > 0 by bracketed Newton iteration.
+    """Solve E1(x) = y for x > 0.
 
-    Accepts a float or an ndarray.  The result satisfies
-    |E1(x) - y| <= 1e-10 * y.  Values y > 690 would need x below the
-    smallest positive double and are rejected.
+    Accepts a float or an ndarray.  The targets are inverted one root range
+    at a time, so that each E1 evaluation stops at its range's term count
+    and starts from its range's bracket; within a range, Halley steps run
+    from an asymptotic start, with bisection as the fallback.  The result
+    satisfies |E1(x) - y| <= 1e-10 * y.  Values y > 690 would need x below
+    the smallest positive double and are rejected.
     """
     arr = np.asarray(y, dtype=float)
-    scalar = arr.ndim == 0
-    yv = np.atleast_1d(arr).astype(float)
-    if np.any(yv <= 0.0):
+    if np.any(arr <= 0.0):
         raise ValueError("inverse_e1 requires positive arguments")
-    if np.any(yv > _E1_MAX_INVERTIBLE):
+    if np.any(arr > _E1_MAX_INVERTIBLE):
         raise ValueError(f"inverse_e1 argument exceeds {_E1_MAX_INVERTIBLE}; result underflows")
-
-    shape = yv.shape
-    yv = yv.ravel()
-    x = _inverse_e1_initial(yv)
-    lo = np.full_like(yv, 1e-310)
-    hi = np.full_like(yv, 745.0)
-    # Newton with bracket fallback, iterating only the unconverged entries.
-    active = np.arange(yv.size)
-    for _ in range(80):
-        xa = x[active]
-        ya = yv[active]
-        f = exp_integral_e1(xa) - ya
-        # E1 decreases, so f > 0 means x is below the root.
-        la = np.where(f > 0.0, xa, lo[active])
-        ha = np.where(f < 0.0, xa, hi[active])
-        lo[active] = la
-        hi[active] = ha
-        done = np.abs(f) <= 1e-12 * ya
-        xn = xa - f / (-np.exp(-xa) / xa)
-        bad = ~np.isfinite(xn) | (xn <= la) | (xn >= ha)
-        xn = np.where(bad, 0.5 * (la + ha), xn)
-        x[active] = np.where(done, xa, xn)
-        active = active[~done]
-        if active.size == 0:
-            break
-    x = x.reshape(shape)
-    return float(x[0]) if scalar else x
+    yv = arr.ravel()
+    x = np.empty_like(yv)
+    ranges = np.searchsorted(_EDGE_E1, yv, side="right")
+    for r in range(_BRACKETS.size - 1):
+        idx = np.flatnonzero(ranges == r)
+        if idx.size:
+            x[idx] = _halley(yv[idx], _BRACKETS[r + 1], _BRACKETS[r])
+    return float(x[0]) if arr.ndim == 0 else x.reshape(arr.shape)

@@ -33,6 +33,17 @@ def normalized_rows(jumps):
     return jumps / jumps.sum(axis=1, keepdims=True)
 
 
+def jump_arrivals(alpha, m, seed, eps=1e-8):
+    """The unit-rate arrivals gamma_jumps draws from RngStream(seed), drawn
+    again in the kernel's order, with the kernel's limit alpha * E1(eps)."""
+    gen = RngStream(seed).gen
+    limit = alpha * exp_integral_e1(eps)
+    arr = gen.exponential(size=(m, int(limit + 8.0 * math.sqrt(limit) + 16.0))).cumsum(axis=1)
+    while arr[:, -1].min() <= limit:
+        arr = np.concatenate([arr, arr[:, -1:] + gen.exponential(size=(m, 16)).cumsum(axis=1)], axis=1)
+    return arr, limit
+
+
 class TestRngStream:
     def test_same_stream_reproduces(self):
         a = RngStream(42, 7).gen.random(10)
@@ -169,6 +180,29 @@ class TestJumpConstruction:
         totals = gamma_jumps(1.5, 3000, RngStream(12).gen).sum(axis=1)
         stat, p = stats.kstest(totals, stats.gamma(1.5).cdf)
         assert p > 1e-3
+
+    def test_jumps_invert_their_own_arrivals(self):
+        # The kept set and each jump follow from the arrivals alone: a jump
+        # is kept where its arrival is within the limit (and in column 0),
+        # and it inverts that arrival's G / alpha.
+        for alpha, seed in ((5.0, 40), (0.3, 41)):
+            jumps = gamma_jumps(alpha, 300, RngStream(seed).gen)
+            arr, limit = jump_arrivals(alpha, 300, seed)
+            keep = arr <= limit
+            keep[:, 0] = True
+            assert np.array_equal(jumps != 0.0, keep)
+            target = np.minimum(arr[keep] / alpha, 690.0)
+            assert np.all(np.abs(exp_integral_e1(jumps[keep]) - target) <= 1e-11 * target)
+
+    def test_first_arrival_beyond_the_cap_is_one_finite_jump(self):
+        alpha, m, seed = 0.01, 3000, 42
+        jumps = gamma_jumps(alpha, m, RngStream(seed).gen)
+        arr, _ = jump_arrivals(alpha, m, seed)
+        capped = arr[:, 0] / alpha > 690.0
+        assert capped.any()
+        assert np.all(np.count_nonzero(jumps[capped], axis=1) == 1)
+        first = jumps[capped, 0]
+        assert np.all(np.isfinite(first) & (first > 0.0))
 
     def test_kernel_validation(self):
         gen = RngStream(0).gen

@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from dpm import samplers, specialfn
+from dpm.samplers import RngStream, gamma_jumps
 from dpm.specialfn import (
     EULER_GAMMA,
     exp_integral_e1,
@@ -144,6 +146,45 @@ class TestInverseE1:
         xs = inverse_e1(ys)
         assert xs.shape == (2, 2)
         assert np.max(np.abs(exp_integral_e1(xs) - ys) / ys) < 1e-9
+
+    def test_shuffled_targets_over_every_root_range_match_mpmath(self):
+        # Targets are inverted one root range at a time; shuffling them
+        # catches a grouping whose permutation is not undone.  Every range
+        # gets interior targets, every range edge E1(b) is a target itself,
+        # and so is the 690 cap.
+        mp = pytest.importorskip("mpmath")
+        edges = np.sort(specialfn._EDGES)
+        roots = np.concatenate([
+            np.geomspace(1e-298, edges[0], 9),
+            *[np.geomspace(a, b, 6)[1:-1] for a, b in zip(edges[:-1], edges[1:])],
+            np.geomspace(edges[-1], 30.0, 7)[1:],
+        ])
+        ys = np.concatenate([exp_integral_e1(roots), exp_integral_e1(edges), [690.0, 1e-12]])
+        ys = ys[np.random.default_rng(5).permutation(ys.size)]
+        xs = inverse_e1(ys)
+        ref = np.array([float(mp.e1(float(x))) for x in xs])
+        assert np.all(np.abs(ref - ys) <= 1e-11 * ys)
+        grid = inverse_e1(ys.reshape(6, 8))
+        assert grid.shape == (6, 8)
+        assert np.array_equal(grid.ravel(), xs)
+
+    def test_e1_evaluations_per_inverted_jump(self, monkeypatch):
+        # Cost without timing: the E1 elements evaluated per element the
+        # jump kernel inverts, counted at the module attribute as the
+        # benchmark's tracer counts them.
+        counts = {"e1": 0, "inverse": 0}
+
+        def counting(name, module, fn):
+            def wrapped(v):
+                counts[name] += np.size(v)
+                return fn(v)
+            monkeypatch.setattr(module, fn.__name__, wrapped)
+
+        counting("e1", specialfn, specialfn.exp_integral_e1)
+        counting("inverse", samplers, samplers.inverse_e1)
+        gamma_jumps(5.0, 2000, RngStream(1).gen)
+        assert counts["inverse"] > 100_000
+        assert counts["e1"] <= 2.0 * counts["inverse"]
 
 
 class TestGammaRatioIdentity:
