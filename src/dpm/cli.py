@@ -90,7 +90,12 @@ def _resolve_jobs(explicit: int | None) -> int:
     if explicit is not None:
         return explicit
     env = os.environ.get("DPM_JOBS")
-    return int(env) if env else 1
+    if not env:
+        return 1
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"DPM_JOBS must be an integer, got {env!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,13 @@ class BaseModel:
 
     @staticmethod
     def from_dict(d: dict) -> "BaseModel":
+        """The inverse of :meth:`to_dict`: only its keys, ``alpha`` required."""
+        keys = ["alpha", "atoms", "diffuse"]
+        unknown = sorted(set(d) - set(keys))
+        if unknown:
+            raise ValueError(f"unknown base keys {unknown}; expected some of {keys}")
+        if "alpha" not in d:
+            raise ValueError("base model needs the key 'alpha'")
         return BaseModel(
             alpha=float(d["alpha"]),
             atom_probs=tuple(float(p) for p in d.get("atoms", ())),

@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .measures import BaseModel, DiscreteMeasure, GroundPoint
-from .specialfn import exp_integral_e1, inverse_e1
+from .specialfn import count_at_or_below, exp_integral_e1, inverse_e1
 
 DEFAULT_STICK_EPS = 1e-12
 DEFAULT_JUMP_EPS = 1e-8
@@ -78,9 +78,9 @@ class RngStream:
 
 
 def draw_blocks(block_probs, gen: np.random.Generator, size) -> np.ndarray:
-    """Block indices of independent base draws, an array of shape ``size``."""
-    cum = np.cumsum(block_probs)
-    return np.minimum(np.searchsorted(cum, gen.random(size), side="right"), len(cum) - 1)
+    """Block indices of independent base draws, an array of shape ``size``:
+    :func:`count_at_or_below` over the cumulative edges but the last."""
+    return count_at_or_below(np.cumsum(block_probs)[:-1], gen.random(size))
 
 
 def beta_pairs(p: float, alpha: float, m: int, gen: np.random.Generator):
@@ -202,11 +202,11 @@ def stick_projection_chunk(
     no (m, n_sticks) matrix is held.
     """
     p = _check_block_probs(block_probs)
-    proj = np.zeros((m, len(p)))
-    rows = np.arange(m)
+    proj = np.zeros(m * len(p))
+    base = np.arange(m) * len(p)
     for w, blk in _stick_columns(alpha, p, m, gen, trunc_eps):
-        proj[rows, blk] += w
-    return proj
+        proj[base + blk] += w
+    return proj.reshape(m, len(p))
 
 
 def stick_ensemble_chunk(

@@ -10,7 +10,8 @@ targets by root range between fixed edges, so each E1 call sees one narrow
 range of arguments and each range has an exact bracket; within a range it
 takes Halley steps from an asymptotic start, bisecting when a step leaves
 the bracket.  Both accept scalars or numpy arrays, since the jump samplers
-invert whole arrival matrices at once.
+invert whole arrival matrices at once.  :func:`count_at_or_below` counts
+edges where that measured faster than bisection: 4096+ values, <= 16 edges.
 """
 
 from __future__ import annotations
@@ -103,6 +104,16 @@ def _split(mask: np.ndarray, v: np.ndarray, on, off) -> np.ndarray:
     return out
 
 
+def count_at_or_below(edges: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(edges, v, side="right")``, counted where faster."""
+    if not (0 < len(edges) <= 16 and v.size >= 4096):
+        return np.searchsorted(edges, v, side="right")
+    count = (v >= edges[0]).astype(np.intp)
+    for c in edges[1:]:
+        count += v >= c
+    return count
+
+
 def exp_integral_e1(x):
     """E1(x) = integral of e^{-t}/t from x to infinity, for x > 0.
 
@@ -183,7 +194,7 @@ def inverse_e1(y):
         raise ValueError(f"inverse_e1 argument exceeds {_E1_MAX_INVERTIBLE}; result underflows")
     yv = arr.ravel()
     x = np.empty_like(yv)
-    ranges = np.searchsorted(_EDGE_E1, yv, side="right")
+    ranges = count_at_or_below(_EDGE_E1, yv)
     for r in range(_BRACKETS.size - 1):
         idx = np.flatnonzero(ranges == r)
         if idx.size:

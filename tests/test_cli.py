@@ -16,6 +16,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def no_campaign(*args, **kwargs):
+    """Stands in for run_verify where a usage error must stop the run first."""
+    raise AssertionError("a campaign ran")
+
+
 def weight_sums(out):
     """Total weight of each measure that `dpm sample` printed."""
     return [sum(a["w"] for a in json.loads(line)["atoms"]) for line in out.splitlines()]
@@ -85,6 +90,26 @@ class TestSample:
         code, _, err = run_cli(capsys, "sample", "--base", "{not json")
         assert code == 2
         assert "dpm: error" in err
+
+    def test_base_model_flag(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sample", "--n", "4", "--seed", "3",
+            "--base", '{"alpha": 2, "atoms": [0.5], "diffuse": 0.5}',
+        )
+        assert code == 0
+        points = [a["point"] for line in out.splitlines() for a in json.loads(line)["atoms"]]
+        assert {"atom": 0} in points
+        assert all(p == {"atom": 0} or set(p) == {"cont"} for p in points)
+        assert all(abs(total - 1.0) <= 1e-9 for total in weight_sums(out))
+
+    def test_base_with_unknown_keys_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sample", "--base", '{"alpha":2,"atom_probs":[0.5],"diffuse_weight":0.5}'
+        )
+        assert code == 2
+        assert out == ""
+        assert ("unknown base keys ['atom_probs', 'diffuse_weight']; "
+                "expected some of ['alpha', 'atoms', 'diffuse']") in err
 
     def test_negative_n_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "sample", "--n", "-3")
@@ -228,6 +253,37 @@ class TestVerify:
         monkeypatch.setenv("DPM_JOBS", "2")
         _, out, _ = run_cli(capsys, "verify", "tbeta", "--n", "20000", "--seed", "42")
         assert json.loads(out)["config"]["jobs"] == 2
+
+    def test_env_jobs_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("DPM_JOBS", "abc")
+        monkeypatch.setattr(cli, "run_verify", no_campaign)
+        code, out, err = run_cli(capsys, "verify", "tbeta", "--n", "2000")
+        assert code == 2
+        assert out == ""
+        assert "DPM_JOBS must be an integer, got 'abc'" in err
+
+    def test_base_from_flag_and_from_config_object(self, capsys, tmp_path):
+        base = {"alpha": 2.0, "atoms": [0.5], "diffuse": 0.5}
+        cfg = tmp_path / "verify.json"
+        cfg.write_text(json.dumps({"base": base}))
+        args = ("verify", "tbeta", "--n", "20000", "--seed", "42")
+        _, from_flag, _ = run_cli(capsys, *args, "--base", json.dumps(base))
+        code, from_config, _ = run_cli(capsys, *args, "--config", str(cfg))
+        assert code == 0
+        assert json.loads(from_config)["config"]["base"] == base
+        assert from_flag == from_config
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_base_with_unknown_keys_is_usage_error(self, capsys, monkeypatch, tmp_path, source):
+        monkeypatch.setattr(cli, "run_verify", no_campaign)
+        base = {"alpha": 2.0, "atom_probs": [0.5], "diffuse_weight": 0.5}
+        cfg = tmp_path / "verify.json"
+        cfg.write_text(json.dumps({"base": base}))
+        args = ("--base", json.dumps(base)) if source == "flag" else ("--config", str(cfg))
+        code, out, err = run_cli(capsys, "verify", "tbeta", "--n", "2000", *args)
+        assert code == 2
+        assert out == ""
+        assert "unknown base keys ['atom_probs', 'diffuse_weight']" in err
 
     def test_usage_errors(self, capsys, tmp_path):
         assert run_cli(capsys, "verify", "tbeta", "--p", "1.5")[0] == 2

@@ -116,6 +116,22 @@ class TestBaseModel:
         assert BaseModel.from_dict(m.to_dict()) == m
         assert m.to_dict() == {"alpha": 3.5, "atoms": [0.25, 0.75], "diffuse": 0.0}
 
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            ({"alpha": 2, "atom_probs": [0.5], "diffuse_weight": 0.5},
+             "unknown base keys ['atom_probs', 'diffuse_weight']; "
+             "expected some of ['alpha', 'atoms', 'diffuse']"),
+            ({"alpha": 2, "atoms": [1.0], "difuse": 0.0}, "unknown base keys ['difuse']"),
+            ({"atoms": [1.0]}, "needs the key 'alpha'"),
+        ],
+        ids=["dataclass-field-names", "typo", "no-alpha"],
+    )
+    def test_from_dict_rejects_other_keys(self, d, message):
+        with pytest.raises(ValueError) as exc:
+            BaseModel.from_dict(d)
+        assert message in str(exc.value)
+
     def test_from_dict_defaults(self):
         m = BaseModel.from_dict({"alpha": 2, "diffuse": 1.0})
         assert m.atom_probs == ()

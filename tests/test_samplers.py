@@ -9,6 +9,7 @@ from scipy import stats
 from dpm import samplers
 from dpm.measures import BaseModel, GroundPoint
 from dpm.samplers import (
+    DEFAULT_STICK_EPS,
     RngStream,
     TruncationError,
     beta_pairs,
@@ -82,6 +83,55 @@ class TestScalarDraws:
         assert freq[0] == pytest.approx(0.2, abs=0.01)
         assert freq[1] == pytest.approx(0.35, abs=0.012)
         assert freq[2] == pytest.approx(0.45, abs=0.012)
+
+
+class StubGen:
+    """Stands in for a generator whose ``random`` returns chosen uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        return self.u.reshape(size)
+
+
+def searchsorted_blocks(p, u):
+    """Block indices by binary search over every cumulative edge, clipped."""
+    return np.minimum(np.searchsorted(np.cumsum(p), u, side="right"), len(p) - 1)
+
+
+class TestDrawBlocksExact:
+    """draw_blocks counts edges on large arrays and binary-searches small
+    ones; either way its indices equal the clipped binary search."""
+
+    many = np.random.default_rng(5).dirichlet(np.ones(40))
+    sixteen_edges = np.random.default_rng(6).dirichlet(np.ones(17))
+
+    @pytest.mark.parametrize(
+        "p, u, size",
+        [
+            ((1.0,), [0.0, 0.3, 0.999999], 3),
+            ((0.3, 0.0, 0.7), [0.0, 0.2999, 0.3, 0.3001, 0.99], 5),
+            ((0.25, 0.5, 0.25 - 5e-10), [0.1, 0.5, 1.0 - 5e-10, 1.0 - 1e-10, 0.9999999999], 5),
+            ((0.2, 0.35, 0.45), list(np.cumsum((0.2, 0.35, 0.45))) + [0.0], 4),
+            ((0.2, 0.35, 0.45), list(np.random.default_rng(3).random(12)), (3, 4)),
+            (tuple(sixteen_edges), list(np.cumsum(sixteen_edges)) + [0.0, 0.5], 19),
+            (tuple(many), list(np.cumsum(many)) + list(np.random.default_rng(4).random(60)), 100),
+        ],
+        ids=["one-block", "zero-mass-block", "sum-below-one", "u-on-edges", "2d-size",
+             "17-blocks", "40-blocks"],
+    )
+    @pytest.mark.parametrize("tiles", [1, 4096], ids=["small", "large"])
+    def test_matches_clipped_searchsorted(self, p, u, size, tiles):
+        # Tiled 4096 times, every case reaches the counting path, except
+        # the 40-block base, whose 39 edges keep the binary search.
+        u = np.tile(u, tiles)
+        size = (len(u),) if np.ndim(size) == 0 else (size[0] * tiles, *size[1:])
+        got = draw_blocks(p, StubGen(u), size)
+        want = searchsorted_blocks(p, np.reshape(u, size))
+        assert got.shape == want.shape
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 class TestStickConfig:
@@ -282,6 +332,17 @@ class TestChunkKernels:
             proj = stick_projection_chunk(alpha, probs, 300, RngStream(27).gen)
             w, b = stick_ensemble_chunk(alpha, probs, 300, RngStream(27).gen)
             assert np.max(np.abs(proj - block_projection(w, b, len(probs)))) <= 1e-14
+
+    @pytest.mark.parametrize("alpha", [0.3, 2.0, 10.0])
+    def test_stick_projection_equals_a_row_scatter_bit_for_bit(self, alpha):
+        probs = np.array([0.2, 0.3, 0.5])
+        proj = stick_projection_chunk(alpha, probs, 700, RngStream(31).gen)
+        want = np.zeros((700, 3))
+        rows = np.arange(700)
+        gen = RngStream(31).gen
+        for w, blk in samplers._stick_columns(alpha, probs, 700, gen, DEFAULT_STICK_EPS):
+            want[rows, blk] += w
+        assert np.array_equal(proj, want)
 
     def test_gamma_projection_chunk_consistency(self):
         gen = RngStream(23).gen
