@@ -10,7 +10,7 @@ moments and grades each predicted moment against its empirical value; the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,17 +27,6 @@ class CharacterizationRow:
     stderr: float
     z: float
     condition: float
-
-    def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "predicted": self.predicted,
-            "empirical": self.empirical,
-            "reference": self.reference,
-            "stderr": self.stderr,
-            "z": self.z,
-            "condition": self.condition,
-        }
 
 
 @dataclass(frozen=True)
@@ -56,18 +45,7 @@ class CharacterizationReport:
     notes: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "p_hat": self.p_hat,
-            "alpha_hat": self.alpha_hat,
-            "depth": self.depth,
-            "n_z": self.n_z,
-            "n_w": self.n_w,
-            "rows": [r.to_dict() for r in self.rows],
-            "max_abs_z": self.max_abs_z,
-            "ill_conditioned": self.ill_conditioned,
-            "verdict": self.verdict,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 MAX_CHARACTERIZE_DEPTH = 8

@@ -19,9 +19,10 @@ import os
 import secrets
 import sys
 import time
+from dataclasses import astuple, fields
 
 from . import __version__
-from .characterize import characterize_from_samples
+from .characterize import CharacterizationRow, characterize_from_samples
 from .measures import BaseModel
 from .moments import build_moment_table, multi_indices
 from .samplers import (
@@ -33,7 +34,9 @@ from .samplers import (
 )
 from .verify import (
     CAMPAIGN_NAMES,
+    DEFAULT_PROBE_DEPTH,
     CampaignSettings,
+    TestReport,
     campaign_ok,
     probe_symmetric,
     run_verify,
@@ -64,6 +67,21 @@ def _emit(text: str, out: str | None) -> None:
         fh.write(text)
 
 
+def _envelope(command: str, **body) -> str:
+    """The JSON payload of ``command``: tool and version, then ``body``."""
+    return _canonical_json({"tool": "dpm", "version": __version__, "command": command, **body})
+
+
+def _csv(header, rows) -> str:
+    """CSV text with one header line.  The csv module writes a float by
+    ``str``, which for a Python float is its round-trip ``repr``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _parse_seed(raw: str) -> int:
     if raw == "random":
         return secrets.randbits(32)
@@ -76,26 +94,34 @@ def _parse_seed(raw: str) -> int:
     return seed
 
 
-def _parse_base(raw: str) -> BaseModel:
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"--base is not valid JSON: {exc}")
-    if not isinstance(data, dict):
+def _parse_base(raw) -> BaseModel:
+    """A base model from a JSON object or from its text."""
+    if isinstance(raw, str):
+        try:
+            raw = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"--base is not valid JSON: {exc}")
+    if not isinstance(raw, dict):
         raise ValueError("--base must be a JSON object")
-    return BaseModel.from_dict(data)
+    return BaseModel.from_dict(raw)
 
 
-def _resolve_jobs(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("DPM_JOBS")
-    if not env:
-        return 1
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"DPM_JOBS must be an integer, got {env!r}")
+def _given(args: argparse.Namespace, keys) -> dict:
+    """The flags among ``keys`` that the user set."""
+    return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+
+
+def _settings(given: dict) -> CampaignSettings:
+    """The settings with the values in ``given``; the rest keep their
+    defaults.  ``seed`` and ``base`` are parsed here, and a base sets alpha
+    unless alpha is given too (it must then agree)."""
+    if "seed" in given:
+        given["seed"] = _parse_seed(str(given["seed"]))
+    base = given.pop("base", "")
+    if base != "":  # an empty --base means no base
+        given["base"] = base = _parse_base(base)
+        given.setdefault("alpha", base.alpha)
+    return CampaignSettings(**given)
 
 
 # ---------------------------------------------------------------------------
@@ -103,24 +129,18 @@ def _resolve_jobs(explicit: int | None) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    seed = _parse_seed(args.seed)
     if args.n < 0:
         raise ValueError(f"n must be non-negative, got {args.n}")
-    base = _parse_base(args.base) if args.base else None
-    alpha = args.alpha if args.alpha is not None else (base.alpha if base else 2.0)
-    if base is not None and args.alpha is not None and base.alpha != args.alpha:
-        raise ValueError(
-            f"--alpha {args.alpha:g} conflicts with the base model's alpha {base.alpha:g}"
-        )
-    if args.eps is not None and args.construction == "stick":
+    s = _settings(_given(args, ("seed", "alpha", "base", "construction")))
+    if args.eps is not None and s.construction == "stick":
         raise ValueError("--eps applies to --construction gamma only")
     eps = DEFAULT_JUMP_EPS if args.eps is None else args.eps
-    model = base or BaseModel(alpha=alpha, atom_probs=(0.2, 0.35), diffuse_weight=0.45)
-    rng = RngStream(seed)
+    model = s.base or BaseModel.default(s.alpha)
+    rng = RngStream(s.seed)
 
     def draw(start: int):
         m = min(_SAMPLE_BATCH, args.n - start)
-        if args.construction == "stick":
+        if s.construction == "stick":
             return sample_stick_breaking(model, rng, m)
         return sample_jump_measure(model, rng, m, trunc_eps=eps)
 
@@ -167,57 +187,25 @@ def _cmd_moments(args: argparse.Namespace) -> int:
         raise ValueError("--max-degree must be non-negative")
     entries = _moment_entries(alphas, args.max_degree, args.method)
     if args.format == "json":
-        payload = {
-            "tool": "dpm",
-            "version": __version__,
-            "command": "moments",
-            "alphas": list(alphas),
-            "max_degree": args.max_degree,
-            "method": args.method,
-            "entries": entries,
-        }
-        _emit(_canonical_json(payload), args.out)
+        text = _envelope(
+            "moments",
+            alphas=list(alphas),
+            max_degree=args.max_degree,
+            method=args.method,
+            entries=entries,
+        )
     else:
-        buf = io.StringIO()
         value_cols = ["exact", "recursion", "abs_diff"] if args.method == "both" else [args.method]
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([f"k{i}" for i in range(len(alphas))] + value_cols)
-        for row in entries:
-            writer.writerow(list(row["k"]) + [repr(row[c]) for c in value_cols])
-        _emit(buf.getvalue(), args.out)
+        text = _csv(
+            [f"k{i}" for i in range(len(alphas))] + value_cols,
+            [row["k"] + [row[c] for c in value_cols] for row in entries],
+        )
+    _emit(text, args.out)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # verify
-
-
-_REPORT_COLUMNS = (
-    "name",
-    "kind",
-    "statistic",
-    "p_value",
-    "lhs",
-    "rhs",
-    "stderr",
-    "n_samples",
-    "seed",
-    "verdict",
-    "expected_failure",
-    "notes",
-)
-
-
-def _reports_csv(reports) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_REPORT_COLUMNS)
-    for r in reports:
-        d = r.to_dict()
-        writer.writerow(
-            [repr(d[c]) if isinstance(d[c], float) else d[c] for c in _REPORT_COLUMNS]
-        )
-    return buf.getvalue()
 
 
 # The keys _cmd_verify reads from a config file, with the JSON types each
@@ -260,76 +248,47 @@ def _load_config(path: str) -> dict:
     return data
 
 
-def _pick(flag_value, config: dict, key: str, default):
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    return default
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = _load_config(args.config) if args.config else {}
-    seed = _parse_seed(str(_pick(args.seed, config, "seed", "12345")))
-    base_raw = _pick(args.base, config, "base", None)
-    if isinstance(base_raw, dict):
-        base = BaseModel.from_dict(base_raw)
-    elif base_raw:
-        base = _parse_base(base_raw)
-    else:
-        base = None
-    alpha = _pick(args.alpha, config, "alpha", None)
-    if alpha is None:
-        alpha = base.alpha if base is not None else 2.0
-    settings = CampaignSettings(
-        alpha=float(alpha),
-        p=float(_pick(args.p, config, "p", 0.3)),
-        n=int(_pick(args.n, config, "n", 200_000)),
-        seed=seed,
-        threshold=float(_pick(args.threshold, config, "threshold", 4.0)),
-        jobs=_resolve_jobs(_pick(args.jobs, config, "jobs", None)),
-        base=base,
-        construction=str(_pick(args.construction, config, "construction", "stick")),
-        trunc_eps=float(_pick(args.eps, config, "eps", 1e-12)),
-        jump_eps=float(_pick(args.jump_eps, config, "jump_eps", 1e-8)),
-    )
-    probe = bool(_pick(args.probe_symmetric, config, "probe_symmetric", False))
-    depth = int(_pick(args.depth, config, "depth", 6))
+    given = {**config, **_given(args, _CONFIG_KEYS)}
+    given = {k: float(v) if _CONFIG_KEYS[k] is _NUMBER else v for k, v in given.items()}
+    probe = given.pop("probe_symmetric", False)
+    depth = given.pop("depth", DEFAULT_PROBE_DEPTH)
+    env_jobs = os.environ.get("DPM_JOBS")
+    if "jobs" not in given and env_jobs:
+        try:
+            given["jobs"] = int(env_jobs)
+        except ValueError:
+            raise ValueError(f"DPM_JOBS must be an integer, got {env_jobs!r}")
+    if "eps" in given:
+        given["trunc_eps"] = given.pop("eps")
+    settings = _settings(given)
     started = time.monotonic()
     # The probe runs first, so a bad depth is rejected before any campaign.
     probe_reports = (
-        probe_symmetric(settings, RngStream(seed, _PROBE_STREAM_BASE), depth) if probe else []
+        probe_symmetric(settings, RngStream(settings.seed, _PROBE_STREAM_BASE), depth)
+        if probe
+        else []
     )
     reports = run_verify(args.campaign, settings) + probe_reports
     elapsed = time.monotonic() - started
     ok = campaign_ok(reports)
     if args.format == "csv":
-        text = _reports_csv(reports)
+        text = _csv(
+            [f.name for f in fields(TestReport)], [r.to_dict().values() for r in reports]
+        )
     else:
-        payload = {
-            "tool": "dpm",
-            "version": __version__,
-            "command": "verify",
-            "campaign": args.campaign,
-            "config": {
-                "alpha": settings.alpha,
-                "p": settings.p,
-                "n": settings.n,
-                "seed": settings.seed,
-                "threshold": settings.threshold,
-                "jobs": settings.jobs,
-                "base": base.to_dict() if base is not None else None,
-                "construction": settings.construction,
-                "eps": settings.trunc_eps,
-                "jump_eps": settings.jump_eps,
-                "probe_symmetric": probe,
-                "depth": depth,
-            },
-            "ok": ok,
-            "n_reports": len(reports),
-            "reports": [r.to_dict() for r in reports],
-        }
-        text = _canonical_json(payload)
+        config = dict(vars(settings), probe_symmetric=probe, depth=depth)
+        config["eps"] = config.pop("trunc_eps")
+        config["base"] = settings.base.to_dict() if settings.base else None
+        text = _envelope(
+            "verify",
+            campaign=args.campaign,
+            config=config,
+            ok=ok,
+            n_reports=len(reports),
+            reports=[r.to_dict() for r in reports],
+        )
     _emit(text, args.out)
     unexpected = sum(0 if r.ok() else 1 for r in reports)
     print(
@@ -345,49 +304,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
-    seed = _parse_seed(args.seed)
-    if not 0.0 < args.p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {args.p}")
-    if args.alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {args.alpha}")
-    if args.n < 100:
+    if args.n is not None and args.n < 100:
         raise ValueError(f"n must be at least 100, got {args.n}")
-    z, w = beta_pairs(args.p, args.alpha, args.n, RngStream(seed).gen)
+    s = _settings(_given(args, ("seed", "alpha", "p", "n", "threshold")))
+    z, w = beta_pairs(s.p, s.alpha, s.n, RngStream(s.seed).gen)
     report = characterize_from_samples(
         z,
         w,
         depth=args.depth,
-        p=args.p if args.p_known else None,
-        threshold=args.threshold,
+        p=s.p if args.p_known else None,
+        threshold=s.threshold,
     )
-    payload = {
-        "tool": "dpm",
-        "version": __version__,
-        "command": "characterize",
-        "config": {
-            "alpha": args.alpha,
-            "p": args.p,
-            "n": args.n,
-            "seed": seed,
-            "depth": args.depth,
-            "threshold": args.threshold,
-            "p_known": bool(args.p_known),
-        },
-        "report": report.to_dict(),
-    }
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["degree", "predicted", "empirical", "reference", "stderr", "z", "condition"]
+        text = _csv(
+            [f.name for f in fields(CharacterizationRow)], [astuple(row) for row in report.rows]
         )
-        for row in report.rows:
-            d = row.to_dict()
-            writer.writerow([d["degree"]] + [repr(d[c]) for c in
-                            ("predicted", "empirical", "reference", "stderr", "z", "condition")])
-        _emit(buf.getvalue(), args.out)
     else:
-        _emit(_canonical_json(payload), args.out)
+        config = dict(
+            alpha=s.alpha, p=s.p, n=s.n, seed=s.seed, threshold=s.threshold,
+            depth=args.depth, p_known=args.p_known,
+        )
+        text = _envelope("characterize", config=config, report=report.to_dict())
+    _emit(text, args.out)
     print(
         f"characterize: p_hat={report.p_hat:.6g} alpha_hat={report.alpha_hat:.6g} "
         f"max|z|={report.max_abs_z:.3g} verdict={report.verdict}",
@@ -415,18 +353,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("sample", help="draw random measures as JSON lines")
-    sp.add_argument("--alpha", type=float, default=None, help="concentration (default 2)")
+    sp.add_argument("--alpha", type=float, default=None, help="concentration")
     sp.add_argument("--base", default=None, help="base model as JSON")
     sp.add_argument("--n", type=int, default=10, help="number of draws")
-    sp.add_argument("--seed", default="12345", help="integer seed or 'random'")
+    sp.add_argument("--seed", default=None, help="integer seed or 'random'")
     sp.add_argument(
         "--construction",
         choices=("stick", "gamma"),
-        default="stick",
+        default=None,
         help="stick-breaking or normalized-jump sampler",
     )
     sp.add_argument(
-        "--eps", type=float, default=None, help="jump truncation level (gamma only; 1e-8)"
+        "--eps", type=float, default=None,
+        help=f"jump truncation level (gamma only; {DEFAULT_JUMP_EPS:g})",
     )
     sp.add_argument("--out", default=None, help="write output to this file")
     sp.set_defaults(func=_cmd_sample)
@@ -472,12 +411,12 @@ def _build_parser() -> argparse.ArgumentParser:
     cp = sub.add_parser(
         "characterize", help="recover mixing-weight moments from sampled data"
     )
-    cp.add_argument("--alpha", type=float, default=2.0)
-    cp.add_argument("--p", type=float, default=0.3)
-    cp.add_argument("--n", type=int, default=200_000)
-    cp.add_argument("--seed", default="12345", help="integer seed or 'random'")
+    cp.add_argument("--alpha", type=float, default=None)
+    cp.add_argument("--p", type=float, default=None)
+    cp.add_argument("--n", type=int, default=None)
+    cp.add_argument("--seed", default=None, help="integer seed or 'random'")
     cp.add_argument("--depth", type=int, default=6)
-    cp.add_argument("--threshold", type=float, default=4.0)
+    cp.add_argument("--threshold", type=float, default=None)
     cp.add_argument(
         "--p-known",
         action="store_true",

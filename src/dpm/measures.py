@@ -15,6 +15,7 @@ processes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 TOTAL_RTOL = 1e-12
@@ -95,8 +96,8 @@ class BaseModel:
     diffuse_weight: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0.0:
-            raise ValueError(f"total mass alpha must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"total mass alpha must be finite and positive, got {self.alpha}")
         if any(p < 0.0 for p in self.atom_probs):
             raise ValueError("atom probabilities must be nonnegative")
         if not 0.0 <= self.diffuse_weight <= 1.0:
@@ -105,9 +106,22 @@ class BaseModel:
         if abs(s - 1.0) > TOTAL_RTOL:
             raise ValueError(f"base measure must be a probability measure, total={s!r}")
 
+    @classmethod
+    def default(cls, alpha: float) -> "BaseModel":
+        """The base used when none is given: atoms of mass 0.2 and 0.35
+        plus 0.45 diffuse."""
+        return cls(alpha, (0.2, 0.35), 0.45)
+
     @property
     def n_atoms(self) -> int:
         return len(self.atom_probs)
+
+    @property
+    def blocks(self) -> tuple[float, ...]:
+        """Block probabilities: one per atom, then the diffuse weight when
+        it is positive."""
+        d = self.diffuse_weight
+        return self.atom_probs + ((d,) if d > 0.0 else ())
 
     def to_dict(self) -> dict:
         return {

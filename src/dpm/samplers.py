@@ -256,13 +256,6 @@ def gamma_projection_chunk(
 # the samplers behind `dpm sample`: kernel rows as measures
 
 
-def _base_blocks(model: BaseModel) -> tuple[float, ...]:
-    """Block probabilities of the base: one per atom, then the diffuse
-    weight when it is positive."""
-    d = model.diffuse_weight
-    return model.atom_probs + ((d,) if d > 0.0 else ())
-
-
 def _measures(model: BaseModel, weights, blocks, gen: np.random.Generator):
     """The rows of (weights, blocks), each as a :class:`DiscreteMeasure`.
 
@@ -295,7 +288,7 @@ def sample_stick_breaking(
     its own first leftover at most ``trunc_eps``, which goes to the row's
     next, fresh mark, so the batch's later sticks are not part of it.
     """
-    w, b = stick_ensemble_chunk(model.alpha, _base_blocks(model), n, rng.gen, trunc_eps)
+    w, b = stick_ensemble_chunk(model.alpha, model.blocks, n, rng.gen, trunc_eps)
     # left[:, j] is a row's mass from column j on; the closing weight sits
     # on the column after the row's first stick with left[:, j + 1] <= eps.
     left = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
@@ -319,5 +312,5 @@ def sample_jump_measure(
     call, normalized per row, each carrying an independent base draw.
     """
     jumps = gamma_jumps(model.alpha, n, rng.gen, trunc_eps)
-    blocks = draw_blocks(_base_blocks(model), rng.gen, jumps.shape)
+    blocks = draw_blocks(model.blocks, rng.gen, jumps.shape)
     return _measures(model, jumps / jumps.sum(axis=1, keepdims=True), blocks, rng.gen)

@@ -38,6 +38,8 @@ import numpy as np
 from .measures import BaseModel
 from .moments import dirichlet_mixed_moment, multi_indices, quadratic_weight_c
 from .samplers import (
+    DEFAULT_JUMP_EPS,
+    DEFAULT_STICK_EPS,
     RngStream,
     beta_pairs,
     block_projection,
@@ -51,6 +53,7 @@ from .stats import ks_test, ks_two_sample, two_sided_p
 DEFAULT_THRESHOLD = 4.0
 DEFAULT_P_FLOOR = 1e-3
 DEFAULT_N = 200_000
+DEFAULT_PROBE_DEPTH = 6
 SHARD_SIZE = 125_000
 _CHUNK_ROWS = 25_000
 _ENSEMBLE_CHUNK_ROWS = 10_000
@@ -238,7 +241,8 @@ class CampaignSettings:
     roots the streams :func:`run_verify` hands out.
 
     The constructor checks every field, so a campaign can trust them.  A
-    ``base`` given with a different ``alpha`` is rejected.
+    ``base`` given with a different ``alpha`` is rejected.  The field
+    defaults are the defaults of the ``dpm`` commands.
     """
 
     alpha: float = 2.0
@@ -249,16 +253,16 @@ class CampaignSettings:
     jobs: int = 1
     base: BaseModel | None = None
     construction: str = "stick"
-    trunc_eps: float = 1e-12
-    jump_eps: float = 1e-8
+    trunc_eps: float = DEFAULT_STICK_EPS
+    jump_eps: float = DEFAULT_JUMP_EPS
 
     def __post_init__(self) -> None:
         if self.construction not in ("stick", "gamma"):
             raise ValueError(f"construction must be 'stick' or 'gamma', got {self.construction!r}")
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must lie in (0, 1), got {self.p}")
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if self.base is not None and self.base.alpha != self.alpha:
             raise ValueError(
                 f"alpha {self.alpha:g} conflicts with the base model's alpha {self.base.alpha:g}"
@@ -478,18 +482,18 @@ def _monomials(cols: np.ndarray, exponents) -> np.ndarray:
 
 
 def _block_probs(model: BaseModel) -> tuple[float, ...]:
-    """Base masses of the projection blocks of ``model``: one block per
-    atom, with the trailing atoms lumped into one when they do not fit in
-    four blocks, plus the diffuse part as one block; a purely diffuse base
-    is cut into [0, 0.2), [0.2, 0.5) and [0.5, 1]."""
-    d = model.diffuse_weight
+    """Base masses of the projection blocks of ``model``: its
+    :attr:`~BaseModel.blocks`, with the trailing atoms lumped into one when
+    they do not fit in four blocks; a purely diffuse base is cut into
+    [0, 0.2), [0.2, 0.5) and [0.5, 1]."""
     if not model.atom_probs:
+        d = model.diffuse_weight
         return tuple(d * (hi - lo) for lo, hi in ((0.0, 0.2), (0.2, 0.5), (0.5, 1.0)))
-    atoms = tuple(float(p) for p in model.atom_probs)
-    room = 3 if d > 0.0 else 4
+    atoms, diffuse = model.atom_probs, model.blocks[model.n_atoms :]
+    room = 4 - len(diffuse)
     if len(atoms) > room:
         atoms = atoms[: room - 1] + (sum(atoms[room - 1 :]),)
-    return atoms + ((d,) if d > 0.0 else ())
+    return atoms + diffuse
 
 
 # ---------------------------------------------------------------------------
@@ -531,11 +535,8 @@ def _mix_kernel(
 
 
 def _projection_probs(s: CampaignSettings) -> tuple[float, ...]:
-    """Block probabilities of the configured base, or of the default base:
-    atoms 0.2 and 0.35 plus 0.45 diffuse."""
-    return _block_probs(
-        s.base or BaseModel(alpha=s.alpha, atom_probs=(0.2, 0.35), diffuse_weight=0.45)
-    )
+    """Block probabilities of the configured base, or of the default base."""
+    return _block_probs(s.base or BaseModel.default(s.alpha))
 
 
 def _mix_params(s: CampaignSettings) -> dict:
@@ -958,7 +959,9 @@ def _probe_kernel(m, gen, *, alpha, depth) -> dict:
     return {"identity": Moments.stack(identity)}
 
 
-def probe_symmetric(s: CampaignSettings, rng: RngStream, depth: int = 6) -> list[TestReport]:
+def probe_symmetric(
+    s: CampaignSettings, rng: RngStream, depth: int = DEFAULT_PROBE_DEPTH
+) -> list[TestReport]:
     """Record the symmetric-point moment identities without judging them.
 
     At p = 1/2 the recovery of the odd-degree mixing moments degenerates,

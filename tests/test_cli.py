@@ -1,13 +1,19 @@
 """Tests for the command-line interface."""
 
+import csv
+import inspect
+import io
 import json
+import math
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 from dpm import __version__, cli, verify
 from dpm.cli import main
+from dpm.verify import CampaignSettings, probe_symmetric
 
 
 def run_cli(capsys, *argv):
@@ -19,6 +25,26 @@ def run_cli(capsys, *argv):
 def no_campaign(*args, **kwargs):
     """Stands in for run_verify where a usage error must stop the run first."""
     raise AssertionError("a campaign ran")
+
+
+BASE = {"alpha": 3.0, "atoms": [0.5], "diffuse": 0.5}
+
+# For every config key of `dpm verify`: the flag that sets a value, and the
+# same value as it is written in a config file.
+FLAG_AND_CONFIG = {
+    "seed": (("--seed", "7"), 7),
+    "base": (("--base", json.dumps(BASE)), BASE),
+    "alpha": (("--alpha", "3"), 3),
+    "p": (("--p", "0.4"), 0.4),
+    "n": (("--n", "3000"), 3000),
+    "threshold": (("--threshold", "4.5"), 4.5),
+    "jobs": (("--jobs", "2"), 2),
+    "construction": (("--construction", "gamma"), "gamma"),
+    "eps": (("--eps", "1e-10"), 1e-10),
+    "jump_eps": (("--jump-eps", "1e-6"), 1e-6),
+    "probe_symmetric": (("--probe-symmetric",), True),
+    "depth": (("--depth", "3"), 3),
+}
 
 
 def weight_sums(out):
@@ -254,6 +280,45 @@ class TestVerify:
         _, out, _ = run_cli(capsys, "verify", "tbeta", "--n", "20000", "--seed", "42")
         assert json.loads(out)["config"]["jobs"] == 2
 
+    def test_env_jobs_is_not_read_when_jobs_is_given(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("DPM_JOBS", "abc")
+        config = tmp_path / "verify.json"
+        config.write_text(json.dumps({"jobs": 2}))
+        for given in (("--jobs", "2"), ("--config", str(config))):
+            code, out, _ = run_cli(capsys, "verify", "tbeta", "--n", "2000", *given)
+            assert code == 0
+            assert json.loads(out)["config"]["jobs"] == 2
+
+    def test_flag_and_config_cover_every_key(self):
+        assert set(FLAG_AND_CONFIG) == set(cli._CONFIG_KEYS)
+
+    @pytest.mark.parametrize("key", list(FLAG_AND_CONFIG))
+    def test_flag_and_config_give_the_same_bytes(self, capsys, monkeypatch, tmp_path, key):
+        monkeypatch.delenv("DPM_JOBS", raising=False)
+        flag, value = FLAG_AND_CONFIG[key]
+        config = tmp_path / "verify.json"
+        config.write_text(json.dumps({key: value}))
+        args = ("verify", "tbeta") + (() if key == "n" else ("--n", "2000"))
+        code, from_flag, _ = run_cli(capsys, *args, *flag)
+        assert code == 0
+        _, from_config, _ = run_cli(capsys, *args, "--config", str(config))
+        assert from_flag == from_config
+        assert json.loads(from_flag)["config"][key] == value
+
+    def test_echoed_defaults_are_the_settings_defaults(self, capsys, monkeypatch):
+        monkeypatch.delenv("DPM_JOBS", raising=False)
+        _, out, _ = run_cli(capsys, "verify", "tbeta", "--n", "2000", "--seed", "1")
+        defaults = CampaignSettings()
+        expected = {f.name: getattr(defaults, f.name) for f in fields(defaults)}
+        expected["eps"] = expected.pop("trunc_eps")
+        expected.update(
+            n=2000,
+            seed=1,
+            probe_symmetric=False,
+            depth=inspect.signature(probe_symmetric).parameters["depth"].default,
+        )
+        assert json.loads(out)["config"] == expected
+
     def test_env_jobs_must_be_an_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("DPM_JOBS", "abc")
         monkeypatch.setattr(cli, "run_verify", no_campaign)
@@ -448,6 +513,60 @@ class TestCharacterize:
         assert run_cli(capsys, "characterize", "--p", "0")[0] == 2
         assert run_cli(capsys, "characterize", "--n", "50")[0] == 2
         assert run_cli(capsys, "characterize", "--depth", "12", "--n", "500")[0] == 2
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_bad_threshold_is_usage_error(self, capsys, value):
+        code, out, err = run_cli(capsys, "characterize", "--n", "5000", f"--threshold={value}")
+        assert code == 2
+        assert out == ""
+        assert "threshold must be finite and positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "tbeta", "--alpha", "inf", "--n", "2000"),
+        ("verify", "mecke", "--alpha", "inf", "--n", "2000"),
+        ("sample", "--alpha", "inf"),
+        ("characterize", "--alpha", "inf"),
+        ("characterize", "--alpha", "nan"),
+    ],
+    ids=["verify-tbeta-inf", "verify-mecke-inf", "sample-inf", "characterize-inf",
+         "characterize-nan"],
+)
+def test_non_finite_alpha_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "alpha must be finite and positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv, rows_of",
+    [
+        (("verify", "tbeta", "--n", "2000", "--seed", "1", "--probe-symmetric"),
+         lambda payload: payload["reports"]),
+        (("moments", "--alphas", "1,2,0.5", "--max-degree", "3"),
+         lambda payload: payload["entries"]),
+        (("characterize", "--n", "5000", "--seed", "9"),
+         lambda payload: payload["report"]["rows"]),
+    ],
+    ids=["verify", "moments", "characterize"],
+)
+def test_csv_floats_round_trip(capsys, argv, rows_of):
+    _, as_json, _ = run_cli(capsys, *argv)
+    _, as_csv, _ = run_cli(capsys, *argv, "--format", "csv")
+    expected = rows_of(json.loads(as_json))
+    rows = list(csv.DictReader(io.StringIO(as_csv)))
+    assert len(rows) == len(expected)
+    checked = 0
+    for row, want in zip(rows, expected):
+        for key, value in want.items():
+            if isinstance(value, float):
+                cell = float(row[key])
+                assert cell == value or (math.isnan(cell) and math.isnan(value)), key
+                checked += 1
+    assert checked >= 3 * len(rows)
 
 
 class TestTopLevel:

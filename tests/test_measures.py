@@ -107,6 +107,20 @@ class TestBaseModel:
         with pytest.raises(ValueError):
             BaseModel(alpha=0.0, atom_probs=(1.0,))
 
+    @pytest.mark.parametrize("alpha", [float("inf"), float("nan")])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite and positive"):
+            BaseModel(alpha=alpha, atom_probs=(1.0,))
+
+    def test_default_base(self):
+        m = BaseModel.default(3.0)
+        assert m == BaseModel(alpha=3.0, atom_probs=(0.2, 0.35), diffuse_weight=0.45)
+        assert m.blocks == (0.2, 0.35, 0.45)
+
+    def test_blocks_leave_out_an_empty_diffuse_part(self):
+        assert BaseModel(alpha=1.0, atom_probs=(0.25, 0.75)).blocks == (0.25, 0.75)
+        assert BaseModel(alpha=1.0, diffuse_weight=1.0).blocks == (1.0,)
+
     def test_rejects_negative_atom(self):
         with pytest.raises(ValueError):
             BaseModel(alpha=1.0, atom_probs=(-0.1, 1.1))

@@ -281,6 +281,11 @@ class TestRunVerify:
         with pytest.raises(ValueError, match="unknown campaign"):
             run_verify("nonsense")
 
+    @pytest.mark.parametrize("alpha", [float("inf"), float("nan")])
+    def test_settings_reject_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite and positive"):
+            CampaignSettings(alpha=alpha)
+
     def test_same_seed_same_reports(self):
         settings = CampaignSettings(n=N_SMOKE, seed=99)
         a = [r.to_dict() for r in run_verify("tbeta", settings)]
