@@ -19,7 +19,7 @@ import os
 import secrets
 import sys
 import time
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 
 from . import __version__
 from .characterize import CharacterizationRow, characterize_from_samples
@@ -132,9 +132,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise ValueError(f"n must be non-negative, got {args.n}")
     s = _settings(_given(args, ("seed", "alpha", "base", "construction")))
-    if args.eps is not None and s.construction == "stick":
-        raise ValueError("--eps applies to --construction gamma only")
-    eps = DEFAULT_JUMP_EPS if args.eps is None else args.eps
+    if args.eps is not None:
+        if s.construction == "stick":
+            raise ValueError("--eps applies to --construction gamma only")
+        s = replace(s, jump_eps=args.eps)
     model = s.base or BaseModel.default(s.alpha)
     rng = RngStream(s.seed)
 
@@ -142,11 +143,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         m = min(_SAMPLE_BATCH, args.n - start)
         if s.construction == "stick":
             return sample_stick_breaking(model, rng, m)
-        return sample_jump_measure(model, rng, m, trunc_eps=eps)
+        return sample_jump_measure(model, rng, m, trunc_eps=s.jump_eps)
 
     batches = map(draw, range(0, args.n, _SAMPLE_BATCH))
-    # The first batch is drawn before --out is opened, so an error only the
-    # sampler detects (a gamma --eps out of range) leaves that file as it was.
+    # The first batch is drawn before --out is opened, so an error raised
+    # while drawing leaves that file as it was.
     first = next(batches, [])
     with _output(args.out) as fh:
         for batch in itertools.chain([first], batches):

@@ -47,6 +47,11 @@ class TruncationError(RuntimeError):
         self.tail_mass = tail_mass
         self.max_sticks = max_sticks
 
+    def __reduce__(self):
+        # Rebuilt from both fields, so it survives the trip back from a
+        # worker process; the default would call the class with the message.
+        return type(self), (self.tail_mass, self.max_sticks)
+
 
 class RngStream:
     """Generator bound to (seed, stream_id), a named substream of a root seed.

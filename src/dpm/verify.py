@@ -23,14 +23,23 @@ law, a wrong constant, a non-conforming weight sequence -- whose reports
 are marked ``expected_failure`` and must come back with a ``fail`` verdict
 for the campaign to count as OK.  :data:`_CAMPAIGNS` maps each campaign's
 name to its function.
+
+At ``jobs > 1`` one pool of at most one worker process per usable CPU
+serves a whole campaign, or every campaign of ``run_verify("all")`` in
+turn.  A campaign submits its identity and control runs before it reads
+any of them, so they are in the pool together; each run's shards are still
+merged in shard order.  At ``jobs == 1`` every run is computed in this
+process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass, replace
-from functools import partial, reduce
+from functools import partial, reduce, wraps
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -311,6 +320,57 @@ def _shard(task) -> dict:
     return _combine([kernel(min(rows, size - lo), gen) for lo in range(0, size, rows)])
 
 
+# The process pool that campaign runs submit their shards to, bound by
+# _worker_pool; None computes them in this process.
+_pool = None
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _worker_pool(jobs: int):
+    """Bind one pool of min(jobs, usable CPUs) worker processes for the
+    runs inside, unless jobs is 1 or a pool is bound already.  Leaving
+    terminates the workers."""
+    global _pool
+    if jobs == 1 or _pool is not None:
+        yield
+        return
+    with multiprocessing.Pool(min(jobs, _usable_cpus())) as pool:
+        _pool = pool
+        try:
+            yield
+        finally:
+            _pool = None
+
+
+def _pooled(campaign):
+    """The campaign ``campaign(settings, rng, ...)`` run under a
+    :func:`_worker_pool` of ``settings.jobs`` workers."""
+
+    @wraps(campaign)
+    def pooled(s: CampaignSettings, rng: RngStream, *args, **kwargs):
+        with _worker_pool(s.jobs):
+            return campaign(s, rng, *args, **kwargs)
+
+    return pooled
+
+
+class _Run(NamedTuple):
+    """Handle on one run.  ``parts()`` returns its shard statistics in
+    shard order; :meth:`get` merges them."""
+
+    parts: Callable[[], list]
+
+    def get(self) -> dict:
+        return _combine(self.parts())
+
+
 @dataclass(frozen=True)
 class _Campaign:
     """A batch kernel with its parameters, and the settings and stream it
@@ -330,22 +390,24 @@ class _Campaign:
     rng: RngStream
     rows: int = _CHUNK_ROWS
 
-    def run(self, offset: int = 0, **changes) -> dict:
-        """The kernel's statistics over n rows, with shard k drawn from
-        substream stream_id + offset + k and shards merged in order."""
+    def run(self, offset: int = 0, **changes) -> _Run:
+        """Start a run of the kernel over n rows, with shard k drawn from
+        substream stream_id + offset + k, and return its handle.
+
+        With a pool bound (``jobs > 1``) every shard, even a lone one, goes
+        to the pool at once, so a campaign submits all its runs before it
+        reads any.  Without one the shards are computed here when the
+        handle is read.  Either way the handle merges them in shard order.
+        """
         kernel = partial(self.kernel, **{**self.params, **changes})
         stream = self.rng.stream_id + offset
         tasks = [
             (kernel, self.rows, size, self.rng.seed, stream + k)
             for k, size in enumerate(_shard_sizes(self.settings.n))
         ]
-        jobs = self.settings.jobs
-        if jobs > 1 and len(tasks) > 1:
-            with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
-                parts = pool.map(_shard, tasks)
-        else:
-            parts = [_shard(t) for t in tasks]
-        return _combine(parts)
+        if _pool is None:
+            return _Run(lambda: [_shard(t) for t in tasks])
+        return _Run(_pool.map_async(_shard, tasks).get)
 
     def reports(
         self,
@@ -396,10 +458,10 @@ class _Campaign:
             )
         return out
 
-    def control(self, name: str, names, offset: int, notes: str, **changes) -> TestReport:
-        """Rerun the "identity" statistic with ``changes`` and keep its
-        worst z-test; the control must reject."""
-        est = self.run(offset, **changes)["identity"].paired()
+    def control(self, name: str, names, run: _Run, notes: str) -> TestReport:
+        """The worst z-test of ``run``, a rerun of the "identity" statistic
+        with changed parameters; the control must reject."""
+        est = run.get()["identity"].paired()
         worst = max(self.reports(names, est), key=lambda r: abs(r.statistic))
         return replace(
             worst,
@@ -551,6 +613,7 @@ def _mix_params(s: CampaignSettings) -> dict:
     )
 
 
+@_pooled
 def verify_mecke(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     """Check the defining integral identity on a polynomial family.
 
@@ -567,20 +630,21 @@ def verify_mecke(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     exponents = _exponents(nb, 2, min_degree=0)
     params.update(exponents=exponents, weighted=True)
     c = _Campaign(_mix_kernel, params, s, rng)
-    names = [f"mecke[g={_monomial_name(ks)},h=B{j}]" for ks in exponents for j in range(nb)]
-    reports = c.reports(names, c.run()["identity"].paired())
     point = MixingLaw("point", value=1.0 / (s.alpha + 1.0))
+    identity = c.run()
+    point_run = c.run(_CONTROL_STREAM_OFFSET, mixing=point)
+    atom_run = c.run(2 * _CONTROL_STREAM_OFFSET, construction="iid")
+    names = [f"mecke[g={_monomial_name(ks)},h=B{j}]" for ks in exponents for j in range(nb)]
+    reports = c.reports(names, identity.get()["identity"].paired())
     label = c.params["mixing"].label()
     notes = f"mixing law {point.label()} matches the mean of {label} but not its spread"
-    name = "mecke:control:point-mass-mixing"
-    reports.append(c.control(name, names, _CONTROL_STREAM_OFFSET, notes, mixing=point))
+    reports.append(c.control("mecke:control:point-mass-mixing", names, point_run, notes))
     notes = "input measure replaced by a Dirac at one base draw"
-    name = "mecke:control:single-atom-input"
-    offset = 2 * _CONTROL_STREAM_OFFSET
-    reports.append(c.control(name, names, offset, notes, construction="iid"))
+    reports.append(c.control("mecke:control:single-atom-input", names, atom_run, notes))
     return reports
 
 
+@_pooled
 def verify_sethuraman(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     """Check the distributional fixed point under Dirac mixing.
 
@@ -593,12 +657,13 @@ def verify_sethuraman(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     exponents = _exponents(len(params["probs"]), 3)
     params.update(exponents=exponents, weighted=False)
     c = _Campaign(_mix_kernel, params, s, rng)
-    names = [f"sethuraman[g={_monomial_name(ks)}]" for ks in exponents]
-    reports = c.reports(names, c.run()["identity"].paired())
     wrong = MixingLaw("beta", alpha=s.alpha + 2.0)
+    identity = c.run()
+    wrong_run = c.run(_CONTROL_STREAM_OFFSET, mixing=wrong)
+    names = [f"sethuraman[g={_monomial_name(ks)}]" for ks in exponents]
+    reports = c.reports(names, identity.get()["identity"].paired())
     notes = f"mixing law {wrong.label()} instead of Be(1,{s.alpha:g})"
-    name = "sethuraman:control:wrong-mixing-shape"
-    reports.append(c.control(name, names, _CONTROL_STREAM_OFFSET, notes, mixing=wrong))
+    reports.append(c.control("sethuraman:control:wrong-mixing-shape", names, wrong_run, notes))
     return reports
 
 
@@ -624,6 +689,7 @@ def _tbeta_kernel(m, gen, *, p, alpha, p_used) -> dict:
     return {"identity": Moments.stack(pick + rest)}
 
 
+@_pooled
 def verify_beta_sizebias(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     """Check the paired size-biased moment equations for the Beta family.
 
@@ -636,13 +702,14 @@ def verify_beta_sizebias(s: CampaignSettings, rng: RngStream) -> list[TestReport
     """
     p = s.p
     c = _Campaign(_tbeta_kernel, dict(p=p, alpha=s.alpha, p_used=p), s, rng)
+    p_wrong = p + 0.15 if p + 0.15 < 1.0 else p - 0.15
+    identity = c.run()
+    wrong_run = c.run(_CONTROL_STREAM_OFFSET, p_used=p_wrong)
     branches = ("pick", "rest")
     names = [f"tbeta:{b}[g=x^{k}]" for b in branches for k in range(_TBETA_DEGREE + 1)]
-    reports = c.reports(names, c.run()["identity"].paired())
-    p_wrong = p + 0.15 if p + 0.15 < 1.0 else p - 0.15
+    reports = c.reports(names, identity.get()["identity"].paired())
     notes = f"identities evaluated with p={p_wrong:g} against data at p={p:g}"
-    name = "tbeta:control:wrong-p"
-    reports.append(c.control(name, names, _CONTROL_STREAM_OFFSET, notes, p_used=p_wrong))
+    reports.append(c.control("tbeta:control:wrong-p", names, wrong_run, notes))
     return reports
 
 
@@ -664,6 +731,7 @@ def _tbeta2_kernel(m, gen, *, p, alpha, c_used) -> dict:
     }
 
 
+@_pooled
 def verify_beta_general(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     """Check the quadratic mixing identity and its independence corollary.
 
@@ -674,7 +742,9 @@ def verify_beta_general(s: CampaignSettings, rng: RngStream) -> list[TestReport]
     """
     const = quadratic_weight_c(s.p, s.alpha)
     c = _Campaign(_tbeta2_kernel, dict(p=s.p, alpha=s.alpha, c_used=const), s, rng)
-    stats = c.run()
+    identity = c.run()
+    wrong_run = c.run(_CONTROL_STREAM_OFFSET, c_used=const + 0.1)
+    stats = identity.get()
     names = [f"tbeta2:quadratic[g=x^{k}]" for k in range(_TBETA2_DEGREE + 1)]
     reports = c.reports(names, stats["identity"].paired(), notes=f"c={const:.12g}")
     pairs = ("ratio,sum", "ratio,sum^2", "ratio^2,sum", "ratio^2,sum^2")
@@ -685,8 +755,7 @@ def verify_beta_general(s: CampaignSettings, rng: RngStream) -> list[TestReport]
         notes="ratio = W/(Z+W-WZ), sum = Z+W-WZ",
     )
     notes = f"constant c shifted to {const + 0.1:.12g}"
-    offset = _CONTROL_STREAM_OFFSET
-    reports.append(c.control("tbeta2:control:wrong-c", names, offset, notes, c_used=const + 0.1))
+    reports.append(c.control("tbeta2:control:wrong-c", names, wrong_run, notes))
     return reports
 
 
@@ -720,6 +789,7 @@ def _removal_kernel(m, gen, *, alpha, probs, trunc_eps, exponents) -> dict:
     }
 
 
+@_pooled
 def verify_sizebias_invariance(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     """Check invariance under removal of a size-biased pick.
 
@@ -743,7 +813,7 @@ def verify_sizebias_invariance(s: CampaignSettings, rng: RngStream) -> list[Test
     exponents = _exponents(len(probs), 3)
     params = dict(alpha=alpha, probs=probs, trunc_eps=s.trunc_eps, exponents=exponents)
     c = _Campaign(_removal_kernel, params, s, rng, _ENSEMBLE_CHUNK_ROWS)
-    stats = c.run()
+    stats = c.run().get()
     reports = c.reports(
         [f"sizebias:moment[{_monomial_name(ks)}]" for ks in exponents],
         stats["identity"].paired(),
@@ -804,6 +874,7 @@ def _largest_jump_kernel(m, gen, *, alpha, probs, jump_eps) -> dict:
 _THM52_MARKS = (0.25, 0.75)
 
 
+@_pooled
 def verify_marked_sizebias(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     """Check the sequence-level characterization of stick weights.
 
@@ -825,14 +896,17 @@ def verify_marked_sizebias(s: CampaignSettings, rng: RngStream) -> list[TestRepo
         return names, dict(exponents=exponents, targets=targets)
 
     names, family = moments(1)
+    control_names, control_family = moments(2)
     params = dict(alpha=alpha, probs=probs, trunc_eps=s.trunc_eps, geometric=False, **family)
     c = _Campaign(_marked_kernel, params, s, rng, _ENSEMBLE_CHUNK_ROWS)
-    gem = c.run()
-    reports = c.reports(names, gem["identity"].paired())
     params = dict(alpha=alpha, probs=probs, jump_eps=s.jump_eps)
     pd = _Campaign(_largest_jump_kernel, params, s, rng, _ENSEMBLE_CHUNK_ROWS)
-    jumps = pd.run(3 * _CONTROL_STREAM_OFFSET)
-    a, b = gem["largest"], jumps["largest"]
+    gem_run = c.run()
+    jump_run = pd.run(3 * _CONTROL_STREAM_OFFSET)
+    geometric_run = c.run(_CONTROL_STREAM_OFFSET, geometric=True, **control_family)
+    gem = gem_run.get()
+    reports = c.reports(names, gem["identity"].paired())
+    a, b = gem["largest"], jump_run.get()["largest"]
     reports += c.reports(
         ["thm52:largest-weight-paths"],
         _ks_estimate(len(a) + len(b), float(np.mean(a)), float(np.mean(b))),
@@ -840,11 +914,9 @@ def verify_marked_sizebias(s: CampaignSettings, rng: RngStream) -> list[TestRepo
         ks=ks_two_sample(a, b),
         notes="largest stick weight vs largest normalized jump",
     )
-    names, family = moments(2)
     notes = "deterministic geometric weights (ratio 0.9) with i.i.d. marks"
     name = "thm52:control:geometric-weights"
-    offset = _CONTROL_STREAM_OFFSET
-    reports.append(c.control(name, names, offset, notes, geometric=True, **family))
+    reports.append(c.control(name, control_names, geometric_run, notes))
     return reports
 
 
@@ -862,6 +934,7 @@ def _equivalence_kernel(
     return out
 
 
+@_pooled
 def verify_construction_equivalence(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     """Compare the stick and jump constructions of the same law.
 
@@ -877,8 +950,9 @@ def verify_construction_equivalence(s: CampaignSettings, rng: RngStream) -> list
         alpha=s.alpha, probs=probs, trunc_eps=s.trunc_eps, jump_eps=s.jump_eps, exponents=exponents
     )
     c = _Campaign(_equivalence_kernel, params, s, rng)
-    stick = c.run(construction="stick")
-    gamma = c.run(_CONTROL_STREAM_OFFSET, construction="gamma")
+    stick_run = c.run(construction="stick")
+    gamma_run = c.run(_CONTROL_STREAM_OFFSET, construction="gamma")
+    stick, gamma = stick_run.get(), gamma_run.get()
     reports = c.reports(
         [f"construction:moment[{_monomial_name(ks)}]" for ks in exponents],
         _two_sample(stick["identity"], gamma["identity"]),
@@ -924,17 +998,19 @@ def run_verify(name: str, settings: CampaignSettings | None = None) -> list[Test
     part of "all", and regardless of the worker count.  The size-biased
     removal campaign needs a purely diffuse base; under "all" it always
     uses its default diffuse base even when another base was configured
-    for the projection campaigns.
+    for the projection campaigns.  At ``jobs > 1``, "all" runs its
+    campaigns one after another on one shared process pool.
     """
     settings = settings or CampaignSettings()
     if name == "all":
-        reports: list[TestReport] = []
-        for sub in CAMPAIGN_NAMES:
-            sub_settings = (
-                replace(settings, base=None) if sub == "sizebias" else settings
-            )
-            reports.extend(run_verify(sub, sub_settings))
-        return reports
+        with _worker_pool(settings.jobs):
+            return [
+                r
+                for sub in CAMPAIGN_NAMES
+                for r in run_verify(
+                    sub, replace(settings, base=None) if sub == "sizebias" else settings
+                )
+            ]
     if name not in _CAMPAIGNS:
         raise ValueError(
             f"unknown campaign {name!r}; expected one of {CAMPAIGN_NAMES + ('all',)}"
@@ -959,6 +1035,7 @@ def _probe_kernel(m, gen, *, alpha, depth) -> dict:
     return {"identity": Moments.stack(identity)}
 
 
+@_pooled
 def probe_symmetric(
     s: CampaignSettings, rng: RngStream, depth: int = DEFAULT_PROBE_DEPTH
 ) -> list[TestReport]:
@@ -977,7 +1054,7 @@ def probe_symmetric(
     c = _Campaign(_probe_kernel, dict(alpha=s.alpha, depth=depth), s, rng)
     return c.reports(
         [f"probe:symmetric[k={k}]" for k in range(depth + 1)],
-        c.run()["identity"].paired(),
+        c.run().get()["identity"].paired(),
         kind="probe",
         notes="informational only; the symmetric point carries no verdict",
     )

@@ -149,6 +149,16 @@ class TestSample:
         assert out == ""
         assert "--construction gamma only" in err
 
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_gamma_eps_out_of_range_is_usage_error(self, capsys, n):
+        # Checked up front, so it does not depend on a batch being drawn.
+        code, out, err = run_cli(
+            capsys, "sample", "--n", n, "--construction", "gamma", "--eps", "0.5"
+        )
+        assert code == 2
+        assert out == ""
+        assert "jump eps must lie in (0, 0.1], got 0.5" in err
+
     def test_gamma_construction_at_small_alpha(self, capsys):
         # Some rows' first arrival G_1 / alpha lies beyond 690, where E1
         # cannot be inverted; each such row is a single unit weight.

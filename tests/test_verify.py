@@ -1,7 +1,14 @@
 """Tests for the statistical verification campaigns and their plumbing."""
 
+import contextlib
 import math
+import multiprocessing
+import os
+import signal
+import threading
+from dataclasses import replace
 from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +16,7 @@ import pytest
 from dpm import verify
 from dpm.characterize import CharacterizationReport, characterize_from_samples
 from dpm.measures import BaseModel
-from dpm.samplers import RngStream
+from dpm.samplers import RngStream, TruncationError
 from dpm.verify import (
     CAMPAIGN_NAMES,
     CampaignSettings,
@@ -276,6 +283,50 @@ class TestConstructionEquivalence:
         assert any("total" in n for n in names)
 
 
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in this thread once the block has run ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _truncating_kernel(m, gen, **params):
+    """Stands in for a campaign kernel that fails inside a worker."""
+    raise TruncationError(0.5, 7)
+
+
+class _InProcessPool:
+    """Stands in for ``multiprocessing.Pool``: records the worker count it
+    is asked for and the threads running when it is made, and runs
+    ``map_async`` in this process."""
+
+    asked: list = []
+    threads: list = []
+
+    def __init__(self, processes):
+        self.asked.append(processes)
+        self.threads.append(threading.active_count())
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map_async(self, fn, tasks):
+        parts = [fn(task) for task in tasks]
+        return SimpleNamespace(get=lambda: parts)
+
+
 class TestRunVerify:
     def test_unknown_campaign(self):
         with pytest.raises(ValueError, match="unknown campaign"):
@@ -320,6 +371,49 @@ class TestRunVerify:
             return [r.to_dict() for r in run_verify("all", settings) + probe]
 
         assert reports(1) == reports(2)
+
+    @pytest.mark.parametrize("name", CAMPAIGN_NAMES)
+    def test_one_shard_runs_in_flight_give_the_same_reports(self, name):
+        # One shard per run: at jobs=2 a campaign's runs are in the pool
+        # together, at jobs=1 each is computed here in turn.
+        def reports(jobs):
+            settings = CampaignSettings(n=N_SMOKE, seed=61, jobs=jobs)
+            return [r.to_dict() for r in run_verify(name, settings)]
+
+        assert reports(2) == reports(1)
+
+    def test_construction_equivalence_is_independent_of_worker_count(self, base_model):
+        def reports(jobs):
+            settings = CampaignSettings(n=N_SMOKE, seed=62, base=base_model, jobs=jobs)
+            return [r.to_dict() for r in verify_construction_equivalence(settings, RngStream(62))]
+
+        assert reports(2) == reports(1)
+
+    def test_workers_are_capped_at_the_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(_InProcessPool, "asked", [])
+        monkeypatch.setattr(_InProcessPool, "threads", [])
+        monkeypatch.setattr(verify.multiprocessing, "Pool", _InProcessPool)
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        settings = CampaignSettings(n=N_SMOKE, seed=63)
+        many = [r.to_dict() for r in run_verify("all", replace(settings, jobs=10**6))]
+        # One pool for the whole run, with at most one worker per usable CPU,
+        # forked while this is the only thread.
+        assert _InProcessPool.asked == [cpus]
+        assert _InProcessPool.threads == [1]
+        assert many == [r.to_dict() for r in run_verify("all", settings)]
+
+    @pytest.mark.parametrize("name", ["tbeta", "all"])
+    def test_worker_error_reaches_the_caller(self, monkeypatch, name):
+        # Forked workers inherit the patched kernel.  An error that cannot
+        # travel back from a worker would leave the run waiting forever.
+        monkeypatch.setattr(verify, "_tbeta_kernel", _truncating_kernel)
+        for jobs in (1, 2):
+            with _deadline(120), pytest.raises(TruncationError, match="after 7 sticks"):
+                run_verify(name, CampaignSettings(n=N_SMOKE, jobs=jobs))
+        assert multiprocessing.active_children() == []
 
     def test_worker_count_does_not_change_reports(self):
         # Three shards at 260k; the merge must be associative in shard order.
