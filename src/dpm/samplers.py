@@ -5,7 +5,10 @@ Two independent constructions target the same random probability measure:
 * sequential stick breaking with Be(1, alpha) sticks and i.i.d. marks from
   the base measure, truncated when the leftover mass drops below a
   configured epsilon (the leftover is assigned to one final fresh mark so
-  every sample is an exact probability measure);
+  every sample is an exact probability measure).  A stick W is drawn by
+  inversion from one exponential E: its leftover share 1 - W is
+  exp(-E / alpha) (Devroye 1986, ch. IX), kept as drawn, so the leftover
+  keeps its digits when W rounds to 1;
 * a decreasing-jump representation, where unit-rate Poisson arrivals are
   pushed through the inverse of alpha * E1 to produce the jump sizes of a
   gamma random measure, which normalization turns into the target.
@@ -82,10 +85,26 @@ class RngStream:
 # base draws
 
 
+# Uniforms per slab of a block draw: a large draw holds one slab of doubles
+# at a time beside its indices, not a whole matrix of them.
+_SLAB = 1 << 16
+
+
 def draw_blocks(block_probs, gen: np.random.Generator, size) -> np.ndarray:
     """Block indices of independent base draws, an array of shape ``size``:
-    :func:`count_at_or_below` over the cumulative edges but the last."""
-    return count_at_or_below(np.cumsum(block_probs)[:-1], gen.random(size))
+    :func:`count_at_or_below` over the cumulative edges but the last.
+
+    The uniforms are drawn ``_SLAB`` at a time in the stream's order, which
+    gives the same indices as one draw of them all.
+    """
+    edges = np.cumsum(block_probs)[:-1]
+    n = int(np.prod(size))
+    first = count_at_or_below(edges, gen.random(min(n, _SLAB)))
+    out = np.empty(n, first.dtype)
+    out[: first.size] = first
+    for start in range(first.size, n, _SLAB):
+        out[start : start + _SLAB] = count_at_or_below(edges, gen.random(min(_SLAB, n - start)))
+    return out.reshape(size)
 
 
 def beta_pairs(p: float, alpha: float, m: int, gen: np.random.Generator):
@@ -114,7 +133,11 @@ def _stick_cap(alpha: float, trunc_eps: float) -> int:
 def _stick_columns(alpha, block_probs, m, gen, trunc_eps):
     """Yield (weights, blocks) of one stick for each of m rows at a time.
 
-    Sticks are Be(1, alpha) and marks fall in block j with probability
+    Sticks are Be(1, alpha): each draws E ~ Exp(1) and its leftover share
+    f = exp(-E / alpha), which is 1 - W; the stick's weight is the row's
+    leftover times 1 - f, and the leftover is then multiplied by f.  So a
+    stick that rounds to the whole leftover does not round the row's later
+    weights to zero.  Marks fall in block j with probability
     ``block_probs[j]``.  Every row keeps receiving sticks until the largest
     leftover among the m rows is at most ``trunc_eps`` (extra sticks on
     finished rows only sharpen their truncation); the closing leftover then
@@ -126,13 +149,14 @@ def _stick_columns(alpha, block_probs, m, gen, trunc_eps):
     if not 0.0 < trunc_eps < 1.0:
         raise ValueError(f"trunc_eps must lie in (0, 1), got {trunc_eps}")
     max_sticks = _stick_cap(alpha, trunc_eps)
+    edges = np.cumsum(block_probs)[:-1]
     tail = np.ones(m)
     for _ in range(max_sticks):
-        w = gen.beta(1.0, alpha, size=m)
-        yield tail * w, draw_blocks(block_probs, gen, m)
-        tail = tail * (1.0 - w)
+        f = np.exp(gen.standard_exponential(m) / -alpha)
+        yield tail * (1.0 - f), count_at_or_below(edges, gen.random(m))
+        tail *= f
         if tail.max() <= trunc_eps:
-            yield tail, draw_blocks(block_probs, gen, m)
+            yield tail, count_at_or_below(edges, gen.random(m))
             return
     raise TruncationError(float(tail.max()), max_sticks)
 
@@ -167,9 +191,13 @@ def gamma_jumps(
         arr = np.concatenate([arr, extra], axis=1)
     keep = arr <= limit
     keep[:, 0] = True
-    jumps = np.zeros_like(arr)
-    jumps[keep] = inverse_e1(np.minimum(arr[keep] / alpha, 690.0))
-    return jumps
+    y = arr[keep]
+    y /= alpha
+    np.minimum(y, 690.0, out=y)
+    # The jumps take the arrivals' place, so the (m, K) matrix is held once.
+    arr[~keep] = 0.0
+    arr[keep] = inverse_e1(y)
+    return arr
 
 
 def block_projection(weights: np.ndarray, blocks: np.ndarray, n_blocks: int) -> np.ndarray:

@@ -11,7 +11,8 @@ range of arguments and each range has an exact bracket; within a range it
 takes Halley steps from an asymptotic start, bisecting when a step leaves
 the bracket.  Both accept scalars or numpy arrays, since the jump samplers
 invert whole arrival matrices at once.  :func:`count_at_or_below` counts
-edges where that measured faster than bisection: 4096+ values, <= 16 edges.
+edges, in one byte, where that measured faster than bisection: 4096+
+values, <= 16 edges.
 """
 
 from __future__ import annotations
@@ -105,10 +106,15 @@ def _split(mask: np.ndarray, v: np.ndarray, on, off) -> np.ndarray:
 
 
 def count_at_or_below(edges: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(edges, v, side="right")``, counted where faster."""
+    """``np.searchsorted(edges, v, side="right")``, counted where faster.
+
+    The counting path returns int8: at most 16 edges reach it, so a count
+    never overflows, and its indices take one byte instead of eight.  The
+    binary search returns intp.
+    """
     if not (0 < len(edges) <= 16 and v.size >= 4096):
         return np.searchsorted(edges, v, side="right")
-    count = (v >= edges[0]).astype(np.intp)
+    count = (v >= edges[0]).view(np.int8)
     for c in edges[1:]:
         count += v >= c
     return count

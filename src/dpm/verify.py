@@ -767,15 +767,18 @@ def _removal_kernel(m, gen, *, alpha, probs, trunc_eps, exponents) -> dict:
     nb = len(probs)
     weights, marks = stick_ensemble_chunk(alpha, probs, m, gen, trunc_eps=trunc_eps)
     rows = np.arange(m)
-    proj = block_projection(weights, marks, nb)
     cum = np.cumsum(weights, axis=1)
     u = gen.random(m)
     kappa = np.minimum((cum < u[:, None]).sum(axis=1), weights.shape[1] - 1)
     w_k = weights[rows, kappa]
     b_k = marks[rows, kappa]
-    removed = proj.copy()
-    removed[rows, b_k] -= w_k
-    removed /= np.maximum(1.0 - w_k, 1e-300)[:, None]
+    # The removed measure is the rest of the row over its own sum: forming
+    # it as (proj - w_k) / (1 - w_k) cancels when w_k is near 1.
+    weights[rows, kappa] = 0.0
+    proj = block_projection(weights, marks, nb)
+    rest = proj.sum(axis=1)
+    removed = proj / np.maximum(rest, 1e-300)[:, None]
+    proj[rows, b_k] += w_k
     # Per block j: (removed proj_j, weight), (removed proj_j, pick in j),
     # (weight, pick in j).
     in_j = (b_k == np.arange(nb)[:, None]).astype(float)
@@ -785,7 +788,7 @@ def _removal_kernel(m, gen, *, alpha, probs, trunc_eps, exponents) -> dict:
     return {
         "identity": _pair(_monomials(removed, exponents), _monomials(proj, exponents)),
         "indep": _cov(x, y),
-        "weight": w_k,
+        "rest": rest,
     }
 
 
@@ -799,8 +802,9 @@ def verify_sizebias_invariance(s: CampaignSettings, rng: RngStream) -> list[Test
     renormalization must leave the law of the projections on [0, 0.2),
     [0.2, 0.5), [0.5, 1] unchanged (monomials up to degree 3), the removed
     weight must follow Be(1, alpha), and removed measure, removed weight
-    and pick location must be pairwise uncorrelated.  The negative control
-    tests the removed weight against a deliberately wrong shape.
+    and pick location must be pairwise uncorrelated.  The weight's law is
+    tested on the mass it leaves, against Be(alpha, 1); the negative
+    control tests that mass against a deliberately wrong shape.
     """
     alpha = s.alpha
     base = s.base or BaseModel(alpha=alpha, atom_probs=(), diffuse_weight=1.0)
@@ -819,27 +823,30 @@ def verify_sizebias_invariance(s: CampaignSettings, rng: RngStream) -> list[Test
         stats["identity"].paired(),
         notes="lhs = after removal, rhs = before",
     )
-    w = stats["weight"]
-    stat, p = ks_test(w, lambda x: 1.0 - (1.0 - x) ** alpha)
+    # The rest 1 - W of the picked weight W ~ Be(1, alpha) is Be(alpha, 1),
+    # with cdf y^alpha; summed from the kept weights, it keeps the digits
+    # that 1 - W would round away when W is near 1.
+    rest = stats["rest"]
+    stat, p = ks_test(rest, lambda y: y**alpha)
     reports += c.reports(
         ["sizebias:picked-weight-law"],
-        _ks_estimate(len(w), stat),
+        _ks_estimate(len(rest), stat),
         kind="ks",
         ks=(stat, p),
-        notes=f"picked weight against Be(1,{alpha:g})",
+        notes=f"rest 1-W of the picked weight W against Be({alpha:g},1)",
     )
     pairs = ("removed-proj{j},weight", "removed-proj{j},pick-block{j}", "weight,pick-block{j}")
     names = [f"sizebias:indep[{pair.format(j=j)}]" for j in range(len(probs)) for pair in pairs]
     reports += c.reports(names, stats["indep"].covariance(), kind="cov")
     wrong = alpha + 1.5
-    stat, p = ks_test(w, lambda x: 1.0 - (1.0 - x) ** wrong)
+    stat, p = ks_test(rest, lambda y: y**wrong)
     reports += c.reports(
         ["sizebias:control:wrong-weight-shape"],
-        _ks_estimate(len(w), stat),
+        _ks_estimate(len(rest), stat),
         kind="control",
         ks=(stat, p),
         expected_failure=True,
-        notes=f"picked weight against Be(1,{wrong:g}) must be rejected",
+        notes=f"rest 1-W against Be({wrong:g},1) must be rejected",
     )
     return reports
 

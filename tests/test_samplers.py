@@ -23,6 +23,7 @@ from dpm.samplers import (
     stick_projection_chunk,
 )
 from dpm.specialfn import exp_integral_e1
+from dpm.stats import ks_test
 
 
 def atom0_masses(measures):
@@ -86,13 +87,17 @@ class TestScalarDraws:
 
 
 class StubGen:
-    """Stands in for a generator whose ``random`` returns chosen uniforms."""
+    """Stands in for a generator whose ``random`` returns chosen uniforms,
+    the next ones in order at each call."""
 
     def __init__(self, u):
-        self.u = np.asarray(u, dtype=float)
+        self.u = np.asarray(u, dtype=float).ravel()
+        self.used = 0
 
     def random(self, size):
-        return self.u.reshape(size)
+        n = int(np.prod(size))
+        self.used += n
+        return self.u[self.used - n : self.used].reshape(size)
 
 
 def searchsorted_blocks(p, u):
@@ -124,13 +129,30 @@ class TestDrawBlocksExact:
     @pytest.mark.parametrize("tiles", [1, 4096], ids=["small", "large"])
     def test_matches_clipped_searchsorted(self, p, u, size, tiles):
         # Tiled 4096 times, every case reaches the counting path, except
-        # the 40-block base, whose 39 edges keep the binary search.
+        # the one-block base, which has no edge, and the 40-block base,
+        # whose 39 edges keep the binary search.  Counting gives one-byte
+        # indices; the binary search gives intp.
         u = np.tile(u, tiles)
         size = (len(u),) if np.ndim(size) == 0 else (size[0] * tiles, *size[1:])
-        got = draw_blocks(p, StubGen(u), size)
+        gen = StubGen(u)
+        got = draw_blocks(p, gen, size)
         want = searchsorted_blocks(p, np.reshape(u, size))
+        counted = tiles == 4096 and 1 < len(p) <= 17
+        assert gen.used == len(u)
         assert got.shape == want.shape
-        assert got.dtype == want.dtype
+        assert got.dtype == (np.int8 if counted else np.intp)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("extra", [5, 5000])
+    def test_slabs_give_the_indices_of_one_draw(self, extra):
+        # Drawn slab by slab from a real generator, the indices are those
+        # of one draw of every uniform; a last slab too short to count is
+        # binary-searched into the same one-byte array.
+        p = (0.2, 0.35, 0.45)
+        n = samplers._SLAB + extra
+        got = draw_blocks(p, RngStream(7).gen, (n // 5, 5))
+        want = searchsorted_blocks(p, RngStream(7).gen.random((n // 5, 5)))
+        assert got.dtype == np.int8
         assert np.array_equal(got, want)
 
 
@@ -326,6 +348,18 @@ class TestChunkKernels:
         assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
         assert np.all((b >= 0) & (b <= 2))
         assert np.all(w >= 0)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.5, 2.0, 10.0, 20.0])
+    def test_sticks_by_inversion_have_the_gem_law(self, alpha):
+        # The first stick W is Be(1, alpha), so its leftover share 1 - W,
+        # summed from the later columns, has cdf y^alpha.  At small alpha
+        # W often rounds to 1, and that sum must still carry 1 - W.
+        eps = samplers.DEFAULT_STICK_EPS
+        w, _ = stick_ensemble_chunk(alpha, (0.4, 0.6), 2000, RngStream(43).gen, eps)
+        _, p = ks_test(w[:, 1:].sum(axis=1), lambda y: y**alpha)
+        assert p >= 1e-3
+        assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)
+        assert np.all(w[:, -1] <= eps)
 
     def test_projection_and_ensemble_share_one_stick_loop(self):
         for alpha, probs in ((2.0, (0.2, 0.3, 0.5)), (0.5, (0.6, 0.4)), (8.0, (1.0,))):
