@@ -33,7 +33,6 @@ from .verify import (
     CampaignSettings,
     TestReport,
     campaign_ok,
-    probe_symmetric,
     run_verify,
     verify_beta_general,
     verify_beta_sizebias,
@@ -76,7 +75,6 @@ __all__ = [
     "TestReport",
     "campaign_ok",
     "characterize_from_samples",
-    "probe_symmetric",
     "run_verify",
     "verify_beta_general",
     "verify_beta_sizebias",

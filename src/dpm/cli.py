@@ -34,15 +34,12 @@ from .samplers import (
 )
 from .verify import (
     CAMPAIGN_NAMES,
-    DEFAULT_PROBE_DEPTH,
     CampaignSettings,
     TestReport,
     campaign_ok,
-    probe_symmetric,
     run_verify,
 )
 
-_PROBE_STREAM_BASE = 7_000_000
 # Rows per sampler call in `dpm sample`: output is written batch by batch,
 # so memory stays flat in --n.
 _SAMPLE_BATCH = 64
@@ -210,7 +207,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 
 
 # The keys _cmd_verify reads from a config file, with the JSON types each
-# accepts.  JSON true and false are never numbers here.
+# accepts.  No key takes JSON true or false.
 _NUMBER = ("a number", (int, float))
 _INTEGER = ("an integer", (int,))
 _CONFIG_KEYS = {
@@ -224,8 +221,6 @@ _CONFIG_KEYS = {
     "construction": ("a string", (str,)),
     "eps": _NUMBER,
     "jump_eps": _NUMBER,
-    "probe_symmetric": ("true or false", (bool,)),
-    "depth": _INTEGER,
 }
 
 
@@ -244,7 +239,7 @@ def _load_config(path: str) -> dict:
         raise ValueError(f"unknown config keys {unknown}; expected some of {list(_CONFIG_KEYS)}")
     for key, value in data.items():
         label, types = _CONFIG_KEYS[key]
-        if isinstance(value, bool) != (types == (bool,)) or not isinstance(value, types):
+        if isinstance(value, bool) or not isinstance(value, types):
             raise ValueError(f"config key {key!r} must be {label}, got {value!r}")
     return data
 
@@ -253,8 +248,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     config = _load_config(args.config) if args.config else {}
     given = {**config, **_given(args, _CONFIG_KEYS)}
     given = {k: float(v) if _CONFIG_KEYS[k] is _NUMBER else v for k, v in given.items()}
-    probe = given.pop("probe_symmetric", False)
-    depth = given.pop("depth", DEFAULT_PROBE_DEPTH)
     env_jobs = os.environ.get("DPM_JOBS")
     if "jobs" not in given and env_jobs:
         try:
@@ -265,13 +258,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         given["trunc_eps"] = given.pop("eps")
     settings = _settings(given)
     started = time.monotonic()
-    # The probe runs first, so a bad depth is rejected before any campaign.
-    probe_reports = (
-        probe_symmetric(settings, RngStream(settings.seed, _PROBE_STREAM_BASE), depth)
-        if probe
-        else []
-    )
-    reports = run_verify(args.campaign, settings) + probe_reports
+    reports = run_verify(args.campaign, settings)
     elapsed = time.monotonic() - started
     ok = campaign_ok(reports)
     if args.format == "csv":
@@ -279,7 +266,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             [f.name for f in fields(TestReport)], [r.to_dict().values() for r in reports]
         )
     else:
-        config = dict(vars(settings), probe_symmetric=probe, depth=depth)
+        config = dict(vars(settings))
         config["eps"] = config.pop("trunc_eps")
         config["base"] = settings.base.to_dict() if settings.base else None
         text = _envelope(
@@ -396,14 +383,6 @@ def _build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--construction", choices=("stick", "gamma"), default=None)
     vp.add_argument("--eps", type=float, default=None, help="stick truncation level")
     vp.add_argument("--jump-eps", type=float, default=None, help="jump truncation level")
-    vp.add_argument(
-        "--probe-symmetric",
-        action="store_const",
-        const=True,
-        default=None,
-        help="append the informational symmetric-point probe",
-    )
-    vp.add_argument("--depth", type=int, default=None, help="probe depth")
     vp.add_argument("--format", choices=("json", "csv"), default="json")
     vp.add_argument("--out", default=None)
     vp.add_argument("--config", default=None, help="JSON file of defaults; flags override")

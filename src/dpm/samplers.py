@@ -200,12 +200,19 @@ def gamma_jumps(
     return arr
 
 
+# Rows per masked product in a block projection.
+_PROJECTION_ROWS = 4096
+
+
 def block_projection(weights: np.ndarray, blocks: np.ndarray, n_blocks: int) -> np.ndarray:
     """Per-row block masses: the sum of ``weights`` over the entries whose
-    mark lies in block j, shape (m, n_blocks)."""
+    mark lies in block j, shape (m, n_blocks).  The masked products go
+    ``_PROJECTION_ROWS`` rows at a time; a row's sum is the same in any slab."""
     proj = np.empty((weights.shape[0], n_blocks))
-    for j in range(n_blocks):
-        proj[:, j] = (weights * (blocks == j)).sum(axis=1)
+    for start in range(0, weights.shape[0], _PROJECTION_ROWS):
+        rows = slice(start, start + _PROJECTION_ROWS)
+        for j in range(n_blocks):
+            proj[rows, j] = (weights[rows] * (blocks[rows] == j)).sum(axis=1)
     return proj
 
 

@@ -18,11 +18,12 @@ one builder, :meth:`_Campaign.reports`, turns merged statistics into
 reports.  Campaigns are cut into fixed-size shards, each driven by its own
 named RNG substream; chunk and shard statistics are merged in order, so
 reports are bitwise independent of how many worker processes ran them.
-Every campaign also runs documented negative controls -- a wrong mixing
-law, a wrong constant, a non-conforming weight sequence -- whose reports
-are marked ``expected_failure`` and must come back with a ``fail`` verdict
-for the campaign to count as OK.  :data:`_CAMPAIGNS` maps each campaign's
-name to its function.
+Every report is graded and counts toward its campaign's verdict.  Every
+campaign also runs documented negative controls -- a wrong mixing law, a
+wrong constant, a non-conforming weight sequence -- whose reports are
+marked ``expected_failure`` and must come back with a ``fail`` verdict
+for the campaign to count as OK.  :data:`_CAMPAIGNS` maps each
+campaign's name to its function.
 
 At ``jobs > 1`` one pool of at most one worker process per usable CPU
 serves a whole campaign, or every campaign of ``run_verify("all")`` in
@@ -38,7 +39,7 @@ import contextlib
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial, reduce, wraps
 from typing import Callable, NamedTuple
 
@@ -62,7 +63,6 @@ from .stats import ks_test, ks_two_sample, two_sided_p
 DEFAULT_THRESHOLD = 4.0
 DEFAULT_P_FLOOR = 1e-3
 DEFAULT_N = 200_000
-DEFAULT_PROBE_DEPTH = 6
 SHARD_SIZE = 125_000
 _CHUNK_ROWS = 25_000
 _ENSEMBLE_CHUNK_ROWS = 10_000
@@ -73,14 +73,18 @@ _CONTROL_STREAM_OFFSET = 50_000
 # report type
 
 
+# The scalar type of each TestReport field, by its annotation (a string
+# under postponed evaluation).
+_SCALAR = {"str": str, "float": float, "int": int, "bool": bool}
+
+
 @dataclass(frozen=True)
 class TestReport:
     """Outcome of one statistical test inside a campaign.
 
     ``kind`` is "z" for paired or one-sample z-tests, "ks" for
     Kolmogorov-Smirnov tests, "cov" for covariance-based independence
-    checks, "control" for an aggregated negative control and "probe" for
-    informational runs that record data without asserting anything.  The
+    checks and "control" for an aggregated negative control.  The
     verdict is literal: it states whether the statistic cleared the
     threshold, regardless of whether failure was the expected outcome;
     :meth:`ok` folds ``expected_failure`` in.
@@ -100,8 +104,6 @@ class TestReport:
     notes: str = ""
 
     def ok(self) -> bool:
-        if self.kind == "probe":
-            return True
         if self.expected_failure:
             return self.verdict == "fail"
         return self.verdict == "pass"
@@ -109,20 +111,7 @@ class TestReport:
     def to_dict(self) -> dict:
         # Plain Python scalars: numpy floats subclass float for JSON, but
         # their repr differs, which would leak into the CSV view.
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "statistic": float(self.statistic),
-            "p_value": float(self.p_value),
-            "lhs": float(self.lhs),
-            "rhs": float(self.rhs),
-            "stderr": float(self.stderr),
-            "n_samples": int(self.n_samples),
-            "seed": int(self.seed),
-            "verdict": self.verdict,
-            "expected_failure": bool(self.expected_failure),
-            "notes": self.notes,
-        }
+        return {f.name: _SCALAR[f.type](getattr(self, f.name)) for f in fields(self)}
 
 
 def campaign_ok(reports) -> bool:
@@ -350,13 +339,13 @@ def _worker_pool(jobs: int):
 
 
 def _pooled(campaign):
-    """The campaign ``campaign(settings, rng, ...)`` run under a
+    """The campaign ``campaign(settings, rng)`` run under a
     :func:`_worker_pool` of ``settings.jobs`` workers."""
 
     @wraps(campaign)
-    def pooled(s: CampaignSettings, rng: RngStream, *args, **kwargs):
+    def pooled(s: CampaignSettings, rng: RngStream):
         with _worker_pool(s.jobs):
-            return campaign(s, rng, *args, **kwargs)
+            return campaign(s, rng)
 
     return pooled
 
@@ -424,8 +413,7 @@ class _Campaign:
         A z-type report grades z = diff / se against the threshold; se == 0
         gives z = 0 when diff is 0 as well and z = inf otherwise.  With
         ``ks`` = (D, p) the report is a KS test, graded by p >=
-        DEFAULT_P_FLOOR.  "probe" reports always carry the verdict
-        "degenerate".
+        DEFAULT_P_FLOOR.
         """
         out = []
         for i, name in enumerate(names):
@@ -451,7 +439,7 @@ class _Campaign:
                     stderr=est.se[i],
                     n_samples=est.n,
                     seed=self.rng.seed,
-                    verdict="degenerate" if kind == "probe" else verdict,
+                    verdict=verdict,
                     expected_failure=expected_failure,
                     notes=notes,
                 )
@@ -698,7 +686,10 @@ def verify_beta_sizebias(s: CampaignSettings, rng: RngStream) -> list[TestReport
         E g(Z) Z       = p     E g((1-W)Z + W)      (the picked branch)
         E g(Z) (1 - Z) = (1-p) E g((1-W)Z)          (the complement).
     The k = 0 picked test is the normalization E Z = p.  The negative
-    control reruns the family with p shifted by 0.15; it must fail.
+    control reruns the family with p shifted by 0.15; it must fail.  At
+    the symmetric point p = 1/2 only the moment recovery of
+    :mod:`dpm.characterize` degenerates; both families still hold there
+    and are graded like any other p.
     """
     p = s.p
     c = _Campaign(_tbeta_kernel, dict(p=p, alpha=s.alpha, p_used=p), s, rng)
@@ -1027,41 +1018,3 @@ def run_verify(name: str, settings: CampaignSettings | None = None) -> list[Test
     )
     return _CAMPAIGNS[name](settings, rng)
 
-
-# ---------------------------------------------------------------------------
-# symmetric-point probe
-
-
-def _probe_kernel(m, gen, *, alpha, depth) -> dict:
-    z = gen.beta(alpha / 2.0, alpha / 2.0, size=m)
-    omz = np.ones_like(z)
-    identity = []
-    for k in range(depth + 1):
-        identity.append(_pair(omz * z, 0.5 * omz * (alpha / (alpha + k))))
-        omz = omz * (1.0 - z)
-    return {"identity": Moments.stack(identity)}
-
-
-@_pooled
-def probe_symmetric(
-    s: CampaignSettings, rng: RngStream, depth: int = DEFAULT_PROBE_DEPTH
-) -> list[TestReport]:
-    """Record the symmetric-point moment identities without judging them.
-
-    At p = 1/2 the recovery of the odd-degree mixing moments degenerates,
-    so the recovery chain carries no verdict there.  This probe samples
-    Z ~ Be(alpha/2, alpha/2) and
-    reports E (1-Z)^k Z - (1/2) E (1-Z)^k * (alpha/(alpha+k)) for each k
-    up to ``depth``:
-    data for the open symmetric case, flagged "probe"/"degenerate" and
-    excluded from campaign verdicts.
-    """
-    if depth < 0:
-        raise ValueError(f"depth must be non-negative, got {depth}")
-    c = _Campaign(_probe_kernel, dict(alpha=s.alpha, depth=depth), s, rng)
-    return c.reports(
-        [f"probe:symmetric[k={k}]" for k in range(depth + 1)],
-        c.run().get()["identity"].paired(),
-        kind="probe",
-        notes="informational only; the symmetric point carries no verdict",
-    )

@@ -1,7 +1,6 @@
 """Tests for the command-line interface."""
 
 import csv
-import inspect
 import io
 import json
 import math
@@ -11,9 +10,10 @@ from dataclasses import fields
 
 import pytest
 
+import dpm
 from dpm import __version__, cli, verify
 from dpm.cli import main
-from dpm.verify import CampaignSettings, probe_symmetric
+from dpm.verify import CampaignSettings
 
 
 def run_cli(capsys, *argv):
@@ -42,8 +42,6 @@ FLAG_AND_CONFIG = {
     "construction": (("--construction", "gamma"), "gamma"),
     "eps": (("--eps", "1e-10"), 1e-10),
     "jump_eps": (("--jump-eps", "1e-6"), 1e-6),
-    "probe_symmetric": (("--probe-symmetric",), True),
-    "depth": (("--depth", "3"), 3),
 }
 
 
@@ -261,18 +259,6 @@ class TestVerify:
             assert float(row["statistic"]) == float(row["statistic"])
             assert row["n_samples"] == "20000"
 
-    def test_probe_appends_reports(self, capsys):
-        base_args = ("verify", "tbeta", "--n", "20000", "--seed", "42")
-        _, plain, _ = run_cli(capsys, *base_args)
-        _, probed, _ = run_cli(capsys, *base_args, "--probe-symmetric", "--depth", "4")
-        n_plain = json.loads(plain)["n_reports"]
-        payload = json.loads(probed)
-        assert payload["config"]["probe_symmetric"] is True
-        assert payload["n_reports"] == n_plain + 5
-        assert payload["ok"] is True
-        kinds = {r["kind"] for r in payload["reports"]}
-        assert "probe" in kinds
-
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "verify.json"
         cfg.write_text(json.dumps({"n": 5000, "seed": 7, "p": 0.4}))
@@ -321,12 +307,7 @@ class TestVerify:
         defaults = CampaignSettings()
         expected = {f.name: getattr(defaults, f.name) for f in fields(defaults)}
         expected["eps"] = expected.pop("trunc_eps")
-        expected.update(
-            n=2000,
-            seed=1,
-            probe_symmetric=False,
-            depth=inspect.signature(probe_symmetric).parameters["depth"].default,
-        )
+        expected.update(n=2000, seed=1)
         assert json.loads(out)["config"] == expected
 
     def test_env_jobs_must_be_an_integer(self, capsys, monkeypatch):
@@ -418,10 +399,9 @@ class TestVerify:
             (("--threshold", "nan"), "threshold must be finite and positive"),
             (("--threshold=-1",), "threshold must be finite and positive"),
             (("--jobs", "0"), "jobs must be at least 1"),
-            (("--probe-symmetric", "--depth=-1"), "depth must be non-negative"),
             (("--config", "{config}"), "unknown config keys ['jumpeps']"),
         ],
-        ids=["threshold-nan", "threshold-negative", "jobs-zero", "depth-negative", "config-key"],
+        ids=["threshold-nan", "threshold-negative", "jobs-zero", "config-key"],
     )
     def test_bad_settings_are_usage_errors(self, capsys, monkeypatch, tmp_path, args, message):
         # Rejected before any campaign runs, not reported as failed tests.
@@ -437,13 +417,30 @@ class TestVerify:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("flag", [("--probe-symmetric",), ("--depth", "3")])
+    def test_removed_probe_flags_are_usage_errors(self, capsys, monkeypatch, flag):
+        # `verify tbeta --p 0.5` grades the symmetric-point identities.
+        monkeypatch.setattr(cli, "run_verify", no_campaign)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "tbeta", "--n", "2000", *flag])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("key, value", [("probe_symmetric", True), ("depth", 3)])
+    def test_removed_probe_config_keys_are_usage_errors(
+        self, capsys, monkeypatch, tmp_path, key, value
+    ):
+        monkeypatch.setattr(cli, "run_verify", no_campaign)
+        config = tmp_path / "verify.json"
+        config.write_text(json.dumps({key: value}))
+        code, out, err = run_cli(capsys, "verify", "tbeta", "--n", "2000", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert f"unknown config keys [{key!r}]" in err
 
     @pytest.mark.parametrize(
         "key, value",
         [
-            ("probe_symmetric", "false"),
-            ("probe_symmetric", 1),
-            ("depth", 2.7),
             ("n", True),
             ("jobs", "2"),
             ("alpha", False),
@@ -452,7 +449,7 @@ class TestVerify:
             ("seed", 4.5),
             ("base", [1.0]),
         ],
-        ids=["probe-string", "probe-integer", "depth-float", "n-bool", "jobs-string",
+        ids=["n-bool", "jobs-string",
              "alpha-bool", "p-string", "construction-integer", "seed-float", "base-list"],
     )
     def test_config_values_of_the_wrong_type_are_usage_errors(
@@ -554,7 +551,7 @@ def test_non_finite_alpha_is_usage_error(capsys, argv):
 @pytest.mark.parametrize(
     "argv, rows_of",
     [
-        (("verify", "tbeta", "--n", "2000", "--seed", "1", "--probe-symmetric"),
+        (("verify", "tbeta", "--n", "2000", "--seed", "1"),
          lambda payload: payload["reports"]),
         (("moments", "--alphas", "1,2,0.5", "--max-degree", "3"),
          lambda payload: payload["entries"]),
@@ -585,6 +582,10 @@ class TestTopLevel:
             main(["--version"])
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+    def test_every_export_resolves(self):
+        # A stale name in __all__ breaks only `from dpm import *`.
+        assert [name for name in dpm.__all__ if not hasattr(dpm, name)] == []
 
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

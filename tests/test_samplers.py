@@ -367,6 +367,24 @@ class TestChunkKernels:
             w, b = stick_ensemble_chunk(alpha, probs, 300, RngStream(27).gen)
             assert np.max(np.abs(proj - block_projection(w, b, len(probs)))) <= 1e-14
 
+    @pytest.mark.parametrize("source", ["sticks", "jumps", "broadcast"])
+    def test_block_projection_by_slabs_is_one_product(self, source):
+        # More rows than two slabs, with a short last slab.
+        m = 2 * samplers._PROJECTION_ROWS + 37
+        probs = (0.2, 0.3, 0.5)
+        gen = RngStream(29).gen
+        if source == "sticks":
+            w, b = stick_ensemble_chunk(2.0, probs, m, gen)
+        else:
+            if source == "jumps":
+                w = gamma_jumps(5.0, m, gen, trunc_eps=1e-4)
+            else:
+                geometric = 0.1 * 0.9 ** np.arange(263)
+                w = np.broadcast_to(geometric / geometric.sum(), (m, 263))
+            b = draw_blocks(probs, gen, w.shape)
+        want = np.stack([(w * (b == j)).sum(axis=1) for j in range(len(probs))], axis=1)
+        assert np.array_equal(block_projection(w, b, len(probs)), want)
+
     @pytest.mark.parametrize("alpha", [0.3, 2.0, 10.0])
     def test_stick_projection_equals_a_row_scatter_bit_for_bit(self, alpha):
         probs = np.array([0.2, 0.3, 0.5])

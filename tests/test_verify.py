@@ -6,7 +6,7 @@ import multiprocessing
 import os
 import signal
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import reduce
 from types import SimpleNamespace
 
@@ -29,7 +29,6 @@ from dpm.verify import (
     _block_probs,
     _shard_sizes,
     campaign_ok,
-    probe_symmetric,
     run_verify,
     verify_beta_general,
     verify_beta_sizebias,
@@ -70,10 +69,6 @@ class TestReportSemantics:
         assert _report(verdict="fail", expected_failure=True).ok()
         assert not _report(verdict="pass", expected_failure=True).ok()
 
-    def test_probe_always_ok(self):
-        assert _report(kind="probe", verdict="degenerate").ok()
-        assert _report(kind="probe", verdict="fail").ok()
-
     def test_campaign_ok(self):
         good = [_report(), _report(verdict="fail", expected_failure=True)]
         assert campaign_ok(good)
@@ -88,6 +83,8 @@ class TestReportSemantics:
             "name", "kind", "statistic", "p_value", "lhs", "rhs", "stderr",
             "n_samples", "seed", "verdict", "expected_failure", "notes",
         }
+        # The CSV header is the field names; each row must follow it.
+        assert list(d) == [f.name for f in fields(Report)]
 
 
 class TestMixingLaw:
@@ -234,6 +231,14 @@ class TestBetaSizebiasCampaign:
         control = next(r for r in reports if r.kind == "control")
         assert control.verdict == "fail"
         assert abs(control.statistic) > 20
+
+    def test_symmetric_point_is_graded(self):
+        # At p = 1/2 the rest branch reads E Z^k (1-Z) = (1/2) (alpha /
+        # (alpha+k)) E Z^k: graded like any other p, with a failing control.
+        reports = run_verify("tbeta", CampaignSettings(p=0.5, n=N_SMOKE, seed=3))
+        assert [r.name for r in reports if not r.ok()] == []
+        names = {r.name for r in reports}
+        assert {f"tbeta:rest[g=x^{k}]" for k in range(7)} | {"tbeta:control:wrong-p"} <= names
 
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
@@ -384,13 +389,12 @@ class TestRunVerify:
         assert campaign_ok(run_verify("all", settings))
 
     def test_every_campaign_is_independent_of_worker_count(self, monkeypatch):
-        # Small shards put every campaign and the probe across four shards.
+        # Small shards put every campaign across four shards.
         monkeypatch.setattr(verify, "SHARD_SIZE", 5_000)
 
         def reports(jobs):
             settings = CampaignSettings(n=20_000, seed=53, jobs=jobs)
-            probe = probe_symmetric(settings, RngStream(53, 7_000_000))
-            return [r.to_dict() for r in run_verify("all", settings) + probe]
+            return [r.to_dict() for r in run_verify("all", settings)]
 
         assert reports(1) == reports(2)
 
@@ -514,22 +518,6 @@ class TestCharacterize:
             characterize_from_samples(z, w, depth=0)
         with pytest.raises(ValueError, match="depth"):
             characterize_from_samples(z, w, depth=9)
-
-
-class TestProbeSymmetric:
-    def test_probe_reports_are_informational(self):
-        reports = probe_symmetric(CampaignSettings(n=N_SMOKE), RngStream(88), depth=4)
-        assert len(reports) == 5
-        assert all(r.kind == "probe" for r in reports)
-        assert all(r.verdict == "degenerate" for r in reports)
-        assert campaign_ok(reports)
-        # The identity E (1-Z)^k Z = (1/2)(alpha/(alpha+k)) E (1-Z)^k holds
-        # at the symmetric point, so the recorded z-scores stay small.
-        assert all(abs(r.statistic) < 6.0 for r in reports)
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            probe_symmetric(CampaignSettings(alpha=-1.0, n=N_SMOKE), RngStream(0))
 
 
 class TestDefaultPartition:
