@@ -22,15 +22,19 @@ Every report is graded and counts toward its campaign's verdict.  Every
 campaign also runs documented negative controls -- a wrong mixing law, a
 wrong constant, a non-conforming weight sequence -- whose reports are
 marked ``expected_failure`` and must come back with a ``fail`` verdict
-for the campaign to count as OK.  :data:`_CAMPAIGNS` maps each
+for the campaign to count as OK.  A control that changes only the mixing
+law or a constant (mecke's point mass, sethuraman's wrong shape, tbeta's
+wrong p, tbeta2's wrong c) is a second statistic of the identity's own
+kernel call: it reads the identity's draws and draws nothing.  A control
+that changes the input (mecke's single atom, thm52's geometric weights)
+is a run of its own on an offset substream.  :data:`_CAMPAIGNS` maps each
 campaign's name to its function.
 
 At ``jobs > 1`` one pool of at most one worker process per usable CPU
 serves a whole campaign, or every campaign of ``run_verify("all")`` in
-turn.  A campaign submits its identity and control runs before it reads
-any of them, so they are in the pool together; each run's shards are still
-merged in shard order.  At ``jobs == 1`` every run is computed in this
-process.
+turn.  A campaign submits all its runs before it reads any of them, so
+they are in the pool together; each run's shards are still merged in
+shard order.  At ``jobs == 1`` every run is computed in this process.
 """
 
 from __future__ import annotations
@@ -325,7 +329,8 @@ def _usable_cpus() -> int:
 def _worker_pool(jobs: int):
     """Bind one pool of min(jobs, usable CPUs) worker processes for the
     runs inside, unless jobs is 1 or a pool is bound already.  Leaving
-    terminates the workers."""
+    terminates the workers; leaving by an exception first lets every shard
+    in flight finish."""
     global _pool
     if jobs == 1 or _pool is not None:
         yield
@@ -334,6 +339,12 @@ def _worker_pool(jobs: int):
         _pool = pool
         try:
             yield
+        except Exception:
+            # A worker terminated while it sends a result keeps the result
+            # queue's lock, and the pool's shutdown then waits on it for ever.
+            pool.close()
+            pool.join()
+            raise
         finally:
             _pool = None
 
@@ -368,8 +379,10 @@ class _Campaign:
     ``kernel(m, gen, **params)`` turns m rows drawn from ``gen`` into
     named statistics: :class:`Moments` built by :func:`_pair` or
     :func:`_cov`, or sample arrays.  A campaign's main paired statistic is
-    named "identity"; its negative controls rerun it with changed
-    parameters on their own substreams.  ``n``, ``jobs`` and ``threshold``
+    named "identity".  A negative control that only reads the identity's
+    draws another way is a second statistic of the same kernel call, named
+    "control"; one that changes the input reruns the kernel with changed
+    parameters on its own substream.  ``n``, ``jobs`` and ``threshold``
     come from the settings.
     """
 
@@ -396,7 +409,11 @@ class _Campaign:
         ]
         if _pool is None:
             return _Run(lambda: [_shard(t) for t in tasks])
-        return _Run(_pool.map_async(_shard, tasks).get)
+        # One job per shard: each stays in the pool's cache until its own
+        # result arrives, so a pool closed after a failure still takes in
+        # every result before its workers exit.
+        results = [_pool.apply_async(_shard, (t,)) for t in tasks]
+        return _Run(lambda: [r.get() for r in results])
 
     def reports(
         self,
@@ -446,11 +463,11 @@ class _Campaign:
             )
         return out
 
-    def control(self, name: str, names, run: _Run, notes: str) -> TestReport:
-        """The worst z-test of ``run``, a rerun of the "identity" statistic
-        with changed parameters; the control must reject."""
-        est = run.get()["identity"].paired()
-        worst = max(self.reports(names, est), key=lambda r: abs(r.statistic))
+    def control(self, name: str, names, stat: Moments, notes: str) -> TestReport:
+        """The worst z-test of ``stat``, the paired statistic of the
+        identity under a wrong law, constant or input; the control must
+        reject."""
+        worst = max(self.reports(names, stat.paired()), key=lambda r: abs(r.statistic))
         return replace(
             worst,
             name=name,
@@ -472,7 +489,7 @@ def _ks_estimate(n: int, lhs: float, rhs: float = 0.0) -> Estimate:
 
 @dataclass(frozen=True)
 class MixingLaw:
-    """Law of the mixing weight W: Be(1, alpha) or a point mass."""
+    """Law of a control's mixing weight: Be(1, alpha) or a point mass."""
 
     kind: str = "beta"
     alpha: float | None = None
@@ -488,10 +505,17 @@ class MixingLaw:
         else:
             raise ValueError(f"unknown mixing kind {self.kind!r}")
 
-    def draw(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        if self.kind == "beta":
-            return gen.beta(1.0, self.alpha, size=size)
-        return np.full(size, self.value)
+    def coupled(self, u: np.ndarray, alpha: float) -> np.ndarray:
+        """Weights of this law made from weights u ~ Be(1, alpha) alone.
+
+        A point mass ignores u.  Be(1, b) is 1 - (1-u)^(alpha/b): 1 - u has
+        cdf y^alpha, so P((1-u)^(alpha/b) <= y) = y^b.
+        """
+        if self.kind == "point":
+            return np.full_like(u, self.value)
+        # A u that rounded to 1 maps to 1.
+        with np.errstate(divide="ignore"):
+            return -np.expm1(np.log1p(-u) * (alpha / self.alpha))
 
     def label(self) -> str:
         if self.kind == "beta":
@@ -566,13 +590,14 @@ def _projections(construction, alpha, probs, m, gen, trunc_eps, jump_eps):
 
 
 def _mix_kernel(
-    m, gen, *, alpha, probs, construction, trunc_eps, jump_eps, mixing, exponents, weighted
+    m, gen, *, alpha, probs, construction, trunc_eps, jump_eps, control, exponents, weighted
 ) -> dict:
+    """The identity with Be(1, alpha) weights u and, unless ``control`` is
+    None, the "control" statistic of the same measures and marks mixed by
+    the weights of the law ``control`` coupled to u."""
     proj, _ = _projections(construction, alpha, probs, m, gen, trunc_eps, jump_eps)
-    u = mixing.draw(gen, m)
+    u = gen.beta(1.0, alpha, size=m)
     xblk = draw_blocks(probs, gen, m)
-    mixed = (1.0 - u)[:, None] * proj
-    mixed[np.arange(m), xblk] += u
     # Weighted, f(zeta, x) = g(proj) h(x) for every monomial g and block
     # indicator h: the lhs integrates h against zeta, the rhs reads it at
     # the fresh mark.  One batch per g keeps the temporaries small.
@@ -580,8 +605,18 @@ def _mix_kernel(
         h_lhs, h_rhs = np.ascontiguousarray(proj.T), xblk == np.arange(len(probs))[:, None]
     else:
         h_lhs = h_rhs = 1.0
-    pairs = zip(_monomials(proj, exponents), _monomials(mixed, exponents))
-    return {"identity": Moments.stack([_pair(g1 * h_lhs, g2 * h_rhs) for g1, g2 in pairs])}
+    g_lhs = _monomials(proj, exponents)
+
+    def statistic(w):
+        mixed = (1.0 - w)[:, None] * proj
+        mixed[np.arange(m), xblk] += w
+        pairs = zip(g_lhs, _monomials(mixed, exponents))
+        return Moments.stack([_pair(g1 * h_lhs, g2 * h_rhs) for g1, g2 in pairs])
+
+    out = {"identity": statistic(u)}
+    if control is not None:
+        out["control"] = statistic(control.coupled(u, alpha))
+    return out
 
 
 def _projection_probs(s: CampaignSettings) -> tuple[float, ...]:
@@ -597,7 +632,6 @@ def _mix_params(s: CampaignSettings) -> dict:
         construction=s.construction,
         trunc_eps=s.trunc_eps,
         jump_eps=s.jump_eps,
-        mixing=MixingLaw("beta", alpha=s.alpha),
     )
 
 
@@ -609,26 +643,27 @@ def verify_mecke(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     at most 2 and h a block indicator, compares the sample mean of the
     measure-weighted side  g(proj) * sum_j proj_j h_j  against
     g(proj') h(X) where proj' mixes the projection with a fresh base mark
-    X by a Be(1, alpha) weight.  Negative controls rerun the family with a
-    point-mass mixing law of the correct mean, and with a single-atom
-    construction in place of the target sampler; both must fail.
+    X by a Be(1, alpha) weight.  Negative controls reread the same draws
+    with a point-mass mixing law of the correct mean, and rerun the family
+    on a substream of its own with a single-atom construction in place of
+    the target sampler; both must fail.
     """
     params = _mix_params(s)
     nb = len(params["probs"])
     exponents = _exponents(nb, 2, min_degree=0)
-    params.update(exponents=exponents, weighted=True)
-    c = _Campaign(_mix_kernel, params, s, rng)
     point = MixingLaw("point", value=1.0 / (s.alpha + 1.0))
+    params.update(exponents=exponents, weighted=True, control=point)
+    c = _Campaign(_mix_kernel, params, s, rng)
     identity = c.run()
-    point_run = c.run(_CONTROL_STREAM_OFFSET, mixing=point)
-    atom_run = c.run(2 * _CONTROL_STREAM_OFFSET, construction="iid")
+    atom_run = c.run(2 * _CONTROL_STREAM_OFFSET, construction="iid", control=None)
+    stats = identity.get()
     names = [f"mecke[g={_monomial_name(ks)},h=B{j}]" for ks in exponents for j in range(nb)]
-    reports = c.reports(names, identity.get()["identity"].paired())
-    label = c.params["mixing"].label()
-    notes = f"mixing law {point.label()} matches the mean of {label} but not its spread"
-    reports.append(c.control("mecke:control:point-mass-mixing", names, point_run, notes))
+    reports = c.reports(names, stats["identity"].paired())
+    notes = f"mixing law {point.label()} matches the mean of Be(1,{s.alpha:g}) but not its spread"
+    reports.append(c.control("mecke:control:point-mass-mixing", names, stats["control"], notes))
     notes = "input measure replaced by a Dirac at one base draw"
-    reports.append(c.control("mecke:control:single-atom-input", names, atom_run, notes))
+    atom = atom_run.get()["identity"]
+    reports.append(c.control("mecke:control:single-atom-input", names, atom, notes))
     return reports
 
 
@@ -638,20 +673,21 @@ def verify_sethuraman(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
 
     Compares E f(zeta) against E f((1-W)zeta + W delta_X) for monomial f
     of the projections up to degree 3, W ~ Be(1, alpha), X a fresh base
-    draw.  The negative control reruns the family with a mixing law of the
-    wrong shape; degree >= 2 tests must fail.
+    draw.  The negative control rereads the same measures and marks with a
+    mixing law of the wrong shape, its weights coupled to W; degree >= 2
+    tests must fail.
     """
     params = _mix_params(s)
     exponents = _exponents(len(params["probs"]), 3)
-    params.update(exponents=exponents, weighted=False)
-    c = _Campaign(_mix_kernel, params, s, rng)
     wrong = MixingLaw("beta", alpha=s.alpha + 2.0)
-    identity = c.run()
-    wrong_run = c.run(_CONTROL_STREAM_OFFSET, mixing=wrong)
+    params.update(exponents=exponents, weighted=False, control=wrong)
+    c = _Campaign(_mix_kernel, params, s, rng)
+    stats = c.run().get()
     names = [f"sethuraman[g={_monomial_name(ks)}]" for ks in exponents]
-    reports = c.reports(names, identity.get()["identity"].paired())
+    reports = c.reports(names, stats["identity"].paired())
     notes = f"mixing law {wrong.label()} instead of Be(1,{s.alpha:g})"
-    reports.append(c.control("sethuraman:control:wrong-mixing-shape", names, wrong_run, notes))
+    name = "sethuraman:control:wrong-mixing-shape"
+    reports.append(c.control(name, names, stats["control"], notes))
     return reports
 
 
@@ -662,19 +698,26 @@ _TBETA_DEGREE = 6
 _TBETA2_DEGREE = 4
 
 
-def _tbeta_kernel(m, gen, *, p, alpha, p_used) -> dict:
+def _tbeta_kernel(m, gen, *, p, alpha, p_wrong) -> dict:
+    """Both branches at p ("identity") and, on the same pairs, at p_wrong
+    ("control")."""
     z, w = beta_pairs(p, alpha, m, gen)
     mixed = (1.0 - w) * z + w
     shrunk = (1.0 - w) * z
     zk = mk = sk = np.ones_like(z)
-    pick, rest = [], []
+    columns = []
     for _ in range(_TBETA_DEGREE + 1):
-        pick.append(_pair(zk * z, p_used * mk))
-        rest.append(_pair(zk * (1.0 - z), (1.0 - p_used) * sk))
+        columns.append((zk * z, mk, zk * (1.0 - z), sk))
         zk = zk * z
         mk = mk * mixed
         sk = sk * shrunk
-    return {"identity": Moments.stack(pick + rest)}
+
+    def statistic(q):
+        pick = [_pair(lhs, q * rhs) for lhs, rhs, _, _ in columns]
+        rest = [_pair(lhs, (1.0 - q) * rhs) for _, _, lhs, rhs in columns]
+        return Moments.stack(pick + rest)
+
+    return {"identity": statistic(p), "control": statistic(p_wrong)}
 
 
 @_pooled
@@ -686,38 +729,40 @@ def verify_beta_sizebias(s: CampaignSettings, rng: RngStream) -> list[TestReport
         E g(Z) Z       = p     E g((1-W)Z + W)      (the picked branch)
         E g(Z) (1 - Z) = (1-p) E g((1-W)Z)          (the complement).
     The k = 0 picked test is the normalization E Z = p.  The negative
-    control reruns the family with p shifted by 0.15; it must fail.  At
+    control reads the same pairs with p shifted by 0.15; it must fail.  At
     the symmetric point p = 1/2 only the moment recovery of
     :mod:`dpm.characterize` degenerates; both families still hold there
     and are graded like any other p.
     """
     p = s.p
-    c = _Campaign(_tbeta_kernel, dict(p=p, alpha=s.alpha, p_used=p), s, rng)
     p_wrong = p + 0.15 if p + 0.15 < 1.0 else p - 0.15
-    identity = c.run()
-    wrong_run = c.run(_CONTROL_STREAM_OFFSET, p_used=p_wrong)
+    c = _Campaign(_tbeta_kernel, dict(p=p, alpha=s.alpha, p_wrong=p_wrong), s, rng)
+    stats = c.run().get()
     branches = ("pick", "rest")
     names = [f"tbeta:{b}[g=x^{k}]" for b in branches for k in range(_TBETA_DEGREE + 1)]
-    reports = c.reports(names, identity.get()["identity"].paired())
+    reports = c.reports(names, stats["identity"].paired())
     notes = f"identities evaluated with p={p_wrong:g} against data at p={p:g}"
-    reports.append(c.control("tbeta:control:wrong-p", names, wrong_run, notes))
+    reports.append(c.control("tbeta:control:wrong-p", names, stats["control"], notes))
     return reports
 
 
-def _tbeta2_kernel(m, gen, *, p, alpha, c_used) -> dict:
+def _tbeta2_kernel(m, gen, *, p, alpha, c, c_wrong) -> dict:
+    """The quadratic identity with constant c ("identity") and, on the same
+    pairs, with c_wrong ("control"), and the independence covariances."""
     z, w = beta_pairs(p, alpha, m, gen)
     mixed = (1.0 - w) * z + w
     zk = mk = np.ones_like(z)
-    quadratic = []
+    columns = []
     for _ in range(_TBETA2_DEGREE + 1):
-        quadratic.append(_pair(zk * z * z, c_used * mk * w))
+        columns.append((zk * z * z, mk))
         zk = zk * z
         mk = mk * mixed
     ratio = w / mixed
     ratio2 = ratio * ratio
     mixed2 = mixed * mixed
     return {
-        "identity": Moments.stack(quadratic),
+        "identity": Moments.stack([_pair(lhs, c * rhs * w) for lhs, rhs in columns]),
+        "control": Moments.stack([_pair(lhs, c_wrong * rhs * w) for lhs, rhs in columns]),
         "indep": _cov(np.array([ratio, ratio, ratio2, ratio2]), np.array([mixed, mixed2] * 2)),
     }
 
@@ -729,13 +774,12 @@ def verify_beta_general(s: CampaignSettings, rng: RngStream) -> list[TestReport]
     Tests E g(Z) Z^2 = c E g((1-W)Z + W) W with c = p(alpha p + 1) for
     monomial g up to degree 4, and that the ratio W/(Z + W - WZ) is
     uncorrelated with Z + W - WZ through first and second powers of each.
-    The negative control reruns the identity with c + 0.1 and must fail.
+    The negative control reads the same pairs with c + 0.1 and must fail.
     """
     const = quadratic_weight_c(s.p, s.alpha)
-    c = _Campaign(_tbeta2_kernel, dict(p=s.p, alpha=s.alpha, c_used=const), s, rng)
-    identity = c.run()
-    wrong_run = c.run(_CONTROL_STREAM_OFFSET, c_used=const + 0.1)
-    stats = identity.get()
+    params = dict(p=s.p, alpha=s.alpha, c=const, c_wrong=const + 0.1)
+    c = _Campaign(_tbeta2_kernel, params, s, rng)
+    stats = c.run().get()
     names = [f"tbeta2:quadratic[g=x^{k}]" for k in range(_TBETA2_DEGREE + 1)]
     reports = c.reports(names, stats["identity"].paired(), notes=f"c={const:.12g}")
     pairs = ("ratio,sum", "ratio,sum^2", "ratio^2,sum", "ratio^2,sum^2")
@@ -746,7 +790,7 @@ def verify_beta_general(s: CampaignSettings, rng: RngStream) -> list[TestReport]
         notes="ratio = W/(Z+W-WZ), sum = Z+W-WZ",
     )
     notes = f"constant c shifted to {const + 0.1:.12g}"
-    reports.append(c.control("tbeta2:control:wrong-c", names, wrong_run, notes))
+    reports.append(c.control("tbeta2:control:wrong-c", names, stats["control"], notes))
     return reports
 
 
@@ -914,7 +958,8 @@ def verify_marked_sizebias(s: CampaignSettings, rng: RngStream) -> list[TestRepo
     )
     notes = "deterministic geometric weights (ratio 0.9) with i.i.d. marks"
     name = "thm52:control:geometric-weights"
-    reports.append(c.control(name, control_names, geometric_run, notes))
+    geometric = geometric_run.get()["identity"]
+    reports.append(c.control(name, control_names, geometric, notes))
     return reports
 
 

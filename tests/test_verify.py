@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from dpm import verify
 from dpm.characterize import CharacterizationReport, characterize_from_samples
@@ -100,16 +101,53 @@ class TestMixingLaw:
         with pytest.raises(ValueError):
             MixingLaw("cauchy", value=0.5)
 
-    def test_draws(self):
-        gen = np.random.default_rng(0)
-        w = MixingLaw("beta", alpha=2.0).draw(gen, 1000)
-        assert w.shape == (1000,) and np.all((w > 0) & (w < 1))
-        w = MixingLaw("point", value=0.25).draw(gen, 10)
-        assert np.all(w == 0.25)
-
     def test_labels(self):
         assert MixingLaw("beta", alpha=2.0).label() == "Be(1,2)"
         assert MixingLaw("point", value=0.25).label() == "delta(0.25)"
+
+
+class TestControlCouplings:
+    """The mixing controls read the identity's weights u ~ Be(1, alpha)
+    through a coupling that has the control's law exactly."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0])
+    def test_beta_coupling_has_the_wrong_shape_law(self, alpha):
+        u = np.random.default_rng(19).beta(1.0, alpha, 100_000)
+        w = MixingLaw("beta", alpha=alpha + 2.0).coupled(u, alpha)
+        assert sps.kstest(w, sps.beta(1.0, alpha + 2.0).cdf).pvalue >= 1e-3
+        # Monotone in u, so the control mixes where the identity mixes.
+        order = np.argsort(u)
+        assert np.all(np.diff(w[order]) >= 0.0)
+
+    def test_point_coupling_is_the_constant(self):
+        alpha = 2.0
+        u = np.random.default_rng(20).beta(1.0, alpha, 1000)
+        w = MixingLaw("point", value=1.0 / (alpha + 1.0)).coupled(u, alpha)
+        assert w.shape == u.shape
+        assert np.all(w == 1.0 / (alpha + 1.0))
+
+    def test_weight_that_rounded_to_one_stays_one(self):
+        w = MixingLaw("beta", alpha=2.5).coupled(np.array([0.0, 1.0]), 0.5)
+        assert w.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("construction", ["stick", "gamma"])
+    @pytest.mark.parametrize(
+        "control", [MixingLaw("point", value=1.0 / 3.0), MixingLaw("beta", alpha=4.0)]
+    )
+    def test_control_draws_nothing(self, base_model, construction, control):
+        settings = CampaignSettings(base=base_model, construction=construction)
+        params = verify._mix_params(settings)
+        params.update(exponents=verify._exponents(3, 2, min_degree=0), weighted=True)
+
+        def kernel(ctrl):
+            gen = np.random.default_rng(21)
+            return verify._mix_kernel(2000, gen, control=ctrl, **params), gen.random()
+
+        (plain, after_plain), (both, after_both) = kernel(None), kernel(control)
+        assert set(plain) == {"identity"} and set(both) == {"identity", "control"}
+        assert np.array_equal(plain["identity"].mean, both["identity"].mean)
+        assert np.array_equal(plain["identity"].sums, both["identity"].sums)
+        assert after_plain == after_both
 
 
 class TestSharding:
@@ -279,6 +317,27 @@ class TestMarkedSizebiasCampaign:
         assert control.verdict == "fail"
 
 
+class TestDrawsOnce:
+    @pytest.mark.parametrize(
+        "name, construction",
+        [("sethuraman", "stick"), ("sethuraman", "gamma"), ("mecke", "stick"), ("mecke", "gamma")],
+    )
+    def test_mixing_campaign_draws_its_measures_once(self, monkeypatch, name, construction):
+        # One chunk at N_SMOKE; the mixing controls reuse its measures and
+        # mecke's single-atom control draws no measure from a kernel.
+        calls = []
+        for kernel in ("stick_projection_chunk", "gamma_projection_chunk"):
+
+            def counted(*args, _kernel=getattr(verify, kernel), **kw):
+                calls.append(_kernel.__name__)
+                return _kernel(*args, **kw)
+
+            monkeypatch.setattr(verify, kernel, counted)
+        settings = CampaignSettings(n=N_SMOKE, construction=construction, jobs=1)
+        assert campaign_ok(run_verify(name, settings))
+        assert calls == [f"{construction}_projection_chunk"]
+
+
 class TestAlphaGrid:
     """Stick-construction campaigns away from alpha = 2, at n=20000, seed 1.
 
@@ -334,7 +393,7 @@ def _truncating_kernel(m, gen, **params):
 class _InProcessPool:
     """Stands in for ``multiprocessing.Pool``: records the worker count it
     is asked for and the threads running when it is made, and runs
-    ``map_async`` in this process."""
+    ``apply_async`` in this process."""
 
     asked: list = []
     threads: list = []
@@ -349,9 +408,9 @@ class _InProcessPool:
     def __exit__(self, *exc):
         return False
 
-    def map_async(self, fn, tasks):
-        parts = [fn(task) for task in tasks]
-        return SimpleNamespace(get=lambda: parts)
+    def apply_async(self, fn, args):
+        part = fn(*args)
+        return SimpleNamespace(get=lambda: part)
 
 
 class TestRunVerify:
@@ -435,6 +494,8 @@ class TestRunVerify:
     def test_worker_error_reaches_the_caller(self, monkeypatch, name):
         # Forked workers inherit the patched kernel.  An error that cannot
         # travel back from a worker would leave the run waiting forever.
+        # Four shards put siblings of the failing shard in flight.
+        monkeypatch.setattr(verify, "SHARD_SIZE", 5_000)
         monkeypatch.setattr(verify, "_tbeta_kernel", _truncating_kernel)
         for jobs in (1, 2):
             with _deadline(120), pytest.raises(TruncationError, match="after 7 sticks"):
