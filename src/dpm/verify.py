@@ -10,14 +10,18 @@ tests report the statistic and its asymptotic p-value instead.
 Every campaign has one shape and one signature: ``verify_*(settings,
 rng)`` reads everything it needs from a :class:`CampaignSettings`, whose
 constructor is the one place the settings are checked, and draws from
-``rng``.  A batch kernel turns one chunk of rows into named statistics:
-paired (lhs, rhs) columns, (x, y) covariance columns, or sample arrays for
-the KS tests.  Each pair of columns is summarized by a mergeable
-:class:`Moments` accumulator (count, means and centered power sums), and
-one builder, :meth:`_Campaign.reports`, turns merged statistics into
-reports.  Campaigns are cut into fixed-size shards, each driven by its own
-named RNG substream; chunk and shard statistics are merged in order, so
-reports are bitwise independent of how many worker processes ran them.
+``rng``.  A campaign is a batch kernel and its variants.  The kernel turns
+one chunk of rows into named statistics: paired (lhs, rhs) columns, (x, y)
+covariance columns, or sample arrays for the KS tests, each pair of
+columns summarized by a mergeable :class:`Moments` accumulator (count,
+means and centered power sums).  A variant reruns the kernel with some
+parameters changed on a substream of its own; one call,
+:meth:`_Campaign.runs`, runs every variant, and one builder,
+:meth:`_Campaign.reports`, turns merged statistics into reports.  Runs
+are cut into fixed-size shards, each driven by its own named RNG
+substream, and merged in shard order, so reports are bitwise independent
+of how many worker processes ran them.
+
 Every report is graded and counts toward its campaign's verdict.  Every
 campaign also runs documented negative controls -- a wrong mixing law, a
 wrong constant, a non-conforming weight sequence -- whose reports are
@@ -27,14 +31,12 @@ law or a constant (mecke's point mass, sethuraman's wrong shape, tbeta's
 wrong p, tbeta2's wrong c) is a second statistic of the identity's own
 kernel call: it reads the identity's draws and draws nothing.  A control
 that changes the input (mecke's single atom, thm52's geometric weights)
-is a run of its own on an offset substream.  :data:`_CAMPAIGNS` maps each
+is a variant, as is thm52's jump run.  :data:`_CAMPAIGNS` maps each
 campaign's name to its function.
 
-At ``jobs > 1`` one pool of at most one worker process per usable CPU
-serves a whole campaign, or every campaign of ``run_verify("all")`` in
-turn.  A campaign submits all its runs before it reads any of them, so
-they are in the pool together; each run's shards are still merged in
-shard order.  At ``jobs == 1`` every run is computed in this process.
+At ``jobs > 1`` a campaign sends every shard of every variant to one pool
+of min(jobs, shards, usable CPUs) worker processes, or computes them here
+when that is one; ``run_verify("all")`` binds one pool for all campaigns.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass, fields, replace
-from functools import partial, reduce, wraps
+from functools import partial, reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -308,9 +310,9 @@ def _combine(parts) -> dict:
 
 
 def _shard(task) -> dict:
-    kernel, rows, size, seed, stream = task
+    kernel, params, rows, size, seed, stream = task
     gen = RngStream(seed, stream).gen
-    return _combine([kernel(min(rows, size - lo), gen) for lo in range(0, size, rows)])
+    return _combine([kernel(min(rows, size - lo), gen, **params) for lo in range(0, size, rows)])
 
 
 # The process pool that campaign runs submit their shards to, bound by
@@ -328,14 +330,15 @@ def _usable_cpus() -> int:
 @contextlib.contextmanager
 def _worker_pool(jobs: int):
     """Bind one pool of min(jobs, usable CPUs) worker processes for the
-    runs inside, unless jobs is 1 or a pool is bound already.  Leaving
-    terminates the workers; leaving by an exception first lets every shard
-    in flight finish."""
+    runs inside, unless that is one worker or a pool is bound already.
+    Leaving terminates the workers; leaving by an exception first lets
+    every shard in flight finish."""
     global _pool
-    if jobs == 1 or _pool is not None:
+    workers = min(jobs, _usable_cpus())
+    if workers == 1 or _pool is not None:
         yield
         return
-    with multiprocessing.Pool(min(jobs, _usable_cpus())) as pool:
+    with multiprocessing.Pool(workers) as pool:
         _pool = pool
         try:
             yield
@@ -349,28 +352,6 @@ def _worker_pool(jobs: int):
             _pool = None
 
 
-def _pooled(campaign):
-    """The campaign ``campaign(settings, rng)`` run under a
-    :func:`_worker_pool` of ``settings.jobs`` workers."""
-
-    @wraps(campaign)
-    def pooled(s: CampaignSettings, rng: RngStream):
-        with _worker_pool(s.jobs):
-            return campaign(s, rng)
-
-    return pooled
-
-
-class _Run(NamedTuple):
-    """Handle on one run.  ``parts()`` returns its shard statistics in
-    shard order; :meth:`get` merges them."""
-
-    parts: Callable[[], list]
-
-    def get(self) -> dict:
-        return _combine(self.parts())
-
-
 @dataclass(frozen=True)
 class _Campaign:
     """A batch kernel with its parameters, and the settings and stream it
@@ -381,9 +362,9 @@ class _Campaign:
     :func:`_cov`, or sample arrays.  A campaign's main paired statistic is
     named "identity".  A negative control that only reads the identity's
     draws another way is a second statistic of the same kernel call, named
-    "control"; one that changes the input reruns the kernel with changed
-    parameters on its own substream.  ``n``, ``jobs`` and ``threshold``
-    come from the settings.
+    "control"; one that changes the input is a variant of the campaign,
+    which :meth:`runs` runs with changed parameters on its own substream.
+    ``n``, ``jobs`` and ``threshold`` come from the settings.
     """
 
     kernel: Callable[..., dict]
@@ -392,28 +373,31 @@ class _Campaign:
     rng: RngStream
     rows: int = _CHUNK_ROWS
 
-    def run(self, offset: int = 0, **changes) -> _Run:
-        """Start a run of the kernel over n rows, with shard k drawn from
-        substream stream_id + offset + k, and return its handle.
-
-        With a pool bound (``jobs > 1``) every shard, even a lone one, goes
-        to the pool at once, so a campaign submits all its runs before it
-        reads any.  Without one the shards are computed here when the
-        handle is read.  Either way the handle merges them in shard order.
+    def runs(self, *variants: tuple[int, dict]) -> list[dict]:
+        """Run the kernel over n rows once per variant ``(offset, changes)``,
+        its parameters updated by ``changes`` and shard k drawn from
+        substream stream_id + offset + k; return each run's statistics
+        merged in shard order.  Every shard of every variant goes to the
+        pool in one call: unless one is bound already, a pool of min(jobs,
+        shards) workers, so a campaign of one shard computes here.
         """
-        kernel = partial(self.kernel, **{**self.params, **changes})
-        stream = self.rng.stream_id + offset
+        sizes, seed, stream = _shard_sizes(self.settings.n), self.rng.seed, self.rng.stream_id
         tasks = [
-            (kernel, self.rows, size, self.rng.seed, stream + k)
-            for k, size in enumerate(_shard_sizes(self.settings.n))
+            (self.kernel, {**self.params, **changes}, self.rows, size, seed, stream + offset + k)
+            for offset, changes in variants
+            for k, size in enumerate(sizes)
         ]
-        if _pool is None:
-            return _Run(lambda: [_shard(t) for t in tasks])
-        # One job per shard: each stays in the pool's cache until its own
-        # result arrives, so a pool closed after a failure still takes in
-        # every result before its workers exit.
-        results = [_pool.apply_async(_shard, (t,)) for t in tasks]
-        return _Run(lambda: [r.get() for r in results])
+        with _worker_pool(min(self.settings.jobs, len(tasks))):
+            if _pool is None:
+                parts = [_shard(t) for t in tasks]
+            else:
+                # One job per shard: each stays in the pool's cache until
+                # its own result arrives, so a pool closed after a failure
+                # still takes in every result before its workers exit.
+                results = [_pool.apply_async(_shard, (t,)) for t in tasks]
+                parts = [r.get() for r in results]
+        k = len(sizes)
+        return [_combine(parts[i : i + k]) for i in range(0, len(parts), k)]
 
     def reports(
         self,
@@ -487,40 +471,19 @@ def _ks_estimate(n: int, lhs: float, rhs: float = 0.0) -> Estimate:
 # mixing laws and test functions
 
 
-@dataclass(frozen=True)
-class MixingLaw:
-    """Law of a control's mixing weight: Be(1, alpha) or a point mass."""
+def _point_mass(u: np.ndarray, *, value: float) -> np.ndarray:
+    """A control's mixing weights with the point-mass law at ``value``,
+    in place of the weights u."""
+    return np.full_like(u, value)
 
-    kind: str = "beta"
-    alpha: float | None = None
-    value: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind == "beta":
-            if self.alpha is None or not self.alpha > 0.0:
-                raise ValueError("beta mixing needs alpha > 0")
-        elif self.kind == "point":
-            if self.value is None or not 0.0 < self.value <= 1.0:
-                raise ValueError("point mixing needs a value in (0, 1]")
-        else:
-            raise ValueError(f"unknown mixing kind {self.kind!r}")
-
-    def coupled(self, u: np.ndarray, alpha: float) -> np.ndarray:
-        """Weights of this law made from weights u ~ Be(1, alpha) alone.
-
-        A point mass ignores u.  Be(1, b) is 1 - (1-u)^(alpha/b): 1 - u has
-        cdf y^alpha, so P((1-u)^(alpha/b) <= y) = y^b.
-        """
-        if self.kind == "point":
-            return np.full_like(u, self.value)
-        # A u that rounded to 1 maps to 1.
-        with np.errstate(divide="ignore"):
-            return -np.expm1(np.log1p(-u) * (alpha / self.alpha))
-
-    def label(self) -> str:
-        if self.kind == "beta":
-            return f"Be(1,{self.alpha:g})"
-        return f"delta({self.value:g})"
+def _coupled_beta(u: np.ndarray, *, alpha: float, b: float) -> np.ndarray:
+    """A control's Be(1, b) mixing weights made from the weights u ~
+    Be(1, alpha) alone: 1 - u has cdf y^alpha, so 1 - (1-u)^(alpha/b) has
+    law Be(1, b)."""
+    # A u that rounded to 1 maps to 1.
+    with np.errstate(divide="ignore"):
+        return -np.expm1(np.log1p(-u) * (alpha / b))
 
 
 def _exponents(n_blocks: int, max_degree: int, min_degree: int = 1):
@@ -594,7 +557,7 @@ def _mix_kernel(
 ) -> dict:
     """The identity with Be(1, alpha) weights u and, unless ``control`` is
     None, the "control" statistic of the same measures and marks mixed by
-    the weights of the law ``control`` coupled to u."""
+    the weights ``control(u)``."""
     proj, _ = _projections(construction, alpha, probs, m, gen, trunc_eps, jump_eps)
     u = gen.beta(1.0, alpha, size=m)
     xblk = draw_blocks(probs, gen, m)
@@ -615,13 +578,20 @@ def _mix_kernel(
 
     out = {"identity": statistic(u)}
     if control is not None:
-        out["control"] = statistic(control.coupled(u, alpha))
+        out["control"] = statistic(control(u))
     return out
 
 
 def _projection_probs(s: CampaignSettings) -> tuple[float, ...]:
     """Block probabilities of the configured base, or of the default base."""
-    return _block_probs(s.base or BaseModel.default(s.alpha))
+    probs = _block_probs(s.base or BaseModel.default(s.alpha))
+    # With one block of positive mass every projection is 1: both sides of
+    # each identity agree to rounding and no control can reject.
+    if sum(q > 0.0 for q in probs) < 2:
+        raise ValueError(
+            f"the projection campaigns need a base with mass in at least two blocks, got {probs}"
+        )
+    return probs
 
 
 def _mix_params(s: CampaignSettings) -> dict:
@@ -635,7 +605,6 @@ def _mix_params(s: CampaignSettings) -> dict:
     )
 
 
-@_pooled
 def verify_mecke(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     """Check the defining integral identity on a polynomial family.
 
@@ -651,23 +620,21 @@ def verify_mecke(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     params = _mix_params(s)
     nb = len(params["probs"])
     exponents = _exponents(nb, 2, min_degree=0)
-    point = MixingLaw("point", value=1.0 / (s.alpha + 1.0))
-    params.update(exponents=exponents, weighted=True, control=point)
+    value = 1.0 / (s.alpha + 1.0)
+    params.update(exponents=exponents, weighted=True, control=partial(_point_mass, value=value))
     c = _Campaign(_mix_kernel, params, s, rng)
-    identity = c.run()
-    atom_run = c.run(2 * _CONTROL_STREAM_OFFSET, construction="iid", control=None)
-    stats = identity.get()
+    stats, atom = c.runs(
+        (0, {}), (2 * _CONTROL_STREAM_OFFSET, dict(construction="iid", control=None))
+    )
     names = [f"mecke[g={_monomial_name(ks)},h=B{j}]" for ks in exponents for j in range(nb)]
     reports = c.reports(names, stats["identity"].paired())
-    notes = f"mixing law {point.label()} matches the mean of Be(1,{s.alpha:g}) but not its spread"
+    notes = f"mixing law delta({value:g}) matches the mean of Be(1,{s.alpha:g}) but not its spread"
     reports.append(c.control("mecke:control:point-mass-mixing", names, stats["control"], notes))
     notes = "input measure replaced by a Dirac at one base draw"
-    atom = atom_run.get()["identity"]
-    reports.append(c.control("mecke:control:single-atom-input", names, atom, notes))
+    reports.append(c.control("mecke:control:single-atom-input", names, atom["identity"], notes))
     return reports
 
 
-@_pooled
 def verify_sethuraman(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     """Check the distributional fixed point under Dirac mixing.
 
@@ -679,13 +646,14 @@ def verify_sethuraman(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     """
     params = _mix_params(s)
     exponents = _exponents(len(params["probs"]), 3)
-    wrong = MixingLaw("beta", alpha=s.alpha + 2.0)
-    params.update(exponents=exponents, weighted=False, control=wrong)
+    wrong = s.alpha + 2.0
+    control = partial(_coupled_beta, alpha=s.alpha, b=wrong)
+    params.update(exponents=exponents, weighted=False, control=control)
     c = _Campaign(_mix_kernel, params, s, rng)
-    stats = c.run().get()
+    [stats] = c.runs((0, {}))
     names = [f"sethuraman[g={_monomial_name(ks)}]" for ks in exponents]
     reports = c.reports(names, stats["identity"].paired())
-    notes = f"mixing law {wrong.label()} instead of Be(1,{s.alpha:g})"
+    notes = f"mixing law Be(1,{wrong:g}) instead of Be(1,{s.alpha:g})"
     name = "sethuraman:control:wrong-mixing-shape"
     reports.append(c.control(name, names, stats["control"], notes))
     return reports
@@ -720,7 +688,6 @@ def _tbeta_kernel(m, gen, *, p, alpha, p_wrong) -> dict:
     return {"identity": statistic(p), "control": statistic(p_wrong)}
 
 
-@_pooled
 def verify_beta_sizebias(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     """Check the paired size-biased moment equations for the Beta family.
 
@@ -737,7 +704,7 @@ def verify_beta_sizebias(s: CampaignSettings, rng: RngStream) -> list[TestReport
     p = s.p
     p_wrong = p + 0.15 if p + 0.15 < 1.0 else p - 0.15
     c = _Campaign(_tbeta_kernel, dict(p=p, alpha=s.alpha, p_wrong=p_wrong), s, rng)
-    stats = c.run().get()
+    [stats] = c.runs((0, {}))
     branches = ("pick", "rest")
     names = [f"tbeta:{b}[g=x^{k}]" for b in branches for k in range(_TBETA_DEGREE + 1)]
     reports = c.reports(names, stats["identity"].paired())
@@ -767,7 +734,6 @@ def _tbeta2_kernel(m, gen, *, p, alpha, c, c_wrong) -> dict:
     }
 
 
-@_pooled
 def verify_beta_general(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     """Check the quadratic mixing identity and its independence corollary.
 
@@ -779,7 +745,7 @@ def verify_beta_general(s: CampaignSettings, rng: RngStream) -> list[TestReport]
     const = quadratic_weight_c(s.p, s.alpha)
     params = dict(p=s.p, alpha=s.alpha, c=const, c_wrong=const + 0.1)
     c = _Campaign(_tbeta2_kernel, params, s, rng)
-    stats = c.run().get()
+    [stats] = c.runs((0, {}))
     names = [f"tbeta2:quadratic[g=x^{k}]" for k in range(_TBETA2_DEGREE + 1)]
     reports = c.reports(names, stats["identity"].paired(), notes=f"c={const:.12g}")
     pairs = ("ratio,sum", "ratio,sum^2", "ratio^2,sum", "ratio^2,sum^2")
@@ -827,7 +793,6 @@ def _removal_kernel(m, gen, *, alpha, probs, trunc_eps, exponents) -> dict:
     }
 
 
-@_pooled
 def verify_sizebias_invariance(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     """Check invariance under removal of a size-biased pick.
 
@@ -852,7 +817,7 @@ def verify_sizebias_invariance(s: CampaignSettings, rng: RngStream) -> list[Test
     exponents = _exponents(len(probs), 3)
     params = dict(alpha=alpha, probs=probs, trunc_eps=s.trunc_eps, exponents=exponents)
     c = _Campaign(_removal_kernel, params, s, rng, _ENSEMBLE_CHUNK_ROWS)
-    stats = c.run().get()
+    [stats] = c.runs((0, {}))
     reports = c.reports(
         [f"sizebias:moment[{_monomial_name(ks)}]" for ks in exponents],
         stats["identity"].paired(),
@@ -890,11 +855,17 @@ def verify_sizebias_invariance(s: CampaignSettings, rng: RngStream) -> list[Test
 # sequence-level invariance: GEM weights with i.i.d. marks
 
 
-def _marked_kernel(m, gen, *, alpha, probs, trunc_eps, exponents, targets, geometric) -> dict:
+def _marked_kernel(
+    m, gen, *, alpha, probs, construction, trunc_eps, jump_eps, exponents, targets
+) -> dict:
+    """GEM weights with i.i.d. marks ("stick"), the largest normalized jump
+    alone ("gamma"), or the negative control ("geometric")."""
+    if construction == "gamma":
+        return {"largest": gamma_projection_chunk(alpha, probs, m, gen, trunc_eps=jump_eps)[2]}
     out = {}
-    if geometric:
-        # Negative control: deterministic weights (1 - r) r^i with r = 0.9,
-        # renormalized, and i.i.d. marks.
+    if construction == "geometric":
+        # Deterministic weights (1 - r) r^i with r = 0.9, renormalized, and
+        # i.i.d. marks.
         r = 0.9
         k_fix = max(64, int(math.log(1e-12) / math.log(r)) + 1)
         fixed = (1.0 - r) * r ** np.arange(k_fix)
@@ -909,14 +880,9 @@ def _marked_kernel(m, gen, *, alpha, probs, trunc_eps, exponents, targets, geome
     return out
 
 
-def _largest_jump_kernel(m, gen, *, alpha, probs, jump_eps) -> dict:
-    return {"largest": gamma_projection_chunk(alpha, probs, m, gen, trunc_eps=jump_eps)[2]}
-
-
 _THM52_MARKS = (0.25, 0.75)
 
 
-@_pooled
 def verify_marked_sizebias(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     """Check the sequence-level characterization of stick weights.
 
@@ -939,16 +905,16 @@ def verify_marked_sizebias(s: CampaignSettings, rng: RngStream) -> list[TestRepo
 
     names, family = moments(1)
     control_names, control_family = moments(2)
-    params = dict(alpha=alpha, probs=probs, trunc_eps=s.trunc_eps, geometric=False, **family)
+    params = dict(alpha=alpha, probs=probs, trunc_eps=s.trunc_eps, jump_eps=s.jump_eps)
+    params.update(construction="stick", **family)
     c = _Campaign(_marked_kernel, params, s, rng, _ENSEMBLE_CHUNK_ROWS)
-    params = dict(alpha=alpha, probs=probs, jump_eps=s.jump_eps)
-    pd = _Campaign(_largest_jump_kernel, params, s, rng, _ENSEMBLE_CHUNK_ROWS)
-    gem_run = c.run()
-    jump_run = pd.run(3 * _CONTROL_STREAM_OFFSET)
-    geometric_run = c.run(_CONTROL_STREAM_OFFSET, geometric=True, **control_family)
-    gem = gem_run.get()
+    gem, jump, geometric = c.runs(
+        (0, {}),
+        (3 * _CONTROL_STREAM_OFFSET, dict(construction="gamma")),
+        (_CONTROL_STREAM_OFFSET, dict(construction="geometric", **control_family)),
+    )
     reports = c.reports(names, gem["identity"].paired())
-    a, b = gem["largest"], jump_run.get()["largest"]
+    a, b = gem["largest"], jump["largest"]
     reports += c.reports(
         ["thm52:largest-weight-paths"],
         _ks_estimate(len(a) + len(b), float(np.mean(a)), float(np.mean(b))),
@@ -958,8 +924,7 @@ def verify_marked_sizebias(s: CampaignSettings, rng: RngStream) -> list[TestRepo
     )
     notes = "deterministic geometric weights (ratio 0.9) with i.i.d. marks"
     name = "thm52:control:geometric-weights"
-    geometric = geometric_run.get()["identity"]
-    reports.append(c.control(name, control_names, geometric, notes))
+    reports.append(c.control(name, control_names, geometric["identity"], notes))
     return reports
 
 
@@ -977,7 +942,6 @@ def _equivalence_kernel(
     return out
 
 
-@_pooled
 def verify_construction_equivalence(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     """Compare the stick and jump constructions of the same law.
 
@@ -993,9 +957,9 @@ def verify_construction_equivalence(s: CampaignSettings, rng: RngStream) -> list
         alpha=s.alpha, probs=probs, trunc_eps=s.trunc_eps, jump_eps=s.jump_eps, exponents=exponents
     )
     c = _Campaign(_equivalence_kernel, params, s, rng)
-    stick_run = c.run(construction="stick")
-    gamma_run = c.run(_CONTROL_STREAM_OFFSET, construction="gamma")
-    stick, gamma = stick_run.get(), gamma_run.get()
+    stick, gamma = c.runs(
+        (0, dict(construction="stick")), (_CONTROL_STREAM_OFFSET, dict(construction="gamma"))
+    )
     reports = c.reports(
         [f"construction:moment[{_monomial_name(ks)}]" for ks in exponents],
         _two_sample(stick["identity"], gamma["identity"]),

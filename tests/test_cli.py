@@ -368,6 +368,17 @@ class TestVerify:
         assert code == 2
         assert "diffuse" in err
 
+    @pytest.mark.parametrize("campaign", ["mecke", "sethuraman", "all"])
+    def test_base_with_mass_in_one_block_is_usage_error(self, capsys, campaign):
+        # Every projection would be 1: both sides of each identity agree to
+        # rounding and no control could reject.
+        code, out, err = run_cli(
+            capsys, "verify", campaign, "--n", "1000", "--base", '{"alpha": 2, "atoms": [1.0]}'
+        )
+        assert code == 2
+        assert out == ""
+        assert "mass in at least two blocks" in err
+
     def test_n_reaching_control_streams_is_usage_error(self, capsys, monkeypatch):
         # With 2-sample shards, n = 100_001 needs a 50_001st shard, whose
         # substream is the control's first.

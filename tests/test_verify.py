@@ -7,7 +7,7 @@ import os
 import signal
 import threading
 from dataclasses import fields, replace
-from functools import reduce
+from functools import partial, reduce
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +21,6 @@ from dpm.samplers import RngStream, TruncationError
 from dpm.verify import (
     CAMPAIGN_NAMES,
     CampaignSettings,
-    MixingLaw,
     Moments,
     TestReport as Report,
     _combine,
@@ -88,24 +87,6 @@ class TestReportSemantics:
         assert list(d) == [f.name for f in fields(Report)]
 
 
-class TestMixingLaw:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MixingLaw("beta")
-        with pytest.raises(ValueError):
-            MixingLaw("beta", alpha=-1.0)
-        with pytest.raises(ValueError):
-            MixingLaw("point")
-        with pytest.raises(ValueError):
-            MixingLaw("point", value=1.5)
-        with pytest.raises(ValueError):
-            MixingLaw("cauchy", value=0.5)
-
-    def test_labels(self):
-        assert MixingLaw("beta", alpha=2.0).label() == "Be(1,2)"
-        assert MixingLaw("point", value=0.25).label() == "delta(0.25)"
-
-
 class TestControlCouplings:
     """The mixing controls read the identity's weights u ~ Be(1, alpha)
     through a coupling that has the control's law exactly."""
@@ -113,7 +94,7 @@ class TestControlCouplings:
     @pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0])
     def test_beta_coupling_has_the_wrong_shape_law(self, alpha):
         u = np.random.default_rng(19).beta(1.0, alpha, 100_000)
-        w = MixingLaw("beta", alpha=alpha + 2.0).coupled(u, alpha)
+        w = verify._coupled_beta(u, alpha=alpha, b=alpha + 2.0)
         assert sps.kstest(w, sps.beta(1.0, alpha + 2.0).cdf).pvalue >= 1e-3
         # Monotone in u, so the control mixes where the identity mixes.
         order = np.argsort(u)
@@ -122,17 +103,21 @@ class TestControlCouplings:
     def test_point_coupling_is_the_constant(self):
         alpha = 2.0
         u = np.random.default_rng(20).beta(1.0, alpha, 1000)
-        w = MixingLaw("point", value=1.0 / (alpha + 1.0)).coupled(u, alpha)
+        w = verify._point_mass(u, value=1.0 / (alpha + 1.0))
         assert w.shape == u.shape
         assert np.all(w == 1.0 / (alpha + 1.0))
 
     def test_weight_that_rounded_to_one_stays_one(self):
-        w = MixingLaw("beta", alpha=2.5).coupled(np.array([0.0, 1.0]), 0.5)
+        w = verify._coupled_beta(np.array([0.0, 1.0]), alpha=0.5, b=2.5)
         assert w.tolist() == [0.0, 1.0]
 
     @pytest.mark.parametrize("construction", ["stick", "gamma"])
     @pytest.mark.parametrize(
-        "control", [MixingLaw("point", value=1.0 / 3.0), MixingLaw("beta", alpha=4.0)]
+        "control",
+        [
+            partial(verify._point_mass, value=1.0 / 3.0),
+            partial(verify._coupled_beta, alpha=2.0, b=4.0),
+        ],
     )
     def test_control_draws_nothing(self, base_model, construction, control):
         settings = CampaignSettings(base=base_model, construction=construction)
@@ -368,6 +353,11 @@ class TestConstructionEquivalence:
         names = {r.name for r in reports}
         assert any("total" in n for n in names)
 
+    def test_base_with_mass_in_one_block_is_rejected(self):
+        base = BaseModel(alpha=2.0, atom_probs=(1.0, 0.0))
+        with pytest.raises(ValueError, match="mass in at least two blocks"):
+            verify_construction_equivalence(CampaignSettings(n=N_SMOKE, base=base), RngStream(0))
+
 
 @contextlib.contextmanager
 def _deadline(seconds):
@@ -411,6 +401,12 @@ class _InProcessPool:
     def apply_async(self, fn, args):
         part = fn(*args)
         return SimpleNamespace(get=lambda: part)
+
+
+def _cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class TestRunVerify:
@@ -478,17 +474,26 @@ class TestRunVerify:
         monkeypatch.setattr(_InProcessPool, "asked", [])
         monkeypatch.setattr(_InProcessPool, "threads", [])
         monkeypatch.setattr(verify.multiprocessing, "Pool", _InProcessPool)
-        if hasattr(os, "sched_getaffinity"):
-            cpus = len(os.sched_getaffinity(0))
-        else:
-            cpus = os.cpu_count() or 1
+        cpus = _cpus()
         settings = CampaignSettings(n=N_SMOKE, seed=63)
         many = [r.to_dict() for r in run_verify("all", replace(settings, jobs=10**6))]
         # One pool for the whole run, with at most one worker per usable CPU,
         # forked while this is the only thread.
-        assert _InProcessPool.asked == [cpus]
-        assert _InProcessPool.threads == [1]
+        assert _InProcessPool.asked == ([cpus] if cpus > 1 else [])
+        assert _InProcessPool.threads == [1] * len(_InProcessPool.asked)
         assert many == [r.to_dict() for r in run_verify("all", settings)]
+
+    def test_a_campaign_asks_for_no_more_workers_than_shards(self, monkeypatch):
+        monkeypatch.setattr(_InProcessPool, "asked", [])
+        monkeypatch.setattr(_InProcessPool, "threads", [])
+        monkeypatch.setattr(verify.multiprocessing, "Pool", _InProcessPool)
+        cpus = _cpus()
+        # One shard: computed here, no pool.
+        run_verify("sethuraman", CampaignSettings(n=N_SMOKE, jobs=2))
+        assert _InProcessPool.asked == []
+        # Two one-shard variants go to one pool of two workers.
+        run_verify("mecke", CampaignSettings(n=N_SMOKE, jobs=2))
+        assert _InProcessPool.asked == ([min(2, cpus)] if cpus > 1 else [])
 
     @pytest.mark.parametrize("name", ["tbeta", "all"])
     def test_worker_error_reaches_the_caller(self, monkeypatch, name):
