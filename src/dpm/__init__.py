@@ -10,7 +10,7 @@ case and the recovery of the mixing-weight moment sequence from data.
 __version__ = "1.0.0"
 
 from .characterize import CharacterizationReport, characterize_from_samples
-from .measures import BaseModel, DiscreteMeasure, GroundPoint
+from .measures import BaseModel, DiscreteMeasure
 from .moments import (
     MissingMomentError,
     MomentTable,
@@ -47,7 +47,6 @@ __all__ = [
     "__version__",
     "BaseModel",
     "DiscreteMeasure",
-    "GroundPoint",
     "MissingMomentError",
     "MomentTable",
     "SingularSystemError",

@@ -4,7 +4,7 @@ Output on stdout (or ``--out``) is canonical JSON (sorted keys, compact
 separators) or CSV and is byte-identical across reruns with the same
 configuration and seed; timing and progress notes go to stderr.  Exit
 codes: 0 all checks passed, 1 a statistical check failed, 2 bad usage or
-configuration.
+configuration, an unwritable ``--out`` among them.
 """
 
 from __future__ import annotations
@@ -52,11 +52,15 @@ def _canonical_json(obj) -> str:
 @contextlib.contextmanager
 def _output(out: str | None):
     """The file named by ``--out``, or stdout."""
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            yield fh
-    else:
+    if not out:
         yield sys.stdout
+        return
+    try:
+        fh = open(out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write --out: {exc}")
+    with fh:
+        yield fh
 
 
 def _emit(text: str, out: str | None) -> None:

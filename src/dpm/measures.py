@@ -4,9 +4,8 @@ The ground space consists of a finite list of named atoms plus an optional
 diffuse component represented by the unit interval with Lebesgue measure.
 :class:`BaseModel` is the base law the samplers and campaigns read.
 Samplers and campaigns hold measures as block-probability vectors and
-(m, K) weight/mark arrays; :class:`DiscreteMeasure`, a weighted list of
-ground points (:class:`GroundPoint`), is only how ``dpm sample`` writes
-one row.
+(m, K) weight/mark arrays; :class:`DiscreteMeasure`, one row's merged
+``(kind, value, weight)`` entries, is only how ``dpm sample`` writes it.
 
 All values are immutable after construction and every operation is a pure
 function, so instances can be shared freely across threads and worker
@@ -22,64 +21,19 @@ TOTAL_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
-class GroundPoint:
-    """A single point of the ground space.
-
-    Exactly one of ``atom`` (a nonnegative atom index) and ``cont`` (a
-    coordinate in [0, 1] of the diffuse component) is set.  Equality and
-    hashing are exact: atom indices compare as integers, continuum
-    coordinates bitwise.  With a diffuse base, independently sampled
-    continuum points collide with probability zero, so exact matching is
-    the correct merge rule.
-    """
-
-    atom: int | None = None
-    cont: float | None = None
-
-    def __post_init__(self) -> None:
-        if (self.atom is None) == (self.cont is None):
-            raise ValueError("exactly one of atom= or cont= must be given")
-        if self.atom is not None:
-            if self.atom < 0 or self.atom != int(self.atom):
-                raise ValueError(f"atom index must be a nonnegative integer, got {self.atom}")
-        if self.cont is not None and not 0.0 <= self.cont <= 1.0:
-            raise ValueError(f"cont coordinate must lie in [0, 1], got {self.cont}")
-
-    def to_dict(self) -> dict:
-        if self.atom is not None:
-            return {"atom": self.atom}
-        return {"cont": self.cont}
-
-
-@dataclass(frozen=True)
 class DiscreteMeasure:
-    """A finite nonnegative measure given by a weighted list of points.
+    """One sampled measure: its points in the order they were first drawn.
 
-    Construct through :meth:`from_pairs`, which merges duplicate points by
-    summing their weights and caches the total mass.  The zero measure
-    (``total == 0.0``, no atoms) is a valid value.
+    Each entry of ``atoms`` is ``(kind, value, weight)``: kind ``"atom"``
+    with an atom index, or ``"cont"`` with a coordinate in [0, 1] of the
+    diffuse component.  No point is listed twice and every weight is
+    positive.
     """
 
-    atoms: tuple[tuple[GroundPoint, float], ...]
-    total: float
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "DiscreteMeasure":
-        merged: dict[GroundPoint, float] = {}
-        for point, weight in pairs:
-            w = float(weight)
-            if w < 0.0:
-                raise ValueError(f"negative weight {w} at {point}")
-            if point in merged:
-                merged[point] += w
-            else:
-                merged[point] = w
-        atoms = tuple((p, w) for p, w in merged.items() if w > 0.0)
-        total = float(sum(w for _, w in atoms))
-        return cls(atoms=atoms, total=total)
+    atoms: tuple[tuple[str, int | float, float], ...]
 
     def to_dict(self) -> dict:
-        return {"atoms": [{"point": p.to_dict(), "w": w} for p, w in self.atoms]}
+        return {"atoms": [{"point": {kind: value}, "w": w} for kind, value, w in self.atoms]}
 
 
 @dataclass(frozen=True)
@@ -98,12 +52,13 @@ class BaseModel:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < math.inf:
             raise ValueError(f"total mass alpha must be finite and positive, got {self.alpha}")
-        if any(p < 0.0 for p in self.atom_probs):
-            raise ValueError("atom probabilities must be nonnegative")
+        # Each check holds only for a number in range, so NaN fails it.
+        if not all(p >= 0.0 for p in self.atom_probs):
+            raise ValueError(f"atom probabilities must be nonnegative, got {self.atom_probs}")
         if not 0.0 <= self.diffuse_weight <= 1.0:
             raise ValueError("diffuse weight must lie in [0, 1]")
         s = sum(self.atom_probs) + self.diffuse_weight
-        if abs(s - 1.0) > TOTAL_RTOL:
+        if not abs(s - 1.0) <= TOTAL_RTOL:
             raise ValueError(f"base measure must be a probability measure, total={s!r}")
 
     @classmethod
@@ -132,15 +87,30 @@ class BaseModel:
 
     @staticmethod
     def from_dict(d: dict) -> "BaseModel":
-        """The inverse of :meth:`to_dict`: only its keys, ``alpha`` required."""
+        """The inverse of :meth:`to_dict`: only its keys, ``alpha`` required.
+        Values must be JSON numbers, and ``atoms`` a list of them."""
         keys = ["alpha", "atoms", "diffuse"]
         unknown = sorted(set(d) - set(keys))
         if unknown:
             raise ValueError(f"unknown base keys {unknown}; expected some of {keys}")
         if "alpha" not in d:
             raise ValueError("base model needs the key 'alpha'")
+        atoms = d.get("atoms", [])
+        if not isinstance(atoms, list):
+            raise ValueError(f"base key 'atoms' must be a list of numbers, got {atoms!r}")
         return BaseModel(
-            alpha=float(d["alpha"]),
-            atom_probs=tuple(float(p) for p in d.get("atoms", ())),
-            diffuse_weight=float(d.get("diffuse", 0.0)),
+            alpha=_number("alpha", d["alpha"]),
+            atom_probs=tuple(_number("atoms", p) for p in atoms),
+            diffuse_weight=_number("diffuse", d.get("diffuse", 0.0)),
         )
+
+
+def _number(key: str, value) -> float:
+    """``value`` as a float, if it is a JSON number (JSON true and false
+    are not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"base key {key!r} takes numbers, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"base key {key!r} takes finite numbers, got {value!r}")

@@ -21,10 +21,10 @@ projections and :func:`stick_ensemble_chunk` stacks them.  One jump kernel,
 :func:`gamma_projection_chunk`.  Marks are drawn by :func:`draw_blocks` and
 projected by :func:`block_projection`.  The samplers behind ``dpm
 sample``, :func:`sample_stick_breaking` and :func:`sample_jump_measure`,
-draw a batch of rows from the same kernels and turn each row into a
-:class:`DiscreteMeasure`, its serialization view.  All randomness flows
-through :class:`RngStream`, a named substream of a root seed, so campaigns
-are reproducible and independent of worker scheduling.
+draw a batch of rows from the same kernels; :func:`_measures` merges each
+row's marks into a :class:`DiscreteMeasure`, its serialization view.  All
+randomness flows through :class:`RngStream`, a named substream of a root
+seed, so campaigns are reproducible and independent of worker scheduling.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .measures import BaseModel, DiscreteMeasure, GroundPoint
+from .measures import BaseModel, DiscreteMeasure
 from .specialfn import count_at_or_below, exp_integral_e1, inverse_e1
 
 DEFAULT_STICK_EPS = 1e-12
@@ -300,20 +300,23 @@ def _measures(model: BaseModel, weights, blocks, gen: np.random.Generator):
     """The rows of (weights, blocks), each as a :class:`DiscreteMeasure`.
 
     Entries of zero weight are left out; a mark in the diffuse block gets
-    a uniform coordinate, drawn in row-major order.
+    a uniform coordinate, drawn in row-major order.  A row's marks merge
+    by their point, ``("atom", index)`` or ``("cont", coordinate)``: a
+    point stays where it was first drawn, its weights summed in draw order.
     """
     n_atoms = model.n_atoms
     diffuse = (blocks == n_atoms) & (weights > 0.0)
     coords = np.zeros(weights.shape)
     coords[diffuse] = gen.random(np.count_nonzero(diffuse))
-    return [
-        DiscreteMeasure.from_pairs(
-            (GroundPoint(atom=b) if b < n_atoms else GroundPoint(cont=u), w)
-            for w, b, u in zip(w_row, b_row, u_row)
-            if w > 0.0
-        )
-        for w_row, b_row, u_row in zip(weights.tolist(), blocks.tolist(), coords.tolist())
-    ]
+    rows = []
+    for w_row, b_row, u_row in zip(weights.tolist(), blocks.tolist(), coords.tolist()):
+        merged: dict[tuple, float] = {}
+        for w, b, u in zip(w_row, b_row, u_row):
+            if w > 0.0:
+                point = ("atom", b) if b < n_atoms else ("cont", u)
+                merged[point] = merged.get(point, 0.0) + w
+        rows.append(DiscreteMeasure(tuple((*point, w) for point, w in merged.items())))
+    return rows
 
 
 def sample_stick_breaking(

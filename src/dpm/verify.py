@@ -1010,6 +1010,7 @@ def run_verify(name: str, settings: CampaignSettings | None = None) -> list[Test
     """
     settings = settings or CampaignSettings()
     if name == "all":
+        _projection_probs(settings)  # a one-block base fails before the pool forks
         with _worker_pool(settings.jobs):
             return [
                 r

@@ -135,6 +135,20 @@ class TestSample:
         assert ("unknown base keys ['atom_probs', 'diffuse_weight']; "
                 "expected some of ['alpha', 'atoms', 'diffuse']") in err
 
+    @pytest.mark.parametrize(
+        "base",
+        ['{"alpha": null}', '{"alpha": 2, "atoms": 5}',
+         '{"alpha": 2, "atoms": [0.5, null], "diffuse": 0.5}',
+         '{"alpha": true, "atoms": [1.0]}', '{"alpha": "2", "atoms": ["1"]}',
+         '{"alpha": 2, "atoms": [NaN, 1.0]}'],
+        ids=["null-alpha", "atoms-number", "null-atom", "bool-alpha", "strings", "nan-atom"],
+    )
+    def test_malformed_base_is_usage_error(self, capsys, base):
+        code, out, err = run_cli(capsys, "sample", "--n", "3", "--base", base)
+        assert code == 2
+        assert out == ""
+        assert "dpm: error: " in err
+
     def test_negative_n_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "sample", "--n", "-3")
         assert code == 2
@@ -340,6 +354,23 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "unknown base keys ['atom_probs', 'diffuse_weight']" in err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "base",
+        [{"alpha": None}, {"alpha": True, "atoms": [1.0]}, {"alpha": "2", "atoms": [1.0]},
+         {"alpha": 2, "atoms": 5}, {"alpha": 2, "atoms": [math.nan, 0.5], "diffuse": 0.5}],
+        ids=["null-alpha", "bool-alpha", "string-alpha", "atoms-number", "nan-atom"],
+    )
+    def test_malformed_base_is_usage_error(self, capsys, monkeypatch, tmp_path, source, base):
+        monkeypatch.setattr(cli, "run_verify", no_campaign)
+        cfg = tmp_path / "verify.json"
+        cfg.write_text(json.dumps({"base": base}))
+        args = ("--base", json.dumps(base)) if source == "flag" else ("--config", str(cfg))
+        code, out, err = run_cli(capsys, "verify", "mecke", "--n", "2000", *args)
+        assert code == 2
+        assert out == ""
+        assert "dpm: error: " in err
 
     def test_usage_errors(self, capsys, tmp_path):
         assert run_cli(capsys, "verify", "tbeta", "--p", "1.5")[0] == 2
@@ -557,6 +588,25 @@ def test_non_finite_alpha_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert "alpha must be finite and positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sample", "--n", "3"),
+        ("moments", "--alphas", "1,2"),
+        ("verify", "tbeta", "--n", "2000"),
+        ("characterize", "--n", "1000"),
+    ],
+    ids=["sample", "moments", "verify", "characterize"],
+)
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv, target):
+    out_path = tmp_path / "missing" / "x" if target == "missing-dir" else tmp_path
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert "dpm: error: cannot write --out: " in err
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from dpm import samplers
-from dpm.measures import BaseModel, GroundPoint
+from dpm.measures import BaseModel
 from dpm.samplers import (
     DEFAULT_STICK_EPS,
     RngStream,
@@ -28,7 +28,9 @@ from dpm.stats import ks_test
 
 def atom0_masses(measures):
     """Mass of atom 0 in each measure."""
-    return np.array([dict(mu.atoms).get(GroundPoint(atom=0), 0.0) for mu in measures])
+    return np.array(
+        [sum(w for kind, i, w in mu.atoms if (kind, i) == ("atom", 0)) for mu in measures]
+    )
 
 
 def normalized_rows(jumps):
@@ -188,8 +190,8 @@ class TestStickBreaking:
     def test_total_is_exactly_one(self):
         model = BaseModel(alpha=2.0, atom_probs=(), diffuse_weight=1.0)
         for zeta in sample_stick_breaking(model, RngStream(7), 50):
-            assert zeta.total == pytest.approx(1.0, abs=1e-12)
-            assert all(w > 0 for _, w in zeta.atoms)
+            assert sum(w for *_, w in zeta.atoms) == pytest.approx(1.0, abs=1e-12)
+            assert all(w > 0 for *_, w in zeta.atoms)
 
     def test_truncation_error_at_tiny_cap(self, monkeypatch):
         # At alpha 3 the leftover after 5 sticks exceeds 0.3 roughly 30% of
@@ -213,7 +215,7 @@ class TestStickBreaking:
         eps = samplers.DEFAULT_STICK_EPS
         model = BaseModel(alpha=2.0, atom_probs=(), diffuse_weight=1.0)
         for zeta in sample_stick_breaking(model, RngStream(40), 300):
-            w = [w for _, w in zeta.atoms]
+            w = [w for *_, w in zeta.atoms]
             assert len(w) >= 2
             assert w[-1] <= eps < w[-2] + w[-1]
 
@@ -222,9 +224,10 @@ class TestStickBreaking:
         atoms_only = BaseModel(alpha=2.0, atom_probs=(0.4, 0.6))
         diffuse = BaseModel(alpha=2.0, atom_probs=(), diffuse_weight=1.0)
         for zeta in sampler(atoms_only, RngStream(41), 100):
-            assert all(p.cont is None and p.atom in (0, 1) for p, _ in zeta.atoms)
-        coords = [p.cont for zeta in sampler(diffuse, RngStream(42), 100) for p, _ in zeta.atoms]
-        assert None not in coords
+            assert all(kind == "atom" and i in (0, 1) for kind, i, _ in zeta.atoms)
+        points = [p for zeta in sampler(diffuse, RngStream(42), 100) for p in zeta.atoms]
+        assert all(kind == "cont" for kind, _, _ in points)
+        coords = [u for _, u, _ in points]
         assert stats.kstest(coords, stats.uniform.cdf).pvalue > 1e-3
 
 
@@ -290,7 +293,7 @@ class TestJumpConstruction:
             measures = sample_jump_measure(model, RngStream(seed), 5, 1e-6)
             rows = normalized_rows(gamma_jumps(alpha, 5, RngStream(seed).gen, 1e-6))
             for zeta, row in zip(measures, rows):
-                assert np.array_equal([w for _, w in zeta.atoms], row[row > 0])
+                assert np.array_equal([w for *_, w in zeta.atoms], row[row > 0])
 
     def test_normalized_sums_to_one(self):
         for w in normalized_rows(gamma_jumps(2.0, 20, RngStream(13).gen)):
@@ -306,7 +309,7 @@ class TestJumpConstruction:
     def test_jump_measure_is_probability(self):
         model = BaseModel(alpha=2.0, atom_probs=(0.2, 0.35), diffuse_weight=0.45)
         for zeta in sample_jump_measure(model, RngStream(15), 20):
-            assert abs(zeta.total - 1.0) <= 1e-9
+            assert abs(sum(w for *_, w in zeta.atoms) - 1.0) <= 1e-9
 
 
 class TestTwoConstructionsAgree:

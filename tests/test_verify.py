@@ -495,6 +495,15 @@ class TestRunVerify:
         run_verify("mecke", CampaignSettings(n=N_SMOKE, jobs=2))
         assert _InProcessPool.asked == ([min(2, cpus)] if cpus > 1 else [])
 
+    def test_all_rejects_a_one_block_base_before_its_pool(self, monkeypatch):
+        monkeypatch.setattr(_InProcessPool, "asked", [])
+        monkeypatch.setattr(verify.multiprocessing, "Pool", _InProcessPool)
+        one_block = BaseModel(alpha=2.0, atom_probs=(1.0,))
+        settings = CampaignSettings(n=N_SMOKE, base=one_block, jobs=2)
+        with pytest.raises(ValueError, match="at least two blocks"):
+            run_verify("all", settings)
+        assert _InProcessPool.asked == []
+
     @pytest.mark.parametrize("name", ["tbeta", "all"])
     def test_worker_error_reaches_the_caller(self, monkeypatch, name):
         # Forked workers inherit the patched kernel.  An error that cannot
