@@ -50,13 +50,13 @@ def _canonical_json(obj) -> str:
 
 
 @contextlib.contextmanager
-def _output(out: str | None):
+def _output(out: str | None, mode: str = "w"):
     """The file named by ``--out``, or stdout."""
     if not out:
         yield sys.stdout
         return
     try:
-        fh = open(out, "w", encoding="utf-8")
+        fh = open(out, mode, encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot write --out: {exc}")
     with fh:
@@ -245,13 +245,17 @@ def _load_config(path: str) -> dict:
         label, types = _CONFIG_KEYS[key]
         if isinstance(value, bool) or not isinstance(value, types):
             raise ValueError(f"config key {key!r} must be {label}, got {value!r}")
+        if _CONFIG_KEYS[key] is _NUMBER:
+            try:
+                data[key] = float(value)
+            except OverflowError:
+                raise ValueError(f"config key {key!r} must be {label} that fits a float")
     return data
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = _load_config(args.config) if args.config else {}
     given = {**config, **_given(args, _CONFIG_KEYS)}
-    given = {k: float(v) if _CONFIG_KEYS[k] is _NUMBER else v for k, v in given.items()}
     env_jobs = os.environ.get("DPM_JOBS")
     if "jobs" not in given and env_jobs:
         try:
@@ -261,6 +265,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if "eps" in given:
         given["trunc_eps"] = given.pop("eps")
     settings = _settings(given)
+    # Fail on an unwritable --out before the campaign runs; appending
+    # leaves an existing file as it is until the report is written.
+    with _output(args.out, "a"):
+        pass
     started = time.monotonic()
     reports = run_verify(args.campaign, settings)
     elapsed = time.monotonic() - started

@@ -57,20 +57,21 @@ class TruncationError(RuntimeError):
 
 
 class RngStream:
-    """Generator bound to (seed, stream_id), a named substream of a root seed.
+    """Generator bound to (seed, key), a named substream of a root seed;
+    the key is a tuple of nonnegative integers, (0,) when none is given.
 
-    Distinct stream ids give statistically independent generators for the
-    same seed, which is how sharded campaigns stay reproducible no matter
-    how shards are scheduled across workers.
+    Distinct keys give statistically independent generators for the same
+    seed, which is how sharded campaigns stay reproducible no matter how
+    shards are scheduled across workers.
     """
 
-    def __init__(self, seed: int, stream_id: int = 0):
-        if seed < 0 or stream_id < 0:
-            raise ValueError("seed and stream_id must be nonnegative integers")
+    def __init__(self, seed: int, *key: int):
         self.seed = int(seed)
-        self.stream_id = int(stream_id)
+        self.key = tuple(int(k) for k in key) or (0,)
+        if self.seed < 0 or min(self.key) < 0:
+            raise ValueError("seed and key must be nonnegative integers")
         self._gen = np.random.default_rng(
-            np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
+            np.random.SeedSequence(entropy=self.seed, spawn_key=self.key)
         )
 
     @property
@@ -78,7 +79,7 @@ class RngStream:
         return self._gen
 
     def __repr__(self) -> str:
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
+        return f"RngStream(seed={self.seed}, key={self.key})"
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +127,10 @@ def _stick_cap(alpha: float, trunc_eps: float) -> int:
     below ``trunc_eps``, so hitting the cap is a tail event reported
     through :class:`TruncationError` rather than a silent bias.
     """
-    needed = math.ceil(math.log(trunc_eps) / math.log(alpha / (alpha + 1.0)))
+    share = alpha / (alpha + 1.0)
+    if share == 1.0:  # No stick would shrink a leftover.
+        raise ValueError(f"alpha={alpha:g} is too large for sticks: alpha/(alpha+1) rounds to 1")
+    needed = math.ceil(math.log(trunc_eps) / math.log(share))
     return max(64, 4 * needed)
 
 

@@ -11,16 +11,16 @@ Every campaign has one shape and one signature: ``verify_*(settings,
 rng)`` reads everything it needs from a :class:`CampaignSettings`, whose
 constructor is the one place the settings are checked, and draws from
 ``rng``.  A campaign is a batch kernel and its variants.  The kernel turns
-one chunk of rows into named statistics: paired (lhs, rhs) columns, (x, y)
+one shard of rows into named statistics: paired (lhs, rhs) columns, (x, y)
 covariance columns, or sample arrays for the KS tests, each pair of
 columns summarized by a mergeable :class:`Moments` accumulator (count,
 means and centered power sums).  A variant reruns the kernel with some
-parameters changed on a substream of its own; one call,
-:meth:`_Campaign.runs`, runs every variant, and one builder,
-:meth:`_Campaign.reports`, turns merged statistics into reports.  Runs
-are cut into fixed-size shards, each driven by its own named RNG
-substream, and merged in shard order, so reports are bitwise independent
-of how many worker processes ran them.
+parameters changed; one call, :meth:`_Campaign.runs`, runs every variant,
+and one builder, :meth:`_Campaign.reports`, turns merged statistics into
+reports.  Runs are cut into shards of ``SHARD_SIZE`` rows, shard k of
+variant v drawing from the substream keyed (campaign stream id, v, k), and
+merged in shard order, so reports are bitwise independent of how many
+worker processes ran them.
 
 Every report is graded and counts toward its campaign's verdict.  Every
 campaign also runs documented negative controls -- a wrong mixing law, a
@@ -69,10 +69,8 @@ from .stats import ks_test, ks_two_sample, two_sided_p
 DEFAULT_THRESHOLD = 4.0
 DEFAULT_P_FLOOR = 1e-3
 DEFAULT_N = 200_000
-SHARD_SIZE = 125_000
-_CHUNK_ROWS = 25_000
-_ENSEMBLE_CHUNK_ROWS = 10_000
-_CONTROL_STREAM_OFFSET = 50_000
+MAX_N = 6_250_000_000
+SHARD_SIZE = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +269,8 @@ class CampaignSettings:
             raise ValueError(
                 f"alpha {self.alpha:g} conflicts with the base model's alpha {self.base.alpha:g}"
             )
-        if not self.n >= 2:
-            raise ValueError(f"n must be at least 2, got {self.n}")
+        if not 2 <= self.n <= MAX_N:
+            raise ValueError(f"n must lie in [2, {MAX_N}], got {self.n}")
         if not 0.0 < self.trunc_eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.trunc_eps}")
         if not 0.0 < self.jump_eps <= 0.1:
@@ -285,20 +283,12 @@ class CampaignSettings:
 
 def _shard_sizes(n: int):
     full, rem = divmod(int(n), SHARD_SIZE)
-    if full + (rem > 0) > _CONTROL_STREAM_OFFSET:
-        # Shard k draws from substream base + k and control j from base +
-        # j * _CONTROL_STREAM_OFFSET; more shards would reuse a control's
-        # random numbers.
-        raise ValueError(
-            f"n={n} needs more than {_CONTROL_STREAM_OFFSET} shards of {SHARD_SIZE} samples; "
-            f"at most {SHARD_SIZE * _CONTROL_STREAM_OFFSET} samples are supported"
-        )
     return [SHARD_SIZE] * full + ([rem] if rem else [])
 
 
 def _combine(parts) -> dict:
-    """Merge per-chunk or per-shard statistics in order: accumulators
-    merge, sample arrays concatenate."""
+    """Merge per-shard statistics in order: accumulators merge, sample
+    arrays concatenate."""
     out = {}
     for key in parts[0]:
         vals = [part[key] for part in parts]
@@ -310,9 +300,9 @@ def _combine(parts) -> dict:
 
 
 def _shard(task) -> dict:
-    kernel, params, rows, size, seed, stream = task
-    gen = RngStream(seed, stream).gen
-    return _combine([kernel(min(rows, size - lo), gen, **params) for lo in range(0, size, rows)])
+    """One kernel call: ``size`` rows drawn from the substream of ``key``."""
+    kernel, params, size, seed, key = task
+    return kernel(size, RngStream(seed, *key).gen, **params)
 
 
 # The process pool that campaign runs submit their shards to, bound by
@@ -363,7 +353,7 @@ class _Campaign:
     named "identity".  A negative control that only reads the identity's
     draws another way is a second statistic of the same kernel call, named
     "control"; one that changes the input is a variant of the campaign,
-    which :meth:`runs` runs with changed parameters on its own substream.
+    which :meth:`runs` runs with changed parameters on its own substreams.
     ``n``, ``jobs`` and ``threshold`` come from the settings.
     """
 
@@ -371,20 +361,22 @@ class _Campaign:
     params: dict
     settings: CampaignSettings
     rng: RngStream
-    rows: int = _CHUNK_ROWS
 
-    def runs(self, *variants: tuple[int, dict]) -> list[dict]:
-        """Run the kernel over n rows once per variant ``(offset, changes)``,
-        its parameters updated by ``changes`` and shard k drawn from
-        substream stream_id + offset + k; return each run's statistics
-        merged in shard order.  Every shard of every variant goes to the
-        pool in one call: unless one is bound already, a pool of min(jobs,
-        shards) workers, so a campaign of one shard computes here.
+    def runs(self, *changes: dict) -> list[dict]:
+        """Run the kernel over n rows once per variant, its parameters
+        updated by that variant's ``changes``, and return each run's
+        statistics merged in shard order.  Variant v is argument v counted
+        from 0, the identity run first; its shard k draws from the
+        substream keyed ``(*rng.key, v, k)``.  Every shard of every variant
+        goes to the pool in one call: unless one is bound already, a pool
+        of min(jobs, shards) workers, so a campaign of one shard computes
+        here.
         """
-        sizes, seed, stream = _shard_sizes(self.settings.n), self.rng.seed, self.rng.stream_id
+        sizes, seed = _shard_sizes(self.settings.n), self.rng.seed
+        variants = [{**self.params, **c} for c in changes]
         tasks = [
-            (self.kernel, {**self.params, **changes}, self.rows, size, seed, stream + offset + k)
-            for offset, changes in variants
+            (self.kernel, params, size, seed, (*self.rng.key, v, k))
+            for v, params in enumerate(variants)
             for k, size in enumerate(sizes)
         ]
         with _worker_pool(min(self.settings.jobs, len(tasks))):
@@ -623,9 +615,7 @@ def verify_mecke(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     value = 1.0 / (s.alpha + 1.0)
     params.update(exponents=exponents, weighted=True, control=partial(_point_mass, value=value))
     c = _Campaign(_mix_kernel, params, s, rng)
-    stats, atom = c.runs(
-        (0, {}), (2 * _CONTROL_STREAM_OFFSET, dict(construction="iid", control=None))
-    )
+    stats, atom = c.runs({}, dict(construction="iid", control=None))
     names = [f"mecke[g={_monomial_name(ks)},h=B{j}]" for ks in exponents for j in range(nb)]
     reports = c.reports(names, stats["identity"].paired())
     notes = f"mixing law delta({value:g}) matches the mean of Be(1,{s.alpha:g}) but not its spread"
@@ -650,7 +640,7 @@ def verify_sethuraman(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     control = partial(_coupled_beta, alpha=s.alpha, b=wrong)
     params.update(exponents=exponents, weighted=False, control=control)
     c = _Campaign(_mix_kernel, params, s, rng)
-    [stats] = c.runs((0, {}))
+    [stats] = c.runs({})
     names = [f"sethuraman[g={_monomial_name(ks)}]" for ks in exponents]
     reports = c.reports(names, stats["identity"].paired())
     notes = f"mixing law Be(1,{wrong:g}) instead of Be(1,{s.alpha:g})"
@@ -704,7 +694,7 @@ def verify_beta_sizebias(s: CampaignSettings, rng: RngStream) -> list[TestReport
     p = s.p
     p_wrong = p + 0.15 if p + 0.15 < 1.0 else p - 0.15
     c = _Campaign(_tbeta_kernel, dict(p=p, alpha=s.alpha, p_wrong=p_wrong), s, rng)
-    [stats] = c.runs((0, {}))
+    [stats] = c.runs({})
     branches = ("pick", "rest")
     names = [f"tbeta:{b}[g=x^{k}]" for b in branches for k in range(_TBETA_DEGREE + 1)]
     reports = c.reports(names, stats["identity"].paired())
@@ -745,7 +735,7 @@ def verify_beta_general(s: CampaignSettings, rng: RngStream) -> list[TestReport]
     const = quadratic_weight_c(s.p, s.alpha)
     params = dict(p=s.p, alpha=s.alpha, c=const, c_wrong=const + 0.1)
     c = _Campaign(_tbeta2_kernel, params, s, rng)
-    [stats] = c.runs((0, {}))
+    [stats] = c.runs({})
     names = [f"tbeta2:quadratic[g=x^{k}]" for k in range(_TBETA2_DEGREE + 1)]
     reports = c.reports(names, stats["identity"].paired(), notes=f"c={const:.12g}")
     pairs = ("ratio,sum", "ratio,sum^2", "ratio^2,sum", "ratio^2,sum^2")
@@ -816,8 +806,8 @@ def verify_sizebias_invariance(s: CampaignSettings, rng: RngStream) -> list[Test
     probs = _block_probs(base)
     exponents = _exponents(len(probs), 3)
     params = dict(alpha=alpha, probs=probs, trunc_eps=s.trunc_eps, exponents=exponents)
-    c = _Campaign(_removal_kernel, params, s, rng, _ENSEMBLE_CHUNK_ROWS)
-    [stats] = c.runs((0, {}))
+    c = _Campaign(_removal_kernel, params, s, rng)
+    [stats] = c.runs({})
     reports = c.reports(
         [f"sizebias:moment[{_monomial_name(ks)}]" for ks in exponents],
         stats["identity"].paired(),
@@ -907,11 +897,9 @@ def verify_marked_sizebias(s: CampaignSettings, rng: RngStream) -> list[TestRepo
     control_names, control_family = moments(2)
     params = dict(alpha=alpha, probs=probs, trunc_eps=s.trunc_eps, jump_eps=s.jump_eps)
     params.update(construction="stick", **family)
-    c = _Campaign(_marked_kernel, params, s, rng, _ENSEMBLE_CHUNK_ROWS)
+    c = _Campaign(_marked_kernel, params, s, rng)
     gem, jump, geometric = c.runs(
-        (0, {}),
-        (3 * _CONTROL_STREAM_OFFSET, dict(construction="gamma")),
-        (_CONTROL_STREAM_OFFSET, dict(construction="geometric", **control_family)),
+        {}, dict(construction="gamma"), dict(construction="geometric", **control_family)
     )
     reports = c.reports(names, gem["identity"].paired())
     a, b = gem["largest"], jump["largest"]
@@ -957,9 +945,7 @@ def verify_construction_equivalence(s: CampaignSettings, rng: RngStream) -> list
         alpha=s.alpha, probs=probs, trunc_eps=s.trunc_eps, jump_eps=s.jump_eps, exponents=exponents
     )
     c = _Campaign(_equivalence_kernel, params, s, rng)
-    stick, gamma = c.runs(
-        (0, dict(construction="stick")), (_CONTROL_STREAM_OFFSET, dict(construction="gamma"))
-    )
+    stick, gamma = c.runs(dict(construction="stick"), dict(construction="gamma"))
     reports = c.reports(
         [f"construction:moment[{_monomial_name(ks)}]" for ks in exponents],
         _two_sample(stick["identity"], gamma["identity"]),
@@ -982,10 +968,8 @@ def verify_construction_equivalence(s: CampaignSettings, rng: RngStream) -> list
 # ---------------------------------------------------------------------------
 # campaign registry
 
-_CAMPAIGN_STREAM_SPACING = 1_000_000
-
-# The order is the order of "all" and fixes each campaign's substream, so
-# new campaigns go at the end.
+# The order is the order of "all" and fixes each campaign's stream id, its
+# index + 1, so new campaigns go at the end.
 _CAMPAIGNS = {
     "mecke": verify_mecke,
     "sethuraman": verify_sethuraman,
@@ -1000,7 +984,7 @@ CAMPAIGN_NAMES = tuple(_CAMPAIGNS)
 def run_verify(name: str, settings: CampaignSettings | None = None) -> list[TestReport]:
     """Run one named campaign (or "all") and return its reports.
 
-    Each campaign draws from its own fixed substream of the seed, so a
+    Each campaign draws from substreams keyed by its own stream id, so a
     single campaign produces the same reports whether run alone or as
     part of "all", and regardless of the worker count.  The size-biased
     removal campaign needs a purely diffuse base; under "all" it always
@@ -1023,8 +1007,6 @@ def run_verify(name: str, settings: CampaignSettings | None = None) -> list[Test
         raise ValueError(
             f"unknown campaign {name!r}; expected one of {CAMPAIGN_NAMES + ('all',)}"
         )
-    rng = RngStream(
-        settings.seed, _CAMPAIGN_STREAM_SPACING * (CAMPAIGN_NAMES.index(name) + 1)
-    )
+    rng = RngStream(settings.seed, CAMPAIGN_NAMES.index(name) + 1)
     return _CAMPAIGNS[name](settings, rng)
 

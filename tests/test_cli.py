@@ -410,14 +410,28 @@ class TestVerify:
         assert out == ""
         assert "mass in at least two blocks" in err
 
-    def test_n_reaching_control_streams_is_usage_error(self, capsys, monkeypatch):
-        # With 2-sample shards, n = 100_001 needs a 50_001st shard, whose
-        # substream is the control's first.
-        monkeypatch.setattr(verify, "SHARD_SIZE", 2)
-        code, out, err = run_cli(capsys, "verify", "tbeta", "--n", "100001")
+    def test_n_beyond_the_limit_is_usage_error(self, capsys, monkeypatch):
+        # A settings range check: the run fails before it builds a task list
+        # or runs a shard.
+        monkeypatch.setattr(cli, "run_verify", no_campaign)
+        code, out, err = run_cli(capsys, "verify", "tbeta", "--n", str(verify.MAX_N + 1))
         assert code == 2
         assert out == ""
-        assert "shards" in err
+        assert "n must lie in [2, 6250000000]" in err
+
+    def test_out_file_is_replaced_only_by_the_report(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        target.write_text("earlier\n" * 10_000)
+        # A campaign that stops on a usage error leaves the file as it was.
+        atomic = '{"alpha": 2.0, "atoms": [0.4, 0.6], "diffuse": 0.0}'
+        code, out, _ = run_cli(
+            capsys, "verify", "sizebias", "--n", "2000", "--base", atomic, "--out", str(target)
+        )
+        assert (code, out) == (2, "")
+        assert target.read_text() == "earlier\n" * 10_000
+        code, out, _ = run_cli(capsys, "verify", "tbeta", "--n", "2000", "--out", str(target))
+        assert (code, out) == (0, "")
+        assert json.loads(target.read_text())["command"] == "verify"
 
     def test_truncation_levels_are_usage_errors(self, capsys, monkeypatch):
         # Rejected before any campaign runs, not reported as failed tests.
@@ -490,9 +504,10 @@ class TestVerify:
             ("construction", 1),
             ("seed", 4.5),
             ("base", [1.0]),
+            ("alpha", 10**400),
         ],
-        ids=["n-bool", "jobs-string",
-             "alpha-bool", "p-string", "construction-integer", "seed-float", "base-list"],
+        ids=["n-bool", "jobs-string", "alpha-bool", "p-string", "construction-integer",
+             "seed-float", "base-list", "alpha-too-large-for-a-float"],
     )
     def test_config_values_of_the_wrong_type_are_usage_errors(
         self, capsys, monkeypatch, tmp_path, key, value
@@ -593,6 +608,22 @@ def test_non_finite_alpha_is_usage_error(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("sample", "--alpha", "1e17", "--n", "1"),
+        ("verify", "sizebias", "--alpha", "1e16", "--n", "100"),
+    ],
+    ids=["sample", "verify-sizebias"],
+)
+def test_alpha_too_large_for_sticks_is_usage_error(capsys, argv):
+    # alpha / (alpha + 1) rounds to 1: no stick would shrink the leftover.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "too large for sticks" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("sample", "--n", "3"),
         ("moments", "--alphas", "1,2"),
         ("verify", "tbeta", "--n", "2000"),
@@ -601,7 +632,9 @@ def test_non_finite_alpha_is_usage_error(capsys, argv):
     ids=["sample", "moments", "verify", "characterize"],
 )
 @pytest.mark.parametrize("target", ["missing-dir", "directory"])
-def test_unwritable_out_is_usage_error(capsys, tmp_path, argv, target):
+def test_unwritable_out_is_usage_error(capsys, monkeypatch, tmp_path, argv, target):
+    # verify opens --out before its campaign runs.
+    monkeypatch.setattr(cli, "run_verify", no_campaign)
     out_path = tmp_path / "missing" / "x" if target == "missing-dir" else tmp_path
     code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
     assert code == 2

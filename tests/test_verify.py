@@ -137,19 +137,17 @@ class TestControlCouplings:
 
 class TestSharding:
     def test_shard_sizes(self):
-        assert _shard_sizes(125_000) == [125_000]
-        assert _shard_sizes(300_000) == [125_000, 125_000, 50_000]
+        size = verify.SHARD_SIZE
+        assert _shard_sizes(size) == [size]
+        assert _shard_sizes(3 * size + 7) == [size, size, size, 7]
         assert _shard_sizes(7) == [7]
 
-    def test_rejects_shards_that_would_reach_control_streams(self, monkeypatch):
-        # Shard k draws from substream base + k and control j from base +
-        # j * 50_000, so a 50_001st shard would reuse the first control's
-        # random numbers.
-        monkeypatch.setattr(verify, "SHARD_SIZE", 10)
-        limit = 10 * verify._CONTROL_STREAM_OFFSET
-        assert len(_shard_sizes(limit)) == verify._CONTROL_STREAM_OFFSET
-        with pytest.raises(ValueError, match="shards"):
-            _shard_sizes(limit + 1)
+    def test_settings_limit_n(self):
+        # The limit is a plain range check: no shard's substream can be
+        # reused, whatever n is.
+        assert CampaignSettings(n=verify.MAX_N).n == verify.MAX_N
+        with pytest.raises(ValueError, match="n must lie in"):
+            CampaignSettings(n=verify.MAX_N + 1)
 
 
 def _chunks(arr, cuts):
@@ -308,8 +306,8 @@ class TestDrawsOnce:
         [("sethuraman", "stick"), ("sethuraman", "gamma"), ("mecke", "stick"), ("mecke", "gamma")],
     )
     def test_mixing_campaign_draws_its_measures_once(self, monkeypatch, name, construction):
-        # One chunk at N_SMOKE; the mixing controls reuse its measures and
-        # mecke's single-atom control draws no measure from a kernel.
+        # One kernel call per shard; the mixing controls reuse its measures
+        # and mecke's single-atom control draws no measure from a kernel.
         calls = []
         for kernel in ("stick_projection_chunk", "gamma_projection_chunk"):
 
@@ -320,7 +318,7 @@ class TestDrawsOnce:
             monkeypatch.setattr(verify, kernel, counted)
         settings = CampaignSettings(n=N_SMOKE, construction=construction, jobs=1)
         assert campaign_ok(run_verify(name, settings))
-        assert calls == [f"{construction}_projection_chunk"]
+        assert calls == [f"{construction}_projection_chunk"] * len(_shard_sizes(N_SMOKE))
 
 
 class TestAlphaGrid:
@@ -433,6 +431,30 @@ class TestRunVerify:
         ]
         assert merged == singles
 
+    def test_shards_draw_from_distinct_keyed_substreams(self, monkeypatch):
+        # Shard k of variant v of the campaign at index i of _CAMPAIGNS
+        # draws from the substream keyed (i + 1, v, k).  A campaign run
+        # alone draws its slice of the keys of "all", and gives its slice
+        # of the reports.
+        keys = []
+
+        def keyed(task, _shard=verify._shard):
+            keys.append(task[-1])
+            return _shard(task)
+
+        monkeypatch.setattr(verify, "_shard", keyed)
+        settings = CampaignSettings(n=verify.SHARD_SIZE + 2, seed=33)
+        merged = [r.to_dict() for r in run_verify("all", settings)]
+        all_keys, keys[:] = keys[:], []
+        singles = [
+            r.to_dict() for name in CAMPAIGN_NAMES for r in run_verify(name, settings)
+        ]
+        assert len(set(all_keys)) == len(all_keys)
+        assert {key[0] for key in all_keys} == set(range(1, len(CAMPAIGN_NAMES) + 1))
+        assert {key[2] for key in all_keys} == {0, 1}
+        assert keys == all_keys
+        assert merged == singles
+
     def test_all_is_ok_even_with_atomic_base(self):
         # The removal campaign needs a diffuse base; "all" must substitute
         # its default instead of failing on the configured atomic one.
@@ -458,7 +480,7 @@ class TestRunVerify:
         # One shard per run: at jobs=2 a campaign's runs are in the pool
         # together, at jobs=1 each is computed here in turn.
         def reports(jobs):
-            settings = CampaignSettings(n=N_SMOKE, seed=61, jobs=jobs)
+            settings = CampaignSettings(n=verify.SHARD_SIZE, seed=61, jobs=jobs)
             return [r.to_dict() for r in run_verify(name, settings)]
 
         assert reports(2) == reports(1)
@@ -487,13 +509,16 @@ class TestRunVerify:
         monkeypatch.setattr(_InProcessPool, "asked", [])
         monkeypatch.setattr(_InProcessPool, "threads", [])
         monkeypatch.setattr(verify.multiprocessing, "Pool", _InProcessPool)
-        cpus = _cpus()
+        two = [min(2, _cpus())] if _cpus() > 1 else []
         # One shard: computed here, no pool.
-        run_verify("sethuraman", CampaignSettings(n=N_SMOKE, jobs=2))
+        run_verify("sethuraman", CampaignSettings(n=verify.SHARD_SIZE, jobs=2))
         assert _InProcessPool.asked == []
-        # Two one-shard variants go to one pool of two workers.
-        run_verify("mecke", CampaignSettings(n=N_SMOKE, jobs=2))
-        assert _InProcessPool.asked == ([min(2, cpus)] if cpus > 1 else [])
+        # Two shards of one run go to one pool of two workers, and so do
+        # two one-shard variants.
+        run_verify("sethuraman", CampaignSettings(n=2 * verify.SHARD_SIZE, jobs=2))
+        assert _InProcessPool.asked == two
+        run_verify("mecke", CampaignSettings(n=verify.SHARD_SIZE, jobs=2))
+        assert _InProcessPool.asked == two * 2
 
     def test_all_rejects_a_one_block_base_before_its_pool(self, monkeypatch):
         monkeypatch.setattr(_InProcessPool, "asked", [])
@@ -517,7 +542,7 @@ class TestRunVerify:
         assert multiprocessing.active_children() == []
 
     def test_worker_count_does_not_change_reports(self):
-        # Three shards at 260k; the merge must be associative in shard order.
+        # 26 shards at 260k; the merge must be associative in shard order.
         settings_1 = CampaignSettings(n=260_000, seed=47, jobs=1)
         settings_2 = CampaignSettings(n=260_000, seed=47, jobs=2)
         a = [r.to_dict() for r in run_verify("tbeta", settings_1)]
