@@ -1,18 +1,21 @@
 """Special functions for the moment engine and the jump-size samplers.
 
 Provides the log-gamma/beta family and the exponential integral E1 with
-its inverse.  E1 uses the classical split: an alternating power series below
-x = 1 and a modified Lentz continued fraction above; both branches hit
-relative error below 1e-13 over [1e-12, 50], comfortably inside the 1e-10
-contract, and each stops at the term count of the largest (series) or
-smallest (continued fraction) argument it is given.  The inverse groups its
-targets by root range between fixed edges, so each E1 call sees one narrow
-range of arguments and each range has an exact bracket; within a range it
-takes Halley steps from an asymptotic start, bisecting when a step leaves
-the bracket.  Both accept scalars or numpy arrays, since the jump samplers
-invert whole arrival matrices at once.  :func:`count_at_or_below` counts
-edges, in one byte, where that measured faster than bisection: 4096+
-values, <= 16 edges.
+its inverse.  E1 is the power series -gamma - ln x + sum_k (-1)^{k+1}
+x^k / (k k!) up to x = 2.5, summed by Horner to the term count of the
+largest argument, and above it the continued fraction, evaluated from the
+bottom at a depth set by the smallest argument.  Both branches stay within
+2e-14 of mpmath from 1e-12 to 700; the series' cancellation would reach
+5e-14 by x = 3.  The inverse groups its targets by root range between
+fixed edges, so each E1 call sees one narrow range of arguments and each
+range has an exact bracket.  Within a range it takes Halley steps,
+bisecting when a step leaves the bracket, from the range's start: a fit
+made at import for roots in [0.05, 1], the series' fixed point below and an
+asymptotic guess above.  All but the last meet the residual check at their
+first E1 evaluation.  Both accept scalars or numpy arrays, since the jump
+samplers invert whole arrival matrices at once.  :func:`count_at_or_below`
+counts edges, in one byte, where that measured faster than bisection:
+4096+ values, <= 16 edges.
 """
 
 from __future__ import annotations
@@ -23,10 +26,8 @@ import numpy as np
 
 EULER_GAMMA = 0.5772156649015329
 
-_SERIES_TERMS = 48
-_CF_MAX_ITER = 400
-_CF_EPS = 1e-15
-_TINY = 1e-300
+# E1 takes the series up to here and the continued fraction above.
+_SERIES_MAX_X = 2.5
 # E1(x) for y above this would need x below the smallest positive double.
 _E1_MAX_INVERTIBLE = 690.0
 
@@ -43,53 +44,52 @@ def log_beta(a: float, b: float) -> float:
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
+def _horner(coef, x: np.ndarray) -> np.ndarray:
+    # sum_i coef[i] x^(n-1-i), highest power first, in place: two array
+    # passes per coefficient.
+    acc = np.full_like(x, coef[0])
+    for c in coef[1:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+# (-1)^{k+1} / (k k!) for k = 32 down to 1, the series in Horner order;
+# x = 2.5 needs 27 of them.
+_SERIES_COEF = [(-1.0) ** (k + 1) / (k * math.factorial(k)) for k in range(32, 0, -1)]
+
+
+def _series_terms(xmax: float) -> int:
+    # The terms alternate and decrease once k > x, so the tail after n terms
+    # is below term n + 1; stop when that is 1e-17 of e^{-x}/(x + 1) < E1(x).
+    # The ratio of a term to E1 grows with x, so the largest x sets n.
+    bound = 1e-17 * math.exp(-xmax) / (xmax + 1.0)
+    n, term = 1, xmax
+    while term > bound:
+        term *= xmax * n / (n + 1) ** 2
+        n += 1
+    return n
+
+
 def _e1_series(x: np.ndarray) -> np.ndarray:
-    # Alternating series -gamma - ln x + sum_k (-1)^{k+1} x^k / (k k!),
-    # converged well below 1e-15 for x <= 1 at 48 terms.  E1 >= 0.21 on
-    # (0, 1], so an absolute tail bound of 1e-18 keeps full precision.  The
-    # loop stops at the term count of the largest x, and works in place.
-    nx = -x
-    acc = np.zeros_like(x)
-    term = np.ones_like(x)
-    step = np.empty_like(x)
-    for k in range(1, _SERIES_TERMS + 1):
-        term *= nx
-        term /= k
-        np.divide(term, k, out=step)
-        acc -= step
-        if np.abs(term, out=step).max(initial=0.0) < 1e-18:
-            break
-    out = np.log(x)
-    np.subtract(-EULER_GAMMA, out, out=out)
-    out += acc
-    return out
+    acc = _horner(_SERIES_COEF[-_series_terms(float(x.max(initial=0.0))):], x)
+    acc *= x
+    acc -= np.log(x)
+    acc -= EULER_GAMMA
+    return acc
 
 
-def _e1_lentz(x: np.ndarray) -> np.ndarray:
-    # Continued fraction E1(x) = e^{-x} / (x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...)))
-    # evaluated in place with the modified Lentz algorithm.
-    b = x + 1.0
-    c = np.full_like(x, 1.0 / _TINY)
-    d = 1.0 / b
-    f = d.copy()
-    delta = np.empty_like(x)
-    for i in range(1, _CF_MAX_ITER + 1):
-        a = -float(i) * float(i)
-        b += 2.0
-        d *= a
-        d += b
-        d[np.abs(d) < _TINY] = _TINY
-        np.divide(1.0, d, out=d)
-        np.divide(a, c, out=c)
-        c += b
-        c[np.abs(c) < _TINY] = _TINY
-        np.multiply(c, d, out=delta)
-        f *= delta
-        delta -= 1.0
-        if np.abs(delta, out=delta).max(initial=0.0) < _CF_EPS:
-            break
-    f *= np.exp(-x)
-    return f
+def _e1_fraction(x: np.ndarray) -> np.ndarray:
+    # E1(x) = e^{-x} / (x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...))), evaluated
+    # from the bottom.  112/x + 8 levels bring it within 1e-17 for x >= 1;
+    # the smallest x sets the depth.
+    depth = int(112.0 / float(x.min())) + 8
+    t = x + (2 * depth + 1)
+    for i in range(depth, 0, -1):
+        np.divide(-float(i * i), t, out=t)
+        t += x
+        t += 2 * i - 1
+    return np.divide(np.exp(-x), t, out=t)
 
 
 def _split(mask: np.ndarray, v: np.ndarray, on, off) -> np.ndarray:
@@ -120,16 +120,23 @@ def count_at_or_below(edges: np.ndarray, v: np.ndarray) -> np.ndarray:
     return count
 
 
-def exp_integral_e1(x):
-    """E1(x) = integral of e^{-t}/t from x to infinity, for x > 0.
+def _finite_positive(v, name: str) -> np.ndarray:
+    arr = np.asarray(v, dtype=float)
+    # Written as "not (v > 0)", so that NaN fails too.
+    if not np.all((arr > 0.0) & (arr < math.inf)):
+        raise ValueError(f"{name} requires finite positive arguments")
+    return arr
 
-    Accepts a float or an ndarray; returns the matching type.
+
+def exp_integral_e1(x):
+    """E1(x) = integral of e^{-t}/t from x to infinity, for finite x > 0.
+
+    Accepts a float or an ndarray; returns the matching type.  NaN, inf
+    and x <= 0 raise ValueError.
     """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError("exp_integral_e1 requires positive arguments")
+    arr = _finite_positive(x, "exp_integral_e1")
     flat = arr.ravel()
-    out = _split(flat <= 1.0, flat, _e1_series, _e1_lentz)
+    out = _split(flat <= _SERIES_MAX_X, flat, _e1_series, _e1_fraction)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
@@ -142,29 +149,67 @@ _BRACKETS = np.concatenate([[745.0], _EDGES, [0.0]])
 
 
 def _small_root(y: np.ndarray) -> np.ndarray:
-    # For y >= 2 the root is below 0.09 and the series of E1 gives it as the
-    # fixed point of x -> exp(-gamma - y + x - x^2/4 + x^3/18 - x^4/96).
-    # From x = exp(-gamma - y) each pass multiplies the relative error by
+    # For roots below 0.05 (y > 2.46) the series of E1 gives the root as the
+    # fixed point of x -> exp(-gamma - y + sum_k (-1)^{k+1} x^k / (k k!)),
+    # summed to the term count of the largest x.  From x = exp(-gamma - y),
+    # within 5% below the root, each pass multiplies the relative error by
     # about x, so the largest root sets the passes that bring it to 1e-13.
     x = np.exp(-EULER_GAMMA - y)
-    for _ in range(int(-30.0 / math.log(x.max()))):
-        x = np.exp(-EULER_GAMMA - y + x * (1.0 - x * (0.25 - x * (1.0 / 18.0 - x / 96.0))))
+    xmax = float(x.max())
+    coef = _SERIES_COEF[-_series_terms(xmax):]
+    for _ in range(int(-30.0 / math.log(xmax))):
+        s = _horner(coef, x)
+        s *= x
+        s -= y
+        s -= EULER_GAMMA
+        x = np.exp(s, out=s)
     return x
 
 
 def _large_root(y: np.ndarray) -> np.ndarray:
-    # For y < 2, E1(x) ~ e^{-x}/x gives x ~ t - ln(t + 1) + ln(1 + 1/t)
-    # with t = -ln y; the bracket catches the guesses it misses.
-    t = np.maximum(-np.log(np.minimum(y, 1.9)), 0.1)
+    # For roots above 1 (y < 0.22), E1(x) ~ e^{-x}/x gives
+    # x ~ t - ln(t + 1) + ln(1 + 1/t) with t = -ln y.
+    t = -np.log(y)
     return t - np.log(t + 1.0) + np.log1p(1.0 / t)
 
 
-def _halley(y: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    # Halley steps on f(x) = E1(x) - y for roots in [lo, hi]; a step that
-    # leaves the bracket bisects it instead.  With E1' = -e^{-x}/x and
-    # E1''/E1' = -(1 + x)/x, the step is x -> x (1 + u / (1 - u (1 + x)/2))
-    # with u = f e^x, which needs no x^2 near the 690 cap.
-    x = np.clip(_split(y >= 2.0, y, _small_root, _large_root), lo, hi)
+def _fitted_root(lo: float, hi: float):
+    # A start for roots in [lo, hi]: ln x as a degree-10 polynomial in ln y,
+    # which the range's ends map onto [-1, 1], least-squares fitted to E1
+    # at 200 Chebyshev points in x.  On [0.05, 1] in three ranges it is
+    # within 4e-13 of the root, inside the residual check.
+    x = lo + (hi - lo) * 0.5 * (1.0 + np.cos(np.linspace(0.0, np.pi, 200)))
+    t = np.log(exp_integral_e1(x))
+    scale, shift = 2.0 / (t[-1] - t[0]), (t[-1] + t[0]) / (t[-1] - t[0])
+    t *= scale
+    t -= shift
+    coef = np.linalg.lstsq(np.vander(t, 11), np.log(x), rcond=None)[0].tolist()
+
+    def start(y: np.ndarray) -> np.ndarray:
+        t = np.log(y)
+        t *= scale
+        t -= shift
+        return np.exp(_horner(coef, t))
+
+    return start
+
+
+# The start of each root range, in the order of _BRACKETS.
+_STARTS = (
+    _large_root,
+    *(_fitted_root(lo, hi) for hi, lo in zip(_EDGES[:3], _EDGES[1:4])),
+    *(_small_root,) * 4,
+)
+
+
+def _halley(y: np.ndarray, lo: float, hi: float, start) -> np.ndarray:
+    # Halley steps on f(x) = E1(x) - y for roots in [lo, hi], from start(y);
+    # a step that leaves the bracket bisects it instead.  Every element is
+    # checked, and stops, once |f| <= 1e-12 y, the start included.  With
+    # E1' = -e^{-x}/x and E1''/E1' = -(1 + x)/x, the step is
+    # x -> x (1 + u / (1 - u (1 + x)/2)) with u = f e^x, which needs no x^2
+    # near the 690 cap.
+    x = np.clip(start(y), lo, hi)
     pos, xa, ya = np.arange(y.size), x, y
     la, ha = np.full_like(y, lo), np.full_like(y, hi)
     for _ in range(80):
@@ -188,14 +233,14 @@ def inverse_e1(y):
 
     Accepts a float or an ndarray.  The targets are inverted one root range
     at a time, so that each E1 evaluation stops at its range's term count
-    and starts from its range's bracket; within a range, Halley steps run
-    from an asymptotic start, with bisection as the fallback.  The result
-    satisfies |E1(x) - y| <= 1e-10 * y.  Values y > 690 would need x below
-    the smallest positive double and are rejected.
+    and starts from its range's bracket.  Within a range, Halley steps run
+    from the range's start, with bisection as the fallback; starts for
+    roots below 1 already meet the check, so most targets take one E1
+    evaluation.  The result satisfies |E1(x) - y| <= 1e-12 * y.  NaN, inf
+    and y <= 0 raise ValueError; values y > 690 would need x below the
+    smallest positive double and are rejected too.
     """
-    arr = np.asarray(y, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError("inverse_e1 requires positive arguments")
+    arr = _finite_positive(y, "inverse_e1")
     if np.any(arr > _E1_MAX_INVERTIBLE):
         raise ValueError(f"inverse_e1 argument exceeds {_E1_MAX_INVERTIBLE}; result underflows")
     yv = arr.ravel()
@@ -204,5 +249,5 @@ def inverse_e1(y):
     for r in range(_BRACKETS.size - 1):
         idx = np.flatnonzero(ranges == r)
         if idx.size:
-            x[idx] = _halley(yv[idx], _BRACKETS[r + 1], _BRACKETS[r])
+            x[idx] = _halley(yv[idx], _BRACKETS[r + 1], _BRACKETS[r], _STARTS[r])
     return float(x[0]) if arr.ndim == 0 else x.reshape(arr.shape)

@@ -622,6 +622,24 @@ def test_alpha_too_large_for_sticks_is_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (("sample", "--alpha", "1e15", "--n", "1"), "sticks"),
+        (("sample", "--construction", "gamma", "--alpha", "1e9", "--n", "1"), "jumps"),
+        (("verify", "sethuraman", "--construction", "gamma", "--alpha", "1e9", "--n", "100"), "jumps"),
+    ],
+    ids=["sample-stick", "sample-gamma", "verify-gamma"],
+)
+def test_alpha_beyond_the_row_work_ceiling_is_usage_error(capsys, argv, kind):
+    # A row would be expected to need more than MAX_ROW_ATOMS sticks or
+    # jumps: rejected at once, not after a long run or a failed allocation.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"too large for {kind}" in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("sample", "--n", "3"),

@@ -176,6 +176,38 @@ class TestStickConfig:
             assert cap * math.log(alpha / (alpha + 1.0)) <= math.log(eps)
         assert samplers._stick_cap(50.0, 1e-12) > 4 * 1300
 
+    def test_row_work_ceiling(self):
+        # The expected stick count ceil(ln eps / ln(alpha/(alpha+1))) is
+        # about 27.6 alpha at eps 1e-12: 3e4 stays under 1e6, 4e4 does not.
+        assert samplers.MAX_ROW_ATOMS == 10**6
+        assert samplers._stick_cap(3e4, 1e-12) <= 4 * samplers.MAX_ROW_ATOMS
+        with pytest.raises(ValueError, match="too large for sticks"):
+            samplers._stick_cap(4e4, 1e-12)
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda gen: stick_ensemble_chunk(1e15, (1.0,), 1, gen),
+            lambda gen: stick_projection_chunk(4e4, (1.0,), 1, gen),
+            lambda gen: gamma_jumps(1e9, 1, gen),
+            lambda gen: gamma_jumps(6e4, 1, gen),
+            lambda gen: gamma_jumps(2e4, 1, gen, trunc_eps=1e-30),
+        ],
+        ids=["stick-1e15", "stick-4e4", "gamma-1e9", "gamma-6e4", "gamma-tiny-eps"],
+    )
+    def test_row_work_ceiling_rejects_before_any_draw(self, draw):
+        # alpha E1(eps) jumps: 6e4 x 17.8 at eps 1e-8, 2e4 x 68.5 at 1e-30.
+        gen = RngStream(0).gen
+        state = gen.bit_generator.state
+        with pytest.raises(ValueError, match="above the limit of 1e\\+06"):
+            draw(gen)
+        assert gen.bit_generator.state == state
+
+    def test_gamma_jumps_just_under_the_ceiling(self):
+        # 5e4 x E1(1e-8) is about 892 000 expected jumps: one row is drawn.
+        jumps = gamma_jumps(5e4, 1, RngStream(0).gen)
+        assert 850_000 < np.count_nonzero(jumps) <= samplers.MAX_ROW_ATOMS
+
     def test_rejects_bad_params(self):
         model = BaseModel(alpha=1.0, atom_probs=(1.0,))
         with pytest.raises(ValueError):

@@ -87,8 +87,16 @@ class TestExpIntegral:
             assert abs(exp_integral_e1(x) - val) <= max(2.0 * err, 1e-13 * val)
 
     def test_mpmath_grid(self):
+        # Dense where the series hands over to the continued fraction, and
+        # just inside and outside every root-range edge, where the inverse
+        # evaluates E1 most.
         mp = pytest.importorskip("mpmath")
-        xs = np.geomspace(1e-12, 50.0, 400)
+        offsets = np.concatenate([-np.geomspace(1e-2, 1e-12, 11), [0.0], np.geomspace(1e-12, 1e-2, 11)])
+        xs = np.concatenate([
+            np.geomspace(1e-12, 50.0, 400),
+            np.linspace(0.9, 4.0, 1201),
+            (specialfn._EDGES[:, None] * (1.0 + offsets)).ravel(),
+        ])
         ours = exp_integral_e1(xs)
         theirs = np.array([float(mp.e1(float(x))) for x in xs])
         rel = np.abs(ours - theirs) / theirs
@@ -110,11 +118,20 @@ class TestExpIntegral:
         with pytest.raises(ValueError):
             exp_integral_e1(np.array([1.0, -2.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        # The same error as a nonpositive argument, and no RuntimeWarning
+        # on the way (pytest turns those into errors here).
+        for x in (bad, np.array([0.5, bad, 3.0])):
+            with pytest.raises(ValueError, match="finite positive"):
+                exp_integral_e1(x)
+
     def test_array_matches_scalar(self):
         xs = np.array([0.3, 1.0, 7.5])
         arr = exp_integral_e1(xs)
         for i, x in enumerate(xs):
             assert arr[i] == exp_integral_e1(float(x))
+        assert exp_integral_e1(np.zeros((0, 3))).shape == (0, 3)
 
 
 class TestInverseE1:
@@ -141,10 +158,17 @@ class TestInverseE1:
         with pytest.raises(ValueError):
             inverse_e1(1000.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        for y in (bad, np.array([0.5, bad, 3.0])):
+            with pytest.raises(ValueError, match="finite positive"):
+                inverse_e1(y)
+
     def test_preserves_shape(self):
         ys = np.array([[0.5, 1.0], [2.0, 3.0]])
         xs = inverse_e1(ys)
         assert xs.shape == (2, 2)
+        assert inverse_e1(np.zeros((0, 3))).shape == (0, 3)
         assert np.max(np.abs(exp_integral_e1(xs) - ys) / ys) < 1e-9
 
     def test_shuffled_targets_over_every_root_range_match_mpmath(self):
@@ -168,9 +192,10 @@ class TestInverseE1:
         assert grid.shape == (6, 8)
         assert np.array_equal(grid.ravel(), xs)
 
-    def test_e1_evaluations_per_inverted_jump(self, monkeypatch):
-        # Cost without timing: the E1 elements evaluated per element the
-        # jump kernel inverts, counted at the module attribute as the
+    @staticmethod
+    def _count_e1(monkeypatch):
+        # Cost without timing: the E1 elements evaluated, and the elements
+        # the jump kernel inverts, counted at the module attributes as the
         # benchmark's tracer counts them.
         counts = {"e1": 0, "inverse": 0}
 
@@ -182,9 +207,29 @@ class TestInverseE1:
 
         counting("e1", specialfn, specialfn.exp_integral_e1)
         counting("inverse", samplers, samplers.inverse_e1)
-        gamma_jumps(5.0, 2000, RngStream(1).gen)
-        assert counts["inverse"] > 100_000
-        assert counts["e1"] <= 2.0 * counts["inverse"]
+        return counts
+
+    def test_e1_evaluations_per_inverted_jump(self, monkeypatch):
+        # At alpha 5 (89 jumps a row) and at alpha 0.2 (about 4).
+        counts = self._count_e1(monkeypatch)
+        for alpha, rows in ((5.0, 2000), (0.2, 30000)):
+            counts.update(e1=0, inverse=0)
+            gamma_jumps(alpha, rows, RngStream(1).gen)
+            assert counts["inverse"] > 100_000
+            assert counts["e1"] <= 1.1 * counts["inverse"]
+
+    @pytest.mark.parametrize("lo, hi", [(0.5, 1.0), (0.2, 0.5), (0.05, 0.2)])
+    def test_fitted_starts_meet_the_check_at_once(self, monkeypatch, lo, hi):
+        # Roots in [0.05, 1] start from a fit per root range.  Every target
+        # is evaluated once at its start and again only if it misses the
+        # 1e-12 residual check, so at most 1% of the range's interior
+        # targets may need a second evaluation.
+        counts = self._count_e1(monkeypatch)
+        ys = exp_integral_e1(np.random.default_rng(3).uniform(lo, hi, 20_000))
+        counts["e1"] = 0
+        xs = inverse_e1(ys)
+        assert counts["e1"] <= 1.01 * ys.size
+        assert np.all(np.abs(exp_integral_e1(xs) - ys) <= 1e-12 * ys)
 
 
 class TestGammaRatioIdentity:
