@@ -16,15 +16,16 @@ Two independent constructions target the same random probability measure:
 Each construction is written once for many samples at a time.  One stick
 loop, :func:`_stick_columns`, yields a (weights, blocks) column per stick;
 :func:`stick_projection_chunk` accumulates the columns into block
-projections and :func:`stick_ensemble_chunk` stacks them.  One jump kernel,
-:func:`gamma_jumps`, returns a matrix of decreasing jumps; it feeds
-:func:`gamma_projection_chunk`.  Marks are drawn by :func:`draw_blocks` and
-projected by :func:`block_projection`.  The samplers behind ``dpm
-sample``, :func:`sample_stick_breaking` and :func:`sample_jump_measure`,
-draw a batch of rows from the same kernels; :func:`_measures` merges each
-row's marks into a :class:`DiscreteMeasure`, its serialization view.  All
-randomness flows through :class:`RngStream`, a named substream of a root
-seed, so campaigns are reproducible and independent of worker scheduling.
+projections and a running largest weight, and :func:`stick_ensemble_chunk`
+stacks them.  One jump kernel, :func:`gamma_jumps`, returns a matrix of
+decreasing jumps; it feeds :func:`gamma_projection_chunk`.  Marks are
+drawn by :func:`draw_blocks` and projected by :func:`block_projection`.
+The samplers behind ``dpm sample``, :func:`sample_stick_breaking` and
+:func:`sample_jump_measure`, draw a batch of rows from the same kernels;
+:func:`_measures` merges each row's marks into a :class:`DiscreteMeasure`,
+its serialization view.  All randomness flows through :class:`RngStream`,
+a named substream of a root seed, so campaigns are reproducible and
+independent of worker scheduling.
 """
 
 from __future__ import annotations
@@ -257,18 +258,21 @@ def stick_projection_chunk(
     m: int,
     gen: np.random.Generator,
     trunc_eps: float = DEFAULT_STICK_EPS,
-) -> np.ndarray:
-    """Block projections of m stick-breaking samples, shape (m, n_blocks).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Block projections of m stick-breaking samples, shape (m, n_blocks),
+    and each row's largest weight, the closing leftover included.
 
     Accumulates the sticks of :func:`_stick_columns` as they are drawn, so
     no (m, n_sticks) matrix is held.
     """
     p = _check_block_probs(block_probs)
     proj = np.zeros(m * len(p))
+    largest = np.zeros(m)
     base = np.arange(m) * len(p)
     for w, blk in _stick_columns(alpha, p, m, gen, trunc_eps):
         proj[base + blk] += w
-    return proj.reshape(m, len(p))
+        np.maximum(largest, w, out=largest)
+    return proj.reshape(m, len(p)), largest
 
 
 def stick_ensemble_chunk(

@@ -30,9 +30,11 @@ for the campaign to count as OK.  A control that changes only the mixing
 law or a constant (mecke's point mass, sethuraman's wrong shape, tbeta's
 wrong p, tbeta2's wrong c) is a second statistic of the identity's own
 kernel call: it reads the identity's draws and draws nothing.  A control
-that changes the input (mecke's single atom, thm52's geometric weights)
-is a variant, as is thm52's jump run.  :data:`_CAMPAIGNS` maps each
-campaign's name to its function.
+that changes the input (mecke's single atom, thm52's geometric weights) is
+a fixed weight sequence with i.i.d. marks, run as a variant of the
+campaign, as is thm52's jump run.  mecke, sethuraman, thm52 and the
+construction check read every input from one place, :func:`_projections`.
+:data:`_CAMPAIGNS` maps each campaign's name to its function.
 
 At ``jobs > 1`` a campaign sends every shard of every variant to one pool
 of min(jobs, shards, usable CPUs) worker processes, or computes them here
@@ -530,18 +532,34 @@ def _block_probs(model: BaseModel) -> tuple[float, ...]:
 
 
 def _projections(construction, alpha, probs, m, gen, trunc_eps, jump_eps):
-    """Block projections of m measures, with their unnormalized totals
-    under the jump construction (None otherwise)."""
+    """Block projections of m measures, their unnormalized totals under the
+    jump construction and each row's largest weight, (proj, totals, largest).
+
+    ``construction`` is "stick", "gamma" or a tuple of fixed weights, a
+    negative-control input that every row shares with i.i.d. marks; its
+    totals and largest are None, and so are the totals of sticks."""
     if construction == "stick":
-        return stick_projection_chunk(alpha, probs, m, gen, trunc_eps=trunc_eps), None
+        proj, largest = stick_projection_chunk(alpha, probs, m, gen, trunc_eps=trunc_eps)
+        return proj, None, largest
     if construction == "gamma":
-        proj, totals, _ = gamma_projection_chunk(alpha, probs, m, gen, trunc_eps=jump_eps)
-        return proj, totals
-    if construction == "iid":
-        # Degenerate single-atom measure at one base draw; a negative
-        # control, not a sampler of the target law.
-        return block_projection(np.ones((m, 1)), draw_blocks(probs, gen, (m, 1)), len(probs)), None
-    raise ValueError(f"unknown construction {construction!r}")
+        return gamma_projection_chunk(alpha, probs, m, gen, trunc_eps=jump_eps)
+    weights = np.broadcast_to(construction, (m, len(construction)))
+    return block_projection(weights, draw_blocks(probs, gen, weights.shape), len(probs)), None, None
+
+
+def _projection_kernel(
+    m, gen, *, alpha, probs, construction, trunc_eps, jump_eps, exponents, targets
+) -> dict:
+    """The projection monomials against ``targets``, the largest weights
+    when the input has them and, under the jump construction, the total
+    mass against alpha and its covariances with the projections."""
+    proj, totals, largest = _projections(construction, alpha, probs, m, gen, trunc_eps, jump_eps)
+    out = {"identity": _pair(_monomials(proj, exponents), targets)}
+    if largest is not None:
+        out["largest"] = largest
+    if totals is not None:
+        out.update(total=_pair(totals, alpha), indep=_cov(proj.T, totals))
+    return out
 
 
 def _mix_kernel(
@@ -550,7 +568,7 @@ def _mix_kernel(
     """The identity with Be(1, alpha) weights u and, unless ``control`` is
     None, the "control" statistic of the same measures and marks mixed by
     the weights ``control(u)``."""
-    proj, _ = _projections(construction, alpha, probs, m, gen, trunc_eps, jump_eps)
+    proj = _projections(construction, alpha, probs, m, gen, trunc_eps, jump_eps)[0]
     u = gen.beta(1.0, alpha, size=m)
     xblk = draw_blocks(probs, gen, m)
     # Weighted, f(zeta, x) = g(proj) h(x) for every monomial g and block
@@ -574,8 +592,9 @@ def _mix_kernel(
     return out
 
 
-def _projection_probs(s: CampaignSettings) -> tuple[float, ...]:
-    """Block probabilities of the configured base, or of the default base."""
+def _mix_params(s: CampaignSettings) -> dict:
+    """Kernel parameters shared by mecke, sethuraman and the construction
+    check, on the blocks of the configured base or of the default base."""
     probs = _block_probs(s.base or BaseModel.default(s.alpha))
     # With one block of positive mass every projection is 1: both sides of
     # each identity agree to rounding and no control can reject.
@@ -583,18 +602,8 @@ def _projection_probs(s: CampaignSettings) -> tuple[float, ...]:
         raise ValueError(
             f"the projection campaigns need a base with mass in at least two blocks, got {probs}"
         )
-    return probs
-
-
-def _mix_params(s: CampaignSettings) -> dict:
-    """Kernel parameters shared by the mecke and sethuraman campaigns."""
-    return dict(
-        alpha=s.alpha,
-        probs=_projection_probs(s),
-        construction=s.construction,
-        trunc_eps=s.trunc_eps,
-        jump_eps=s.jump_eps,
-    )
+    return dict(alpha=s.alpha, probs=probs, construction=s.construction, trunc_eps=s.trunc_eps,
+                jump_eps=s.jump_eps)
 
 
 def verify_mecke(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
@@ -615,7 +624,7 @@ def verify_mecke(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     value = 1.0 / (s.alpha + 1.0)
     params.update(exponents=exponents, weighted=True, control=partial(_point_mass, value=value))
     c = _Campaign(_mix_kernel, params, s, rng)
-    stats, atom = c.runs({}, dict(construction="iid", control=None))
+    stats, atom = c.runs({}, dict(construction=(1.0,), control=None))
     names = [f"mecke[g={_monomial_name(ks)},h=B{j}]" for ks in exponents for j in range(nb)]
     reports = c.reports(names, stats["identity"].paired())
     notes = f"mixing law delta({value:g}) matches the mean of Be(1,{s.alpha:g}) but not its spread"
@@ -845,32 +854,11 @@ def verify_sizebias_invariance(s: CampaignSettings, rng: RngStream) -> list[Test
 # sequence-level invariance: GEM weights with i.i.d. marks
 
 
-def _marked_kernel(
-    m, gen, *, alpha, probs, construction, trunc_eps, jump_eps, exponents, targets
-) -> dict:
-    """GEM weights with i.i.d. marks ("stick"), the largest normalized jump
-    alone ("gamma"), or the negative control ("geometric")."""
-    if construction == "gamma":
-        return {"largest": gamma_projection_chunk(alpha, probs, m, gen, trunc_eps=jump_eps)[2]}
-    out = {}
-    if construction == "geometric":
-        # Deterministic weights (1 - r) r^i with r = 0.9, renormalized, and
-        # i.i.d. marks.
-        r = 0.9
-        k_fix = max(64, int(math.log(1e-12) / math.log(r)) + 1)
-        fixed = (1.0 - r) * r ** np.arange(k_fix)
-        fixed /= fixed.sum()
-        weights = np.broadcast_to(fixed, (m, len(fixed)))
-        marks = draw_blocks(probs, gen, (m, len(fixed)))
-    else:
-        weights, marks = stick_ensemble_chunk(alpha, probs, m, gen, trunc_eps=trunc_eps)
-        out["largest"] = weights.max(axis=1)
-    proj = block_projection(weights, marks, len(probs))
-    out["identity"] = _pair(_monomials(proj, exponents), np.array(targets)[:, None])
-    return out
-
-
 _THM52_MARKS = (0.25, 0.75)
+# thm52's negative-control input: the deterministic weights (1 - r) r^i
+# with r = 0.9, for the 263 i with r^i above 1e-12, renormalized.
+_GEOMETRIC = (1.0 - 0.9) * 0.9 ** np.arange(263)
+_GEOMETRIC = tuple((_GEOMETRIC / _GEOMETRIC.sum()).tolist())
 
 
 def verify_marked_sizebias(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
@@ -889,17 +877,17 @@ def verify_marked_sizebias(s: CampaignSettings, rng: RngStream) -> list[TestRepo
 
     def moments(min_degree):
         exponents = _exponents(len(probs), 3, min_degree)
-        targets = tuple(dirichlet_mixed_moment([alpha * q for q in probs], ks) for ks in exponents)
+        targets = [dirichlet_mixed_moment([alpha * q for q in probs], ks) for ks in exponents]
         names = [f"thm52:moment[{_monomial_name(ks)}]" for ks in exponents]
-        return names, dict(exponents=exponents, targets=targets)
+        return names, dict(exponents=exponents, targets=np.array(targets)[:, None])
 
     names, family = moments(1)
     control_names, control_family = moments(2)
     params = dict(alpha=alpha, probs=probs, trunc_eps=s.trunc_eps, jump_eps=s.jump_eps)
     params.update(construction="stick", **family)
-    c = _Campaign(_marked_kernel, params, s, rng)
+    c = _Campaign(_projection_kernel, params, s, rng)
     gem, jump, geometric = c.runs(
-        {}, dict(construction="gamma"), dict(construction="geometric", **control_family)
+        {}, dict(construction="gamma"), dict(construction=_GEOMETRIC, **control_family)
     )
     reports = c.reports(names, gem["identity"].paired())
     a, b = gem["largest"], jump["largest"]
@@ -920,16 +908,6 @@ def verify_marked_sizebias(s: CampaignSettings, rng: RngStream) -> list[TestRepo
 # construction equivalence
 
 
-def _equivalence_kernel(
-    m, gen, *, alpha, probs, construction, trunc_eps, jump_eps, exponents
-) -> dict:
-    proj, totals = _projections(construction, alpha, probs, m, gen, trunc_eps, jump_eps)
-    out = {"identity": _pair(_monomials(proj, exponents), 0.0)}
-    if totals is not None:
-        out.update(total=_pair(totals, alpha), indep=_cov(proj.T, totals))
-    return out
-
-
 def verify_construction_equivalence(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     """Compare the stick and jump constructions of the same law.
 
@@ -939,12 +917,11 @@ def verify_construction_equivalence(s: CampaignSettings, rng: RngStream) -> list
     uncorrelated with the total.  ``s.construction`` is not read: both
     constructions run.
     """
-    probs = _projection_probs(s)
-    exponents = _exponents(len(probs), 3)
-    params = dict(
-        alpha=s.alpha, probs=probs, trunc_eps=s.trunc_eps, jump_eps=s.jump_eps, exponents=exponents
-    )
-    c = _Campaign(_equivalence_kernel, params, s, rng)
+    params = _mix_params(s)
+    nb = len(params["probs"])
+    exponents = _exponents(nb, 3)
+    params.update(exponents=exponents, targets=0.0)
+    c = _Campaign(_projection_kernel, params, s, rng)
     stick, gamma = c.runs(dict(construction="stick"), dict(construction="gamma"))
     reports = c.reports(
         [f"construction:moment[{_monomial_name(ks)}]" for ks in exponents],
@@ -957,7 +934,7 @@ def verify_construction_equivalence(s: CampaignSettings, rng: RngStream) -> list
         notes="unnormalized jump total against alpha",
     )
     reports += c.reports(
-        [f"construction:indep[proj{j},total]" for j in range(len(probs))],
+        [f"construction:indep[proj{j},total]" for j in range(nb)],
         gamma["indep"].covariance(),
         kind="cov",
         notes="normalized projection vs unnormalized total",
@@ -979,6 +956,16 @@ _CAMPAIGNS = {
     "thm52": verify_marked_sizebias,
 }
 CAMPAIGN_NAMES = tuple(_CAMPAIGNS)
+# The campaigns that read ``construction``; the others sample by sticks.
+_CONSTRUCTION_CAMPAIGNS = ("mecke", "sethuraman")
+
+
+def _settings_under_all(name: str, s: CampaignSettings) -> CampaignSettings:
+    """The settings ``name`` runs under in "all": sizebias keeps its default
+    diffuse base, and only the campaigns that read it keep ``construction``."""
+    if name in _CONSTRUCTION_CAMPAIGNS:
+        return s
+    return replace(s, construction="stick", base=None if name == "sizebias" else s.base)
 
 
 def run_verify(name: str, settings: CampaignSettings | None = None) -> list[TestReport]:
@@ -989,23 +976,29 @@ def run_verify(name: str, settings: CampaignSettings | None = None) -> list[Test
     part of "all", and regardless of the worker count.  The size-biased
     removal campaign needs a purely diffuse base; under "all" it always
     uses its default diffuse base even when another base was configured
-    for the projection campaigns.  At ``jobs > 1``, "all" runs its
-    campaigns one after another on one shared process pool.
+    for the projection campaigns.  Only mecke and sethuraman read
+    ``construction``: "all" passes it to them alone, and another campaign
+    run alone with the gamma construction is rejected before it draws.  At
+    ``jobs > 1``, "all" runs its campaigns one after another on one shared
+    process pool.
     """
     settings = settings or CampaignSettings()
     if name == "all":
-        _projection_probs(settings)  # a one-block base fails before the pool forks
+        _mix_params(settings)  # a one-block base fails before the pool forks
         with _worker_pool(settings.jobs):
             return [
                 r
                 for sub in CAMPAIGN_NAMES
-                for r in run_verify(
-                    sub, replace(settings, base=None) if sub == "sizebias" else settings
-                )
+                for r in run_verify(sub, _settings_under_all(sub, settings))
             ]
     if name not in _CAMPAIGNS:
         raise ValueError(
             f"unknown campaign {name!r}; expected one of {CAMPAIGN_NAMES + ('all',)}"
+        )
+    if settings.construction != "stick" and name not in _CONSTRUCTION_CAMPAIGNS:
+        raise ValueError(
+            f"construction {settings.construction!r} applies to mecke, sethuraman and all only; "
+            f"{name} samples by sticks"
         )
     rng = RngStream(settings.seed, CAMPAIGN_NAMES.index(name) + 1)
     return _CAMPAIGNS[name](settings, rng)

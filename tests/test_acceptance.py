@@ -107,7 +107,7 @@ def test_criterion_03_integral_identity_campaign_at_scale():
 
 def test_criterion_04_projection_marginal_is_beta():
     gen = RngStream(404).gen
-    proj = stick_projection_chunk(2.0, np.array([0.3, 0.7]), 100_000, gen)
+    proj, _ = stick_projection_chunk(2.0, np.array([0.3, 0.7]), 100_000, gen)
     stat, p = ks_test(proj[:, 0], sps.beta(0.6, 1.4).cdf)
     passed = p > 0.001
     _announce(4, passed, f"marginal KS vs Be(0.6,1.4): stat={stat:.5f} p={p:.3f}")

@@ -308,7 +308,9 @@ class TestVerify:
         flag, value = FLAG_AND_CONFIG[key]
         config = tmp_path / "verify.json"
         config.write_text(json.dumps({key: value}))
-        args = ("verify", "tbeta") + (() if key == "n" else ("--n", "2000"))
+        # Of the single campaigns, only mecke and sethuraman read construction.
+        campaign = "sethuraman" if key == "construction" else "tbeta"
+        args = ("verify", campaign) + (() if key == "n" else ("--n", "2000"))
         code, from_flag, _ = run_cli(capsys, *args, *flag)
         assert code == 0
         _, from_config, _ = run_cli(capsys, *args, "--config", str(config))
@@ -409,6 +411,25 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "mass in at least two blocks" in err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("campaign", ["tbeta", "tbeta2", "sizebias", "thm52"])
+    def test_gamma_construction_where_no_kernel_reads_it_is_usage_error(
+        self, capsys, monkeypatch, tmp_path, campaign, source
+    ):
+        # Rejected before a pool starts or a shard draws.
+        def drew(*args, **kwargs):
+            raise AssertionError("a pool started or a shard drew")
+
+        monkeypatch.setattr(verify.multiprocessing, "Pool", drew)
+        monkeypatch.setattr(verify, "_shard", drew)
+        config = tmp_path / "verify.json"
+        config.write_text(json.dumps({"construction": "gamma"}))
+        given = ("--construction", "gamma") if source == "flag" else ("--config", str(config))
+        code, out, err = run_cli(capsys, "verify", campaign, "--n", "20000", "--jobs", "2", *given)
+        assert code == 2
+        assert out == ""
+        assert f"applies to mecke, sethuraman and all only; {campaign} samples by sticks" in err
 
     def test_n_beyond_the_limit_is_usage_error(self, capsys, monkeypatch):
         # A settings range check: the run fails before it builds a task list

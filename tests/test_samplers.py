@@ -357,14 +357,14 @@ class TestTwoConstructionsAgree:
 class TestChunkKernels:
     def test_stick_projection_rows_sum_to_one(self):
         gen = RngStream(18).gen
-        proj = stick_projection_chunk(2.0, (0.25, 0.75), 500, gen)
+        proj, _ = stick_projection_chunk(2.0, (0.25, 0.75), 500, gen)
         assert proj.shape == (500, 2)
         assert np.allclose(proj.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(proj >= 0)
 
     def test_stick_projection_marginal_ks(self):
         gen = RngStream(19).gen
-        proj = stick_projection_chunk(2.0, (0.3, 0.7), 20_000, gen)
+        proj, _ = stick_projection_chunk(2.0, (0.3, 0.7), 20_000, gen)
         stat, p = stats.kstest(proj[:, 0], stats.beta(0.6, 1.4).cdf)
         assert p > 1e-3
 
@@ -372,8 +372,8 @@ class TestChunkKernels:
         # same distribution as the per-measure sampler (different stream use)
         model = BaseModel(alpha=1.5, atom_probs=(0.4, 0.6))
         obj = atom0_masses(sample_stick_breaking(model, RngStream(20), 2500))
-        vec = stick_projection_chunk(1.5, (0.4, 0.6), 2500, RngStream(21).gen)[:, 0]
-        stat, p = stats.ks_2samp(obj, vec)
+        proj, _ = stick_projection_chunk(1.5, (0.4, 0.6), 2500, RngStream(21).gen)
+        stat, p = stats.ks_2samp(obj, proj[:, 0])
         assert p > 1e-3
 
     def test_ensemble_chunk_shapes_and_sums(self):
@@ -397,10 +397,14 @@ class TestChunkKernels:
         assert np.all(w[:, -1] <= eps)
 
     def test_projection_and_ensemble_share_one_stick_loop(self):
-        for alpha, probs in ((2.0, (0.2, 0.3, 0.5)), (0.5, (0.6, 0.4)), (8.0, (1.0,))):
-            proj = stick_projection_chunk(alpha, probs, 300, RngStream(27).gen)
+        cases = ((2.0, (0.2, 0.3, 0.5)), (0.5, (0.6, 0.4)), (8.0, (1.0,)), (0.05, (0.5, 0.5)),
+                 (10.0, (0.3, 0.7)))
+        for alpha, probs in cases:
+            proj, largest = stick_projection_chunk(alpha, probs, 300, RngStream(27).gen)
             w, b = stick_ensemble_chunk(alpha, probs, 300, RngStream(27).gen)
             assert np.max(np.abs(proj - block_projection(w, b, len(probs)))) <= 1e-14
+            # The running max over the sticks and the closing leftover.
+            assert np.array_equal(largest, w.max(axis=1))
 
     @pytest.mark.parametrize("source", ["sticks", "jumps", "broadcast"])
     def test_block_projection_by_slabs_is_one_product(self, source):
@@ -423,7 +427,7 @@ class TestChunkKernels:
     @pytest.mark.parametrize("alpha", [0.3, 2.0, 10.0])
     def test_stick_projection_equals_a_row_scatter_bit_for_bit(self, alpha):
         probs = np.array([0.2, 0.3, 0.5])
-        proj = stick_projection_chunk(alpha, probs, 700, RngStream(31).gen)
+        proj, _ = stick_projection_chunk(alpha, probs, 700, RngStream(31).gen)
         want = np.zeros((700, 3))
         rows = np.arange(700)
         gen = RngStream(31).gen

@@ -300,6 +300,19 @@ class TestMarkedSizebiasCampaign:
         assert control.verdict == "fail"
 
 
+def _counted_kernels(monkeypatch) -> list:
+    """The names of the projection kernels the campaigns call, in order."""
+    calls = []
+    for kernel in ("stick_projection_chunk", "gamma_projection_chunk"):
+
+        def counted(*args, _kernel=getattr(verify, kernel), **kw):
+            calls.append(_kernel.__name__)
+            return _kernel(*args, **kw)
+
+        monkeypatch.setattr(verify, kernel, counted)
+    return calls
+
+
 class TestDrawsOnce:
     @pytest.mark.parametrize(
         "name, construction",
@@ -308,17 +321,23 @@ class TestDrawsOnce:
     def test_mixing_campaign_draws_its_measures_once(self, monkeypatch, name, construction):
         # One kernel call per shard; the mixing controls reuse its measures
         # and mecke's single-atom control draws no measure from a kernel.
-        calls = []
-        for kernel in ("stick_projection_chunk", "gamma_projection_chunk"):
-
-            def counted(*args, _kernel=getattr(verify, kernel), **kw):
-                calls.append(_kernel.__name__)
-                return _kernel(*args, **kw)
-
-            monkeypatch.setattr(verify, kernel, counted)
+        calls = _counted_kernels(monkeypatch)
         settings = CampaignSettings(n=N_SMOKE, construction=construction, jobs=1)
         assert campaign_ok(run_verify(name, settings))
         assert calls == [f"{construction}_projection_chunk"] * len(_shard_sizes(N_SMOKE))
+
+    def test_thm52_draws_each_run_once_per_shard(self, monkeypatch):
+        # The stick run and the jump run call their kernel once per shard;
+        # the geometric control draws no measure from a kernel.  The largest
+        # stick weights come from the projection kernel: no stick matrix.
+        def no_ensemble(*args, **kwargs):
+            raise AssertionError("thm52 drew a stick ensemble")
+
+        monkeypatch.setattr(verify, "stick_ensemble_chunk", no_ensemble)
+        calls = _counted_kernels(monkeypatch)
+        assert campaign_ok(run_verify("thm52", CampaignSettings(n=N_SMOKE, jobs=1)))
+        shards = len(_shard_sizes(N_SMOKE))
+        assert calls == ["stick_projection_chunk"] * shards + ["gamma_projection_chunk"] * shards
 
 
 class TestAlphaGrid:
@@ -453,6 +472,17 @@ class TestRunVerify:
         assert {key[0] for key in all_keys} == set(range(1, len(CAMPAIGN_NAMES) + 1))
         assert {key[2] for key in all_keys} == {0, 1}
         assert keys == all_keys
+        assert merged == singles
+
+    def test_all_passes_construction_only_to_the_campaigns_that_read_it(self):
+        settings = CampaignSettings(n=verify.SHARD_SIZE, seed=34, construction="gamma")
+        merged = [r.to_dict() for r in run_verify("all", settings)]
+        stick = replace(settings, construction="stick")
+        singles = [
+            r.to_dict()
+            for name in CAMPAIGN_NAMES
+            for r in run_verify(name, settings if name in ("mecke", "sethuraman") else stick)
+        ]
         assert merged == singles
 
     def test_all_is_ok_even_with_atomic_base(self):
