@@ -17,15 +17,18 @@ Each construction is written once for many samples at a time.  One stick
 loop, :func:`_stick_columns`, yields a (weights, blocks) column per stick;
 :func:`stick_projection_chunk` accumulates the columns into block
 projections and a running largest weight, and :func:`stick_ensemble_chunk`
-stacks them.  One jump kernel, :func:`gamma_jumps`, returns a matrix of
-decreasing jumps; it feeds :func:`gamma_projection_chunk`.  Marks are
-drawn by :func:`draw_blocks` and projected by :func:`block_projection`.
-The samplers behind ``dpm sample``, :func:`sample_stick_breaking` and
-:func:`sample_jump_measure`, draw a batch of rows from the same kernels;
-:func:`_measures` merges each row's marks into a :class:`DiscreteMeasure`,
-its serialization view.  All randomness flows through :class:`RngStream`,
-a named substream of a root seed, so campaigns are reproducible and
-independent of worker scheduling.
+stacks them.  One jump generator, :func:`_jump_blocks`, yields the next
+jumps, 16 a row, and their marks for the rows whose arrivals are still
+within the truncation limit, so it inverts no arrival and draws no mark
+that a row does not keep; :func:`gamma_projection_chunk` accumulates its
+steps, and :func:`gamma_jumps` stacks them into a matrix of decreasing
+jumps.  Other marks are drawn by :func:`draw_blocks` and projected by
+:func:`block_projection`.  The samplers behind ``dpm sample``,
+:func:`sample_stick_breaking` and :func:`sample_jump_measure`, draw a
+batch of rows from the same kernels; :func:`_measures` merges each row's
+marks into a :class:`DiscreteMeasure`, its serialization view.  All
+randomness flows through :class:`RngStream`, a named substream of a root
+seed, so campaigns are reproducible and independent of worker scheduling.
 """
 
 from __future__ import annotations
@@ -122,10 +125,10 @@ def beta_pairs(p: float, alpha: float, m: int, gen: np.random.Generator):
 
 
 # The most sticks or jumps one row may be expected to need.  A stick costs
-# a pass of the stick loop and a jump a column of the jump matrix, so this
-# bounds the work and memory of a row: at the ceiling, `dpm sample --n 1`
-# took 14 s and 0.55 GB by sticks and 3 s and 0.35 GB by jumps on a 2-CPU
-# VM.
+# a pass of the stick loop and a jump an arrival, an inversion and a mark of
+# the jump generator, so this bounds the work and memory of a row: at the
+# ceiling, `dpm sample --n 1` took 14 s and 0.55 GB by sticks and 2.5 s and
+# 0.34 GB by jumps on a 2-CPU VM.
 MAX_ROW_ATOMS = 10**6
 
 
@@ -182,23 +185,28 @@ def _stick_columns(alpha, block_probs, m, gen, trunc_eps):
     raise TruncationError(float(tail.max()), max_sticks)
 
 
-def gamma_jumps(
-    alpha: float,
-    m: int,
-    gen: np.random.Generator,
-    trunc_eps: float = DEFAULT_JUMP_EPS,
-) -> np.ndarray:
-    """Decreasing jumps of m gamma random measures with total mass alpha.
+# Arrivals per row in one step of the jump generator, and the fewest one
+# step draws: below 1024 rows a step draws more a row, so that its fixed
+# cost stays small (one row at the row-work ceiling would take 56 000 steps).
+_JUMP_BLOCK = 16
+_STEP_ARRIVALS = 1 << 14
 
-    Returns an (m, K) matrix.  Each row maps unit-rate Poisson arrivals
-    G_1 < G_2 < ... through the inverse of E1 at G_k / alpha; the map is
-    decreasing, so the jumps come out sorted.  Arrivals beyond
-    alpha * E1(trunc_eps) would invert below the threshold: their jumps
-    read 0, except that every row keeps its first, largest jump.  Arrivals
-    are drawn until every row has passed that limit.  A first arrival with
-    G_1 / alpha > 690 (possible at small alpha) inverts at 690 instead:
-    that jump is then its row's only one, about 1e-300 or less either way,
-    so the normalized row is the same single unit weight.  An expected
+
+def _jump_blocks(alpha, block_probs, m, gen, trunc_eps):
+    """Yield (rows, jumps, marks), the next jumps of the rows still drawing.
+
+    A row maps unit-rate Poisson arrivals G_1 < G_2 < ... through the
+    decreasing inverse of E1 at G_k / alpha.  A step draws the next
+    ``_JUMP_BLOCK`` arrivals of the rows ``rows`` whose last arrival is at
+    or below ``limit = alpha * E1(trunc_eps)``.  ``jumps[k, i]`` is the
+    step's k-th jump in row ``rows[i]``, and ``marks[k, i]`` its block, in
+    block j with probability ``block_probs[j]``, drawn after the step's
+    arrivals.  Arrivals beyond the limit would invert below the threshold:
+    their jumps and marks read 0, except each row's first, largest jump.
+    So in step order a row's jumps are decreasing, then zero.  A first
+    arrival with G_1 / alpha > 690 (possible at small alpha) inverts at
+    690: that jump is then its row's only one, about 1e-300 or less either
+    way, so the normalized row is the same single unit weight.  An expected
     jump count ``limit`` above :data:`MAX_ROW_ATOMS` raises ValueError.
     """
     if not alpha > 0.0:
@@ -207,20 +215,60 @@ def gamma_jumps(
         raise ValueError(f"trunc_eps must lie in (0, 0.1], got {trunc_eps}")
     limit = alpha * exp_integral_e1(trunc_eps)
     _check_row_atoms(limit, alpha, "jumps")
-    k0 = int(limit + 8.0 * math.sqrt(limit) + 16.0)
-    arr = gen.exponential(size=(m, k0)).cumsum(axis=1)
-    while arr[:, -1].min() <= limit:
-        extra = arr[:, -1:] + gen.exponential(size=(m, 16)).cumsum(axis=1)
-        arr = np.concatenate([arr, extra], axis=1)
-    keep = arr <= limit
-    keep[:, 0] = True
-    y = arr[keep]
-    y /= alpha
-    np.minimum(y, 690.0, out=y)
-    # The jumps take the arrivals' place, so the (m, K) matrix is held once.
-    arr[~keep] = 0.0
-    arr[keep] = inverse_e1(y)
-    return arr
+    edges = np.cumsum(block_probs)[:-1]
+    rows, last = np.arange(m), np.zeros(m)
+    first = True
+    while rows.size:
+        width = max(_JUMP_BLOCK, _STEP_ARRIVALS // rows.size)
+        arr = gen.standard_exponential((width, rows.size))
+        arr[0] += last
+        if width == _JUMP_BLOCK:
+            # np.cumsum's sums, by row adds: on many rows they are faster
+            # than np.cumsum along axis 0.
+            for k in range(1, width):
+                arr[k] += arr[k - 1]
+        else:
+            np.cumsum(arr, axis=0, out=arr)
+        keep = arr <= limit
+        keep[0] |= first
+        y = arr[keep]
+        y /= alpha
+        np.minimum(y, 690.0, out=y)
+        drawn = count_at_or_below(edges, gen.random(y.size))
+        marks = np.zeros(keep.shape, drawn.dtype)
+        marks[keep] = drawn
+        jumps = np.zeros(keep.shape)
+        jumps[keep] = inverse_e1(y)
+        yield rows, jumps, marks
+        drawing = keep[-1]
+        rows, last, first = rows[drawing], arr[-1, drawing], False
+
+
+def _jump_matrices(alpha, block_probs, m, gen, trunc_eps):
+    """The jumps and marks of :func:`_jump_blocks`, each stacked into one
+    (m, K) matrix of decreasing, zero-padded rows, K being the most jumps
+    a row keeps."""
+    steps = list(_jump_blocks(alpha, block_probs, m, gen, trunc_eps))
+    ends = np.cumsum([w.shape[0] for _, w, _ in steps]).tolist()
+    jumps = np.zeros((m, ends[-1] if steps else 0))
+    marks = np.zeros(jumps.shape, np.intp)
+    for (rows, w, b), start, end in zip(steps, [0, *ends], ends):
+        jumps[rows, start:end] = w.T
+        marks[rows, start:end] = b.T
+    k = int(np.count_nonzero(jumps, axis=1).max(initial=0))
+    return jumps[:, :k], marks[:, :k]
+
+
+def gamma_jumps(
+    alpha: float,
+    m: int,
+    gen: np.random.Generator,
+    trunc_eps: float = DEFAULT_JUMP_EPS,
+) -> np.ndarray:
+    """Decreasing jumps of m gamma random measures with total mass alpha,
+    the zero-padded (m, K) jumps of :func:`_jump_matrices`; their marks,
+    all in one block, move the stream as the other jump samplers do."""
+    return _jump_matrices(alpha, (1.0,), m, gen, trunc_eps)[0]
 
 
 # Rows per masked product in a block projection.
@@ -307,14 +355,25 @@ def gamma_projection_chunk(
     (m, n_blocks), the unnormalized total masses (whose law is
     Gamma(alpha, 1) up to truncation), and the largest normalized weight
     per row.  Jumps and marks are independent, so ``totals`` should be
-    uncorrelated with every column of ``proj``.
+    uncorrelated with every column of ``proj``.  Accumulates the steps of
+    :func:`_jump_blocks` as they are drawn, so no (m, n_jumps) matrix is
+    held.
     """
     p = _check_block_probs(block_probs)
-    jumps = gamma_jumps(alpha, m, gen, trunc_eps)
-    proj = block_projection(jumps, draw_blocks(p, gen, jumps.shape), len(p))
-    totals = jumps.sum(axis=1)
+    proj = np.zeros((m, len(p)))
+    totals = np.zeros(m)
+    largest = None
+    for rows, jumps, marks in _jump_blocks(alpha, p, m, gen, trunc_eps):
+        if largest is None:
+            # The first step holds every row, and in line 0 its largest jump.
+            largest = jumps[0].copy()
+        # Each (row, block) pair sums its jumps in one bin.
+        bins = marks + np.arange(0, rows.size * len(p), len(p))
+        sums = np.bincount(bins.ravel(), jumps.ravel(), rows.size * len(p))
+        proj[rows] += sums.reshape(rows.size, len(p))
+        totals[rows] += jumps.sum(axis=0)
     proj /= totals[:, None]
-    largest = jumps[:, 0] / totals
+    largest /= totals
     return proj, totals, largest
 
 
@@ -377,9 +436,9 @@ def sample_jump_measure(
     """n normalized-jump samples with i.i.d. base marks, as measures.
 
     Same law as :func:`sample_stick_breaking` up to truncation error, by a
-    different construction: the ranked jumps of one :func:`gamma_jumps`
-    call, normalized per row, each carrying an independent base draw.
+    different construction: the ranked jumps and marks of one run of the
+    jump generator, stacked as :func:`gamma_jumps` stacks them, each row
+    normalized.
     """
-    jumps = gamma_jumps(model.alpha, n, rng.gen, trunc_eps)
-    blocks = draw_blocks(model.blocks, rng.gen, jumps.shape)
-    return _measures(model, jumps / jumps.sum(axis=1, keepdims=True), blocks, rng.gen)
+    jumps, marks = _jump_matrices(model.alpha, model.blocks, n, rng.gen, trunc_eps)
+    return _measures(model, jumps / jumps.sum(axis=1, keepdims=True), marks, rng.gen)

@@ -10,12 +10,13 @@ bottom at a depth set by the smallest argument.  Both branches stay within
 fixed edges, so each E1 call sees one narrow range of arguments and each
 range has an exact bracket.  Within a range it takes Halley steps,
 bisecting when a step leaves the bracket, from the range's start: a fit
-made at import for roots in [0.05, 1], the series' fixed point below and an
-asymptotic guess above.  All but the last meet the residual check at their
-first E1 evaluation.  Both accept scalars or numpy arrays, since the jump
-samplers invert whole arrival matrices at once.  :func:`count_at_or_below`
-counts edges, in one byte, where that measured faster than bisection:
-4096+ values, <= 16 edges.
+made at import for roots in [0.05, 1], the series reversion of E1 (a
+literal table of its coefficients) below and an asymptotic guess above.
+All but the last meet the residual check at their first E1 evaluation.
+Both accept scalars or numpy arrays, since the jump generator inverts a
+step's kept arrivals, across all its rows, at once.
+:func:`count_at_or_below` counts edges, in one byte, where that measured
+faster than bisection: 4096+ values, <= 16 edges.
 """
 
 from __future__ import annotations
@@ -46,11 +47,14 @@ def log_beta(a: float, b: float) -> float:
 
 def _horner(coef, x: np.ndarray) -> np.ndarray:
     # sum_i coef[i] x^(n-1-i), highest power first, in place: two array
-    # passes per coefficient.
-    acc = np.full_like(x, coef[0])
-    for c in coef[1:]:
-        acc *= x
+    # passes per coefficient, the first product starting the sum.
+    if len(coef) == 1:
+        return np.full_like(x, coef[0])
+    acc = x * coef[0]
+    for c in coef[1:-1]:
         acc += c
+        acc *= x
+    acc += coef[-1]
     return acc
 
 
@@ -148,24 +152,6 @@ _EDGE_E1 = exp_integral_e1(_EDGES)
 _BRACKETS = np.concatenate([[745.0], _EDGES, [0.0]])
 
 
-def _small_root(y: np.ndarray) -> np.ndarray:
-    # For roots below 0.05 (y > 2.46) the series of E1 gives the root as the
-    # fixed point of x -> exp(-gamma - y + sum_k (-1)^{k+1} x^k / (k k!)),
-    # summed to the term count of the largest x.  From x = exp(-gamma - y),
-    # within 5% below the root, each pass multiplies the relative error by
-    # about x, so the largest root sets the passes that bring it to 1e-13.
-    x = np.exp(-EULER_GAMMA - y)
-    xmax = float(x.max())
-    coef = _SERIES_COEF[-_series_terms(xmax):]
-    for _ in range(int(-30.0 / math.log(xmax))):
-        s = _horner(coef, x)
-        s *= x
-        s -= y
-        s -= EULER_GAMMA
-        x = np.exp(s, out=s)
-    return x
-
-
 def _large_root(y: np.ndarray) -> np.ndarray:
     # For roots above 1 (y < 0.22), E1(x) ~ e^{-x}/x gives
     # x ~ t - ln(t + 1) + ln(1 + 1/t) with t = -ln y.
@@ -194,30 +180,66 @@ def _fitted_root(lo: float, hi: float):
     return start
 
 
+# b_k of the series reversion x = t sum_k b_k t^k, t = exp(-gamma - y), of
+# E1(x) = y: x = t exp(S(x)) with S(x) = sum_k (-1)^{k+1} x^k / (k k!), so
+# by Lagrange inversion b_k = [w^k] exp((k + 1) S(w)) / (k + 1).  They grow
+# about 1.7-fold a term; t < 0.048 for roots below 0.05.
+_REVERSION_COEF = (
+    1.0, 1.0, 1.25, 1.7222222222222223, 2.5069444444444446, 3.7808333333333333,
+    5.845038580246913, 9.203158856135047, 14.696165320294785, 23.731555572760655,
+    38.671962654306405, 63.495069971217625, 104.91630864683161, 174.30240760000666,
+    290.9386079773385, 487.6162819836635,
+)
+
+
+def _reversion_root(y_min: float):
+    # A start for roots below 0.05, whose largest root has E1 = y_min: the
+    # reversion summed until the next term, b_n t^n at that root's t, is
+    # below 1e-17, which takes 15 terms for the range up to 0.05 and 4 for
+    # the range up to 1e-5.  Within about 1e-15 of the root (5e-14 at
+    # y = 690, where rounding -gamma - y dominates).
+    tmax = math.exp(-EULER_GAMMA - y_min)
+    n = 1
+    while _REVERSION_COEF[n] * tmax**n > 1e-17:
+        n += 1
+    coef = _REVERSION_COEF[n - 1 :: -1]
+
+    def start(y: np.ndarray) -> np.ndarray:
+        t = np.negative(y)
+        t -= EULER_GAMMA
+        np.exp(t, out=t)
+        x = _horner(coef, t)
+        x *= t
+        return x
+
+    return start
+
+
 # The start of each root range, in the order of _BRACKETS.
 _STARTS = (
     _large_root,
     *(_fitted_root(lo, hi) for hi, lo in zip(_EDGES[:3], _EDGES[1:4])),
-    *(_small_root,) * 4,
+    *(_reversion_root(y) for y in _EDGE_E1[3:].tolist()),
 )
 
 
 def _halley(y: np.ndarray, lo: float, hi: float, start) -> np.ndarray:
     # Halley steps on f(x) = E1(x) - y for roots in [lo, hi], from start(y);
     # a step that leaves the bracket bisects it instead.  Every element is
-    # checked, and stops, once |f| <= 1e-12 y, the start included.  With
-    # E1' = -e^{-x}/x and E1''/E1' = -(1 + x)/x, the step is
-    # x -> x (1 + u / (1 - u (1 + x)/2)) with u = f e^x, which needs no x^2
-    # near the 690 cap.
+    # checked, and stops, once |f| <= 1e-12 y, the start included; the
+    # bracket and positions are held only for the targets that miss it at
+    # their start.  With E1' = -e^{-x}/x and E1''/E1' = -(1 + x)/x, the step
+    # is x -> x (1 + u / (1 - u (1 + x)/2)) with u = f e^x, which needs no
+    # x^2 near the 690 cap.
     x = np.clip(start(y), lo, hi)
-    pos, xa, ya = np.arange(y.size), x, y
-    la, ha = np.full_like(y, lo), np.full_like(y, hi)
+    f = exp_integral_e1(x) - y
+    miss = np.abs(f) > 1e-12 * y
+    if not miss.any():
+        return x
+    pos = np.flatnonzero(miss)
+    xa, ya, f = x[pos], y[pos], f[pos]
+    la, ha = np.full_like(ya, lo), np.full_like(ya, hi)
     for _ in range(80):
-        f = exp_integral_e1(xa) - ya
-        miss = np.abs(f) > 1e-12 * ya
-        if not miss.any():
-            break
-        pos, xa, ya, f, la, ha = (v[miss] for v in (pos, xa, ya, f, la, ha))
         # E1 decreases, so f > 0 means x is below the root.
         la = np.where(f > 0.0, xa, la)
         ha = np.where(f < 0.0, xa, ha)
@@ -225,6 +247,11 @@ def _halley(y: np.ndarray, lo: float, hi: float, start) -> np.ndarray:
         xn = xa * (1.0 + u / (1.0 - 0.5 * u * (1.0 + xa)))
         xa = np.where(np.isfinite(xn) & (xn > la) & (xn < ha), xn, 0.5 * (la + ha))
         x[pos] = xa
+        f = exp_integral_e1(xa) - ya
+        miss = np.abs(f) > 1e-12 * ya
+        if not miss.any():
+            break
+        pos, xa, ya, f, la, ha = (v[miss] for v in (pos, xa, ya, f, la, ha))
     return x
 
 

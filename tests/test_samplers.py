@@ -39,13 +39,42 @@ def normalized_rows(jumps):
 
 def jump_arrivals(alpha, m, seed, eps=1e-8):
     """The unit-rate arrivals gamma_jumps draws from RngStream(seed), drawn
-    again in the kernel's order, with the kernel's limit alpha * E1(eps)."""
+    again in the kernel's layout, with the kernel's limit alpha * E1(eps).
+
+    A step draws the next arrivals of each row whose last arrival is within
+    the limit, 16 of them or, below 1024 such rows, 2^14 // rows, one
+    arrival index after another across those rows; then one mark uniform
+    per kept arrival: those within the limit and each row's first.  Returns
+    the arrivals as an (m, K) matrix, inf after a row's last step, and the
+    limit.
+    """
     gen = RngStream(seed).gen
     limit = alpha * exp_integral_e1(eps)
-    arr = gen.exponential(size=(m, int(limit + 8.0 * math.sqrt(limit) + 16.0))).cumsum(axis=1)
-    while arr[:, -1].min() <= limit:
-        arr = np.concatenate([arr, arr[:, -1:] + gen.exponential(size=(m, 16)).cumsum(axis=1)], axis=1)
-    return arr, limit
+    steps, rows, last = [], np.arange(m), np.zeros(m)
+    while rows.size:
+        e = gen.standard_exponential((max(16, 2**14 // rows.size), rows.size))
+        e[0] += last
+        arr = np.cumsum(e, axis=0)
+        keep = arr <= limit
+        keep[0] |= not steps
+        gen.random(np.count_nonzero(keep))
+        steps.append((rows, arr.T))
+        going = arr[-1] <= limit
+        rows, last = rows[going], arr[-1, going]
+    out = np.full((m, sum(a.shape[1] for _, a in steps)), np.inf)
+    start = 0
+    for r, a in steps:
+        out[r, start : start + a.shape[1]] = a
+        start += a.shape[1]
+    return out, limit
+
+
+def largest_weight_tail(alpha, x):
+    """P(largest weight > x) for x >= 1/2 under PD(alpha): the density of
+    the largest weight on [1/2, 1] is alpha (1 - v)^(alpha - 1) / v, whose
+    integral is alpha sum_k delta^(alpha + k) / (alpha + k), delta = 1 - x."""
+    delta = 1.0 - x
+    return alpha * sum(delta ** (alpha + k) / (alpha + k) for k in range(200))
 
 
 class TestRngStream:
@@ -291,14 +320,19 @@ class TestJumpConstruction:
     def test_jumps_invert_their_own_arrivals(self):
         # The kept set and each jump follow from the arrivals alone: a jump
         # is kept where its arrival is within the limit (and in column 0),
-        # and it inverts that arrival's G / alpha.
+        # and it inverts that arrival's G / alpha.  Past a row's last step
+        # the arrivals read inf, so nothing there is kept.
         for alpha, seed in ((5.0, 40), (0.3, 41)):
             jumps = gamma_jumps(alpha, 300, RngStream(seed).gen)
             arr, limit = jump_arrivals(alpha, 300, seed)
             keep = arr <= limit
             keep[:, 0] = True
+            # The matrix ends with the longest row.
+            width = jumps.shape[1]
+            assert keep[:, width - 1].any() and not keep[:, width:].any()
+            keep = keep[:, :width]
             assert np.array_equal(jumps != 0.0, keep)
-            target = np.minimum(arr[keep] / alpha, 690.0)
+            target = np.minimum(arr[:, :width][keep] / alpha, 690.0)
             assert np.all(np.abs(exp_integral_e1(jumps[keep]) - target) <= 1e-11 * target)
 
     def test_first_arrival_beyond_the_cap_is_one_finite_jump(self):
@@ -310,6 +344,33 @@ class TestJumpConstruction:
         assert np.all(np.count_nonzero(jumps[capped], axis=1) == 1)
         first = jumps[capped, 0]
         assert np.all(np.isfinite(first) & (first > 0.0))
+
+    def test_projection_matrices_and_measures_share_one_jump_kernel(self):
+        # gamma_projection_chunk, the stacked matrices and sample_jump_measure
+        # read one generator: the same jumps and marks from the same stream.
+        alpha, probs, m = 3.0, (0.3, 0.7), 400
+        proj, totals, largest = gamma_projection_chunk(alpha, probs, m, RngStream(33).gen)
+        jumps, marks = samplers._jump_matrices(alpha, probs, m, RngStream(33).gen, 1e-8)
+        assert np.allclose(totals, jumps.sum(axis=1), rtol=1e-14, atol=0.0)
+        assert np.array_equal(largest, jumps[:, 0] / totals)
+        assert np.all(marks[jumps == 0.0] == 0)
+        want = block_projection(jumps, marks, 2) / totals[:, None]
+        assert np.allclose(proj, want, rtol=1e-13, atol=1e-16)
+        model = BaseModel(alpha=alpha, atom_probs=probs)
+        masses = atom0_masses(sample_jump_measure(model, RngStream(33), m))
+        assert np.allclose(masses, want[:, 0], rtol=1e-13, atol=1e-16)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 5.0])
+    def test_largest_weight_has_the_exact_tail(self, alpha):
+        # P(largest > x) against its exact value at x in {0.5, 0.7, 0.9},
+        # as a binomial z over 50 000 rows.  Small alpha is left out: the
+        # absolute truncation at jump_eps biases the largest weight there.
+        m = 50_000
+        _, _, largest = gamma_projection_chunk(alpha, (0.5, 0.5), m, RngStream(44).gen)
+        for x in (0.5, 0.7, 0.9):
+            p = largest_weight_tail(alpha, x)
+            z = (np.count_nonzero(largest > x) - m * p) / math.sqrt(m * p * (1.0 - p))
+            assert abs(z) <= 4.0, (x, z)
 
     def test_kernel_validation(self):
         gen = RngStream(0).gen

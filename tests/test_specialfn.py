@@ -6,6 +6,7 @@ implementation itself.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -218,18 +219,47 @@ class TestInverseE1:
             assert counts["inverse"] > 100_000
             assert counts["e1"] <= 1.1 * counts["inverse"]
 
-    @pytest.mark.parametrize("lo, hi", [(0.5, 1.0), (0.2, 0.5), (0.05, 0.2)])
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0.5, 1.0), (0.2, 0.5), (0.05, 0.2),
+         (0.01, 0.05), (1e-3, 1e-2), (1e-5, 1e-3), (0.0, 1e-5)],
+    )
     def test_fitted_starts_meet_the_check_at_once(self, monkeypatch, lo, hi):
-        # Roots in [0.05, 1] start from a fit per root range.  Every target
-        # is evaluated once at its start and again only if it misses the
-        # 1e-12 residual check, so at most 1% of the range's interior
-        # targets may need a second evaluation.
+        # Roots in [0.05, 1] start from a fit per root range, roots below
+        # from the series reversion.  Every target is evaluated once at its
+        # start and again only if it misses the 1e-12 residual check, so at
+        # most 1% of the range's interior targets may need a second
+        # evaluation.  Roots below 0.05 are drawn log-uniform; the last
+        # range reaches down to the root of y = 690, and takes 690 itself.
         counts = self._count_e1(monkeypatch)
-        ys = exp_integral_e1(np.random.default_rng(3).uniform(lo, hi, 20_000))
+        rng = np.random.default_rng(3)
+        if lo >= 0.05:
+            roots = rng.uniform(lo, hi, 20_000)
+        else:
+            lo = lo or math.exp(-EULER_GAMMA - 690.0)
+            roots = np.exp(rng.uniform(math.log(lo), math.log(hi), 20_000))
+        ys = exp_integral_e1(roots)
+        if lo < 1e-5:
+            ys = np.append(ys, 690.0)
         counts["e1"] = 0
         xs = inverse_e1(ys)
         assert counts["e1"] <= 1.01 * ys.size
         assert np.all(np.abs(exp_integral_e1(xs) - ys) <= 1e-12 * ys)
+
+    def test_reversion_table_is_the_lagrange_inversion(self):
+        # b_k = [w^k] exp((k + 1) S(w)) / (k + 1), S(w) = sum_j (-1)^{j+1}
+        # w^j / (j j!), recomputed in exact rationals: the power series
+        # e = exp(n S) has e_0 = 1 and i e_i = sum_j j s_j e_{i-j}, where
+        # j s_j = n (-1)^{j+1} / j!.
+        table = specialfn._REVERSION_COEF
+        assert len(table) == 16
+        for k, b in enumerate(table):
+            n = k + 1
+            e = [Fraction(1)]
+            for i in range(1, k + 1):
+                e.append(sum(Fraction(n * (-1) ** (j + 1), math.factorial(j)) * e[i - j]
+                             for j in range(1, i + 1)) / i)
+            assert b == float(e[k] / n)
 
 
 class TestGammaRatioIdentity:
