@@ -37,6 +37,7 @@ from .verify import (
     CampaignSettings,
     TestReport,
     campaign_ok,
+    false_alarm_budget,
     run_verify,
 )
 
@@ -273,6 +274,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     reports = run_verify(args.campaign, settings)
     elapsed = time.monotonic() - started
     ok = campaign_ok(reports)
+    budget = false_alarm_budget(reports, settings.threshold)
     if args.format == "csv":
         text = _csv(
             [f.name for f in fields(TestReport)], [r.to_dict().values() for r in reports]
@@ -286,6 +288,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             campaign=args.campaign,
             config=config,
             ok=ok,
+            false_alarm_budget=budget,
             n_reports=len(reports),
             reports=[r.to_dict() for r in reports],
         )
@@ -293,7 +296,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     unexpected = sum(0 if r.ok() else 1 for r in reports)
     print(
         f"verify {args.campaign}: {len(reports)} reports, "
-        f"{unexpected} unexpected outcomes, {elapsed:.1f}s",
+        f"{unexpected} unexpected outcomes, false-alarm budget {budget:.2g}, {elapsed:.1f}s",
         file=sys.stderr,
     )
     return 0 if ok else 1
@@ -304,8 +307,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
-    if args.n is not None and args.n < 100:
-        raise ValueError(f"n must be at least 100, got {args.n}")
     s = _settings(_given(args, ("seed", "alpha", "p", "n", "threshold")))
     z, w = beta_pairs(s.p, s.alpha, s.n, RngStream(s.seed).gen)
     report = characterize_from_samples(

@@ -16,8 +16,8 @@ covariance columns, or sample arrays for the KS tests, each pair of
 columns summarized by a mergeable :class:`Moments` accumulator (count,
 means and centered power sums).  A variant reruns the kernel with some
 parameters changed; one call, :meth:`_Campaign.runs`, runs every variant,
-and one builder, :meth:`_Campaign.reports`, turns merged statistics into
-reports.  Runs are cut into shards of ``SHARD_SIZE`` rows, shard k of
+and one builder, :meth:`_Campaign.report`, makes and grades every
+report.  Runs are cut into shards of ``SHARD_SIZE`` rows, shard k of
 variant v drawing from the substream keyed (campaign stream id, v, k), and
 merged in shard order, so reports are bitwise independent of how many
 worker processes ran them.
@@ -47,7 +47,7 @@ import contextlib
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial, reduce
 from typing import Callable, NamedTuple
 
@@ -66,7 +66,7 @@ from .samplers import (
     stick_ensemble_chunk,
     stick_projection_chunk,
 )
-from .stats import ks_test, ks_two_sample, two_sided_p
+from .stats import MIN_KS_SAMPLES, ks_test, ks_two_sample, two_sided_p
 
 DEFAULT_THRESHOLD = 4.0
 DEFAULT_P_FLOOR = 1e-3
@@ -77,11 +77,6 @@ SHARD_SIZE = 10_000
 
 # ---------------------------------------------------------------------------
 # report type
-
-
-# The scalar type of each TestReport field, by its annotation (a string
-# under postponed evaluation).
-_SCALAR = {"str": str, "float": float, "int": int, "bool": bool}
 
 
 @dataclass(frozen=True)
@@ -115,9 +110,7 @@ class TestReport:
         return self.verdict == "pass"
 
     def to_dict(self) -> dict:
-        # Plain Python scalars: numpy floats subclass float for JSON, but
-        # their repr differs, which would leak into the CSV view.
-        return {f.name: _SCALAR[f.type](getattr(self, f.name)) for f in fields(self)}
+        return asdict(self)
 
 
 def campaign_ok(reports) -> bool:
@@ -271,8 +264,8 @@ class CampaignSettings:
             raise ValueError(
                 f"alpha {self.alpha:g} conflicts with the base model's alpha {self.base.alpha:g}"
             )
-        if not 2 <= self.n <= MAX_N:
-            raise ValueError(f"n must lie in [2, {MAX_N}], got {self.n}")
+        if not MIN_KS_SAMPLES <= self.n <= MAX_N:
+            raise ValueError(f"n must lie in [{MIN_KS_SAMPLES}, {MAX_N}], got {self.n}")
         if not 0.0 < self.trunc_eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.trunc_eps}")
         if not 0.0 < self.jump_eps <= 0.1:
@@ -393,72 +386,58 @@ class _Campaign:
         k = len(sizes)
         return [_combine(parts[i : i + k]) for i in range(0, len(parts), k)]
 
-    def reports(
-        self,
-        names,
-        est: Estimate,
-        *,
-        kind: str = "z",
-        ks: tuple[float, float] | None = None,
-        expected_failure: bool = False,
-        notes: str = "",
-    ) -> list[TestReport]:
-        """The report builder: one report per column of ``est``.
+    def report(self, name, stat, lhs, rhs, se, n, *, p=None, kind="z", notes="") -> TestReport:
+        """The one report builder and grading rule.  Without ``p``, ``stat``
+        is a z-score: it passes at |z| <= threshold, is degenerate when NaN,
+        and its p-value is two-sided (0 for an infinite z).  With ``p`` it is
+        a KS statistic, passing at p >= DEFAULT_P_FLOOR.  A "control" must
+        fail.  Fields are plain Python scalars: a numpy float's repr would
+        leak into the CSV."""
+        if p is None:
+            p = two_sided_p(stat) if math.isfinite(stat) else 0.0
+            verdict = "pass" if abs(stat) <= self.settings.threshold else "fail"
+            verdict = "degenerate" if math.isnan(stat) else verdict
+        else:
+            verdict = "pass" if p >= DEFAULT_P_FLOOR else "fail"
+        return TestReport(
+            name=name,
+            kind=kind,
+            statistic=float(stat),
+            p_value=float(p),
+            lhs=float(lhs),
+            rhs=float(rhs),
+            stderr=float(se),
+            n_samples=int(n),
+            seed=int(self.rng.seed),
+            verdict=verdict,
+            expected_failure=kind == "control",
+            notes=notes,
+        )
 
-        A z-type report grades z = diff / se against the threshold; se == 0
-        gives z = 0 when diff is 0 as well and z = inf otherwise.  With
-        ``ks`` = (D, p) the report is a KS test, graded by p >=
-        DEFAULT_P_FLOOR.
-        """
-        out = []
-        for i, name in enumerate(names):
-            if ks is None:
-                diff, se = est.diff[i], est.se[i]
-                stat = diff / se if se != 0.0 else (0.0 if diff == 0.0 else math.inf)
-                p = two_sided_p(stat) if math.isfinite(stat) else 0.0
-                if math.isnan(stat):
-                    verdict = "degenerate"
-                else:
-                    verdict = "pass" if abs(stat) <= self.settings.threshold else "fail"
-            else:
-                stat, p = ks
-                verdict = "pass" if p >= DEFAULT_P_FLOOR else "fail"
-            out.append(
-                TestReport(
-                    name=name,
-                    kind=kind,
-                    statistic=stat,
-                    p_value=p,
-                    lhs=est.lhs[i],
-                    rhs=est.rhs[i],
-                    stderr=est.se[i],
-                    n_samples=est.n,
-                    seed=self.rng.seed,
-                    verdict=verdict,
-                    expected_failure=expected_failure,
-                    notes=notes,
-                )
-            )
-        return out
+    def reports(self, names, est: Estimate, *, kind="z", notes="") -> list[TestReport]:
+        """One report per column of ``est``, graded by z = diff / se; se == 0
+        gives z = 0 when diff is 0 as well and z = inf otherwise."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.where(est.se != 0.0, est.diff / est.se, np.where(est.diff == 0.0, 0.0, math.inf))
+        columns = zip(names, z, est.lhs, est.rhs, est.se)
+        return [self.report(*col, est.n, kind=kind, notes=notes) for col in columns]
 
     def control(self, name: str, names, stat: Moments, notes: str) -> TestReport:
         """The worst z-test of ``stat``, the paired statistic of the
-        identity under a wrong law, constant or input; the control must
-        reject."""
-        worst = max(self.reports(names, stat.paired()), key=lambda r: abs(r.statistic))
-        return replace(
-            worst,
-            name=name,
-            kind="control",
-            verdict="fail" if abs(worst.statistic) > self.settings.threshold else "pass",
-            expected_failure=True,
-            notes=f"{notes}; worst sub-test {worst.name}",
-        )
+        identity under a wrong law, constant or input, the first on ties;
+        the control must reject."""
+        subs = self.reports(names, stat.paired())
+        w = subs[int(np.argmax([abs(r.statistic) for r in subs]))]
+        return self.report(name, w.statistic, w.lhs, w.rhs, w.stderr, w.n_samples, kind="control",
+                           notes=f"{notes}; worst sub-test {w.name}")
 
 
-def _ks_estimate(n: int, lhs: float, rhs: float = 0.0) -> Estimate:
-    """The one column a KS report shows; it carries no standard error."""
-    return Estimate([lhs], [rhs], [0.0], [0.0], n)
+def false_alarm_budget(reports, threshold: float) -> float:
+    """A Bonferroni bound on a false alarm in a correct run: the sum over
+    non-control reports of their rule's null rejection rate (see
+    :meth:`_Campaign.report`), 2 Phi(-threshold) per z-score, DEFAULT_P_FLOOR per KS test."""
+    rate = {"ks": DEFAULT_P_FLOOR, "z": two_sided_p(threshold), "cov": two_sided_p(threshold)}
+    return sum(rate[r.kind] for r in reports if r.kind != "control")
 
 
 # ---------------------------------------------------------------------------
@@ -826,27 +805,20 @@ def verify_sizebias_invariance(s: CampaignSettings, rng: RngStream) -> list[Test
     # with cdf y^alpha; summed from the kept weights, it keeps the digits
     # that 1 - W would round away when W is near 1.
     rest = stats["rest"]
+    mean, n = np.mean(rest), len(rest)
     stat, p = ks_test(rest, lambda y: y**alpha)
-    reports += c.reports(
-        ["sizebias:picked-weight-law"],
-        _ks_estimate(len(rest), stat),
-        kind="ks",
-        ks=(stat, p),
-        notes=f"rest 1-W of the picked weight W against Be({alpha:g},1)",
-    )
+    notes = f"rest 1-W of the picked weight W against Be({alpha:g},1)"
+    reports.append(c.report("sizebias:picked-weight-law", stat, mean, alpha / (alpha + 1.0), 0.0,
+                            n, p=p, kind="ks", notes=notes))
     pairs = ("removed-proj{j},weight", "removed-proj{j},pick-block{j}", "weight,pick-block{j}")
     names = [f"sizebias:indep[{pair.format(j=j)}]" for j in range(len(probs)) for pair in pairs]
     reports += c.reports(names, stats["indep"].covariance(), kind="cov")
     wrong = alpha + 1.5
     stat, p = ks_test(rest, lambda y: y**wrong)
-    reports += c.reports(
-        ["sizebias:control:wrong-weight-shape"],
-        _ks_estimate(len(rest), stat),
-        kind="control",
-        ks=(stat, p),
-        expected_failure=True,
-        notes=f"rest 1-W against Be({wrong:g},1) must be rejected",
-    )
+    notes = f"rest 1-W against Be({wrong:g},1) must be rejected"
+    name = "sizebias:control:wrong-weight-shape"
+    reports.append(c.report(name, stat, mean, wrong / (wrong + 1.0), 0.0, n, p=p, kind="control",
+                            notes=notes))
     return reports
 
 
@@ -891,13 +863,10 @@ def verify_marked_sizebias(s: CampaignSettings, rng: RngStream) -> list[TestRepo
     )
     reports = c.reports(names, gem["identity"].paired())
     a, b = gem["largest"], jump["largest"]
-    reports += c.reports(
-        ["thm52:largest-weight-paths"],
-        _ks_estimate(len(a) + len(b), float(np.mean(a)), float(np.mean(b))),
-        kind="ks",
-        ks=ks_two_sample(a, b),
-        notes="largest stick weight vs largest normalized jump",
-    )
+    stat, p = ks_two_sample(a, b)
+    notes = "largest stick weight vs largest normalized jump"
+    reports.append(c.report("thm52:largest-weight-paths", stat, np.mean(a), np.mean(b), 0.0,
+                            len(a) + len(b), p=p, kind="ks", notes=notes))
     notes = "deterministic geometric weights (ratio 0.9) with i.i.d. marks"
     name = "thm52:control:geometric-weights"
     reports.append(c.control(name, control_names, geometric["identity"], notes))

@@ -438,7 +438,53 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "tbeta", "--n", str(verify.MAX_N + 1))
         assert code == 2
         assert out == ""
-        assert "n must lie in [2, 6250000000]" in err
+        assert "n must lie in [100, 6250000000]" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "all"), ("verify", "sizebias"), ("verify", "thm52"), ("characterize",),
+    ])
+    def test_n_below_the_ks_floor_is_usage_error(self, capsys, monkeypatch, argv):
+        # The KS tests need 100 rows: the settings refuse fewer before
+        # any campaign draws.
+        def drew(*args, **kwargs):
+            raise AssertionError("a shard drew")
+
+        monkeypatch.setattr(verify, "_shard", drew)
+        code, out, err = run_cli(capsys, *argv, "--n", "99")
+        assert code == 2
+        assert out == ""
+        assert "n must lie in [100, 6250000000], got 99" in err
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 5.0])
+    def test_sizebias_weight_law_reports_the_mean_of_the_rest(self, capsys, alpha):
+        code, out, _ = run_cli(
+            capsys, "verify", "sizebias", "--n", "20000", "--seed", "42", "--alpha", str(alpha)
+        )
+        assert code == 0
+        reports = {r["name"]: r for r in json.loads(out)["reports"]}
+        law = reports["sizebias:picked-weight-law"]
+        control = reports["sizebias:control:wrong-weight-shape"]
+        # rhs: the mean of the tested law Be(a, 1), a / (a + 1).
+        assert law["rhs"] == alpha / (alpha + 1.0)
+        assert control["rhs"] == (alpha + 1.5) / (alpha + 2.5)
+        # lhs: the sample mean of the rest 1 - W, which is Be(alpha, 1).
+        se = math.sqrt(alpha / ((alpha + 1.0) ** 2 * (alpha + 2.0)) / 20000)
+        assert control["lhs"] == law["lhs"]
+        assert abs(law["lhs"] - law["rhs"]) <= 4.0 * se
+        assert abs(control["lhs"] - control["rhs"]) > 4.0 * se
+
+    @pytest.mark.parametrize("threshold", [None, "3.5"])
+    def test_false_alarm_budget_sums_each_rule(self, capsys, threshold):
+        given = () if threshold is None else ("--threshold", threshold)
+        _, out, err = run_cli(capsys, "verify", "all", "--n", "20000", "--seed", "42", *given)
+        payload = json.loads(out)
+        z_rate = math.erfc(float(threshold or 4.0) / math.sqrt(2.0))
+        rate = {"z": z_rate, "cov": z_rate, "ks": 1e-3}
+        kinds = [r["kind"] for r in payload["reports"] if r["kind"] != "control"]
+        assert (len(kinds), kinds.count("ks")) == (111, 2)
+        expected = sum(rate[kind] for kind in kinds)
+        assert payload["false_alarm_budget"] == pytest.approx(expected, rel=1e-12)
+        assert f"false-alarm budget {expected:.2g}," in err
 
     def test_out_file_is_replaced_only_by_the_report(self, capsys, tmp_path):
         target = tmp_path / "report.json"

@@ -18,6 +18,7 @@ from dpm import verify
 from dpm.characterize import CharacterizationReport, characterize_from_samples
 from dpm.measures import BaseModel
 from dpm.samplers import RngStream, TruncationError
+from dpm.stats import two_sided_p
 from dpm.verify import (
     CAMPAIGN_NAMES,
     CampaignSettings,
@@ -85,6 +86,85 @@ class TestReportSemantics:
         }
         # The CSV header is the field names; each row must follow it.
         assert list(d) == [f.name for f in fields(Report)]
+
+
+def _grader() -> verify._Campaign:
+    """A campaign that only builds reports, at threshold 4."""
+    return verify._Campaign(None, {}, CampaignSettings(threshold=4.0), RngStream(5, 1))
+
+
+def _estimate(diff, se) -> verify.Estimate:
+    diff = np.asarray(diff, dtype=float)
+    return verify.Estimate(diff + 1.0, np.ones_like(diff), diff, np.asarray(se, dtype=float), 300)
+
+
+def _paired(diff) -> Moments:
+    """A paired statistic over two rows whose read-out has these
+    differences, each with standard error 1."""
+    diff = np.asarray(diff, dtype=float)
+    sums = np.zeros((3, 1, diff.size))
+    sums[0, 0], sums[2, 0] = 2.0, 2.0
+    return Moments(2, np.stack([diff, np.ones_like(diff)]), sums)
+
+
+_ABOVE = math.nextafter(4.0, math.inf)
+_FLOOR = verify.DEFAULT_P_FLOOR
+# (case, the report, verdict, statistic, p-value).  The direct calls pass
+# numpy scalars, which the report must store as Python ones.
+_GRADING = [
+    ("|z| at the threshold",
+     lambda g: g.reports(["t"], _estimate([-4.0], [1.0]))[0], "pass", -4.0, two_sided_p(4.0)),
+    ("z just above it",
+     lambda g: g.report("t", np.float64(_ABOVE), np.float64(2.0), np.float64(1.0),
+                        np.float64(0.25), np.int64(300)), "fail", _ABOVE, two_sided_p(_ABOVE)),
+    ("se 0, diff 0", lambda g: g.reports(["t"], _estimate([0.0], [0.0]))[0], "pass", 0.0, 1.0),
+    ("se 0, diff not 0",
+     lambda g: g.reports(["t"], _estimate([-1e-300], [0.0]))[0], "fail", math.inf, 0.0),
+    ("NaN z", lambda g: g.reports(["t"], _estimate([math.nan], [1.0]))[0], "degenerate",
+     math.nan, 0.0),
+    ("KS p at the floor",
+     lambda g: g.report("t", np.float64(0.5), 1.0, 1.0, 0.0, 300, p=np.float64(_FLOOR), kind="ks"),
+     "pass", 0.5, _FLOOR),
+    ("KS p just below it",
+     lambda g: g.report("t", 0.5, 1.0, 1.0, 0.0, 300, p=math.nextafter(_FLOOR, 0.0), kind="ks"),
+     "fail", 0.5, math.nextafter(_FLOOR, 0.0)),
+    ("control, worst |z| first on ties",
+     lambda g: g.control("c", ["a", "b", "c", "d"], _paired([1.0, -5.0, 5.0, 2.0]), "why"),
+     "fail", -5.0, two_sided_p(5.0)),
+    ("control that cannot reject",
+     lambda g: g.control("c", ["a", "b"], _paired([3.0, -4.0]), "why"), "pass", -4.0,
+     two_sided_p(4.0)),
+]
+
+
+class TestGradingRule:
+    """One builder grades every report: z-scores by the threshold, KS tests
+    by the p-value floor, controls by their worst sub-test."""
+
+    @pytest.mark.parametrize(
+        "build, verdict, statistic, p_value", [case[1:] for case in _GRADING],
+        ids=[case[0] for case in _GRADING],
+    )
+    def test_rule(self, build, verdict, statistic, p_value):
+        r = build(_grader())
+        assert r.verdict == verdict
+        assert r.statistic == statistic or math.isnan(r.statistic) and math.isnan(statistic)
+        assert r.p_value == p_value
+        assert r.seed == 5
+        assert r.expected_failure is (r.kind == "control")
+        for f in fields(Report):
+            value = getattr(r, f.name)
+            if f.name in ("statistic", "p_value", "lhs", "rhs", "stderr"):
+                assert type(value) is float
+            elif f.name in ("n_samples", "seed"):
+                assert type(value) is int
+        assert r.to_dict() == {f.name: getattr(r, f.name) for f in fields(Report)}
+
+    def test_control_reports_its_worst_sub_test(self):
+        r = _grader().control("c", ["a", "b", "c", "d"], _paired([1.0, -5.0, 5.0, 2.0]), "why")
+        assert (r.name, r.kind, r.expected_failure, r.n_samples) == ("c", "control", True, 2)
+        assert (r.lhs, r.rhs, r.stderr) == (-4.0, 1.0, 1.0)
+        assert r.notes == "why; worst sub-test b"
 
 
 class TestControlCouplings:
