@@ -20,10 +20,11 @@ projections and a running largest weight, and :func:`stick_ensemble_chunk`
 stacks them.  One jump generator, :func:`_jump_blocks`, yields the next
 jumps, 16 a row, and their marks for the rows whose arrivals are still
 within the truncation limit, so it inverts no arrival and draws no mark
-that a row does not keep; :func:`gamma_projection_chunk` accumulates its
-steps, and :func:`gamma_jumps` stacks them into a matrix of decreasing
-jumps.  Other marks are drawn by :func:`draw_blocks` and projected by
-:func:`block_projection`.  The samplers behind ``dpm sample``,
+that a row does not keep; it holds one step at a time, inverted in slices.
+:func:`gamma_projection_chunk` accumulates the steps, dropping each before
+the next is drawn, and :func:`gamma_jumps` stacks them into a matrix of
+decreasing jumps.  Other marks are drawn by :func:`draw_blocks` and
+projected by :func:`block_projection`.  The samplers behind ``dpm sample``,
 :func:`sample_stick_breaking` and :func:`sample_jump_measure`, draw a
 batch of rows from the same kernels; :func:`_measures` merges each row's
 marks into a :class:`DiscreteMeasure`, its serialization view.  All
@@ -179,7 +180,7 @@ def _stick_columns(alpha, block_probs, m, gen, trunc_eps):
         f = np.exp(gen.standard_exponential(m) / -alpha)
         yield tail * (1.0 - f), count_at_or_below(edges, gen.random(m))
         tail *= f
-        if tail.max() <= trunc_eps:
+        if tail.max(initial=0.0) <= trunc_eps:
             yield tail, count_at_or_below(edges, gen.random(m))
             return
     raise TruncationError(float(tail.max()), max_sticks)
@@ -190,6 +191,8 @@ def _stick_columns(alpha, block_probs, m, gen, trunc_eps):
 # cost stays small (one row at the row-work ceiling would take 56 000 steps).
 _JUMP_BLOCK = 16
 _STEP_ARRIVALS = 1 << 14
+# Targets per inverse_e1 call: the traced peak is flat up to 2^15, 40% up at 2^16.
+_INVERT_CHUNK = 1 << 15
 
 
 def _jump_blocks(alpha, block_probs, m, gen, trunc_eps):
@@ -208,6 +211,11 @@ def _jump_blocks(alpha, block_probs, m, gen, trunc_eps):
     690: that jump is then its row's only one, about 1e-300 or less either
     way, so the normalized row is the same single unit weight.  An expected
     jump count ``limit`` above :data:`MAX_ROW_ATOMS` raises ValueError.
+
+    One step is held at a time: the arrival block goes once the next rows
+    and last arrivals are taken, the kept targets are inverted in place
+    ``_INVERT_CHUNK`` at a time (a root does not depend on its slice), and
+    the step's arrays go when the caller moves on.
     """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -231,17 +239,23 @@ def _jump_blocks(alpha, block_probs, m, gen, trunc_eps):
             np.cumsum(arr, axis=0, out=arr)
         keep = arr <= limit
         keep[0] |= first
+        drawing = keep[-1]
+        last, first = arr[-1, drawing], False
         y = arr[keep]
+        del arr
         y /= alpha
         np.minimum(y, 690.0, out=y)
         drawn = count_at_or_below(edges, gen.random(y.size))
+        for s in range(0, y.size, _INVERT_CHUNK):
+            y[s : s + _INVERT_CHUNK] = inverse_e1(y[s : s + _INVERT_CHUNK])
         marks = np.zeros(keep.shape, drawn.dtype)
         marks[keep] = drawn
         jumps = np.zeros(keep.shape)
-        jumps[keep] = inverse_e1(y)
+        jumps[keep] = y
+        del y, drawn
         yield rows, jumps, marks
-        drawing = keep[-1]
-        rows, last, first = rows[drawing], arr[-1, drawing], False
+        del jumps, marks
+        rows = rows[drawing]
 
 
 def _jump_matrices(alpha, block_probs, m, gen, trunc_eps):
@@ -362,16 +376,16 @@ def gamma_projection_chunk(
     p = _check_block_probs(block_probs)
     proj = np.zeros((m, len(p)))
     totals = np.zeros(m)
-    largest = None
+    largest = np.zeros(m)
     for rows, jumps, marks in _jump_blocks(alpha, p, m, gen, trunc_eps):
-        if largest is None:
-            # The first step holds every row, and in line 0 its largest jump.
-            largest = jumps[0].copy()
+        # A row's jumps decrease: its first step's line 0 is its largest.
+        largest[rows] = np.maximum(largest[rows], jumps[0])
         # Each (row, block) pair sums its jumps in one bin.
         bins = marks + np.arange(0, rows.size * len(p), len(p))
         sums = np.bincount(bins.ravel(), jumps.ravel(), rows.size * len(p))
         proj[rows] += sums.reshape(rows.size, len(p))
         totals[rows] += jumps.sum(axis=0)
+        del jumps, marks, bins, sums
     proj /= totals[:, None]
     largest /= totals
     return proj, totals, largest

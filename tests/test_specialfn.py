@@ -18,6 +18,7 @@ from dpm import samplers, specialfn
 from dpm.samplers import RngStream, gamma_jumps
 from dpm.specialfn import (
     EULER_GAMMA,
+    count_at_or_below,
     exp_integral_e1,
     inverse_e1,
     log_beta,
@@ -192,6 +193,23 @@ class TestInverseE1:
         grid = inverse_e1(ys.reshape(6, 8))
         assert grid.shape == (6, 8)
         assert np.array_equal(grid.ravel(), xs)
+
+    @pytest.mark.parametrize("size", [1 << 13, 1 << 15, 1 << 16])
+    def test_slices_invert_as_the_whole_array(self, size):
+        # The jump kernel inverts a step's targets in slices; each target's
+        # root must not depend on which others share its call.  The shuffled
+        # targets cover every root range, each range edge and the 690 cap.
+        edges = np.sort(specialfn._EDGES)
+        roots = np.concatenate([
+            np.geomspace(1e-298, edges[0], 20_000),
+            *[np.geomspace(a, b, 20_000) for a, b in zip(edges[:-1], edges[1:])],
+            np.geomspace(edges[-1], 30.0, 20_000),
+        ])
+        ys = np.concatenate([exp_integral_e1(roots), exp_integral_e1(edges), [690.0] * 50])
+        ys = ys[np.random.default_rng(6).permutation(ys.size)]
+        assert np.unique(count_at_or_below(specialfn._EDGE_E1, ys)).size == 8
+        sliced = np.concatenate([inverse_e1(ys[s : s + size]) for s in range(0, ys.size, size)])
+        assert sliced.tobytes() == inverse_e1(ys).tobytes()
 
     @staticmethod
     def _count_e1(monkeypatch):
