@@ -15,6 +15,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import secrets
 import sys
@@ -182,8 +183,9 @@ def _cmd_moments(args: argparse.Namespace) -> int:
         alphas = tuple(float(tok) for tok in args.alphas.split(","))
     except ValueError:
         raise ValueError(f"--alphas must be a comma-separated list of numbers, got {args.alphas!r}")
-    if not alphas or any(a < 0.0 for a in alphas):
-        raise ValueError("--alphas must be non-negative with at least one entry")
+    # Written as "not 0 <= a < inf", so that NaN fails too.
+    if not alphas or not all(0.0 <= a < math.inf for a in alphas):
+        raise ValueError(f"--alphas must be finite and non-negative, got {args.alphas!r}")
     if sum(alphas) <= 0.0:
         raise ValueError("--alphas must have positive total")
     if args.max_degree < 0:

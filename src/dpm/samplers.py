@@ -17,13 +17,13 @@ Each construction is written once for many samples at a time.  One stick
 loop, :func:`_stick_columns`, yields a (weights, blocks) column per stick;
 :func:`stick_projection_chunk` accumulates the columns into block
 projections and a running largest weight, and :func:`stick_ensemble_chunk`
-stacks them.  One jump generator, :func:`_jump_blocks`, yields the next
-jumps, 16 a row, and their marks for the rows whose arrivals are still
-within the truncation limit, so it inverts no arrival and draws no mark
-that a row does not keep; it holds one step at a time, inverted in slices.
-:func:`gamma_projection_chunk` accumulates the steps, dropping each before
-the next is drawn, and :func:`gamma_jumps` stacks them into a matrix of
-decreasing jumps.  Other marks are drawn by :func:`draw_blocks` and
+writes them to one buffer.  One jump generator, :func:`_jump_blocks`, yields
+the next jumps, 16 a row, and their marks for the rows whose arrivals are
+still within the truncation limit, so it inverts no arrival and draws no
+mark that a row does not keep; it holds one step at a time, inverted in
+slices.  :func:`gamma_projection_chunk` accumulates the steps, dropping each
+before the next is drawn, and :func:`gamma_jumps` stacks them into a matrix
+of decreasing jumps.  Other marks are drawn by :func:`draw_blocks` and
 projected by :func:`block_projection`.  The samplers behind ``dpm sample``,
 :func:`sample_stick_breaking` and :func:`sample_jump_measure`, draw a
 batch of rows from the same kernels; :func:`_measures` merges each row's
@@ -91,8 +91,8 @@ class RngStream:
 # base draws
 
 
-# Uniforms per slab of a block draw: a large draw holds one slab of doubles
-# at a time beside its indices, not a whole matrix of them.
+# Elements per slab of a block draw or projection: a large one holds one slab
+# of doubles at a time beside its indices, not a whole matrix of them.
 _SLAB = 1 << 16
 
 
@@ -285,19 +285,17 @@ def gamma_jumps(
     return _jump_matrices(alpha, (1.0,), m, gen, trunc_eps)[0]
 
 
-# Rows per masked product in a block projection.
-_PROJECTION_ROWS = 4096
-
-
 def block_projection(weights: np.ndarray, blocks: np.ndarray, n_blocks: int) -> np.ndarray:
     """Per-row block masses: the sum of ``weights`` over the entries whose
-    mark lies in block j, shape (m, n_blocks).  The masked products go
-    ``_PROJECTION_ROWS`` rows at a time; a row's sum is the same in any slab."""
+    mark lies in block j, shape (m, n_blocks).  The masked products go by
+    whole rows, about ``_SLAB`` elements at a time, copied to C order: a row's
+    sum is numpy's pairwise sum of a contiguous row in any slab and layout."""
     proj = np.empty((weights.shape[0], n_blocks))
-    for start in range(0, weights.shape[0], _PROJECTION_ROWS):
-        rows = slice(start, start + _PROJECTION_ROWS)
+    step = max(1, _SLAB // max(weights.shape[1], 1))
+    for start in range(0, weights.shape[0], step):
+        w, b = (np.ascontiguousarray(a[start : start + step]) for a in (weights, blocks))
         for j in range(n_blocks):
-            proj[rows, j] = (weights[rows] * (blocks[rows] == j)).sum(axis=1)
+            proj[start : start + step, j] = (w * (b == j)).sum(axis=1)
     return proj
 
 
@@ -349,11 +347,22 @@ def stick_ensemble_chunk(
     Returns (weights, blocks), both shaped (m, n_sticks); weight columns
     are in stick order and each row sums to one up to rounding (the last
     column is the closing leftover).  Needed by campaigns that pick and
-    remove individual sticks rather than just projecting.
+    remove individual sticks rather than just projecting.  Stick k goes to
+    row k of one (sticks, m) buffer, doubled when full; the filled rows are
+    returned transposed, so the matrices are held once.
     """
     p = _check_block_probs(block_probs)
-    cols_w, cols_b = zip(*_stick_columns(alpha, p, m, gen, trunc_eps))
-    return np.column_stack(cols_w), np.column_stack(cols_b)
+    for k, (w, blk) in enumerate(_stick_columns(alpha, p, m, gen, trunc_eps)):
+        if k == 0:
+            # A row's expected sticks and five deviations: room for 10^4 rows.
+            lam = alpha * -math.log(trunc_eps)
+            cap = int(lam + 5.0 * math.sqrt(lam)) + 10
+            weights, blocks = np.empty((cap, m)), np.empty((cap, m), blk.dtype)
+        elif k == len(weights):  # no view of either buffer exists yet
+            for buf in (weights, blocks):
+                buf.resize((2 * k, m), refcheck=False)
+        weights[k], blocks[k] = w, blk
+    return weights[: k + 1].T, blocks[: k + 1].T
 
 
 def gamma_projection_chunk(

@@ -49,6 +49,7 @@ import multiprocessing
 import os
 from dataclasses import asdict, dataclass, replace
 from functools import partial, reduce
+from itertools import groupby
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -56,6 +57,7 @@ import numpy as np
 from .measures import BaseModel
 from .moments import dirichlet_mixed_moment, multi_indices, quadratic_weight_c
 from .samplers import (
+    _SLAB,
     DEFAULT_JUMP_EPS,
     DEFAULT_STICK_EPS,
     RngStream,
@@ -743,18 +745,24 @@ def verify_beta_general(s: CampaignSettings, rng: RngStream) -> list[TestReport]
 
 
 def _removal_kernel(m, gen, *, alpha, probs, trunc_eps, exponents) -> dict:
+    """Remove a size-biased pick from each row, holding the sticks once: the
+    running sums go by row slabs of ``_SLAB`` elements, the moments by degree."""
     nb = len(probs)
     weights, marks = stick_ensemble_chunk(alpha, probs, m, gen, trunc_eps=trunc_eps)
     rows = np.arange(m)
-    cum = np.cumsum(weights, axis=1)
     u = gen.random(m)
-    kappa = np.minimum((cum < u[:, None]).sum(axis=1), weights.shape[1] - 1)
+    kappa = np.empty(m, np.intp)
+    step = max(1, _SLAB // weights.shape[1])
+    for r in map(slice, range(0, m, step), range(step, m + step, step)):
+        kappa[r] = (np.cumsum(weights[r], axis=1) < u[r, None]).sum(axis=1)
+    kappa = np.minimum(kappa, weights.shape[1] - 1)
     w_k = weights[rows, kappa]
     b_k = marks[rows, kappa]
     # The removed measure is the rest of the row over its own sum: forming
     # it as (proj - w_k) / (1 - w_k) cancels when w_k is near 1.
     weights[rows, kappa] = 0.0
     proj = block_projection(weights, marks, nb)
+    del weights, marks
     rest = proj.sum(axis=1)
     removed = proj / np.maximum(rest, 1e-300)[:, None]
     proj[rows, b_k] += w_k
@@ -764,8 +772,10 @@ def _removal_kernel(m, gen, *, alpha, probs, trunc_eps, exponents) -> dict:
     w_j = np.broadcast_to(w_k, (nb, m))
     x = np.stack([removed.T, removed.T, w_j], axis=1).reshape(3 * nb, m)
     y = np.stack([w_j, in_j, in_j], axis=1).reshape(3 * nb, m)
+    groups = [list(g) for _, g in groupby(exponents, key=sum)]
     return {
-        "identity": _pair(_monomials(removed, exponents), _monomials(proj, exponents)),
+        "identity": Moments.stack([_pair(_monomials(removed, g), _monomials(proj, g))
+                                   for g in groups]),
         "indep": _cov(x, y),
         "rest": rest,
     }

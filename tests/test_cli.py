@@ -226,6 +226,13 @@ class TestMoments:
         assert run_cli(capsys, "moments", "--alphas", "1,oops")[0] == 2
         assert run_cli(capsys, "moments", "--alphas", "0,0")[0] == 2
 
+    @pytest.mark.parametrize("alphas", ["1,nan", "inf,1", "nan"])
+    def test_non_finite_alphas_are_named(self, capsys, alphas):
+        code, out, err = run_cli(capsys, "moments", "--alphas", alphas, "--max-degree", "2")
+        assert code == 2
+        assert out == ""
+        assert "--alphas must be finite and non-negative" in err
+
 
 class TestVerify:
     def test_json_envelope_and_exit_zero(self, capsys):

@@ -470,8 +470,8 @@ class TestChunkKernels:
 
     @pytest.mark.parametrize("source", ["sticks", "jumps", "broadcast"])
     def test_block_projection_by_slabs_is_one_product(self, source):
-        # More rows than two slabs, with a short last slab.
-        m = 2 * samplers._PROJECTION_ROWS + 37
+        # Many slabs of about samplers._SLAB elements, with a short last one.
+        m = 8229
         probs = (0.2, 0.3, 0.5)
         gen = RngStream(29).gen
         if source == "sticks":
@@ -483,8 +483,19 @@ class TestChunkKernels:
                 geometric = 0.1 * 0.9 ** np.arange(263)
                 w = np.broadcast_to(geometric / geometric.sum(), (m, 263))
             b = draw_blocks(probs, gen, w.shape)
-        want = np.stack([(w * (b == j)).sum(axis=1) for j in range(len(probs))], axis=1)
-        assert np.array_equal(block_projection(w, b, len(probs)), want)
+        # The reference is one product over C-ordered copies, so each row is
+        # numpy's pairwise sum of a contiguous row.  Every layout of the same
+        # entries, the sticks' own transposed buffer included, must match it.
+        cw, cb = np.ascontiguousarray(w), np.ascontiguousarray(b)
+        want = np.stack([(cw * (cb == j)).sum(axis=1) for j in range(len(probs))], axis=1)
+        layouts = {
+            "given": (w, b),
+            "C": (cw, cb),
+            "transposed": (cw.T.copy().T, cb.T.copy().T),
+            "row-sliced": (np.pad(cw, ((0, 0), (0, 5)))[:, :-5], np.pad(cb, ((0, 0), (0, 5)))[:, :-5]),
+        }
+        for layout, (lw, lb) in layouts.items():
+            assert np.array_equal(block_projection(lw, lb, len(probs)), want), layout
 
     @pytest.mark.parametrize("alpha", [0.3, 2.0, 10.0])
     def test_stick_projection_equals_a_row_scatter_bit_for_bit(self, alpha):
@@ -555,6 +566,47 @@ def test_zero_rows_give_empty_results(draw):
     out = draw(RngStream(0).gen)
     for part in out if isinstance(out, tuple) else (out,):
         assert len(part) == 0
+
+
+def _stacked_columns(alpha, probs, m, seed):
+    """The stick columns, stacked side by side: the ensemble's reference."""
+    cols = list(samplers._stick_columns(alpha, np.asarray(probs), m, RngStream(seed).gen,
+                                        DEFAULT_STICK_EPS))
+    return np.column_stack([w for w, _ in cols]), np.column_stack([b for _, b in cols])
+
+
+@pytest.mark.parametrize("alpha", [0.05, 2.0, 10.0])
+@pytest.mark.parametrize("m", [0, 1, 64, 10_000])
+def test_ensemble_is_the_stacked_stick_columns(alpha, m):
+    probs = (0.2, 0.3, 0.5)
+    w, b = stick_ensemble_chunk(alpha, probs, m, RngStream(33).gen)
+    want_w, want_b = _stacked_columns(alpha, probs, m, 33)
+    assert w.dtype == want_w.dtype and b.dtype == want_b.dtype
+    assert np.array_equal(w, want_w) and np.array_equal(b, want_b)
+
+
+def test_ensemble_outgrows_its_first_buffer(monkeypatch):
+    # 700 columns of 64 rows: several doublings of a first buffer of about
+    # a hundred sticks at alpha 2.
+    gen = np.random.default_rng(34)
+    cols = [(gen.random(64), gen.integers(0, 3, 64)) for _ in range(700)]
+    monkeypatch.setattr(samplers, "_stick_columns", lambda *args: iter(cols))
+    w, b = stick_ensemble_chunk(2.0, (0.2, 0.3, 0.5), 64, gen)
+    assert np.array_equal(w, np.column_stack([c for c, _ in cols]))
+    assert np.array_equal(b, np.column_stack([c for _, c in cols]))
+
+
+def test_ensemble_holds_its_matrices_once():
+    # A 10 000-row shard at alpha 2 takes about 90 sticks a row.  Written
+    # into one buffer, the traced peak stays near the returned bytes; a
+    # list of columns and its stacked copy read 2.1 times them.
+    tracemalloc.start()
+    try:
+        w, b = stick_ensemble_chunk(2.0, (0.2, 0.3, 0.5), 10_000, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (w.nbytes + b.nbytes), peak / (w.nbytes + b.nbytes)
 
 
 def test_jump_kernel_holds_one_step_at_a_time():

@@ -130,6 +130,45 @@ class TestTwoSampleKs:
             ks_two_sample(np.linspace(0, 1, 50), np.linspace(0, 1, 500))
 
 
+def _one_shot_ks(x, cdf):
+    """The one-sample statistic over the whole sorted sample at once."""
+    x = np.sort(x)
+    n, f = x.size, cdf(x)
+    grid = np.arange(1, n + 1) / n
+    return max(float(np.max(grid - f)), float(np.max(f - (grid - 1.0 / n))))
+
+
+def _one_shot_ks2(x, y):
+    """The two-sample statistic over every pooled point at once."""
+    x, y = np.sort(x), np.sort(y)
+    both = np.concatenate([x, y])
+    cdf_x = np.searchsorted(x, both, side="right") / x.size
+    cdf_y = np.searchsorted(y, both, side="right") / y.size
+    return float(np.max(np.abs(cdf_x - cdf_y)))
+
+
+@pytest.mark.parametrize("n", [100, 2**15, 2**15 + 1, 3 * 2**15 + 77])
+def test_ks_by_slabs_is_the_one_shot_statistic(n):
+    # Slabs of 2^15 points: one, exactly one, one and a point, four.
+    x = np.random.default_rng(n).beta(2.0, 3.0, size=n)
+    stat, p = ks_test(x, stats.beta(2.0, 3.1).cdf)
+    assert stat == _one_shot_ks(x, stats.beta(2.0, 3.1).cdf)
+    assert p == kolmogorov_sf(math.sqrt(n) * stat)
+
+
+@pytest.mark.parametrize("nx, ny", [(100, 150), (70_001, 40_000), (2**15, 3 * 2**15 + 5)])
+def test_two_sample_ks_by_slabs_is_the_one_shot_statistic(nx, ny):
+    # Unequal sizes over several slabs, with values rounded to three
+    # digits so that many points tie within and across the samples.
+    gen = np.random.default_rng(nx + ny)
+    x = np.round(gen.normal(size=nx), 3)
+    y = np.round(gen.normal(loc=0.01, size=ny), 3)
+    assert np.intersect1d(x, y).size > 0
+    stat, p = ks_two_sample(x, y)
+    assert stat == _one_shot_ks2(x, y)
+    assert p == kolmogorov_sf(math.sqrt(nx * ny / (nx + ny)) * stat)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_two_sample_stat_bounded(seed):

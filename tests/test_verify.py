@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import signal
 import threading
+import tracemalloc
 from dataclasses import fields, replace
 from functools import partial, reduce
 from types import SimpleNamespace
@@ -370,6 +371,21 @@ class TestSizebiasInvarianceCampaign:
         with pytest.raises(ValueError, match="diffuse"):
             atomic = BaseModel(alpha=2.0, atom_probs=(0.5, 0.5), diffuse_weight=0.0)
             verify_sizebias_invariance(CampaignSettings(n=N_SMOKE, base=atomic), RngStream(0))
+
+    def test_one_shard_holds_its_ensemble_once(self):
+        # One 10 000-row shard at alpha 2 writes about 8 MB of sticks and
+        # marks.  The running sums and the masked products go by slabs, so
+        # the traced peak stays near the ensemble; a stacked copy of the
+        # stick columns and whole-shard running sums read 23.6 MB.
+        probs = _block_probs(BaseModel(alpha=2.0, atom_probs=(), diffuse_weight=1.0))
+        tracemalloc.start()
+        try:
+            verify._removal_kernel(10_000, RngStream(1).gen, alpha=2.0, probs=probs,
+                                   trunc_eps=1e-12, exponents=verify._exponents(len(probs), 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6, peak
 
 
 class TestMarkedSizebiasCampaign:
