@@ -2,9 +2,9 @@
 
 Output on stdout (or ``--out``) is canonical JSON (sorted keys, compact
 separators) or CSV and is byte-identical across reruns with the same
-configuration and seed; timing and progress notes go to stderr.  Exit
-codes: 0 all checks passed, 1 a statistical check failed, 2 bad usage or
-configuration, an unwritable ``--out`` among them.
+configuration and seed, whatever ``--jobs`` is; timing and progress notes
+go to stderr.  Exit codes: 0 all checks passed, 1 a statistical check
+failed, 2 bad usage or configuration, an unwritable ``--out`` among them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import io
 import itertools
 import json
 import math
-import os
 import secrets
 import sys
 import time
@@ -259,12 +258,6 @@ def _load_config(path: str) -> dict:
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = _load_config(args.config) if args.config else {}
     given = {**config, **_given(args, _CONFIG_KEYS)}
-    env_jobs = os.environ.get("DPM_JOBS")
-    if "jobs" not in given and env_jobs:
-        try:
-            given["jobs"] = int(env_jobs)
-        except ValueError:
-            raise ValueError(f"DPM_JOBS must be an integer, got {env_jobs!r}")
     if "eps" in given:
         given["trunc_eps"] = given.pop("eps")
     settings = _settings(given)
@@ -283,6 +276,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     else:
         config = dict(vars(settings))
+        del config["jobs"]  # so that stdout does not depend on the worker count
         config["eps"] = config.pop("trunc_eps")
         config["base"] = settings.base.to_dict() if settings.base else None
         text = _envelope(
@@ -393,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--n", type=int, default=None, help="samples per campaign")
     vp.add_argument("--seed", default=None, help="integer seed or 'random'")
     vp.add_argument("--threshold", type=float, default=None, help="|z| acceptance bound")
-    vp.add_argument("--jobs", type=int, default=None, help="worker processes (env DPM_JOBS)")
+    vp.add_argument("--jobs", type=int, default=None, help="worker processes")
     vp.add_argument("--base", default=None, help="base model as JSON")
     vp.add_argument("--construction", choices=("stick", "gamma"), default=None)
     vp.add_argument("--eps", type=float, default=None, help="stick truncation level")

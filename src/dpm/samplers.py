@@ -23,10 +23,11 @@ still within the truncation limit, so it inverts no arrival and draws no
 mark that a row does not keep; it holds one step at a time, inverted in
 slices.  :func:`gamma_projection_chunk` accumulates the steps, dropping each
 before the next is drawn, and :func:`gamma_jumps` stacks them into a matrix
-of decreasing jumps.  Other marks are drawn by :func:`draw_blocks` and
-projected by :func:`block_projection`.  The samplers behind ``dpm sample``,
-:func:`sample_stick_breaking` and :func:`sample_jump_measure`, draw a
-batch of rows from the same kernels; :func:`_measures` merges each row's
+of decreasing jumps.  Every mark, the kernels' included, is drawn by
+:func:`draw_blocks`, and fixed weights are projected by
+:func:`block_projection`.  The samplers behind ``dpm sample``,
+:func:`sample_stick_breaking` and :func:`sample_jump_measure`, draw a batch
+of rows from the same kernels; :func:`_measures` merges each row's
 marks into a :class:`DiscreteMeasure`, its serialization view.  All
 randomness flows through :class:`RngStream`, a named substream of a root
 seed, so campaigns are reproducible and independent of worker scheduling.
@@ -162,11 +163,12 @@ def _stick_columns(alpha, block_probs, m, gen, trunc_eps):
     f = exp(-E / alpha), which is 1 - W; the stick's weight is the row's
     leftover times 1 - f, and the leftover is then multiplied by f.  So a
     stick that rounds to the whole leftover does not round the row's later
-    weights to zero.  Marks fall in block j with probability
-    ``block_probs[j]``.  Every row keeps receiving sticks until the largest
-    leftover among the m rows is at most ``trunc_eps`` (extra sticks on
-    finished rows only sharpen their truncation); the closing leftover then
-    comes last, on a fresh mark, so each row sums to one up to rounding.
+    weights to zero.  Each stick's marks are one :func:`draw_blocks` call,
+    in block j with probability ``block_probs[j]``.  Every row keeps
+    receiving sticks until the largest leftover among the m rows is at most
+    ``trunc_eps`` (extra sticks on finished rows only sharpen their
+    truncation); the closing leftover then comes last, on a fresh mark, so
+    each row sums to one up to rounding.
     Raises :class:`TruncationError` at the stick cap.
     """
     if not alpha > 0.0:
@@ -174,14 +176,13 @@ def _stick_columns(alpha, block_probs, m, gen, trunc_eps):
     if not 0.0 < trunc_eps < 1.0:
         raise ValueError(f"trunc_eps must lie in (0, 1), got {trunc_eps}")
     max_sticks = _stick_cap(alpha, trunc_eps)
-    edges = np.cumsum(block_probs)[:-1]
     tail = np.ones(m)
     for _ in range(max_sticks):
         f = np.exp(gen.standard_exponential(m) / -alpha)
-        yield tail * (1.0 - f), count_at_or_below(edges, gen.random(m))
+        yield tail * (1.0 - f), draw_blocks(block_probs, gen, m)
         tail *= f
         if tail.max(initial=0.0) <= trunc_eps:
-            yield tail, count_at_or_below(edges, gen.random(m))
+            yield tail, draw_blocks(block_probs, gen, m)
             return
     raise TruncationError(float(tail.max()), max_sticks)
 
@@ -203,14 +204,15 @@ def _jump_blocks(alpha, block_probs, m, gen, trunc_eps):
     ``_JUMP_BLOCK`` arrivals of the rows ``rows`` whose last arrival is at
     or below ``limit = alpha * E1(trunc_eps)``.  ``jumps[k, i]`` is the
     step's k-th jump in row ``rows[i]``, and ``marks[k, i]`` its block, in
-    block j with probability ``block_probs[j]``, drawn after the step's
-    arrivals.  Arrivals beyond the limit would invert below the threshold:
-    their jumps and marks read 0, except each row's first, largest jump.
-    So in step order a row's jumps are decreasing, then zero.  A first
-    arrival with G_1 / alpha > 690 (possible at small alpha) inverts at
-    690: that jump is then its row's only one, about 1e-300 or less either
-    way, so the normalized row is the same single unit weight.  An expected
-    jump count ``limit`` above :data:`MAX_ROW_ATOMS` raises ValueError.
+    block j with probability ``block_probs[j]``: one :func:`draw_blocks`
+    call after the step's arrivals.  Arrivals beyond the limit would invert
+    below the threshold: their jumps and marks read 0, except each row's
+    first, largest jump.  So in step order a row's jumps are decreasing,
+    then zero.  A first arrival with G_1 / alpha > 690 (possible at small
+    alpha) inverts at 690: that jump is then its row's only one, about
+    1e-300 or less either way, so the normalized row is the same single
+    unit weight.  An expected jump count ``limit`` above
+    :data:`MAX_ROW_ATOMS` raises ValueError.
 
     One step is held at a time: the arrival block goes once the next rows
     and last arrivals are taken, the kept targets are inverted in place
@@ -223,7 +225,6 @@ def _jump_blocks(alpha, block_probs, m, gen, trunc_eps):
         raise ValueError(f"trunc_eps must lie in (0, 0.1], got {trunc_eps}")
     limit = alpha * exp_integral_e1(trunc_eps)
     _check_row_atoms(limit, alpha, "jumps")
-    edges = np.cumsum(block_probs)[:-1]
     rows, last = np.arange(m), np.zeros(m)
     first = True
     while rows.size:
@@ -245,7 +246,7 @@ def _jump_blocks(alpha, block_probs, m, gen, trunc_eps):
         del arr
         y /= alpha
         np.minimum(y, 690.0, out=y)
-        drawn = count_at_or_below(edges, gen.random(y.size))
+        drawn = draw_blocks(block_probs, gen, y.size)
         for s in range(0, y.size, _INVERT_CHUNK):
             y[s : s + _INVERT_CHUNK] = inverse_e1(y[s : s + _INVERT_CHUNK])
         marks = np.zeros(keep.shape, drawn.dtype)

@@ -44,8 +44,8 @@ def kolmogorov_sf(lam: float) -> float:
 
 
 def _check_cdf_values(f: np.ndarray) -> None:
-    if np.any(f < -1e-9) or np.any(f > 1.0 + 1e-9):
-        raise ValueError("cdf values fall outside [0, 1]")
+    if not np.all((f >= -1e-9) & (f <= 1.0 + 1e-9)):
+        raise ValueError("cdf values are NaN or fall outside [0, 1]")
     if np.any(np.diff(f) < -1e-12):
         raise ValueError("cdf is not monotone on the sample")
     if f.max() - f.min() == 0.0:

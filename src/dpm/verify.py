@@ -650,15 +650,11 @@ def _tbeta_kernel(m, gen, *, p, alpha, p_wrong) -> dict:
     """Both branches at p ("identity") and, on the same pairs, at p_wrong
     ("control")."""
     z, w = beta_pairs(p, alpha, m, gen)
-    mixed = (1.0 - w) * z + w
-    shrunk = (1.0 - w) * z
-    zk = mk = sk = np.ones_like(z)
-    columns = []
-    for _ in range(_TBETA_DEGREE + 1):
-        columns.append((zk * z, mk, zk * (1.0 - z), sk))
-        zk = zk * z
-        mk = mk * mixed
-        sk = sk * shrunk
+    degrees = [(k,) for k in range(_TBETA_DEGREE + 2)]
+    zk = _monomials(z[:, None], degrees)
+    mk, sk = (_monomials(v[:, None], degrees[:-1]) for v in ((1.0 - w) * z + w, (1.0 - w) * z))
+    # Column k: z^(k+1), ((1-w)z + w)^k, z^k (1 - z) and ((1-w)z)^k.
+    columns = list(zip(zk[1:], mk, zk[:-1] * (1.0 - z), sk))
 
     def statistic(q):
         pick = [_pair(lhs, q * rhs) for lhs, rhs, _, _ in columns]
@@ -698,12 +694,9 @@ def _tbeta2_kernel(m, gen, *, p, alpha, c, c_wrong) -> dict:
     pairs, with c_wrong ("control"), and the independence covariances."""
     z, w = beta_pairs(p, alpha, m, gen)
     mixed = (1.0 - w) * z + w
-    zk = mk = np.ones_like(z)
-    columns = []
-    for _ in range(_TBETA2_DEGREE + 1):
-        columns.append((zk * z * z, mk))
-        zk = zk * z
-        mk = mk * mixed
+    degrees = [(k,) for k in range(_TBETA2_DEGREE + 3)]
+    zk, mk = _monomials(z[:, None], degrees), _monomials(mixed[:, None], degrees[:-2])
+    columns = list(zip(zk[2:], mk))
     ratio = w / mixed
     ratio2 = ratio * ratio
     mixed2 = mixed * mixed

@@ -292,29 +292,36 @@ class TestVerify:
         assert payload["config"]["seed"] == 7   # config fills the gap
         assert payload["config"]["p"] == 0.4
 
-    def test_env_jobs_is_honored(self, capsys, monkeypatch):
-        monkeypatch.setenv("DPM_JOBS", "2")
-        _, out, _ = run_cli(capsys, "verify", "tbeta", "--n", "20000", "--seed", "42")
-        assert json.loads(out)["config"]["jobs"] == 2
+    def test_stdout_does_not_depend_on_jobs(self, capsys):
+        args = ("verify", "all", "--n", "2000", "--seed", "42")
+        code, one, _ = run_cli(capsys, *args, "--jobs", "1")
+        assert code == 0
+        assert run_cli(capsys, *args, "--jobs", "2")[:2] == (code, one)
 
-    def test_env_jobs_is_not_read_when_jobs_is_given(self, capsys, monkeypatch, tmp_path):
+    def test_dpm_jobs_environment_variable_is_not_read(self, capsys, monkeypatch):
+        args = ("verify", "tbeta", "--n", "2000", "--seed", "42")
+        monkeypatch.delenv("DPM_JOBS", raising=False)
+        unset = run_cli(capsys, *args)[:2]
         monkeypatch.setenv("DPM_JOBS", "abc")
-        config = tmp_path / "verify.json"
-        config.write_text(json.dumps({"jobs": 2}))
-        for given in (("--jobs", "2"), ("--config", str(config))):
-            code, out, _ = run_cli(capsys, "verify", "tbeta", "--n", "2000", *given)
-            assert code == 0
-            assert json.loads(out)["config"]["jobs"] == 2
+        assert unset[0] == 0
+        assert run_cli(capsys, *args)[:2] == unset
 
     def test_flag_and_config_cover_every_key(self):
         assert set(FLAG_AND_CONFIG) == set(cli._CONFIG_KEYS)
 
     @pytest.mark.parametrize("key", list(FLAG_AND_CONFIG))
     def test_flag_and_config_give_the_same_bytes(self, capsys, monkeypatch, tmp_path, key):
-        monkeypatch.delenv("DPM_JOBS", raising=False)
         flag, value = FLAG_AND_CONFIG[key]
         config = tmp_path / "verify.json"
         config.write_text(json.dumps({key: value}))
+        # The worker count is not echoed, so the settings the run got are read.
+        ran, real = [], cli.run_verify
+
+        def run_verify(name, settings):
+            ran.append(settings)
+            return real(name, settings)
+
+        monkeypatch.setattr(cli, "run_verify", run_verify)
         # Of the single campaigns, only mecke and sethuraman read construction.
         campaign = "sethuraman" if key == "construction" else "tbeta"
         args = ("verify", campaign) + (() if key == "n" else ("--n", "2000"))
@@ -322,24 +329,20 @@ class TestVerify:
         assert code == 0
         _, from_config, _ = run_cli(capsys, *args, "--config", str(config))
         assert from_flag == from_config
-        assert json.loads(from_flag)["config"][key] == value
+        if key == "jobs":
+            assert "jobs" not in json.loads(from_flag)["config"]
+            assert [s.jobs for s in ran] == [value, value]
+        else:
+            assert json.loads(from_flag)["config"][key] == value
 
-    def test_echoed_defaults_are_the_settings_defaults(self, capsys, monkeypatch):
-        monkeypatch.delenv("DPM_JOBS", raising=False)
+    def test_echoed_defaults_are_the_settings_defaults(self, capsys):
         _, out, _ = run_cli(capsys, "verify", "tbeta", "--n", "2000", "--seed", "1")
         defaults = CampaignSettings()
         expected = {f.name: getattr(defaults, f.name) for f in fields(defaults)}
         expected["eps"] = expected.pop("trunc_eps")
+        del expected["jobs"]
         expected.update(n=2000, seed=1)
         assert json.loads(out)["config"] == expected
-
-    def test_env_jobs_must_be_an_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("DPM_JOBS", "abc")
-        monkeypatch.setattr(cli, "run_verify", no_campaign)
-        code, out, err = run_cli(capsys, "verify", "tbeta", "--n", "2000")
-        assert code == 2
-        assert out == ""
-        assert "DPM_JOBS must be an integer, got 'abc'" in err
 
     def test_base_from_flag_and_from_config_object(self, capsys, tmp_path):
         base = {"alpha": 2.0, "atoms": [0.5], "diffuse": 0.5}

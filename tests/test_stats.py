@@ -96,6 +96,11 @@ class TestOneSampleKs:
         with pytest.raises(ValueError, match="outside"):
             ks_test(x, lambda t: 2.0 * t)
 
+    def test_nan_cdf_rejected(self):
+        x = np.linspace(0.01, 0.99, 200)
+        with pytest.raises(ValueError, match="NaN"):
+            ks_test(x, lambda t: np.where(t < 0.5, t, np.nan))
+
     def test_shape_mismatch_rejected(self):
         x = np.linspace(0.01, 0.99, 200)
         with pytest.raises(ValueError, match="equal-length"):
