@@ -78,7 +78,8 @@ def characterize_from_samples(
     The ``reference`` column restates the Be(1, alpha_hat) moments implied
     by the first one.  Estimated p within 0.02 of 1/2 makes the
     odd-degree steps (b_3, b_5, ...) ill-conditioned; a chain deep enough
-    to contain one is then graded "degenerate" rather than pass/fail.
+    to contain one is then graded "degenerate" rather than pass/fail.  So
+    is a chain with a singular step, which has no rows.
     """
     z = np.asarray(z_samples, dtype=float).ravel()
     w = np.asarray(w_samples, dtype=float).ravel()
@@ -106,82 +107,55 @@ def characterize_from_samples(
         return recover_moment_sequence(list(a_in), b1_in, p_in, depth)
 
     theta = np.concatenate([a, [b1]])
+    rows, max_abs_z = [], 0.0
+    notes = (
+        f"estimated p={p_hat:.4f} lies within {ILL_CONDITION_WINDOW} of 1/2; "
+        "odd-degree recovery steps are ill-conditioned and z-scores are unreliable"
+    ) if ill else ""
     try:
         predicted, conditions = chain(theta)
     except ArithmeticError as exc:
-        return CharacterizationReport(
-            p_hat=p_hat,
-            alpha_hat=alpha_hat,
-            depth=depth,
-            n_z=int(z.size),
-            n_w=int(w.size),
-            rows=(),
-            max_abs_z=math.nan,
-            ill_conditioned=True,
-            verdict="degenerate",
-            notes=f"recovery chain is singular: {exc}",
-        )
-
-    # Delta method: Jacobian of the predicted sequence in (a_1..a_depth, b_1).
-    jac = np.zeros((depth, depth + 1))
-    for i in range(depth + 1):
-        h = 1e-6 * max(1.0, abs(theta[i]))
-        tp = theta.copy()
-        tp[i] += h
-        tm = theta.copy()
-        tm[i] -= h
-        try:
-            fp, _ = chain(tp)
-            fm, _ = chain(tm)
-        except ArithmeticError:
-            jac[:, i] = np.nan
-            continue
-        jac[:, i] = (np.array(fp) - np.array(fm)) / (2.0 * h)
-
-    # Sampling covariance of the empirical moments (independent sides).
-    cov_a = np.empty((depth, depth))
-    cov_b = np.empty((depth, depth))
-    for i in range(depth):
-        for j in range(depth):
-            cov_a[i, j] = (a_full[i + j + 1] - a_full[i] * a_full[j]) / z.size
-            cov_b[i, j] = (b_full[i + j + 1] - b_full[i] * b_full[j]) / w.size
-
-    rows = []
-    max_abs_z = 0.0
-    for k in range(2, depth + 1):
-        # d_k = predicted_k(a, b1) - empirical b_k.
-        grad_a = jac[k - 1, :depth]
-        db1 = jac[k - 1, depth]
-        var = float(grad_a @ cov_a @ grad_a)
-        grad_b = np.zeros(depth)
-        grad_b[0] = db1
-        grad_b[k - 1] -= 1.0
-        var += float(grad_b @ cov_b @ grad_b)
-        se = math.sqrt(max(var, 0.0))
-        diff = predicted[k - 1] - b_full[k - 1]
-        z_score = diff / se if se > 0.0 else math.nan
-        max_abs_z = max(max_abs_z, abs(z_score)) if math.isfinite(z_score) else math.inf
-        rows.append(
-            CharacterizationRow(
-                degree=k,
-                predicted=float(predicted[k - 1]),
-                empirical=float(b_full[k - 1]),
-                reference=beta_moment(1.0, alpha_hat, k) if alpha_hat > 0 else math.nan,
-                stderr=se,
-                z=float(z_score),
-                condition=float(conditions[k - 1]),
-            )
-        )
-    if ill:
-        verdict = "degenerate"
+        max_abs_z, ill, notes = math.nan, True, f"recovery chain is singular: {exc}"
     else:
-        verdict = "pass" if max_abs_z <= threshold else "fail"
-    notes = ""
-    if ill:
-        notes = (
-            f"estimated p={p_hat:.4f} lies within {ILL_CONDITION_WINDOW} of 1/2; "
-            "odd-degree recovery steps are ill-conditioned and z-scores are unreliable"
-        )
+        # Delta method: Jacobian of the predicted sequence in (a_1..a_depth, b_1).
+        jac = np.full((depth, depth + 1), np.nan)
+        for i, step in enumerate(np.diag(1e-6 * np.maximum(1.0, np.abs(theta)))):
+            try:
+                fp, _ = chain(theta + step)
+                fm, _ = chain(theta - step)
+            except ArithmeticError:
+                continue
+            jac[:, i] = (np.array(fp) - np.array(fm)) / (2.0 * step[i])
+
+        # Sampling covariance of the empirical moments (independent sides):
+        # entry (i, j) is (m_{i+j+2} - m_{i+1} m_{j+1}) / n.
+        power = np.add.outer(np.arange(depth), np.arange(depth)) + 1
+        cov_a = (a_full[power] - np.outer(a, a)) / z.size
+        cov_b = (b_full[power] - np.outer(b, b)) / w.size
+
+        for k in range(2, depth + 1):
+            # d_k = predicted_k(a, b1) - empirical b_k.
+            grad_a = jac[k - 1, :depth]
+            grad_b = np.zeros(depth)
+            grad_b[0] = jac[k - 1, depth]
+            grad_b[k - 1] -= 1.0
+            var = float(grad_a @ cov_a @ grad_a) + float(grad_b @ cov_b @ grad_b)
+            se = math.sqrt(max(var, 0.0))
+            diff = predicted[k - 1] - b_full[k - 1]
+            z_score = diff / se if se > 0.0 else math.nan
+            max_abs_z = max(max_abs_z, abs(z_score)) if math.isfinite(z_score) else math.inf
+            rows.append(
+                CharacterizationRow(
+                    degree=k,
+                    predicted=float(predicted[k - 1]),
+                    empirical=float(b_full[k - 1]),
+                    reference=beta_moment(1.0, alpha_hat, k) if alpha_hat > 0 else math.nan,
+                    stderr=se,
+                    z=float(z_score),
+                    condition=float(conditions[k - 1]),
+                )
+            )
+    verdict = "degenerate" if ill else "pass" if max_abs_z <= threshold else "fail"
     return CharacterizationReport(
         p_hat=p_hat,
         alpha_hat=alpha_hat,

@@ -203,7 +203,7 @@ def check_solvability(p: float, alpha: float, n: int) -> float:
     return p * prod_p + (-1.0) ** (n + 1) * (1.0 - p) * prod_q
 
 
-def solve_b_next(a, b, p: float, return_condition: bool = False):
+def solve_b_next(a, b, p: float) -> tuple[float, float]:
     """Recover the next W-moment b_{n+1} from Z-moments and b_1..b_n.
 
     Feeds the test function x^{n+1} through the mixture identity
@@ -214,9 +214,9 @@ def solve_b_next(a, b, p: float, return_condition: bool = False):
     coefficient of the unknown falls below 1e-13 in absolute value, which
     happens exactly at the symmetric parameter point for even n.
 
-    With ``return_condition=True`` also returns the ratio of the largest
-    intermediate term to the coefficient, a growth factor for relative
-    input error.
+    Returns the pair (b_{n+1}, condition), the condition being the ratio of
+    the largest intermediate term to the coefficient, a growth factor for
+    relative input error.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
@@ -250,10 +250,7 @@ def solve_b_next(a, b, p: float, return_condition: bool = False):
         abs((1.0 - p) * af[n + 1] * s_low),
         abs(coeff),
     )
-    value = numer / coeff
-    if return_condition:
-        return value, scale / abs(coeff)
-    return value
+    return numer / coeff, scale / abs(coeff)
 
 
 def recover_moment_sequence(a, b1: float, p: float, depth: int):
@@ -270,7 +267,7 @@ def recover_moment_sequence(a, b1: float, p: float, depth: int):
     bs = [float(b1)]
     conditions = [1.0]
     for n in range(1, depth):
-        value, cond = solve_b_next(a[: n + 1], bs, p, return_condition=True)
+        value, cond = solve_b_next(a[: n + 1], bs, p)
         bs.append(value)
         conditions.append(cond)
     return bs, conditions

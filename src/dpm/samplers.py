@@ -22,10 +22,10 @@ the next jumps, 16 a row, and their marks for the rows whose arrivals are
 still within the truncation limit, so it inverts no arrival and draws no
 mark that a row does not keep; it holds one step at a time, inverted in
 slices.  :func:`gamma_projection_chunk` accumulates the steps, dropping each
-before the next is drawn, and :func:`gamma_jumps` stacks them into a matrix
-of decreasing jumps.  Every mark, the kernels' included, is drawn by
-:func:`draw_blocks`, and fixed weights are projected by
-:func:`block_projection`.  The samplers behind ``dpm sample``,
+before the next is drawn, and :func:`_jump_matrices` stacks them into
+matrices of decreasing jumps and their marks.  Every mark, the kernels'
+included, is drawn by :func:`draw_blocks`, and fixed weights are projected
+by :func:`block_projection`.  The samplers behind ``dpm sample``,
 :func:`sample_stick_breaking` and :func:`sample_jump_measure`, draw a batch
 of rows from the same kernels; :func:`_measures` merges each row's
 marks into a :class:`DiscreteMeasure`, its serialization view.  All
@@ -274,18 +274,6 @@ def _jump_matrices(alpha, block_probs, m, gen, trunc_eps):
     return jumps[:, :k], marks[:, :k]
 
 
-def gamma_jumps(
-    alpha: float,
-    m: int,
-    gen: np.random.Generator,
-    trunc_eps: float = DEFAULT_JUMP_EPS,
-) -> np.ndarray:
-    """Decreasing jumps of m gamma random measures with total mass alpha,
-    the zero-padded (m, K) jumps of :func:`_jump_matrices`; their marks,
-    all in one block, move the stream as the other jump samplers do."""
-    return _jump_matrices(alpha, (1.0,), m, gen, trunc_eps)[0]
-
-
 def block_projection(weights: np.ndarray, blocks: np.ndarray, n_blocks: int) -> np.ndarray:
     """Per-row block masses: the sum of ``weights`` over the entries whose
     mark lies in block j, shape (m, n_blocks).  The masked products go by
@@ -461,8 +449,7 @@ def sample_jump_measure(
 
     Same law as :func:`sample_stick_breaking` up to truncation error, by a
     different construction: the ranked jumps and marks of one run of the
-    jump generator, stacked as :func:`gamma_jumps` stacks them, each row
-    normalized.
+    jump generator, stacked by :func:`_jump_matrices`, each row normalized.
     """
     jumps, marks = _jump_matrices(model.alpha, model.blocks, n, rng.gen, trunc_eps)
     return _measures(model, jumps / jumps.sum(axis=1, keepdims=True), marks, rng.gen)

@@ -932,36 +932,29 @@ CAMPAIGN_NAMES = tuple(_CAMPAIGNS)
 _CONSTRUCTION_CAMPAIGNS = ("mecke", "sethuraman")
 
 
-def _settings_under_all(name: str, s: CampaignSettings) -> CampaignSettings:
-    """The settings ``name`` runs under in "all": sizebias keeps its default
-    diffuse base, and only the campaigns that read it keep ``construction``."""
-    if name in _CONSTRUCTION_CAMPAIGNS:
-        return s
-    return replace(s, construction="stick", base=None if name == "sizebias" else s.base)
-
-
 def run_verify(name: str, settings: CampaignSettings | None = None) -> list[TestReport]:
     """Run one named campaign (or "all") and return its reports.
 
     Each campaign draws from substreams keyed by its own stream id, so a
     single campaign produces the same reports whether run alone or as
-    part of "all", and regardless of the worker count.  The size-biased
-    removal campaign needs a purely diffuse base; under "all" it always
-    uses its default diffuse base even when another base was configured
-    for the projection campaigns.  Only mecke and sethuraman read
-    ``construction``: "all" passes it to them alone, and another campaign
-    run alone with the gamma construction is rejected before it draws.  At
-    ``jobs > 1``, "all" runs its campaigns one after another on one shared
-    process pool.
+    part of "all", and regardless of the worker count.  "All" has one
+    rule: mecke and sethuraman run under the settings as given, and every
+    other campaign runs by sticks on its own blocks, with
+    ``construction="stick"`` and ``base=None``.  So the size-biased removal
+    campaign keeps its default diffuse base whatever base is configured.
+    Run alone, a campaign other than mecke and sethuraman is rejected
+    before it draws if the construction is gamma.  At ``jobs > 1``, "all"
+    runs its campaigns one after another on one shared process pool.
     """
     settings = settings or CampaignSettings()
     if name == "all":
         _mix_params(settings)  # a one-block base fails before the pool forks
+        sticks = replace(settings, construction="stick", base=None)
         with _worker_pool(settings.jobs):
             return [
                 r
                 for sub in CAMPAIGN_NAMES
-                for r in run_verify(sub, _settings_under_all(sub, settings))
+                for r in run_verify(sub, settings if sub in _CONSTRUCTION_CAMPAIGNS else sticks)
             ]
     if name not in _CAMPAIGNS:
         raise ValueError(

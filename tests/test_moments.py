@@ -265,8 +265,10 @@ class TestSolveChain:
     def test_single_step_matches_chain(self):
         p, alpha = 0.3, 2.0
         a, b_true = _beta_pair_moments(p, alpha, 4)
-        nxt = solve_b_next(a[:2], b_true[:1], p)
+        nxt, cond = solve_b_next(a[:2], b_true[:1], p)
+        bs, conditions = recover_moment_sequence(a[:2], b_true[0], p, 2)
         assert nxt == pytest.approx(b_true[1], rel=1e-10)
+        assert (nxt, cond) == (bs[1], conditions[1])
 
     def test_singular_at_symmetric_odd_moment(self):
         # at p = 1/2 the step recovering b_3 (identity index n = 2, even)
@@ -280,8 +282,9 @@ class TestSolveChain:
         # recovering b_2 stays regular at p = 1/2: both coefficient terms
         # are positive
         a, b_true = _beta_pair_moments(0.5, 2.0, 4)
-        val = solve_b_next(a[:2], b_true[:1], 0.5)
+        val, cond = solve_b_next(a[:2], b_true[:1], 0.5)
         assert val == pytest.approx(b_true[1], rel=1e-9)
+        assert 1.0 <= cond < 10.0
 
     def test_requires_enough_z_moments(self):
         with pytest.raises(ValueError):
@@ -292,9 +295,9 @@ class TestSolveChain:
     def test_condition_grows_near_symmetric(self):
         # the b_3 step loses accuracy as p -> 1/2
         a1, b1 = _beta_pair_moments(0.49, 2.0, 4)
-        _, cond_near = solve_b_next(a1[:3], b1[:2], 0.49, return_condition=True)
+        _, cond_near = solve_b_next(a1[:3], b1[:2], 0.49)
         a2, b2 = _beta_pair_moments(0.3, 2.0, 4)
-        _, cond_far = solve_b_next(a2[:3], b2[:2], 0.3, return_condition=True)
+        _, cond_far = solve_b_next(a2[:3], b2[:2], 0.3)
         assert cond_near > 10.0 * cond_far
 
     @given(

@@ -10,13 +10,13 @@ from scipy import stats
 from dpm import samplers
 from dpm.measures import BaseModel
 from dpm.samplers import (
+    DEFAULT_JUMP_EPS,
     DEFAULT_STICK_EPS,
     RngStream,
     TruncationError,
     beta_pairs,
     block_projection,
     draw_blocks,
-    gamma_jumps,
     gamma_projection_chunk,
     sample_jump_measure,
     sample_stick_breaking,
@@ -39,7 +39,7 @@ def normalized_rows(jumps):
 
 
 def jump_arrivals(alpha, m, seed, eps=1e-8):
-    """The unit-rate arrivals gamma_jumps draws from RngStream(seed), drawn
+    """The unit-rate arrivals the jump kernel draws from RngStream(seed), drawn
     again in the kernel's layout, with the kernel's limit alpha * E1(eps).
 
     A step draws the next arrivals of each row whose last arrival is within
@@ -219,9 +219,9 @@ class TestStickConfig:
         [
             lambda gen: stick_ensemble_chunk(1e15, (1.0,), 1, gen),
             lambda gen: stick_projection_chunk(4e4, (1.0,), 1, gen),
-            lambda gen: gamma_jumps(1e9, 1, gen),
-            lambda gen: gamma_jumps(6e4, 1, gen),
-            lambda gen: gamma_jumps(2e4, 1, gen, trunc_eps=1e-30),
+            lambda gen: samplers._jump_matrices(1e9, (1.0,), 1, gen, DEFAULT_JUMP_EPS),
+            lambda gen: samplers._jump_matrices(6e4, (1.0,), 1, gen, DEFAULT_JUMP_EPS),
+            lambda gen: samplers._jump_matrices(2e4, (1.0,), 1, gen, 1e-30),
         ],
         ids=["stick-1e15", "stick-4e4", "gamma-1e9", "gamma-6e4", "gamma-tiny-eps"],
     )
@@ -233,9 +233,9 @@ class TestStickConfig:
             draw(gen)
         assert gen.bit_generator.state == state
 
-    def test_gamma_jumps_just_under_the_ceiling(self):
+    def test_jump_matrices_just_under_the_ceiling(self):
         # 5e4 x E1(1e-8) is about 892 000 expected jumps: one row is drawn.
-        jumps = gamma_jumps(5e4, 1, RngStream(0).gen)
+        jumps, _ = samplers._jump_matrices(5e4, (1.0,), 1, RngStream(0).gen, DEFAULT_JUMP_EPS)
         assert 850_000 < np.count_nonzero(jumps) <= samplers.MAX_ROW_ATOMS
 
     def test_rejects_bad_params(self):
@@ -295,7 +295,7 @@ class TestStickBreaking:
 
 class TestJumpConstruction:
     def test_jumps_decreasing_and_thresholded(self):
-        jumps = gamma_jumps(2.0, 20, RngStream(10).gen, trunc_eps=1e-4)
+        jumps, _ = samplers._jump_matrices(2.0, (1.0,), 20, RngStream(10).gen, 1e-4)
         for row in jumps:
             kept = row[row > 0]
             # the kept jumps are a prefix and every row keeps its largest
@@ -306,7 +306,8 @@ class TestJumpConstruction:
     def test_expected_jump_count(self):
         eps = 1e-3
         alpha = 2.0
-        counts = np.count_nonzero(gamma_jumps(alpha, 3000, RngStream(11).gen, eps), axis=1)
+        jumps, _ = samplers._jump_matrices(alpha, (1.0,), 3000, RngStream(11).gen, eps)
+        counts = np.count_nonzero(jumps, axis=1)
         target = alpha * exp_integral_e1(eps)
         se = np.std(counts) / math.sqrt(len(counts))
         assert abs(np.mean(counts) - target) < 5 * se
@@ -314,7 +315,8 @@ class TestJumpConstruction:
     def test_total_mass_is_gamma(self):
         # total of the untruncated jumps is Gamma(alpha); with eps=1e-8 the
         # truncation bias is far below KS resolution
-        totals = gamma_jumps(1.5, 3000, RngStream(12).gen).sum(axis=1)
+        jumps, _ = samplers._jump_matrices(1.5, (1.0,), 3000, RngStream(12).gen, DEFAULT_JUMP_EPS)
+        totals = jumps.sum(axis=1)
         stat, p = stats.kstest(totals, stats.gamma(1.5).cdf)
         assert p > 1e-3
 
@@ -324,7 +326,9 @@ class TestJumpConstruction:
         # and it inverts that arrival's G / alpha.  Past a row's last step
         # the arrivals read inf, so nothing there is kept.
         for alpha, seed in ((5.0, 40), (0.3, 41)):
-            jumps = gamma_jumps(alpha, 300, RngStream(seed).gen)
+            jumps, _ = samplers._jump_matrices(
+                alpha, (1.0,), 300, RngStream(seed).gen, DEFAULT_JUMP_EPS
+            )
             arr, limit = jump_arrivals(alpha, 300, seed)
             keep = arr <= limit
             keep[:, 0] = True
@@ -338,7 +342,7 @@ class TestJumpConstruction:
 
     def test_first_arrival_beyond_the_cap_is_one_finite_jump(self):
         alpha, m, seed = 0.01, 3000, 42
-        jumps = gamma_jumps(alpha, m, RngStream(seed).gen)
+        jumps, _ = samplers._jump_matrices(alpha, (1.0,), m, RngStream(seed).gen, DEFAULT_JUMP_EPS)
         arr, _ = jump_arrivals(alpha, m, seed)
         capped = arr[:, 0] / alpha > 690.0
         assert capped.any()
@@ -377,7 +381,7 @@ class TestJumpConstruction:
         gen = RngStream(0).gen
         for alpha, eps in ((0.0, 1e-8), (-1.0, 1e-8), (2.0, 0.0), (2.0, 0.5)):
             with pytest.raises(ValueError):
-                gamma_jumps(alpha, 10, gen, eps)
+                samplers._jump_matrices(alpha, (1.0,), 10, gen, eps)
 
     def test_per_measure_path_is_row_zero_of_the_kernel(self):
         # With a diffuse base no jumps merge: each measure's weights are a
@@ -385,19 +389,22 @@ class TestJumpConstruction:
         for seed, alpha in ((30, 2.0), (31, 0.3), (32, 15.0)):
             model = BaseModel(alpha=alpha, atom_probs=(), diffuse_weight=1.0)
             measures = sample_jump_measure(model, RngStream(seed), 5, 1e-6)
-            rows = normalized_rows(gamma_jumps(alpha, 5, RngStream(seed).gen, 1e-6))
+            jumps, _ = samplers._jump_matrices(alpha, (1.0,), 5, RngStream(seed).gen, 1e-6)
+            rows = normalized_rows(jumps)
             for zeta, row in zip(measures, rows):
                 assert np.array_equal([w for *_, w in zeta.atoms], row[row > 0])
 
     def test_normalized_sums_to_one(self):
-        for w in normalized_rows(gamma_jumps(2.0, 20, RngStream(13).gen)):
+        jumps, _ = samplers._jump_matrices(2.0, (1.0,), 20, RngStream(13).gen, DEFAULT_JUMP_EPS)
+        for w in normalized_rows(jumps):
             assert w.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(np.diff(w) <= 0)
 
     def test_largest_weight_mean_matches_ranked_law(self):
         # E(largest weight) for alpha=1 is known to be 0.6243...; a loose
         # band around it exercises the whole pipeline
-        largest = normalized_rows(gamma_jumps(1.0, 4000, RngStream(14).gen))[:, 0]
+        jumps, _ = samplers._jump_matrices(1.0, (1.0,), 4000, RngStream(14).gen, DEFAULT_JUMP_EPS)
+        largest = normalized_rows(jumps)[:, 0]
         assert largest.mean() == pytest.approx(0.6243, abs=0.012)
 
     def test_jump_measure_is_probability(self):
@@ -478,7 +485,7 @@ class TestChunkKernels:
             w, b = stick_ensemble_chunk(2.0, probs, m, gen)
         else:
             if source == "jumps":
-                w = gamma_jumps(5.0, m, gen, trunc_eps=1e-4)
+                w = samplers._jump_matrices(5.0, (1.0,), m, gen, 1e-4)[0]
             else:
                 geometric = 0.1 * 0.9 ** np.arange(263)
                 w = np.broadcast_to(geometric / geometric.sum(), (m, 263))
@@ -556,11 +563,11 @@ _MODEL = BaseModel(alpha=2.0, atom_probs=(0.3, 0.7))
         lambda gen: stick_ensemble_chunk(2.0, (0.3, 0.7), 0, gen),
         lambda gen: sample_stick_breaking(_MODEL, RngStream(0), 0),
         lambda gen: gamma_projection_chunk(2.0, (0.3, 0.7), 0, gen),
-        lambda gen: gamma_jumps(2.0, 0, gen),
+        lambda gen: samplers._jump_matrices(2.0, (1.0,), 0, gen, DEFAULT_JUMP_EPS),
         lambda gen: sample_jump_measure(_MODEL, RngStream(0), 0),
     ],
     ids=["stick_projection", "stick_ensemble", "sample_stick",
-         "gamma_projection", "gamma_jumps", "sample_jump"],
+         "gamma_projection", "jump_matrices", "sample_jump"],
 )
 def test_zero_rows_give_empty_results(draw):
     out = draw(RngStream(0).gen)

@@ -571,9 +571,16 @@ class TestRunVerify:
         assert merged == singles
 
     def test_all_passes_construction_only_to_the_campaigns_that_read_it(self):
-        settings = CampaignSettings(n=verify.SHARD_SIZE, seed=34, construction="gamma")
+        # mecke and sethuraman run under the settings as given, base and
+        # construction included; every other campaign runs by sticks at base=None.
+        settings = CampaignSettings(
+            n=verify.SHARD_SIZE,
+            seed=34,
+            construction="gamma",
+            base=BaseModel(alpha=2.0, atom_probs=(0.3, 0.3), diffuse_weight=0.4),
+        )
         merged = [r.to_dict() for r in run_verify("all", settings)]
-        stick = replace(settings, construction="stick")
+        stick = replace(settings, construction="stick", base=None)
         singles = [
             r.to_dict()
             for name in CAMPAIGN_NAMES
@@ -733,6 +740,10 @@ class TestCharacterize:
         assert rep.verdict == "degenerate"
         assert rep.rows == ()
         assert "singular" in rep.notes
+        assert math.isnan(rep.max_abs_z)
+        assert rep.ill_conditioned
+        assert rep.p_hat == 0.5
+        assert rep.n_z == rep.n_w == 150_000
 
     def test_input_validation(self):
         z, w = _beta_pair(500, 0.3, 2.0, 207)
