@@ -142,7 +142,8 @@ def characterize_from_samples(
             var = float(grad_a @ cov_a @ grad_a) + float(grad_b @ cov_b @ grad_b)
             se = math.sqrt(max(var, 0.0))
             diff = predicted[k - 1] - b_full[k - 1]
-            z_score = diff / se if se > 0.0 else math.nan
+            # A zero stderr reads z = 0 on no difference and +-inf on any, as in verify.
+            z_score = diff / se if se > 0.0 else math.copysign(math.inf, diff) if diff else 0.0
             max_abs_z = max(max_abs_z, abs(z_score)) if math.isfinite(z_score) else math.inf
             rows.append(
                 CharacterizationRow(

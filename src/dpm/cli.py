@@ -390,7 +390,8 @@ def _build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--jobs", type=int, default=None, help="worker processes")
     vp.add_argument("--base", default=None, help="base model as JSON")
     vp.add_argument("--construction", choices=("stick", "gamma"), default=None)
-    vp.add_argument("--eps", type=float, default=None, help="stick truncation level")
+    vp.add_argument("--eps", type=float, default=None,
+                    help="stick truncation of the sizebias ensemble (projections close exactly)")
     vp.add_argument("--jump-eps", type=float, default=None, help="jump truncation level")
     vp.add_argument("--format", choices=("json", "csv"), default="json")
     vp.add_argument("--out", default=None)

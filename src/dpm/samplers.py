@@ -3,25 +3,27 @@
 Two independent constructions target the same random probability measure:
 
 * sequential stick breaking with Be(1, alpha) sticks and i.i.d. marks from
-  the base measure, truncated when the leftover mass drops below a
-  configured epsilon (the leftover is assigned to one final fresh mark so
-  every sample is an exact probability measure).  A stick W is drawn by
-  inversion from one exponential E: its leftover share 1 - W is
-  exp(-E / alpha) (Devroye 1986, ch. IX), kept as drawn, so the leftover
-  keeps its digits when W rounds to 1;
+  the base measure.  For block projections a row stops once its leftover
+  is at most its largest stick and closes exactly, with the leftover times
+  a Dirichlet draw; a stick ensemble stops once every leftover of a batch
+  is below a configured epsilon, and puts it on one final fresh mark.  A
+  stick W is drawn by inversion from one exponential E: its leftover share
+  1 - W is exp(-E / alpha) (Devroye 1986, ch. IX), kept as drawn, so the
+  leftover keeps its digits when W rounds to 1;
 * a decreasing-jump representation, where unit-rate Poisson arrivals are
   pushed through the inverse of alpha * E1 to produce the jump sizes of a
   gamma random measure, which normalization turns into the target.
 
 Each construction is written once for many samples at a time.  One stick
-loop, :func:`_stick_columns`, yields a (weights, blocks) column per stick;
-:func:`stick_projection_chunk` accumulates the columns into block
-projections and a running largest weight, and :func:`stick_ensemble_chunk`
-writes them to one buffer.  One jump generator, :func:`_jump_blocks`, yields
-the next jumps, 16 a row, and their marks for the rows whose arrivals are
-still within the truncation limit, so it inverts no arrival and draws no
-mark that a row does not keep; it holds one step at a time, inverted in
-slices.  :func:`gamma_projection_chunk` accumulates the steps, dropping each
+loop, :func:`_stick_columns`, yields the next stick of the rows that the
+caller's stop rule keeps drawing; :func:`stick_projection_chunk` adds them
+to block projections and a running largest weight before its close, and
+:func:`stick_ensemble_chunk` writes them to one buffer.  One jump
+generator, :func:`_jump_blocks`, yields the next jumps, 16 a row, and
+their marks for the rows whose arrivals are still within the truncation
+limit, so it inverts no arrival and draws no mark that a row does not
+keep; it holds one step at a time, inverted in slices.
+:func:`gamma_projection_chunk` accumulates the steps, dropping each
 before the next is drawn, and :func:`_jump_matrices` stacks them into
 matrices of decreasing jumps and their marks.  Every mark, the kernels'
 included, is drawn by :func:`draw_blocks`, and fixed weights are projected
@@ -156,34 +158,36 @@ def _stick_cap(alpha: float, trunc_eps: float) -> int:
     return max(64, 4 * needed)
 
 
-def _stick_columns(alpha, block_probs, m, gen, trunc_eps):
-    """Yield (weights, blocks) of one stick for each of m rows at a time.
+def _stick_columns(alpha, block_probs, m, gen, trunc_eps, going):
+    """Yield (rows, weights, blocks, tail), the next stick of the rows still
+    drawing and their leftover after it.
 
     Sticks are Be(1, alpha): each draws E ~ Exp(1) and its leftover share
     f = exp(-E / alpha), which is 1 - W; the stick's weight is the row's
     leftover times 1 - f, and the leftover is then multiplied by f.  So a
     stick that rounds to the whole leftover does not round the row's later
     weights to zero.  Each stick's marks are one :func:`draw_blocks` call,
-    in block j with probability ``block_probs[j]``.  Every row keeps
-    receiving sticks until the largest leftover among the m rows is at most
-    ``trunc_eps`` (extra sticks on finished rows only sharpen their
-    truncation); the closing leftover then comes last, on a fresh mark, so
-    each row sums to one up to rounding.
-    Raises :class:`TruncationError` at the stick cap.
+    in block j with probability ``block_probs[j]``.  When the caller asks
+    for the next stick, ``going(rows, tail)`` masks the rows that draw it,
+    or is True for all of them; the caller closes the others.  Raises
+    :class:`TruncationError` at the stick cap.
     """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if not 0.0 < trunc_eps < 1.0:
         raise ValueError(f"trunc_eps must lie in (0, 1), got {trunc_eps}")
     max_sticks = _stick_cap(alpha, trunc_eps)
-    tail = np.ones(m)
+    rows, tail = np.arange(m), np.ones(m)
     for _ in range(max_sticks):
-        f = np.exp(gen.standard_exponential(m) / -alpha)
-        yield tail * (1.0 - f), draw_blocks(block_probs, gen, m)
-        tail *= f
-        if tail.max(initial=0.0) <= trunc_eps:
-            yield tail, draw_blocks(block_probs, gen, m)
-            return
+        f = np.exp(gen.standard_exponential(rows.size) / -alpha)
+        w = tail * (1.0 - f)
+        tail = tail * f
+        yield rows, w, draw_blocks(block_probs, gen, rows.size), tail
+        keep = going(rows, tail)
+        if keep is not True:
+            rows, tail = rows[keep], tail[keep]
+            if not rows.size:
+                return
     raise TruncationError(float(tail.max()), max_sticks)
 
 
@@ -306,22 +310,37 @@ def stick_projection_chunk(
     block_probs,
     m: int,
     gen: np.random.Generator,
-    trunc_eps: float = DEFAULT_STICK_EPS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Block projections of m stick-breaking samples, shape (m, n_blocks),
-    and each row's largest weight, the closing leftover included.
+    and each row's largest weight, both exact in law.
 
-    Accumulates the sticks of :func:`_stick_columns` as they are drawn, so
-    no (m, n_sticks) matrix is held.
+    A row draws the sticks of :func:`_stick_columns` until its leftover R
+    is at most its largest stick, a stopping time.  The rest of the measure
+    is then R times an independent DP(alpha, H) (Sethuraman 1994), whose
+    atoms are at most R and whose projection is Dir(alpha * block_probs)
+    (Ferguson 1973): one Dirichlet draw per row, scaled by R, closes it.
+    A Dirichlet coordinate is Gamma(a + 1) U^(1/a), taken in logs less the
+    row's largest, so that shapes near 0 do not underflow a row to 0/0; a
+    block of zero mass gets 0.  No (m, n_sticks) matrix is held.
     """
     p = _check_block_probs(block_probs)
     proj = np.zeros(m * len(p))
-    largest = np.zeros(m)
+    largest, left = np.zeros(m), np.zeros(m)
     base = np.arange(m) * len(p)
-    for w, blk in _stick_columns(alpha, p, m, gen, trunc_eps):
-        proj[base + blk] += w
-        np.maximum(largest, w, out=largest)
-    return proj.reshape(m, len(p)), largest
+    for rows, w, blk, tail in _stick_columns(
+        alpha, p, m, gen, DEFAULT_STICK_EPS, lambda rows, tail: tail > largest[rows]
+    ):
+        proj[base[rows] + blk] += w
+        largest[rows] = np.maximum(largest[rows], w)
+        left[rows] = tail
+    # One line per block: a row's maxima and sums run down a few lines.
+    a = alpha * p[p > 0.0, None]
+    logs = np.log(gen.standard_gamma(a + 1.0, (a.size, m)))
+    logs += np.log1p(-gen.random((a.size, m))) / a
+    gammas = np.exp(logs - logs.max(axis=0, initial=-np.inf))
+    proj = proj.reshape(m, len(p))
+    proj[:, p > 0.0] += (left * gammas / gammas.sum(axis=0)).T
+    return proj, largest
 
 
 def stick_ensemble_chunk(
@@ -333,15 +352,26 @@ def stick_ensemble_chunk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full stick weights and mark blocks of m samples.
 
-    Returns (weights, blocks), both shaped (m, n_sticks); weight columns
-    are in stick order and each row sums to one up to rounding (the last
-    column is the closing leftover).  Needed by campaigns that pick and
-    remove individual sticks rather than just projecting.  Stick k goes to
+    Returns (weights, blocks), both shaped (m, n_sticks), weight columns in
+    stick order.  Every row draws sticks until the largest leftover of the
+    m rows is at most ``trunc_eps`` (later sticks only sharpen a finished
+    row); the leftover then closes each row on a fresh mark, so each row
+    sums to one up to rounding.  Needed by campaigns that pick and remove
+    individual sticks rather than just projecting.  Stick k goes to
     row k of one (sticks, m) buffer, doubled when full; the filled rows are
     returned transposed, so the matrices are held once.
     """
     p = _check_block_probs(block_probs)
-    for k, (w, blk) in enumerate(_stick_columns(alpha, p, m, gen, trunc_eps)):
+
+    def going(rows, tail):
+        return True if tail.max(initial=0.0) > trunc_eps else np.zeros(rows.size, bool)
+
+    def columns():
+        for _, w, blk, tail in _stick_columns(alpha, p, m, gen, trunc_eps, going):
+            yield w, blk
+        yield tail, draw_blocks(p, gen, m)
+
+    for k, (w, blk) in enumerate(columns()):
         if k == 0:
             # A row's expected sticks and five deviations: room for 10^4 rows.
             lam = alpha * -math.log(trunc_eps)

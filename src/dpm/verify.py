@@ -512,7 +512,7 @@ def _block_probs(model: BaseModel) -> tuple[float, ...]:
 # projection-identity campaigns (weighted and unweighted)
 
 
-def _projections(construction, alpha, probs, m, gen, trunc_eps, jump_eps):
+def _projections(construction, alpha, probs, m, gen, jump_eps):
     """Block projections of m measures, their unnormalized totals under the
     jump construction and each row's largest weight, (proj, totals, largest).
 
@@ -520,7 +520,7 @@ def _projections(construction, alpha, probs, m, gen, trunc_eps, jump_eps):
     negative-control input that every row shares with i.i.d. marks; its
     totals and largest are None, and so are the totals of sticks."""
     if construction == "stick":
-        proj, largest = stick_projection_chunk(alpha, probs, m, gen, trunc_eps=trunc_eps)
+        proj, largest = stick_projection_chunk(alpha, probs, m, gen)
         return proj, None, largest
     if construction == "gamma":
         return gamma_projection_chunk(alpha, probs, m, gen, trunc_eps=jump_eps)
@@ -529,12 +529,12 @@ def _projections(construction, alpha, probs, m, gen, trunc_eps, jump_eps):
 
 
 def _projection_kernel(
-    m, gen, *, alpha, probs, construction, trunc_eps, jump_eps, exponents, targets
+    m, gen, *, alpha, probs, construction, jump_eps, exponents, targets
 ) -> dict:
     """The projection monomials against ``targets``, the largest weights
     when the input has them and, under the jump construction, the total
     mass against alpha and its covariances with the projections."""
-    proj, totals, largest = _projections(construction, alpha, probs, m, gen, trunc_eps, jump_eps)
+    proj, totals, largest = _projections(construction, alpha, probs, m, gen, jump_eps)
     out = {"identity": _pair(_monomials(proj, exponents), targets)}
     if largest is not None:
         out["largest"] = largest
@@ -544,12 +544,12 @@ def _projection_kernel(
 
 
 def _mix_kernel(
-    m, gen, *, alpha, probs, construction, trunc_eps, jump_eps, control, exponents, weighted
+    m, gen, *, alpha, probs, construction, jump_eps, control, exponents, weighted
 ) -> dict:
     """The identity with Be(1, alpha) weights u and, unless ``control`` is
     None, the "control" statistic of the same measures and marks mixed by
     the weights ``control(u)``."""
-    proj = _projections(construction, alpha, probs, m, gen, trunc_eps, jump_eps)[0]
+    proj = _projections(construction, alpha, probs, m, gen, jump_eps)[0]
     u = gen.beta(1.0, alpha, size=m)
     xblk = draw_blocks(probs, gen, m)
     # Weighted, f(zeta, x) = g(proj) h(x) for every monomial g and block
@@ -583,8 +583,7 @@ def _mix_params(s: CampaignSettings) -> dict:
         raise ValueError(
             f"the projection campaigns need a base with mass in at least two blocks, got {probs}"
         )
-    return dict(alpha=s.alpha, probs=probs, construction=s.construction, trunc_eps=s.trunc_eps,
-                jump_eps=s.jump_eps)
+    return dict(alpha=s.alpha, probs=probs, construction=s.construction, jump_eps=s.jump_eps)
 
 
 def verify_mecke(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
@@ -858,8 +857,7 @@ def verify_marked_sizebias(s: CampaignSettings, rng: RngStream) -> list[TestRepo
 
     names, family = moments(1)
     control_names, control_family = moments(2)
-    params = dict(alpha=alpha, probs=probs, trunc_eps=s.trunc_eps, jump_eps=s.jump_eps)
-    params.update(construction="stick", **family)
+    params = dict(alpha=alpha, probs=probs, construction="stick", jump_eps=s.jump_eps, **family)
     c = _Campaign(_projection_kernel, params, s, rng)
     gem, jump, geometric = c.runs(
         {}, dict(construction="gamma"), dict(construction=_GEOMETRIC, **control_family)

@@ -293,9 +293,12 @@ class TestVerify:
         assert payload["config"]["p"] == 0.4
 
     def test_stdout_does_not_depend_on_jobs(self, capsys):
+        # At n = 2000 a weak control misses its threshold at some seeds
+        # (`verify all` exits 1 at 5 of seeds 1-20), so the exit code is
+        # compared between the runs, not with 0; 2 would be a usage error.
         args = ("verify", "all", "--n", "2000", "--seed", "42")
         code, one, _ = run_cli(capsys, *args, "--jobs", "1")
-        assert code == 0
+        assert code in (0, 1) and json.loads(one)["reports"]
         assert run_cli(capsys, *args, "--jobs", "2")[:2] == (code, one)
 
     def test_dpm_jobs_environment_variable_is_not_read(self, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Samplers: named RNG streams, both measure constructions, chunk kernels."""
 
+import copy
 import math
 import tracemalloc
 
@@ -76,6 +77,15 @@ def largest_weight_tail(alpha, x):
     integral is alpha sum_k delta^(alpha + k) / (alpha + k), delta = 1 - x."""
     delta = 1.0 - x
     return alpha * sum(delta ** (alpha + k) / (alpha + k) for k in range(200))
+
+
+def assert_exact_tail(largest, alpha, xs):
+    """P(largest > x) against its exact value at each x, as a binomial z."""
+    m = largest.size
+    for x in xs:
+        p = largest_weight_tail(alpha, x)
+        z = (np.count_nonzero(largest > x) - m * p) / math.sqrt(m * p * (1.0 - p))
+        assert abs(z) <= 4.0, (x, z)
 
 
 class TestRngStream:
@@ -367,15 +377,10 @@ class TestJumpConstruction:
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 5.0])
     def test_largest_weight_has_the_exact_tail(self, alpha):
-        # P(largest > x) against its exact value at x in {0.5, 0.7, 0.9},
-        # as a binomial z over 50 000 rows.  Small alpha is left out: the
-        # absolute truncation at jump_eps biases the largest weight there.
-        m = 50_000
-        _, _, largest = gamma_projection_chunk(alpha, (0.5, 0.5), m, RngStream(44).gen)
-        for x in (0.5, 0.7, 0.9):
-            p = largest_weight_tail(alpha, x)
-            z = (np.count_nonzero(largest > x) - m * p) / math.sqrt(m * p * (1.0 - p))
-            assert abs(z) <= 4.0, (x, z)
+        # Over 50 000 rows.  Small alpha is left out: the absolute
+        # truncation at jump_eps biases the largest weight there.
+        _, _, largest = gamma_projection_chunk(alpha, (0.5, 0.5), 50_000, RngStream(44).gen)
+        assert_exact_tail(largest, alpha, (0.5, 0.7, 0.9))
 
     def test_kernel_validation(self):
         gen = RngStream(0).gen
@@ -437,6 +442,41 @@ class TestChunkKernels:
         stat, p = stats.kstest(proj[:, 0], stats.beta(0.6, 1.4).cdf)
         assert p > 1e-3
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.2, 2.0, 10.0])
+    def test_largest_stick_weight_has_the_exact_tail(self, alpha):
+        # A row stops once its leftover is at most its largest stick, so no
+        # atom of the Dirichlet close can be larger: the tail is exact at
+        # every alpha, over 200 000 rows.
+        _, largest = stick_projection_chunk(alpha, (0.5, 0.5), 200_000, RngStream(45).gen)
+        assert_exact_tail(largest, alpha, (0.5, 0.7, 0.9, 0.99))
+
+    def test_close_at_tiny_alpha_with_a_zero_mass_block(self):
+        # At alpha 0.01 the close's shapes are 0.003 and 0.007: drawn as
+        # plain gammas both would underflow to 0/0.  Block 1 has no mass.
+        alpha, a, b, m = 0.01, 0.003, 0.007, 20_000
+        proj, largest = stick_projection_chunk(alpha, (0.3, 0.0, 0.7), m, RngStream(46).gen)
+        assert not np.isnan(proj).any() and not np.isnan(largest).any()
+        assert np.all(np.abs(proj.sum(axis=1) - 1.0) <= 1e-12)
+        assert np.all(proj[:, 1] == 0.0)
+        # Block 0 is Be(a, b).  Below about 1e-308 a mass rounds to 0, and a
+        # mass within 1e-16 of 1 to 1 (about 9% of rows in all), so the KS
+        # test takes the rows whose mass and rest both reach 1e-300, against
+        # the law conditioned on that window; the rest keeps the digits of
+        # 1 - x.
+        x, rest = proj[:, 0], proj[:, 2]
+        inside = (x >= 1e-300) & (rest >= 1e-300)
+        low, high = stats.beta(a, b).cdf(1e-300), stats.beta(b, a).cdf(1e-300)
+        cdf = np.where(x < 0.5, stats.beta(a, b).cdf(x), stats.beta(b, a).sf(rest))[inside]
+        _, p = ks_test((cdf - low) / (1.0 - low - high), lambda u: u)
+        assert p >= 1e-3
+        assert abs(np.count_nonzero(inside) - m * (1.0 - low - high)) <= 4.0 * math.sqrt(m)
+
+    def test_stick_projection_marginal_ks_at_large_alpha(self):
+        # At alpha 50 a row stops after a few hundred sticks, not 1400.
+        proj, _ = stick_projection_chunk(50.0, (0.3, 0.7), 20_000, RngStream(47).gen)
+        _, p = ks_test(proj[:, 0], stats.beta(15.0, 35.0).cdf)
+        assert p >= 1e-3
+
     def test_chunk_matches_object_level_law(self):
         # same distribution as the per-measure sampler (different stream use)
         model = BaseModel(alpha=1.5, atom_probs=(0.4, 0.6))
@@ -464,16 +504,6 @@ class TestChunkKernels:
         assert p >= 1e-3
         assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)
         assert np.all(w[:, -1] <= eps)
-
-    def test_projection_and_ensemble_share_one_stick_loop(self):
-        cases = ((2.0, (0.2, 0.3, 0.5)), (0.5, (0.6, 0.4)), (8.0, (1.0,)), (0.05, (0.5, 0.5)),
-                 (10.0, (0.3, 0.7)))
-        for alpha, probs in cases:
-            proj, largest = stick_projection_chunk(alpha, probs, 300, RngStream(27).gen)
-            w, b = stick_ensemble_chunk(alpha, probs, 300, RngStream(27).gen)
-            assert np.max(np.abs(proj - block_projection(w, b, len(probs)))) <= 1e-14
-            # The running max over the sticks and the closing leftover.
-            assert np.array_equal(largest, w.max(axis=1))
 
     @pytest.mark.parametrize("source", ["sticks", "jumps", "broadcast"])
     def test_block_projection_by_slabs_is_one_product(self, source):
@@ -504,17 +534,6 @@ class TestChunkKernels:
         for layout, (lw, lb) in layouts.items():
             assert np.array_equal(block_projection(lw, lb, len(probs)), want), layout
 
-    @pytest.mark.parametrize("alpha", [0.3, 2.0, 10.0])
-    def test_stick_projection_equals_a_row_scatter_bit_for_bit(self, alpha):
-        probs = np.array([0.2, 0.3, 0.5])
-        proj, _ = stick_projection_chunk(alpha, probs, 700, RngStream(31).gen)
-        want = np.zeros((700, 3))
-        rows = np.arange(700)
-        gen = RngStream(31).gen
-        for w, blk in samplers._stick_columns(alpha, probs, 700, gen, DEFAULT_STICK_EPS):
-            want[rows, blk] += w
-        assert np.array_equal(proj, want)
-
     def test_gamma_projection_chunk_consistency(self):
         gen = RngStream(23).gen
         proj, totals, largest = gamma_projection_chunk(2.0, (0.3, 0.7), 5000, gen)
@@ -542,13 +561,14 @@ class TestChunkKernels:
         monkeypatch.setattr(samplers, "_stick_cap", lambda alpha, eps: 12)
         gen = RngStream(26).gen
         with pytest.raises(TruncationError):
-            stick_projection_chunk(3.0, (1.0,), 200, gen, trunc_eps=1e-12)
+            stick_projection_chunk(3.0, (1.0,), 200, gen)
 
     def test_stick_kernel_validation(self):
         gen = RngStream(0).gen
-        for alpha, eps in ((0.0, 1e-12), (-1.0, 1e-12), (2.0, 0.0), (2.0, 1.0), (2.0, -1e-12)):
+        for alpha in (0.0, -1.0):
             with pytest.raises(ValueError):
-                stick_projection_chunk(alpha, (1.0,), 10, gen, trunc_eps=eps)
+                stick_projection_chunk(alpha, (1.0,), 10, gen)
+        for alpha, eps in ((0.0, 1e-12), (-1.0, 1e-12), (2.0, 0.0), (2.0, 1.0), (2.0, -1e-12)):
             with pytest.raises(ValueError):
                 stick_ensemble_chunk(alpha, (1.0,), 10, gen, trunc_eps=eps)
 
@@ -576,10 +596,16 @@ def test_zero_rows_give_empty_results(draw):
 
 
 def _stacked_columns(alpha, probs, m, seed):
-    """The stick columns, stacked side by side: the ensemble's reference."""
-    cols = list(samplers._stick_columns(alpha, np.asarray(probs), m, RngStream(seed).gen,
-                                        DEFAULT_STICK_EPS))
-    return np.column_stack([w for w, _ in cols]), np.column_stack([b for _, b in cols])
+    """The stick columns, stacked side by side, and the closing leftover on
+    fresh marks: the ensemble's reference."""
+    gen, eps = RngStream(seed).gen, DEFAULT_STICK_EPS
+
+    def going(rows, tail):
+        return True if tail.max(initial=0.0) > eps else np.zeros(rows.size, bool)
+
+    cols = list(samplers._stick_columns(alpha, np.asarray(probs), m, gen, eps, going))
+    cols.append((None, cols[-1][3], draw_blocks(probs, gen, m), None))
+    return np.column_stack([c[1] for c in cols]), np.column_stack([c[2] for c in cols])
 
 
 @pytest.mark.parametrize("alpha", [0.05, 2.0, 10.0])
@@ -596,11 +622,15 @@ def test_ensemble_outgrows_its_first_buffer(monkeypatch):
     # 700 columns of 64 rows: several doublings of a first buffer of about
     # a hundred sticks at alpha 2.
     gen = np.random.default_rng(34)
-    cols = [(gen.random(64), gen.integers(0, 3, 64)) for _ in range(700)]
+    rows = np.arange(64)
+    cols = [(rows, gen.random(64), gen.integers(0, 3, 64), gen.random(64)) for _ in range(700)]
     monkeypatch.setattr(samplers, "_stick_columns", lambda *args: iter(cols))
+    close = copy.deepcopy(gen)
     w, b = stick_ensemble_chunk(2.0, (0.2, 0.3, 0.5), 64, gen)
-    assert np.array_equal(w, np.column_stack([c for c, _ in cols]))
-    assert np.array_equal(b, np.column_stack([c for _, c in cols]))
+    # The last column is the closing leftover, the last tail, on fresh marks.
+    assert np.array_equal(w, np.column_stack([c[1] for c in cols] + [cols[-1][3]]))
+    closing = draw_blocks((0.2, 0.3, 0.5), close, 64)
+    assert np.array_equal(b, np.column_stack([c[2] for c in cols] + [closing]))
 
 
 def test_ensemble_holds_its_matrices_once():

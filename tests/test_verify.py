@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from dpm import verify
+from dpm import samplers, verify
 from dpm.characterize import CharacterizationReport, characterize_from_samples
 from dpm.measures import BaseModel
 from dpm.samplers import RngStream, TruncationError
@@ -436,6 +436,18 @@ class TestDrawsOnce:
         assert calls == ["stick_projection_chunk"] * shards + ["gamma_projection_chunk"] * shards
 
 
+@pytest.mark.parametrize("name", ["mecke", "sethuraman", "thm52"])
+def test_a_wrong_stick_law_fails_an_identity_test(monkeypatch, name):
+    # Sticks from Be(1, 1.25 alpha) with the close left at Dir(alpha probs):
+    # the exact close must not hide a wrong stick law.  At the defaults
+    # (alpha 2, n 200 000) mecke, sethuraman and thm52 fail 25, 16 and 8
+    # identity tests with it.
+    exact = samplers._stick_columns
+    monkeypatch.setattr(samplers, "_stick_columns", lambda alpha, *rest: exact(1.25 * alpha, *rest))
+    reports = run_verify(name, CampaignSettings(jobs=1))
+    assert any(r.verdict == "fail" for r in reports if not r.expected_failure)
+
+
 class TestAlphaGrid:
     """Stick-construction campaigns away from alpha = 2, at n=20000, seed 1.
 
@@ -744,6 +756,16 @@ class TestCharacterize:
         assert rep.ill_conditioned
         assert rep.p_hat == 0.5
         assert rep.n_z == rep.n_w == 150_000
+
+    def test_zero_stderr_grades_like_verify(self):
+        # Constant samples have no spread, so every row's stderr is 0.  A row
+        # that misses its empirical moment then reads z = -inf or +inf, as in
+        # verify, not NaN beside an infinite max_abs_z.
+        rep = characterize_from_samples(np.full(200, 0.3), np.full(200, 0.3), depth=3)
+        assert [r.stderr for r in rep.rows] == [0.0, 0.0]
+        assert [r.z for r in rep.rows] == [-math.inf, -math.inf]
+        assert rep.max_abs_z == math.inf
+        assert rep.verdict == "fail"
 
     def test_input_validation(self):
         z, w = _beta_pair(500, 0.3, 2.0, 207)
