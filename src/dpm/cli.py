@@ -19,7 +19,7 @@ import math
 import secrets
 import sys
 import time
-from dataclasses import astuple, fields, replace
+from dataclasses import astuple, fields
 
 from . import __version__
 from .characterize import CharacterizationRow, characterize_from_samples
@@ -133,11 +133,9 @@ def _settings(given: dict) -> CampaignSettings:
 def _cmd_sample(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise ValueError(f"n must be non-negative, got {args.n}")
-    s = _settings(_given(args, ("seed", "alpha", "base", "construction")))
-    if args.eps is not None:
-        if s.construction == "stick":
-            raise ValueError("--eps applies to --construction gamma only")
-        s = replace(s, jump_eps=args.eps)
+    if args.jump_eps is not None and args.construction != "gamma":
+        raise ValueError("--eps applies to --construction gamma only")
+    s = _settings(_given(args, ("seed", "alpha", "base", "construction", "jump_eps")))
     model = s.base or BaseModel.default(s.alpha)
     rng = RngStream(s.seed)
 
@@ -225,7 +223,6 @@ _CONFIG_KEYS = {
     "threshold": _NUMBER,
     "jobs": _INTEGER,
     "construction": ("a string", (str,)),
-    "eps": _NUMBER,
     "jump_eps": _NUMBER,
 }
 
@@ -257,10 +254,7 @@ def _load_config(path: str) -> dict:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = _load_config(args.config) if args.config else {}
-    given = {**config, **_given(args, _CONFIG_KEYS)}
-    if "eps" in given:
-        given["trunc_eps"] = given.pop("eps")
-    settings = _settings(given)
+    settings = _settings({**config, **_given(args, _CONFIG_KEYS)})
     # Fail on an unwritable --out before the campaign runs; appending
     # leaves an existing file as it is until the report is written.
     with _output(args.out, "a"):
@@ -277,7 +271,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         config = dict(vars(settings))
         del config["jobs"]  # so that stdout does not depend on the worker count
-        config["eps"] = config.pop("trunc_eps")
         config["base"] = settings.base.to_dict() if settings.base else None
         text = _envelope(
             "verify",
@@ -361,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="stick-breaking or normalized-jump sampler",
     )
     sp.add_argument(
-        "--eps", type=float, default=None,
+        "--eps", dest="jump_eps", metavar="EPS", type=float, default=None,
         help=f"jump truncation level (gamma only; {DEFAULT_JUMP_EPS:g})",
     )
     sp.add_argument("--out", default=None, help="write output to this file")
@@ -390,8 +383,6 @@ def _build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--jobs", type=int, default=None, help="worker processes")
     vp.add_argument("--base", default=None, help="base model as JSON")
     vp.add_argument("--construction", choices=("stick", "gamma"), default=None)
-    vp.add_argument("--eps", type=float, default=None,
-                    help="stick truncation of the sizebias ensemble (projections close exactly)")
     vp.add_argument("--jump-eps", type=float, default=None, help="jump truncation level")
     vp.add_argument("--format", choices=("json", "csv"), default="json")
     vp.add_argument("--out", default=None)

@@ -6,10 +6,10 @@ Two independent constructions target the same random probability measure:
   the base measure.  For block projections a row stops once its leftover
   is at most its largest stick and closes exactly, with the leftover times
   a Dirichlet draw; a stick ensemble stops once every leftover of a batch
-  is below a configured epsilon, and puts it on one final fresh mark.  A
-  stick W is drawn by inversion from one exponential E: its leftover share
-  1 - W is exp(-E / alpha) (Devroye 1986, ch. IX), kept as drawn, so the
-  leftover keeps its digits when W rounds to 1;
+  is at most :data:`DEFAULT_STICK_EPS`, and puts it on one final fresh
+  mark.  A stick W is drawn by inversion from one exponential E: its
+  leftover share 1 - W is exp(-E / alpha) (Devroye 1986, ch. IX), kept as
+  drawn, so the leftover keeps its digits when W rounds to 1;
 * a decreasing-jump representation, where unit-rate Poisson arrivals are
   pushed through the inverse of alpha * E1 to produce the jump sizes of a
   gamma random measure, which normalization turns into the target.
@@ -446,23 +446,18 @@ def _measures(model: BaseModel, weights, blocks, gen: np.random.Generator):
     return rows
 
 
-def sample_stick_breaking(
-    model: BaseModel,
-    rng: RngStream,
-    n: int,
-    trunc_eps: float = DEFAULT_STICK_EPS,
-) -> list[DiscreteMeasure]:
+def sample_stick_breaking(model: BaseModel, rng: RngStream, n: int) -> list[DiscreteMeasure]:
     """n truncated stick-breaking samples as exact probability measures.
 
     The rows of one :func:`stick_ensemble_chunk` call: each row closes at
-    its own first leftover at most ``trunc_eps``, which goes to the row's
-    next, fresh mark, so the batch's later sticks are not part of it.
+    its own first leftover at most :data:`DEFAULT_STICK_EPS`, which goes to
+    the row's next, fresh mark, so the batch's later sticks are not part of it.
     """
-    w, b = stick_ensemble_chunk(model.alpha, model.blocks, n, rng.gen, trunc_eps)
+    w, b = stick_ensemble_chunk(model.alpha, model.blocks, n, rng.gen)
     # left[:, j] is a row's mass from column j on; the closing weight sits
     # on the column after the row's first stick with left[:, j + 1] <= eps.
     left = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
-    close = np.argmax(left[:, 1:] <= trunc_eps, axis=1) + 1
+    close = np.argmax(left[:, 1:] <= DEFAULT_STICK_EPS, axis=1) + 1
     rows = np.arange(n)
     w = np.where(np.arange(w.shape[1]) < close[:, None], w, 0.0)
     w[rows, close] = left[rows, close]

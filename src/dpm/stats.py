@@ -43,13 +43,17 @@ def kolmogorov_sf(lam: float) -> float:
     return min(1.0, max(0.0, 2.0 * acc))
 
 
+class DegenerateTest(ValueError):
+    """The cdf is constant on the sample, so the test cannot compare laws."""
+
+
 def _check_cdf_values(f: np.ndarray) -> None:
     if not np.all((f >= -1e-9) & (f <= 1.0 + 1e-9)):
         raise ValueError("cdf values are NaN or fall outside [0, 1]")
     if np.any(np.diff(f) < -1e-12):
         raise ValueError("cdf is not monotone on the sample")
     if f.max() - f.min() == 0.0:
-        raise ValueError("cdf is constant on the sample; the test is degenerate")
+        raise DegenerateTest("cdf is constant on the sample; the test is degenerate")
 
 
 def ks_test(samples, cdf) -> tuple[float, float]:
@@ -57,7 +61,8 @@ def ks_test(samples, cdf) -> tuple[float, float]:
 
     Returns (statistic, asymptotic p-value).  The cdf callable is applied
     to the sorted sample array; it must be monotone with values in [0, 1]
-    and non-constant over the sample, otherwise the input is rejected.
+    and non-constant over the sample, otherwise the input is rejected
+    (a constant cdf by :class:`DegenerateTest`).
     Fewer than 100 samples are rejected too, as the asymptotic p-value
     would be meaningless.
     """

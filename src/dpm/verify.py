@@ -59,7 +59,6 @@ from .moments import dirichlet_mixed_moment, multi_indices, quadratic_weight_c
 from .samplers import (
     _SLAB,
     DEFAULT_JUMP_EPS,
-    DEFAULT_STICK_EPS,
     RngStream,
     beta_pairs,
     block_projection,
@@ -68,7 +67,7 @@ from .samplers import (
     stick_ensemble_chunk,
     stick_projection_chunk,
 )
-from .stats import MIN_KS_SAMPLES, ks_test, ks_two_sample, two_sided_p
+from .stats import MIN_KS_SAMPLES, DegenerateTest, ks_test, ks_two_sample, two_sided_p
 
 DEFAULT_THRESHOLD = 4.0
 DEFAULT_P_FLOOR = 1e-3
@@ -252,7 +251,6 @@ class CampaignSettings:
     jobs: int = 1
     base: BaseModel | None = None
     construction: str = "stick"
-    trunc_eps: float = DEFAULT_STICK_EPS
     jump_eps: float = DEFAULT_JUMP_EPS
 
     def __post_init__(self) -> None:
@@ -268,8 +266,6 @@ class CampaignSettings:
             )
         if not MIN_KS_SAMPLES <= self.n <= MAX_N:
             raise ValueError(f"n must lie in [{MIN_KS_SAMPLES}, {MAX_N}], got {self.n}")
-        if not 0.0 < self.trunc_eps < 1.0:
-            raise ValueError(f"eps must lie in (0, 1), got {self.trunc_eps}")
         if not 0.0 < self.jump_eps <= 0.1:
             raise ValueError(f"jump eps must lie in (0, 0.1], got {self.jump_eps}")
         if not 0.0 < self.threshold < math.inf:
@@ -390,17 +386,18 @@ class _Campaign:
 
     def report(self, name, stat, lhs, rhs, se, n, *, p=None, kind="z", notes="") -> TestReport:
         """The one report builder and grading rule.  Without ``p``, ``stat``
-        is a z-score: it passes at |z| <= threshold, is degenerate when NaN,
-        and its p-value is two-sided (0 for an infinite z).  With ``p`` it is
-        a KS statistic, passing at p >= DEFAULT_P_FLOOR.  A "control" must
-        fail.  Fields are plain Python scalars: a numpy float's repr would
-        leak into the CSV."""
+        is a z-score: it passes at |z| <= threshold and its p-value is
+        two-sided (0 for an infinite z).  With ``p`` it is a KS statistic,
+        passing at p >= DEFAULT_P_FLOOR.  Either is degenerate when NaN, which
+        no report, a control included, counts as its expected outcome.  A
+        "control" must fail.  Fields are plain Python scalars: a numpy float's
+        repr would leak into the CSV."""
         if p is None:
             p = two_sided_p(stat) if math.isfinite(stat) else 0.0
             verdict = "pass" if abs(stat) <= self.settings.threshold else "fail"
-            verdict = "degenerate" if math.isnan(stat) else verdict
         else:
             verdict = "pass" if p >= DEFAULT_P_FLOOR else "fail"
+        verdict = "degenerate" if math.isnan(stat) else verdict
         return TestReport(
             name=name,
             kind=kind,
@@ -736,11 +733,11 @@ def verify_beta_general(s: CampaignSettings, rng: RngStream) -> list[TestReport]
 # size-biased pick-and-remove invariance
 
 
-def _removal_kernel(m, gen, *, alpha, probs, trunc_eps, exponents) -> dict:
+def _removal_kernel(m, gen, *, alpha, probs, exponents) -> dict:
     """Remove a size-biased pick from each row, holding the sticks once: the
     running sums go by row slabs of ``_SLAB`` elements, the moments by degree."""
     nb = len(probs)
-    weights, marks = stick_ensemble_chunk(alpha, probs, m, gen, trunc_eps=trunc_eps)
+    weights, marks = stick_ensemble_chunk(alpha, probs, m, gen)
     rows = np.arange(m)
     u = gen.random(m)
     kappa = np.empty(m, np.intp)
@@ -773,6 +770,16 @@ def _removal_kernel(m, gen, *, alpha, probs, trunc_eps, exponents) -> dict:
     }
 
 
+def _ks_or_nan(samples, cdf) -> tuple[float, float]:
+    """:func:`ks_test`, or NaN for both when ``cdf`` is constant on the
+    sample, as when every rest underflows to 0 at tiny alpha; a NaN
+    statistic is graded degenerate."""
+    try:
+        return ks_test(samples, cdf)
+    except DegenerateTest:
+        return math.nan, math.nan
+
+
 def verify_sizebias_invariance(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     """Check invariance under removal of a size-biased pick.
 
@@ -795,7 +802,7 @@ def verify_sizebias_invariance(s: CampaignSettings, rng: RngStream) -> list[Test
         )
     probs = _block_probs(base)
     exponents = _exponents(len(probs), 3)
-    params = dict(alpha=alpha, probs=probs, trunc_eps=s.trunc_eps, exponents=exponents)
+    params = dict(alpha=alpha, probs=probs, exponents=exponents)
     c = _Campaign(_removal_kernel, params, s, rng)
     [stats] = c.runs({})
     reports = c.reports(
@@ -808,7 +815,7 @@ def verify_sizebias_invariance(s: CampaignSettings, rng: RngStream) -> list[Test
     # that 1 - W would round away when W is near 1.
     rest = stats["rest"]
     mean, n = np.mean(rest), len(rest)
-    stat, p = ks_test(rest, lambda y: y**alpha)
+    stat, p = _ks_or_nan(rest, lambda y: y**alpha)
     notes = f"rest 1-W of the picked weight W against Be({alpha:g},1)"
     reports.append(c.report("sizebias:picked-weight-law", stat, mean, alpha / (alpha + 1.0), 0.0,
                             n, p=p, kind="ks", notes=notes))
@@ -816,7 +823,7 @@ def verify_sizebias_invariance(s: CampaignSettings, rng: RngStream) -> list[Test
     names = [f"sizebias:indep[{pair.format(j=j)}]" for j in range(len(probs)) for pair in pairs]
     reports += c.reports(names, stats["indep"].covariance(), kind="cov")
     wrong = alpha + 1.5
-    stat, p = ks_test(rest, lambda y: y**wrong)
+    stat, p = _ks_or_nan(rest, lambda y: y**wrong)
     notes = f"rest 1-W against Be({wrong:g},1) must be rejected"
     name = "sizebias:control:wrong-weight-shape"
     reports.append(c.report(name, stat, mean, wrong / (wrong + 1.0), 0.0, n, p=p, kind="control",

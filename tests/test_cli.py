@@ -13,6 +13,8 @@ import pytest
 import dpm
 from dpm import __version__, cli, verify
 from dpm.cli import main
+from dpm.measures import BaseModel
+from dpm.samplers import RngStream, sample_jump_measure
 from dpm.verify import CampaignSettings
 
 
@@ -40,7 +42,6 @@ FLAG_AND_CONFIG = {
     "threshold": (("--threshold", "4.5"), 4.5),
     "jobs": (("--jobs", "2"), 2),
     "construction": (("--construction", "gamma"), "gamma"),
-    "eps": (("--eps", "1e-10"), 1e-10),
     "jump_eps": (("--jump-eps", "1e-6"), 1e-6),
 }
 
@@ -170,6 +171,15 @@ class TestSample:
         assert code == 2
         assert out == ""
         assert "jump eps must lie in (0, 0.1], got 0.5" in err
+
+    def test_eps_is_the_jump_truncation(self, capsys):
+        args = ("sample", "--n", "5", "--seed", "3", "--construction", "gamma")
+        code, out, _ = run_cli(capsys, *args, "--eps", "1e-3")
+        assert code == 0
+        model = BaseModel.default(CampaignSettings().alpha)
+        rows = sample_jump_measure(model, RngStream(3), 5, trunc_eps=1e-3)
+        assert out == "".join(cli._canonical_json(zeta.to_dict()) for zeta in rows)
+        assert out != run_cli(capsys, *args)[1]
 
     def test_gamma_construction_at_small_alpha(self, capsys):
         # Some rows' first arrival G_1 / alpha lies beyond 690, where E1
@@ -342,7 +352,6 @@ class TestVerify:
         _, out, _ = run_cli(capsys, "verify", "tbeta", "--n", "2000", "--seed", "1")
         defaults = CampaignSettings()
         expected = {f.name: getattr(defaults, f.name) for f in fields(defaults)}
-        expected["eps"] = expected.pop("trunc_eps")
         del expected["jobs"]
         expected.update(n=2000, seed=1)
         assert json.loads(out)["config"] == expected
@@ -519,15 +528,42 @@ class TestVerify:
             raise AssertionError("a campaign ran")
 
         monkeypatch.setattr(cli, "run_verify", no_campaign)
-        for flag, value in (("--jump-eps", "0.5"), ("--jump-eps", "0"), ("--eps", "1.0"),
-                            ("--eps", "-1e-12")):
+        for value in ("0.5", "0"):
             code, out, err = run_cli(
                 capsys, "verify", "sethuraman", "--construction", "gamma", "--n", "2000",
-                f"{flag}={value}",
+                f"--jump-eps={value}",
             )
             assert code == 2
             assert out == ""
-            assert "eps must lie in" in err
+            assert "jump eps must lie in" in err
+
+    def test_stick_truncation_is_not_a_setting(self, capsys, monkeypatch, tmp_path):
+        # Sticks close at samplers.DEFAULT_STICK_EPS: neither a flag nor a
+        # config key sets it.
+        monkeypatch.setattr(cli, "run_verify", no_campaign)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "all", "--eps", "1e-10"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        config = tmp_path / "verify.json"
+        config.write_text(json.dumps({"eps": 1e-10}))
+        code, out, err = run_cli(capsys, "verify", "all", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert "unknown config keys ['eps']" in err
+
+    def test_constant_ks_cdf_is_degenerate_not_a_usage_error(self, capsys):
+        # At alpha 1e-6 the rests underflow, so the control's cdf
+        # y^(alpha + 1.5) is 0 on the whole sample: its KS test cannot
+        # compare laws, and a degenerate control does not count as rejecting.
+        code, out, err = run_cli(
+            capsys, "verify", "sizebias", "--alpha", "1e-6", "--n", "200", "--seed", "1"
+        )
+        assert code == 1
+        assert "dpm: error" not in err
+        reports = {r["name"]: r for r in json.loads(out)["reports"]}
+        control = reports["sizebias:control:wrong-weight-shape"]
+        assert control["verdict"] == "degenerate"
+        assert math.isnan(control["statistic"]) and math.isnan(control["p_value"])
 
     @pytest.mark.parametrize(
         "args, message",

@@ -253,8 +253,6 @@ class TestStickConfig:
         with pytest.raises(ValueError):
             stick_ensemble_chunk(0.0, (1.0,), 4, RngStream(0).gen)
         with pytest.raises(ValueError):
-            sample_stick_breaking(model, RngStream(0), 1, trunc_eps=0.0)
-        with pytest.raises(ValueError):
             sample_jump_measure(model, RngStream(0), 1, trunc_eps=0.0)
 
 
@@ -266,13 +264,13 @@ class TestStickBreaking:
             assert all(w > 0 for *_, w in zeta.atoms)
 
     def test_truncation_error_at_tiny_cap(self, monkeypatch):
-        # At alpha 3 the leftover after 5 sticks exceeds 0.3 roughly 30% of
-        # the time, so among 200 rows some must hit a 5-stick cap.
+        # At alpha 3 the leftover after 5 sticks is (3/4)^5 = 0.24 in the
+        # mean, so 200 rows cannot all be below eps at a 5-stick cap.
         monkeypatch.setattr(samplers, "_stick_cap", lambda alpha, eps: 5)
         model = BaseModel(alpha=3.0, atom_probs=(1.0,))
         with pytest.raises(TruncationError) as exc:
-            sample_stick_breaking(model, RngStream(8), 200, trunc_eps=0.3)
-        assert exc.value.tail_mass > 0.3
+            sample_stick_breaking(model, RngStream(8), 200)
+        assert exc.value.tail_mass > samplers.DEFAULT_STICK_EPS
 
     def test_atom_marginal_is_beta(self):
         # zeta({atom}) ~ Be(alpha*nu(atom), alpha*(1-nu(atom)))

@@ -10,6 +10,7 @@ from scipy import special, stats
 
 from dpm.stats import (
     MIN_KS_SAMPLES,
+    DegenerateTest,
     kolmogorov_sf,
     ks_test,
     ks_two_sample,
@@ -88,7 +89,7 @@ class TestOneSampleKs:
 
     def test_constant_cdf_rejected(self):
         x = np.linspace(0.01, 0.99, 200)
-        with pytest.raises(ValueError, match="degenerate"):
+        with pytest.raises(DegenerateTest, match="degenerate"):
             ks_test(x, lambda t: np.full_like(t, 0.5))
 
     def test_out_of_range_cdf_rejected(self):

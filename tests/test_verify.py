@@ -129,6 +129,12 @@ _GRADING = [
     ("KS p just below it",
      lambda g: g.report("t", 0.5, 1.0, 1.0, 0.0, 300, p=math.nextafter(_FLOOR, 0.0), kind="ks"),
      "fail", 0.5, math.nextafter(_FLOOR, 0.0)),
+    ("NaN KS statistic",
+     lambda g: g.report("t", math.nan, 1.0, 1.0, 0.0, 300, p=0.5, kind="ks"),
+     "degenerate", math.nan, 0.5),
+    ("NaN control statistic does not reject",
+     lambda g: g.report("c", math.nan, 1.0, 1.0, 0.0, 300, p=0.0, kind="control"),
+     "degenerate", math.nan, 0.0),
     ("control, worst |z| first on ties",
      lambda g: g.control("c", ["a", "b", "c", "d"], _paired([1.0, -5.0, 5.0, 2.0]), "why"),
      "fail", -5.0, two_sided_p(5.0)),
@@ -367,6 +373,15 @@ class TestSizebiasInvarianceCampaign:
         assert campaign_ok(reports)
         assert any(r.kind == "ks" for r in reports)
 
+    def test_only_a_constant_ks_cdf_reads_nan(self):
+        rest = np.zeros(200)
+        stat, p = verify._ks_or_nan(rest, lambda y: y**3.5)
+        assert math.isnan(stat) and math.isnan(p)
+        with pytest.raises(ValueError, match="outside"):
+            verify._ks_or_nan(rest, lambda y: y - 1.0)
+        with pytest.raises(ValueError, match="at least"):
+            verify._ks_or_nan(rest[:10], lambda y: y**3.5)
+
     def test_atomic_base_rejected(self):
         with pytest.raises(ValueError, match="diffuse"):
             atomic = BaseModel(alpha=2.0, atom_probs=(0.5, 0.5), diffuse_weight=0.0)
@@ -381,7 +396,7 @@ class TestSizebiasInvarianceCampaign:
         tracemalloc.start()
         try:
             verify._removal_kernel(10_000, RngStream(1).gen, alpha=2.0, probs=probs,
-                                   trunc_eps=1e-12, exponents=verify._exponents(len(probs), 3))
+                                   exponents=verify._exponents(len(probs), 3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
