@@ -49,6 +49,9 @@ class CharacterizationReport:
 
 
 MAX_CHARACTERIZE_DEPTH = 8
+# `dpm characterize` holds every (Z, W) pair at once, about 30 B a row at
+# its peak: this caps that near 0.3 GB.
+MAX_CHARACTERIZE_N = 10_000_000
 ILL_CONDITION_WINDOW = 0.02
 
 

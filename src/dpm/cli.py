@@ -22,7 +22,7 @@ import time
 from dataclasses import astuple, fields
 
 from . import __version__
-from .characterize import CharacterizationRow, characterize_from_samples
+from .characterize import MAX_CHARACTERIZE_N, CharacterizationRow, characterize_from_samples
 from .measures import BaseModel
 from .moments import build_moment_table, multi_indices
 from .samplers import (
@@ -47,7 +47,18 @@ _SAMPLE_BATCH = 64
 
 
 def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float in it replaced by None, JSON null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
 
 
 @contextlib.contextmanager
@@ -70,7 +81,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _envelope(command: str, **body) -> str:
-    """The JSON payload of ``command``: tool and version, then ``body``."""
+    """The JSON payload of ``command``: tool and version, then ``body``,
+    with null for every non-finite number."""
+    body = _finite_or_null(body)
     return _canonical_json({"tool": "dpm", "version": __version__, "command": command, **body})
 
 
@@ -96,13 +109,12 @@ def _parse_seed(raw: str) -> int:
     return seed
 
 
-def _parse_base(raw) -> BaseModel:
-    """A base model from a JSON object or from its text."""
-    if isinstance(raw, str):
-        try:
-            raw = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"--base is not valid JSON: {exc}")
+def _parse_base(text: str) -> BaseModel:
+    """A base model from its JSON text."""
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"--base is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ValueError("--base must be a JSON object")
     return BaseModel.from_dict(raw)
@@ -118,7 +130,7 @@ def _settings(given: dict) -> CampaignSettings:
     defaults.  ``seed`` and ``base`` are parsed here, and a base sets alpha
     unless alpha is given too (it must then agree)."""
     if "seed" in given:
-        given["seed"] = _parse_seed(str(given["seed"]))
+        given["seed"] = _parse_seed(given["seed"])
     base = given.pop("base", "")
     if base != "":  # an empty --base means no base
         given["base"] = base = _parse_base(base)
@@ -183,8 +195,8 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     # Written as "not 0 <= a < inf", so that NaN fails too.
     if not alphas or not all(0.0 <= a < math.inf for a in alphas):
         raise ValueError(f"--alphas must be finite and non-negative, got {args.alphas!r}")
-    if sum(alphas) <= 0.0:
-        raise ValueError("--alphas must have positive total")
+    if not 0.0 < sum(alphas) < math.inf:
+        raise ValueError("--alphas must have a positive, finite total")
     if args.max_degree < 0:
         raise ValueError("--max-degree must be non-negative")
     entries = _moment_entries(alphas, args.max_degree, args.method)
@@ -210,51 +222,8 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 # verify
 
 
-# The keys _cmd_verify reads from a config file, with the JSON types each
-# accepts.  No key takes JSON true or false.
-_NUMBER = ("a number", (int, float))
-_INTEGER = ("an integer", (int,))
-_CONFIG_KEYS = {
-    "seed": ("an integer or a string", (int, str)),
-    "base": ("an object or a string", (dict, str)),
-    "alpha": _NUMBER,
-    "p": _NUMBER,
-    "n": _INTEGER,
-    "threshold": _NUMBER,
-    "jobs": _INTEGER,
-    "construction": ("a string", (str,)),
-    "jump_eps": _NUMBER,
-}
-
-
-def _load_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"cannot read config file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
-    unknown = sorted(set(data) - set(_CONFIG_KEYS))
-    if unknown:
-        raise ValueError(f"unknown config keys {unknown}; expected some of {list(_CONFIG_KEYS)}")
-    for key, value in data.items():
-        label, types = _CONFIG_KEYS[key]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ValueError(f"config key {key!r} must be {label}, got {value!r}")
-        if _CONFIG_KEYS[key] is _NUMBER:
-            try:
-                data[key] = float(value)
-            except OverflowError:
-                raise ValueError(f"config key {key!r} must be {label} that fits a float")
-    return data
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    config = _load_config(args.config) if args.config else {}
-    settings = _settings({**config, **_given(args, _CONFIG_KEYS)})
+    settings = _settings(_given(args, [f.name for f in fields(CampaignSettings)]))
     # Fail on an unwritable --out before the campaign runs; appending
     # leaves an existing file as it is until the report is written.
     with _output(args.out, "a"):
@@ -297,6 +266,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
     s = _settings(_given(args, ("seed", "alpha", "p", "n", "threshold")))
+    if s.n > MAX_CHARACTERIZE_N:
+        raise ValueError(f"characterize holds every pair in memory: n must be at most "
+                         f"{MAX_CHARACTERIZE_N}, got {s.n}")
     z, w = beta_pairs(s.p, s.alpha, s.n, RngStream(s.seed).gen)
     report = characterize_from_samples(
         z,
@@ -386,7 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--jump-eps", type=float, default=None, help="jump truncation level")
     vp.add_argument("--format", choices=("json", "csv"), default="json")
     vp.add_argument("--out", default=None)
-    vp.add_argument("--config", default=None, help="JSON file of defaults; flags override")
     vp.set_defaults(func=_cmd_verify)
 
     cp = sub.add_parser(

@@ -1,10 +1,13 @@
 """Exact moment engines for Dirichlet vectors and stick weights.
 
 Two independent routes compute mixed moments E[Z1^k1 ... Zn^kn] of a
-Dirichlet vector: a closed form as a ratio of gamma functions, and a
+Dirichlet vector: a closed form as a ratio of rising factorials, and a
 one-step recursion that raises a single exponent using only strictly
 lower-degree entries of a :class:`MomentTable`.  The two routes agreeing to
 near machine precision is one of the package's standing cross-checks.
+Each gamma-function ratio either route needs is one product of ratios,
+:func:`_rising_ratio`: log-gamma differences would lose digits at large
+parameters in both routes alike, where their agreement cannot show it.
 
 The scalar half of the module inverts the size-biased mixing identities
 for a pair (Z, W) of independent [0,1] variables: given the Z-moment
@@ -17,8 +20,6 @@ which `check_solvability` predicts in closed form.
 from __future__ import annotations
 
 import math
-
-from .specialfn import log_beta, log_gamma
 
 SOLVE_SINGULAR_ATOL = 1e-13
 _VALUE_SLACK = 1e-9
@@ -92,24 +93,33 @@ def multi_indices(size: int, degree: int):
             yield (first,) + rest
 
 
+def _rising_ratio(tops, bottom: float) -> float:
+    """prod_i tops[i] / (bottom + i), as (a)_k / (b)_k is for tops a + i."""
+    if not math.isfinite(bottom):
+        raise ValueError(f"moment parameters must have a finite total, got {bottom}")
+    out = 1.0
+    for i, top in enumerate(tops):
+        out *= top / (bottom + i)
+    return out
+
+
 def beta_moment(a: float, b: float, n: int) -> float:
     """E Z^n for Z ~ Beta(a, b), via the ascending-factorial ratio."""
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"beta parameters must be positive, got ({a}, {b})")
     if n < 0 or n != int(n):
         raise ValueError(f"moment order must be a nonnegative integer, got {n}")
-    out = 1.0
-    for j in range(int(n)):
-        out *= (a + j) / (a + b + j)
-    return out
+    return _rising_ratio([a + j for j in range(int(n))], a + b)
 
 
 def dirichlet_mixed_moment(alphas, ks) -> float:
     """E[Z1^k1 ... Zn^kn] for (Z1..Zn) ~ Dirichlet(alphas), in closed form.
 
-    Zero parameters follow the degenerate-coordinate convention: a
-    coordinate with alpha_i = 0 is almost surely zero, so any positive
-    exponent there gives 0 and a zero exponent reduces the dimension.
+    The value is prod_i (alpha_i)_{k_i} / (|alpha|)_{|k|} in rising
+    factorials.  Zero parameters follow the degenerate-coordinate
+    convention: a coordinate with alpha_i = 0 is almost surely zero, so any
+    positive exponent there gives 0 and a zero exponent reduces the
+    dimension.
     """
     alphas = [float(a) for a in alphas]
     ks = [int(k) for k in ks]
@@ -122,14 +132,7 @@ def dirichlet_mixed_moment(alphas, ks) -> float:
     total = sum(alphas)
     if not total > 0.0:
         raise ValueError("at least one Dirichlet parameter must be positive")
-    if any(a == 0.0 and k > 0 for a, k in zip(alphas, ks)):
-        return 0.0
-    # Summed in log space, so chains of gamma-function ratios never overflow.
-    log_value = log_gamma(total) - log_gamma(total + sum(ks))
-    for a, k in zip(alphas, ks):
-        if a > 0.0 and k > 0:
-            log_value = log_value + (log_gamma(a + k) - log_gamma(a))
-    return math.exp(log_value)
+    return _rising_ratio([a + r for a, k in zip(alphas, ks) for r in range(k)], total)
 
 
 def moment_recursion_step(table: MomentTable, alphas, j: int, ks) -> float:
@@ -153,7 +156,8 @@ def moment_recursion_step(table: MomentTable, alphas, j: int, ks) -> float:
     for r in range(kj + 1):
         lower = ks[:j] + (r,) + ks[j + 1 :]
         term = math.comb(kj, r) * table.value(lower)
-        term *= math.exp(log_beta(kj + 1 - r, ksum + total + r - kj))
+        # B(n, x) = (n - 1)! / (x (x + 1) ... (x + n - 1)) for integer n.
+        term *= _rising_ratio([1, *range(1, kj + 1 - r)], total + (ksum - kj + r))
         acc += term
     return alphas[j] * acc
 

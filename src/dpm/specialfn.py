@@ -1,8 +1,8 @@
 """Special functions for the moment engine and the jump-size samplers.
 
-Provides the log-gamma/beta family and the exponential integral E1 with
-its inverse.  E1 is the power series -gamma - ln x + sum_k (-1)^{k+1}
-x^k / (k k!) up to x = 2.5, summed by Horner to the term count of the
+Provides log-gamma and the exponential integral E1 with its inverse.  E1
+is the power series -gamma - ln x + sum_k (-1)^{k+1} x^k / (k k!) up to
+x = 2.5, summed by Horner to the term count of the
 largest argument, and above it the continued fraction, evaluated from the
 bottom at a depth set by the smallest argument.  Both branches stay within
 2e-14 of mpmath from 1e-12 to 700; the series' cancellation would reach
@@ -38,11 +38,6 @@ def log_gamma(a: float) -> float:
     if not a > 0.0:
         raise ValueError(f"log_gamma requires a positive argument, got {a}")
     return math.lgamma(a)
-
-
-def log_beta(a: float, b: float) -> float:
-    """log B(a, b) for a, b > 0."""
-    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
 def _horner(coef, x: np.ndarray) -> np.ndarray:

@@ -34,7 +34,8 @@ that changes the input (mecke's single atom, thm52's geometric weights) is
 a fixed weight sequence with i.i.d. marks, run as a variant of the
 campaign, as is thm52's jump run.  mecke, sethuraman, thm52 and the
 construction check read every input from one place, :func:`_projections`.
-:data:`_CAMPAIGNS` maps each campaign's name to its function.
+:data:`_CAMPAIGNS` maps each campaign's name to its function and to
+the settings it reads among p, base, construction and jump_eps.
 
 At ``jobs > 1`` a campaign sends every shard of every variant to one pool
 of min(jobs, shards, usable CPUs) worker processes, or computes them here
@@ -783,10 +784,9 @@ def _ks_or_nan(samples, cdf) -> tuple[float, float]:
 def verify_sizebias_invariance(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     """Check invariance under removal of a size-biased pick.
 
-    Requires a purely diffuse base (marks almost surely distinct), the
-    default when ``s.base`` is None; picking an atom tau with probability
-    its weight and removing it with
-    renormalization must leave the law of the projections on [0, 0.2),
+    Runs on a purely diffuse base (marks almost surely distinct) of its
+    own; picking an atom tau with probability its weight and removing it
+    with renormalization must leave the law of the projections on [0, 0.2),
     [0.2, 0.5), [0.5, 1] unchanged (monomials up to degree 3), the removed
     weight must follow Be(1, alpha), and removed measure, removed weight
     and pick location must be pairwise uncorrelated.  The weight's law is
@@ -794,13 +794,7 @@ def verify_sizebias_invariance(s: CampaignSettings, rng: RngStream) -> list[Test
     control tests that mass against a deliberately wrong shape.
     """
     alpha = s.alpha
-    base = s.base or BaseModel(alpha=alpha, atom_probs=(), diffuse_weight=1.0)
-    if base.atom_probs or base.diffuse_weight != 1.0:
-        raise ValueError(
-            "size-biased removal invariance requires a diffuse base measure; "
-            f"got atoms with total weight {sum(base.atom_probs):g}"
-        )
-    probs = _block_probs(base)
+    probs = _block_probs(BaseModel(alpha=alpha, atom_probs=(), diffuse_weight=1.0))
     exponents = _exponents(len(probs), 3)
     params = dict(alpha=alpha, probs=probs, exponents=exponents)
     c = _Campaign(_removal_kernel, params, s, rng)
@@ -922,19 +916,28 @@ def verify_construction_equivalence(s: CampaignSettings, rng: RngStream) -> list
 # ---------------------------------------------------------------------------
 # campaign registry
 
-# The order is the order of "all" and fixes each campaign's stream id, its
-# index + 1, so new campaigns go at the end.
+# Each campaign with the settings it reads among those that not every
+# campaign reads.  The order is the order of "all" and fixes each
+# campaign's stream id, its index + 1, so new campaigns go at the end.
 _CAMPAIGNS = {
-    "mecke": verify_mecke,
-    "sethuraman": verify_sethuraman,
-    "tbeta": verify_beta_sizebias,
-    "tbeta2": verify_beta_general,
-    "sizebias": verify_sizebias_invariance,
-    "thm52": verify_marked_sizebias,
+    "mecke": (verify_mecke, ("base", "construction", "jump_eps")),
+    "sethuraman": (verify_sethuraman, ("base", "construction", "jump_eps")),
+    "tbeta": (verify_beta_sizebias, ("p",)),
+    "tbeta2": (verify_beta_general, ("p",)),
+    "sizebias": (verify_sizebias_invariance, ()),
+    "thm52": (verify_marked_sizebias, ("jump_eps",)),
 }
 CAMPAIGN_NAMES = tuple(_CAMPAIGNS)
-# The campaigns that read ``construction``; the others sample by sticks.
-_CONSTRUCTION_CAMPAIGNS = ("mecke", "sethuraman")
+_OPTIONAL = ("p", "base", "construction", "jump_eps")
+_DEFAULTS = CampaignSettings()
+
+
+def _unread(name: str, settings: CampaignSettings) -> dict:
+    """The settings campaign ``name`` does not read that differ from their
+    defaults, each mapped to its default."""
+    reads = _CAMPAIGNS[name][1]
+    return {k: getattr(_DEFAULTS, k) for k in _OPTIONAL
+            if k not in reads and getattr(settings, k) != getattr(_DEFAULTS, k)}
 
 
 def run_verify(name: str, settings: CampaignSettings | None = None) -> list[TestReport]:
@@ -942,34 +945,24 @@ def run_verify(name: str, settings: CampaignSettings | None = None) -> list[Test
 
     Each campaign draws from substreams keyed by its own stream id, so a
     single campaign produces the same reports whether run alone or as
-    part of "all", and regardless of the worker count.  "All" has one
-    rule: mecke and sethuraman run under the settings as given, and every
-    other campaign runs by sticks on its own blocks, with
-    ``construction="stick"`` and ``base=None``.  So the size-biased removal
-    campaign keeps its default diffuse base whatever base is configured.
-    Run alone, a campaign other than mecke and sethuraman is rejected
-    before it draws if the construction is gamma.  At ``jobs > 1``, "all"
+    part of "all", and regardless of the worker count.  A campaign run
+    alone refuses, before it draws, a setting it does not read that
+    differs from its default; "all" gives each campaign the settings it
+    reads and leaves the rest at their defaults.  At ``jobs > 1``, "all"
     runs its campaigns one after another on one shared process pool.
     """
-    settings = settings or CampaignSettings()
+    settings = settings or _DEFAULTS
     if name == "all":
         _mix_params(settings)  # a one-block base fails before the pool forks
-        sticks = replace(settings, construction="stick", base=None)
         with _worker_pool(settings.jobs):
-            return [
-                r
-                for sub in CAMPAIGN_NAMES
-                for r in run_verify(sub, settings if sub in _CONSTRUCTION_CAMPAIGNS else sticks)
-            ]
+            return [r for sub in CAMPAIGN_NAMES
+                    for r in run_verify(sub, replace(settings, **_unread(sub, settings)))]
     if name not in _CAMPAIGNS:
         raise ValueError(
             f"unknown campaign {name!r}; expected one of {CAMPAIGN_NAMES + ('all',)}"
         )
-    if settings.construction != "stick" and name not in _CONSTRUCTION_CAMPAIGNS:
-        raise ValueError(
-            f"construction {settings.construction!r} applies to mecke, sethuraman and all only; "
-            f"{name} samples by sticks"
-        )
+    unread = _unread(name, settings)
+    if unread:
+        raise ValueError(f"{name} does not read {', '.join(unread)}")
     rng = RngStream(settings.seed, CAMPAIGN_NAMES.index(name) + 1)
-    return _CAMPAIGNS[name](settings, rng)
-
+    return _CAMPAIGNS[name][0](settings, rng)

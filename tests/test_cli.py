@@ -8,10 +8,12 @@ import subprocess
 import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import dpm
 from dpm import __version__, cli, verify
+from dpm.characterize import MAX_CHARACTERIZE_N
 from dpm.cli import main
 from dpm.measures import BaseModel
 from dpm.samplers import RngStream, sample_jump_measure
@@ -31,9 +33,9 @@ def no_campaign(*args, **kwargs):
 
 BASE = {"alpha": 3.0, "atoms": [0.5], "diffuse": 0.5}
 
-# For every config key of `dpm verify`: the flag that sets a value, and the
-# same value as it is written in a config file.
-FLAG_AND_CONFIG = {
+# For every setting of `dpm verify`: the flag that sets a value, and the
+# value the JSON payload echoes.
+FLAGS = {
     "seed": (("--seed", "7"), 7),
     "base": (("--base", json.dumps(BASE)), BASE),
     "alpha": (("--alpha", "3"), 3),
@@ -44,6 +46,27 @@ FLAG_AND_CONFIG = {
     "construction": (("--construction", "gamma"), "gamma"),
     "jump_eps": (("--jump-eps", "1e-6"), 1e-6),
 }
+
+
+# The settings each campaign reads among those that not every campaign reads.
+READS = {
+    "mecke": {"base", "construction", "jump_eps"},
+    "sethuraman": {"base", "construction", "jump_eps"},
+    "tbeta": {"p"},
+    "tbeta2": {"p"},
+    "sizebias": set(),
+    "thm52": {"jump_eps"},
+}
+UNREAD = [(c, k) for c in READS for k in ("p", "base", "construction", "jump_eps")
+          if k not in READS[c]]
+
+
+def strict_loads(text):
+    """json.loads that refuses NaN and Infinity."""
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def weight_sums(out):
@@ -236,6 +259,11 @@ class TestMoments:
         assert run_cli(capsys, "moments", "--alphas", "1,oops")[0] == 2
         assert run_cli(capsys, "moments", "--alphas", "0,0")[0] == 2
 
+    def test_infinite_total_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "moments", "--alphas", "1e308,1e308")
+        assert (code, out) == (2, "")
+        assert "--alphas must have a positive, finite total" in err
+
     @pytest.mark.parametrize("alphas", ["1,nan", "inf,1", "nan"])
     def test_non_finite_alphas_are_named(self, capsys, alphas):
         code, out, err = run_cli(capsys, "moments", "--alphas", alphas, "--max-degree", "2")
@@ -290,18 +318,6 @@ class TestVerify:
             assert float(row["statistic"]) == float(row["statistic"])
             assert row["n_samples"] == "20000"
 
-    def test_config_file_with_flag_override(self, capsys, tmp_path):
-        cfg = tmp_path / "verify.json"
-        cfg.write_text(json.dumps({"n": 5000, "seed": 7, "p": 0.4}))
-        code, out, _ = run_cli(
-            capsys, "verify", "tbeta", "--config", str(cfg), "--n", "20000"
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["config"]["n"] == 20000  # flag wins
-        assert payload["config"]["seed"] == 7   # config fills the gap
-        assert payload["config"]["p"] == 0.4
-
     def test_stdout_does_not_depend_on_jobs(self, capsys):
         # At n = 2000 a weak control misses its threshold at some seeds
         # (`verify all` exits 1 at 5 of seeds 1-20), so the exit code is
@@ -319,14 +335,12 @@ class TestVerify:
         assert unset[0] == 0
         assert run_cli(capsys, *args)[:2] == unset
 
-    def test_flag_and_config_cover_every_key(self):
-        assert set(FLAG_AND_CONFIG) == set(cli._CONFIG_KEYS)
+    def test_flags_cover_every_setting(self):
+        assert set(FLAGS) == {f.name for f in fields(CampaignSettings)}
 
-    @pytest.mark.parametrize("key", list(FLAG_AND_CONFIG))
-    def test_flag_and_config_give_the_same_bytes(self, capsys, monkeypatch, tmp_path, key):
-        flag, value = FLAG_AND_CONFIG[key]
-        config = tmp_path / "verify.json"
-        config.write_text(json.dumps({key: value}))
+    @pytest.mark.parametrize("key", list(FLAGS))
+    def test_each_flag_reaches_its_field(self, capsys, monkeypatch, key):
+        flag, value = FLAGS[key]
         # The worker count is not echoed, so the settings the run got are read.
         ran, real = [], cli.run_verify
 
@@ -335,18 +349,16 @@ class TestVerify:
             return real(name, settings)
 
         monkeypatch.setattr(cli, "run_verify", run_verify)
-        # Of the single campaigns, only mecke and sethuraman read construction.
-        campaign = "sethuraman" if key == "construction" else "tbeta"
+        campaign = "sethuraman" if key in READS["sethuraman"] else "tbeta"
         args = ("verify", campaign) + (() if key == "n" else ("--n", "2000"))
-        code, from_flag, _ = run_cli(capsys, *args, *flag)
+        code, out, _ = run_cli(capsys, *args, *flag)
         assert code == 0
-        _, from_config, _ = run_cli(capsys, *args, "--config", str(config))
-        assert from_flag == from_config
+        [settings] = ran
+        assert getattr(settings, key) == (BaseModel.from_dict(value) if key == "base" else value)
         if key == "jobs":
-            assert "jobs" not in json.loads(from_flag)["config"]
-            assert [s.jobs for s in ran] == [value, value]
+            assert "jobs" not in json.loads(out)["config"]
         else:
-            assert json.loads(from_flag)["config"][key] == value
+            assert json.loads(out)["config"][key] == value
 
     def test_echoed_defaults_are_the_settings_defaults(self, capsys):
         _, out, _ = run_cli(capsys, "verify", "tbeta", "--n", "2000", "--seed", "1")
@@ -356,47 +368,28 @@ class TestVerify:
         expected.update(n=2000, seed=1)
         assert json.loads(out)["config"] == expected
 
-    def test_base_from_flag_and_from_config_object(self, capsys, tmp_path):
-        base = {"alpha": 2.0, "atoms": [0.5], "diffuse": 0.5}
-        cfg = tmp_path / "verify.json"
-        cfg.write_text(json.dumps({"base": base}))
-        args = ("verify", "tbeta", "--n", "20000", "--seed", "42")
-        _, from_flag, _ = run_cli(capsys, *args, "--base", json.dumps(base))
-        code, from_config, _ = run_cli(capsys, *args, "--config", str(cfg))
-        assert code == 0
-        assert json.loads(from_config)["config"]["base"] == base
-        assert from_flag == from_config
-
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_base_with_unknown_keys_is_usage_error(self, capsys, monkeypatch, tmp_path, source):
+    def test_base_with_unknown_keys_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_verify", no_campaign)
         base = {"alpha": 2.0, "atom_probs": [0.5], "diffuse_weight": 0.5}
-        cfg = tmp_path / "verify.json"
-        cfg.write_text(json.dumps({"base": base}))
-        args = ("--base", json.dumps(base)) if source == "flag" else ("--config", str(cfg))
-        code, out, err = run_cli(capsys, "verify", "tbeta", "--n", "2000", *args)
+        code, out, err = run_cli(capsys, "verify", "mecke", "--n", "2000", "--base", json.dumps(base))
         assert code == 2
         assert out == ""
         assert "unknown base keys ['atom_probs', 'diffuse_weight']" in err
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize(
         "base",
         [{"alpha": None}, {"alpha": True, "atoms": [1.0]}, {"alpha": "2", "atoms": [1.0]},
          {"alpha": 2, "atoms": 5}, {"alpha": 2, "atoms": [math.nan, 0.5], "diffuse": 0.5}],
         ids=["null-alpha", "bool-alpha", "string-alpha", "atoms-number", "nan-atom"],
     )
-    def test_malformed_base_is_usage_error(self, capsys, monkeypatch, tmp_path, source, base):
+    def test_malformed_base_is_usage_error(self, capsys, monkeypatch, base):
         monkeypatch.setattr(cli, "run_verify", no_campaign)
-        cfg = tmp_path / "verify.json"
-        cfg.write_text(json.dumps({"base": base}))
-        args = ("--base", json.dumps(base)) if source == "flag" else ("--config", str(cfg))
-        code, out, err = run_cli(capsys, "verify", "mecke", "--n", "2000", *args)
+        code, out, err = run_cli(capsys, "verify", "mecke", "--n", "2000", "--base", json.dumps(base))
         assert code == 2
         assert out == ""
         assert "dpm: error: " in err
 
-    def test_usage_errors(self, capsys, tmp_path):
+    def test_usage_errors(self, capsys):
         assert run_cli(capsys, "verify", "tbeta", "--p", "1.5")[0] == 2
         assert run_cli(capsys, "verify", "tbeta", "--n", "1")[0] == 2
         assert run_cli(
@@ -404,11 +397,16 @@ class TestVerify:
             "--alpha", "3.0",
             "--base", '{"alpha": 2.0, "atoms": [1.0], "diffuse": 0.0}',
         )[0] == 2
-        missing = tmp_path / "absent.json"
-        assert run_cli(capsys, "verify", "tbeta", "--config", str(missing))[0] == 2
-        bad = tmp_path / "bad.json"
-        bad.write_text("[1, 2]")
-        assert run_cli(capsys, "verify", "tbeta", "--config", str(bad))[0] == 2
+
+    def test_a_config_file_is_not_a_way_in(self, capsys, monkeypatch, tmp_path):
+        # Flags are the only way a setting gets in.
+        monkeypatch.setattr(cli, "run_verify", no_campaign)
+        config = tmp_path / "x.json"
+        config.write_text(json.dumps({"n": 2000}))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "tbeta", "--config", str(config)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_invalid_campaign_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -421,7 +419,7 @@ class TestVerify:
             "--base", '{"alpha": 2.0, "atoms": [0.4, 0.6], "diffuse": 0.0}',
         )
         assert code == 2
-        assert "diffuse" in err
+        assert "sizebias does not read base" in err
 
     @pytest.mark.parametrize("campaign", ["mecke", "sethuraman", "all"])
     def test_base_with_mass_in_one_block_is_usage_error(self, capsys, campaign):
@@ -434,24 +432,26 @@ class TestVerify:
         assert out == ""
         assert "mass in at least two blocks" in err
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    @pytest.mark.parametrize("campaign", ["tbeta", "tbeta2", "sizebias", "thm52"])
-    def test_gamma_construction_where_no_kernel_reads_it_is_usage_error(
-        self, capsys, monkeypatch, tmp_path, campaign, source
-    ):
+    @pytest.mark.parametrize("campaign, key", UNREAD, ids=[f"{c}-{k}" for c, k in UNREAD])
+    def test_unread_setting_is_usage_error(self, capsys, monkeypatch, campaign, key):
         # Rejected before a pool starts or a shard draws.
         def drew(*args, **kwargs):
             raise AssertionError("a pool started or a shard drew")
 
         monkeypatch.setattr(verify.multiprocessing, "Pool", drew)
         monkeypatch.setattr(verify, "_shard", drew)
-        config = tmp_path / "verify.json"
-        config.write_text(json.dumps({"construction": "gamma"}))
-        given = ("--construction", "gamma") if source == "flag" else ("--config", str(config))
-        code, out, err = run_cli(capsys, "verify", campaign, "--n", "20000", "--jobs", "2", *given)
+        flag = {"construction": ("--construction", "gamma")}.get(key, FLAGS[key][0])
+        code, out, err = run_cli(capsys, "verify", campaign, "--n", "20000", "--jobs", "2", *flag)
         assert code == 2
         assert out == ""
-        assert f"applies to mecke, sethuraman and all only; {campaign} samples by sticks" in err
+        assert f"{campaign} does not read {key}" in err
+
+    @pytest.mark.parametrize("campaign", ["mecke", "sethuraman"])
+    def test_jump_eps_is_read_under_the_stick_construction(self, capsys, campaign):
+        # The stick construction ignores it, but the campaign reads it.
+        code, out, _ = run_cli(capsys, "verify", campaign, "--n", "2000", "--jump-eps", "1e-6")
+        assert code in (0, 1)
+        assert json.loads(out)["config"]["jump_eps"] == 1e-6
 
     def test_n_beyond_the_limit_is_usage_error(self, capsys, monkeypatch):
         # A settings range check: the run fails before it builds a task list
@@ -537,19 +537,13 @@ class TestVerify:
             assert out == ""
             assert "jump eps must lie in" in err
 
-    def test_stick_truncation_is_not_a_setting(self, capsys, monkeypatch, tmp_path):
-        # Sticks close at samplers.DEFAULT_STICK_EPS: neither a flag nor a
-        # config key sets it.
+    def test_stick_truncation_is_not_a_setting(self, capsys, monkeypatch):
+        # Sticks close at samplers.DEFAULT_STICK_EPS: no flag sets it.
         monkeypatch.setattr(cli, "run_verify", no_campaign)
         with pytest.raises(SystemExit) as exc:
             main(["verify", "all", "--eps", "1e-10"])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
-        config = tmp_path / "verify.json"
-        config.write_text(json.dumps({"eps": 1e-10}))
-        code, out, err = run_cli(capsys, "verify", "all", "--config", str(config))
-        assert (code, out) == (2, "")
-        assert "unknown config keys ['eps']" in err
 
     def test_constant_ks_cdf_is_degenerate_not_a_usage_error(self, capsys):
         # At alpha 1e-6 the rests underflow, so the control's cdf
@@ -560,10 +554,11 @@ class TestVerify:
         )
         assert code == 1
         assert "dpm: error" not in err
-        reports = {r["name"]: r for r in json.loads(out)["reports"]}
+        # A NaN statistic is written as null: the payload is strict JSON.
+        reports = {r["name"]: r for r in strict_loads(out)["reports"]}
         control = reports["sizebias:control:wrong-weight-shape"]
         assert control["verdict"] == "degenerate"
-        assert math.isnan(control["statistic"]) and math.isnan(control["p_value"])
+        assert control["statistic"] is None and control["p_value"] is None
 
     @pytest.mark.parametrize(
         "args, message",
@@ -571,20 +566,16 @@ class TestVerify:
             (("--threshold", "nan"), "threshold must be finite and positive"),
             (("--threshold=-1",), "threshold must be finite and positive"),
             (("--jobs", "0"), "jobs must be at least 1"),
-            (("--config", "{config}"), "unknown config keys ['jumpeps']"),
         ],
-        ids=["threshold-nan", "threshold-negative", "jobs-zero", "config-key"],
+        ids=["threshold-nan", "threshold-negative", "jobs-zero"],
     )
-    def test_bad_settings_are_usage_errors(self, capsys, monkeypatch, tmp_path, args, message):
+    def test_bad_settings_are_usage_errors(self, capsys, monkeypatch, args, message):
         # Rejected before any campaign runs, not reported as failed tests.
         def no_campaign(*args, **kwargs):
             raise AssertionError("a campaign ran")
 
         monkeypatch.setattr(cli, "run_verify", no_campaign)
-        config = tmp_path / "verify.json"
-        config.write_text(json.dumps({"jumpeps": 0.5}))
-        argv = [arg.format(config=config) for arg in args]
-        code, out, err = run_cli(capsys, "verify", "tbeta", "--n", "2000", *argv)
+        code, out, err = run_cli(capsys, "verify", "tbeta", "--n", "2000", *args)
         assert code == 2
         assert out == ""
         assert message in err
@@ -597,47 +588,6 @@ class TestVerify:
             main(["verify", "tbeta", "--n", "2000", *flag])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
-
-    @pytest.mark.parametrize("key, value", [("probe_symmetric", True), ("depth", 3)])
-    def test_removed_probe_config_keys_are_usage_errors(
-        self, capsys, monkeypatch, tmp_path, key, value
-    ):
-        monkeypatch.setattr(cli, "run_verify", no_campaign)
-        config = tmp_path / "verify.json"
-        config.write_text(json.dumps({key: value}))
-        code, out, err = run_cli(capsys, "verify", "tbeta", "--n", "2000", "--config", str(config))
-        assert code == 2
-        assert out == ""
-        assert f"unknown config keys [{key!r}]" in err
-
-    @pytest.mark.parametrize(
-        "key, value",
-        [
-            ("n", True),
-            ("jobs", "2"),
-            ("alpha", False),
-            ("p", "0.3"),
-            ("construction", 1),
-            ("seed", 4.5),
-            ("base", [1.0]),
-            ("alpha", 10**400),
-        ],
-        ids=["n-bool", "jobs-string", "alpha-bool", "p-string", "construction-integer",
-             "seed-float", "base-list", "alpha-too-large-for-a-float"],
-    )
-    def test_config_values_of_the_wrong_type_are_usage_errors(
-        self, capsys, monkeypatch, tmp_path, key, value
-    ):
-        def no_campaign(*args, **kwargs):
-            raise AssertionError("a campaign ran")
-
-        monkeypatch.setattr(cli, "run_verify", no_campaign)
-        config = tmp_path / "verify.json"
-        config.write_text(json.dumps({key: value}))
-        code, out, err = run_cli(capsys, "verify", "tbeta", "--n", "2000", "--config", str(config))
-        assert code == 2
-        assert out == ""
-        assert f"config key {key!r} must be" in err
 
 
 class TestCharacterize:
@@ -700,6 +650,28 @@ class TestCharacterize:
         assert code == 2
         assert out == ""
         assert "threshold must be finite and positive" in err
+
+    def test_n_beyond_the_memory_bound_is_usage_error(self, capsys, monkeypatch):
+        # Every pair is held at once, so a larger n is refused before any draw.
+        def drew(*args, **kwargs):
+            raise AssertionError("pairs were drawn")
+
+        monkeypatch.setattr(cli, "beta_pairs", drew)
+        code, out, err = run_cli(capsys, "characterize", "--n", str(MAX_CHARACTERIZE_N + 1))
+        assert (code, out) == (2, "")
+        assert f"n must be at most {MAX_CHARACTERIZE_N}" in err
+
+    def test_infinite_z_is_written_as_null(self, capsys, monkeypatch):
+        # Constant samples have a zero standard error, so every nonzero
+        # difference reads z = +-inf; the payload stays strict JSON.
+        monkeypatch.setattr(
+            cli, "beta_pairs", lambda p, alpha, n, gen: (np.full(n, 0.3), np.full(n, 0.5))
+        )
+        code, out, _ = run_cli(capsys, "characterize", "--n", "1000", "--depth", "4")
+        assert code == 1
+        report = strict_loads(out)["report"]
+        assert report["max_abs_z"] is None
+        assert None in [row["z"] for row in report["rows"]]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Moment engines: closed form, recursion, and the scalar recovery chain."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -78,7 +79,7 @@ class TestDirichletMixedMoment:
             )
 
     def test_large_parameters_do_not_overflow(self):
-        # Gamma(599) overflows a double; the log-space product does not.
+        # Gamma(599) overflows a double; the product of ratios does not.
         assert dirichlet_mixed_moment((300.0, 299.0), (1, 0)) == pytest.approx(
             300.0 / 599.0, rel=1e-12
         )
@@ -110,6 +111,16 @@ class TestDirichletMixedMoment:
         assert dirichlet_mixed_moment((0.0, 1.0, 1.0), (0, 2, 1)) == pytest.approx(
             dirichlet_mixed_moment((1.0, 1.0), (2, 1)), rel=1e-12
         )
+
+    def test_non_finite_total_is_refused(self):
+        # Each term is finite but their total is not: the product form would
+        # read 0 there.
+        with pytest.raises(ValueError, match="finite total"):
+            dirichlet_mixed_moment((1e308, 1e308), (1, 0))
+        with pytest.raises(ValueError, match="finite total"):
+            build_moment_table((1e308, 1e308), 2, method="recursion")
+        with pytest.raises(ValueError, match="finite total"):
+            beta_moment(1e308, 1e308, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -172,6 +183,17 @@ class TestMomentTable:
             t.value((-1, 0))
 
 
+def _rational_moment(alphas, ks) -> Fraction:
+    """E prod_i Z_i^k_i for Z ~ Dirichlet(alphas), in exact rationals."""
+    alphas = [Fraction(a) for a in alphas]
+    total, value, m = sum(alphas), Fraction(1), 0
+    for a, k in zip(alphas, ks):
+        for r in range(k):
+            value *= (a + r) / (total + m)
+            m += 1
+    return value
+
+
 class TestRecursionVsClosedForm:
     @pytest.mark.parametrize(
         "alphas",
@@ -184,6 +206,19 @@ class TestRecursionVsClosedForm:
         for degree in range(deg + 1):
             for ks in multi_indices(len(alphas), degree):
                 assert t_rec.value(ks) == pytest.approx(t_cf.value(ks), abs=1e-9)
+
+    @pytest.mark.parametrize("alpha", [1e-3, 2.0, 1e8, 1e12])
+    def test_both_routes_match_exact_rationals(self, alpha):
+        # Log-gamma differences lose digits to cancellation at large
+        # parameters, and both routes would share that loss: each is held
+        # here to exact rational arithmetic on the same float parameters.
+        alphas = (alpha, 0.7 * alpha, 1.3 * alpha)
+        table = build_moment_table(alphas, 5, method="recursion")
+        for degree in range(6):
+            for ks in multi_indices(3, degree):
+                exact = _rational_moment(alphas, ks)
+                for value in (dirichlet_mixed_moment(alphas, ks), table.value(ks)):
+                    assert abs(Fraction(value) - exact) <= 2e-15 * exact
 
     def test_single_block_moments_are_one(self):
         # one block carrying everything: Z = 1 a.s., all moments 1

@@ -1,4 +1,4 @@
-"""Special-function layer: log-gamma helpers, E1, and its inverse.
+"""Special-function layer: log-gamma, E1, and its inverse.
 
 Non-trivial reference values are pinned against independent oracles
 (scipy quadrature, mpmath multiprecision) rather than against the
@@ -21,7 +21,6 @@ from dpm.specialfn import (
     count_at_or_below,
     exp_integral_e1,
     inverse_e1,
-    log_beta,
     log_gamma,
 )
 
@@ -48,20 +47,6 @@ class TestLogGamma:
         direct = log_gamma(a + k) - log_gamma(a)
         product = sum(math.log(a + r) for r in range(k))
         assert direct == pytest.approx(product, rel=1e-11, abs=1e-11)
-
-
-class TestBeta:
-    def test_beta_2_3(self):
-        assert math.exp(log_beta(2.0, 3.0)) == pytest.approx(1.0 / 12.0, rel=1e-14)
-
-    def test_log_beta_symmetry(self):
-        assert log_beta(1.7, 4.2) == pytest.approx(log_beta(4.2, 1.7), abs=1e-14)
-
-    def test_beta_identity_splits(self):
-        # B(a, b) = B(a+1, b) + B(a, b+1)
-        a, b = 0.6, 2.9
-        beta = lambda a, b: math.exp(log_beta(a, b))
-        assert beta(a, b) == pytest.approx(beta(a + 1, b) + beta(a, b + 1), rel=1e-13)
 
 
 def _e1_quad(x: float) -> tuple[float, float]:

@@ -383,9 +383,10 @@ class TestSizebiasInvarianceCampaign:
             verify._ks_or_nan(rest[:10], lambda y: y**3.5)
 
     def test_atomic_base_rejected(self):
-        with pytest.raises(ValueError, match="diffuse"):
-            atomic = BaseModel(alpha=2.0, atom_probs=(0.5, 0.5), diffuse_weight=0.0)
-            verify_sizebias_invariance(CampaignSettings(n=N_SMOKE, base=atomic), RngStream(0))
+        # The campaign runs on a diffuse base of its own and reads no base.
+        atomic = BaseModel(alpha=2.0, atom_probs=(0.5, 0.5), diffuse_weight=0.0)
+        with pytest.raises(ValueError, match="sizebias does not read base"):
+            run_verify("sizebias", CampaignSettings(n=N_SMOKE, base=atomic))
 
     def test_one_shard_holds_its_ensemble_once(self):
         # One 10 000-row shard at alpha 2 writes about 8 MB of sticks and
@@ -598,20 +599,28 @@ class TestRunVerify:
         assert merged == singles
 
     def test_all_passes_construction_only_to_the_campaigns_that_read_it(self):
-        # mecke and sethuraman run under the settings as given, base and
-        # construction included; every other campaign runs by sticks at base=None.
+        # Each campaign gets the settings it reads of p, base, construction
+        # and jump_eps; the others stay at their defaults.
         settings = CampaignSettings(
             n=verify.SHARD_SIZE,
             seed=34,
+            p=0.4,
             construction="gamma",
+            jump_eps=1e-6,
             base=BaseModel(alpha=2.0, atom_probs=(0.3, 0.3), diffuse_weight=0.4),
         )
+        reads = {"mecke": ("base", "construction", "jump_eps"), "tbeta": ("p",),
+                 "sethuraman": ("base", "construction", "jump_eps"), "tbeta2": ("p",),
+                 "sizebias": (), "thm52": ("jump_eps",)}
+        defaults = CampaignSettings()
         merged = [r.to_dict() for r in run_verify("all", settings)]
-        stick = replace(settings, construction="stick", base=None)
         singles = [
             r.to_dict()
             for name in CAMPAIGN_NAMES
-            for r in run_verify(name, settings if name in ("mecke", "sethuraman") else stick)
+            for r in run_verify(name, replace(settings, **{
+                k: getattr(defaults, k)
+                for k in ("p", "base", "construction", "jump_eps") if k not in reads[name]
+            }))
         ]
         assert merged == singles
 
