@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .moments import beta_moment, recover_moment_sequence
-from .verify import DEFAULT_THRESHOLD
+from .verify import DEFAULT_THRESHOLD, z_scores
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,20 @@ def _empirical_moments(x: np.ndarray, depth: int) -> np.ndarray:
     return out
 
 
+def _mean_variance(x: np.ndarray, coef) -> float:
+    """The variance of the sample mean of sum_i coef[i] x^(i+1), by Horner's
+    rule and centring: never negative, where the quadratic form in the
+    moments' covariance cancels to below 0 once x is concentrated.  The
+    first value is taken off before the mean, so a constant sample reads 0."""
+    acc = np.zeros_like(x)
+    for c in coef[::-1]:
+        acc += c
+        acc *= x
+    acc -= acc[0]
+    acc -= acc.mean()
+    return float(acc @ acc) / x.size**2
+
+
 def characterize_from_samples(
     z_samples,
     w_samples,
@@ -92,10 +106,8 @@ def characterize_from_samples(
         raise ValueError("samples must lie in [0, 1]")
     if not 1 <= depth <= MAX_CHARACTERIZE_DEPTH:
         raise ValueError(f"depth must lie in [1, {MAX_CHARACTERIZE_DEPTH}]")
-    a_full = _empirical_moments(z, 2 * depth)
-    b_full = _empirical_moments(w, 2 * depth)
-    a = a_full[:depth]
-    b = b_full[:depth]
+    a = _empirical_moments(z, depth)
+    b = _empirical_moments(w, depth)
     p_hat = float(p) if p is not None else float(a[0])
     b1 = float(b[0])
     alpha_hat = 1.0 / b1 - 1.0
@@ -121,8 +133,10 @@ def characterize_from_samples(
         max_abs_z, ill, notes = math.nan, True, f"recovery chain is singular: {exc}"
     else:
         # Delta method: Jacobian of the predicted sequence in (a_1..a_depth, b_1).
+        # Each input steps by a part in 10^6 of itself, as the W-moments fall
+        # far below 1 at large alpha.
         jac = np.full((depth, depth + 1), np.nan)
-        for i, step in enumerate(np.diag(1e-6 * np.maximum(1.0, np.abs(theta)))):
+        for i, step in enumerate(np.diag(1e-6 * np.where(theta != 0.0, np.abs(theta), 1.0))):
             try:
                 fp, _ = chain(theta + step)
                 fm, _ = chain(theta - step)
@@ -130,32 +144,21 @@ def characterize_from_samples(
                 continue
             jac[:, i] = (np.array(fp) - np.array(fm)) / (2.0 * step[i])
 
-        # Sampling covariance of the empirical moments (independent sides):
-        # entry (i, j) is (m_{i+j+2} - m_{i+1} m_{j+1}) / n.
-        power = np.add.outer(np.arange(depth), np.arange(depth)) + 1
-        cov_a = (a_full[power] - np.outer(a, a)) / z.size
-        cov_b = (b_full[power] - np.outer(b, b)) / w.size
-
         for k in range(2, depth + 1):
-            # d_k = predicted_k(a, b1) - empirical b_k.
-            grad_a = jac[k - 1, :depth]
-            grad_b = np.zeros(depth)
-            grad_b[0] = jac[k - 1, depth]
-            grad_b[k - 1] -= 1.0
-            var = float(grad_a @ cov_a @ grad_a) + float(grad_b @ cov_b @ grad_b)
-            se = math.sqrt(max(var, 0.0))
-            diff = predicted[k - 1] - b_full[k - 1]
-            # A zero stderr reads z = 0 on no difference and +-inf on any, as in verify.
-            z_score = diff / se if se > 0.0 else math.copysign(math.inf, diff) if diff else 0.0
+            # d_k = predicted_k(a, b1) - empirical b_k is linear in the
+            # empirical moments: a mean of one statistic per independent side.
+            grad_b = jac[k - 1, depth] * np.eye(depth)[0] - np.eye(depth)[k - 1]
+            se = math.sqrt(_mean_variance(z, jac[k - 1, :depth]) + _mean_variance(w, grad_b))
+            z_score = float(z_scores(predicted[k - 1] - b[k - 1], se))
             max_abs_z = max(max_abs_z, abs(z_score)) if math.isfinite(z_score) else math.inf
             rows.append(
                 CharacterizationRow(
                     degree=k,
                     predicted=float(predicted[k - 1]),
-                    empirical=float(b_full[k - 1]),
+                    empirical=float(b[k - 1]),
                     reference=beta_moment(1.0, alpha_hat, k) if alpha_hat > 0 else math.nan,
                     stderr=se,
-                    z=float(z_score),
+                    z=z_score,
                     condition=float(conditions[k - 1]),
                 )
             )

@@ -120,15 +120,11 @@ def _parse_base(text: str) -> BaseModel:
     return BaseModel.from_dict(raw)
 
 
-def _given(args: argparse.Namespace, keys) -> dict:
-    """The flags among ``keys`` that the user set."""
-    return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
-
-
-def _settings(given: dict) -> CampaignSettings:
-    """The settings with the values in ``given``; the rest keep their
-    defaults.  ``seed`` and ``base`` are parsed here, and a base sets alpha
-    unless alpha is given too (it must then agree)."""
+def _settings(args: argparse.Namespace) -> CampaignSettings:
+    """The settings with the values of the setting flags the user set; the
+    rest keep their defaults.  ``seed`` and ``base`` are parsed here, and a
+    base sets alpha unless alpha is given too (it must then agree)."""
+    given = {k: getattr(args, k) for k in args.settings if getattr(args, k) is not None}
     if "seed" in given:
         given["seed"] = _parse_seed(given["seed"])
     base = given.pop("base", "")
@@ -146,8 +142,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise ValueError(f"n must be non-negative, got {args.n}")
     if args.jump_eps is not None and args.construction != "gamma":
-        raise ValueError("--eps applies to --construction gamma only")
-    s = _settings(_given(args, ("seed", "alpha", "base", "construction", "jump_eps")))
+        raise ValueError("--jump-eps applies to --construction gamma only")
+    s = _settings(args)
     model = s.base or BaseModel.default(s.alpha)
     rng = RngStream(s.seed)
 
@@ -223,7 +219,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    settings = _settings(_given(args, [f.name for f in fields(CampaignSettings)]))
+    settings = _settings(args)
     # Fail on an unwritable --out before the campaign runs; appending
     # leaves an existing file as it is until the report is written.
     with _output(args.out, "a"):
@@ -265,7 +261,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
-    s = _settings(_given(args, ("seed", "alpha", "p", "n", "threshold")))
+    s = _settings(args)
     if s.n > MAX_CHARACTERIZE_N:
         raise ValueError(f"characterize holds every pair in memory: n must be at most "
                          f"{MAX_CHARACTERIZE_N}, got {s.n}")
@@ -282,10 +278,8 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
             [f.name for f in fields(CharacterizationRow)], [astuple(row) for row in report.rows]
         )
     else:
-        config = dict(
-            alpha=s.alpha, p=s.p, n=s.n, seed=s.seed, threshold=s.threshold,
-            depth=args.depth, p_known=args.p_known,
-        )
+        config = {k: getattr(s, k) for k in args.settings}
+        config.update(depth=args.depth, p_known=args.p_known)
         text = _envelope("characterize", config=config, report=report.to_dict())
     _emit(text, args.out)
     print(
@@ -302,6 +296,35 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 # parser
 
 
+# One argparse spec per CampaignSettings field.  A command takes the flag
+# --<field> (with "-" for "_") of each field it lists; every flag defaults
+# to None, so that `_settings` takes only what the user set.
+_SETTING_FLAGS = {
+    "alpha": dict(type=float, help="concentration"),
+    "p": dict(type=float, help="Z ~ Be(p alpha, (1 - p) alpha)"),
+    "n": dict(type=int, help="number of samples"),
+    "seed": dict(help="integer seed or 'random'"),
+    "threshold": dict(type=float, help="|z| acceptance bound"),
+    "jobs": dict(type=int, help="worker processes"),
+    "base": dict(help="base model as JSON"),
+    "construction": dict(choices=("stick", "gamma"), help="stick-breaking or normalized jumps"),
+    "jump_eps": dict(type=float, help=f"jump truncation level (default {DEFAULT_JUMP_EPS:g})"),
+}
+
+
+def _add_command(sub, name: str, func, settings=(), *, formats=True, **kw):
+    """The subcommand ``name``: a flag for each setting it lists, then
+    ``--format`` (if ``formats``) and ``--out``."""
+    command = sub.add_parser(name, **kw)
+    for key in settings:
+        command.add_argument("--" + key.replace("_", "-"), default=None, **_SETTING_FLAGS[key])
+    if formats:
+        command.add_argument("--format", choices=("json", "csv"), default="json")
+    command.add_argument("--out", default=None, help="write output to this file")
+    command.set_defaults(func=func, settings=settings)
+    return command
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dpm",
@@ -314,69 +337,29 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"dpm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("sample", help="draw random measures as JSON lines")
-    sp.add_argument("--alpha", type=float, default=None, help="concentration")
-    sp.add_argument("--base", default=None, help="base model as JSON")
+    sp = _add_command(
+        sub, "sample", _cmd_sample, ("alpha", "seed", "base", "construction", "jump_eps"),
+        formats=False, help="draw random measures as JSON lines",
+    )
     sp.add_argument("--n", type=int, default=10, help="number of draws")
-    sp.add_argument("--seed", default=None, help="integer seed or 'random'")
-    sp.add_argument(
-        "--construction",
-        choices=("stick", "gamma"),
-        default=None,
-        help="stick-breaking or normalized-jump sampler",
-    )
-    sp.add_argument(
-        "--eps", dest="jump_eps", metavar="EPS", type=float, default=None,
-        help=f"jump truncation level (gamma only; {DEFAULT_JUMP_EPS:g})",
-    )
-    sp.add_argument("--out", default=None, help="write output to this file")
-    sp.set_defaults(func=_cmd_sample)
 
-    mp = sub.add_parser("moments", help="tabulate mixed projection moments")
+    mp = _add_command(sub, "moments", _cmd_moments, help="tabulate mixed projection moments")
     mp.add_argument("--alphas", required=True, help="comma-separated block parameters")
     mp.add_argument("--max-degree", type=int, default=4, help="largest total degree")
-    mp.add_argument(
-        "--method",
-        choices=("exact", "recursion", "both"),
-        default="both",
-        help="closed form, one-step recursion, or both with their gap",
-    )
-    mp.add_argument("--format", choices=("json", "csv"), default="json")
-    mp.add_argument("--out", default=None)
-    mp.set_defaults(func=_cmd_moments)
+    mp.add_argument("--method", choices=("exact", "recursion", "both"), default="both",
+                    help="closed form, one-step recursion, or both with their gap")
 
-    vp = sub.add_parser("verify", help="run a Monte Carlo verification campaign")
+    vp = _add_command(sub, "verify", _cmd_verify, tuple(_SETTING_FLAGS),
+                      help="run a Monte Carlo verification campaign")
     vp.add_argument("campaign", choices=CAMPAIGN_NAMES + ("all",))
-    vp.add_argument("--alpha", type=float, default=None)
-    vp.add_argument("--p", type=float, default=None)
-    vp.add_argument("--n", type=int, default=None, help="samples per campaign")
-    vp.add_argument("--seed", default=None, help="integer seed or 'random'")
-    vp.add_argument("--threshold", type=float, default=None, help="|z| acceptance bound")
-    vp.add_argument("--jobs", type=int, default=None, help="worker processes")
-    vp.add_argument("--base", default=None, help="base model as JSON")
-    vp.add_argument("--construction", choices=("stick", "gamma"), default=None)
-    vp.add_argument("--jump-eps", type=float, default=None, help="jump truncation level")
-    vp.add_argument("--format", choices=("json", "csv"), default="json")
-    vp.add_argument("--out", default=None)
-    vp.set_defaults(func=_cmd_verify)
 
-    cp = sub.add_parser(
-        "characterize", help="recover mixing-weight moments from sampled data"
+    cp = _add_command(
+        sub, "characterize", _cmd_characterize, ("alpha", "p", "n", "seed", "threshold"),
+        help="recover mixing-weight moments from sampled data",
     )
-    cp.add_argument("--alpha", type=float, default=None)
-    cp.add_argument("--p", type=float, default=None)
-    cp.add_argument("--n", type=int, default=None)
-    cp.add_argument("--seed", default=None, help="integer seed or 'random'")
     cp.add_argument("--depth", type=int, default=6)
-    cp.add_argument("--threshold", type=float, default=None)
-    cp.add_argument(
-        "--p-known",
-        action="store_true",
-        help="treat p as known instead of estimating it from the samples",
-    )
-    cp.add_argument("--format", choices=("json", "csv"), default="json")
-    cp.add_argument("--out", default=None)
-    cp.set_defaults(func=_cmd_characterize)
+    cp.add_argument("--p-known", action="store_true",
+                    help="treat p as known instead of estimating it from the samples")
     return parser
 
 

@@ -336,6 +336,13 @@ def _worker_pool(jobs: int):
             _pool = None
 
 
+def z_scores(diff, se) -> np.ndarray:
+    """z = diff / se elementwise; se == 0 gives z = 0 when diff is 0 as well
+    and z = inf otherwise."""
+    zero_se = np.where(np.equal(diff, 0.0), 0.0, math.inf)
+    return np.divide(diff, se, out=zero_se, where=np.not_equal(se, 0.0))
+
+
 @dataclass(frozen=True)
 class _Campaign:
     """A batch kernel with its parameters, and the settings and stream it
@@ -415,11 +422,8 @@ class _Campaign:
         )
 
     def reports(self, names, est: Estimate, *, kind="z", notes="") -> list[TestReport]:
-        """One report per column of ``est``, graded by z = diff / se; se == 0
-        gives z = 0 when diff is 0 as well and z = inf otherwise."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.where(est.se != 0.0, est.diff / est.se, np.where(est.diff == 0.0, 0.0, math.inf))
-        columns = zip(names, z, est.lhs, est.rhs, est.se)
+        """One report per column of ``est``, graded by its :func:`z_scores`."""
+        columns = zip(names, z_scores(est.diff, est.se), est.lhs, est.rhs, est.se)
         return [self.report(*col, est.n, kind=kind, notes=notes) for col in columns]
 
     def control(self, name: str, names, stat: Moments, notes: str) -> TestReport:

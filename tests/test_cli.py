@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -45,6 +46,28 @@ FLAGS = {
     "jobs": (("--jobs", "2"), 2),
     "construction": (("--construction", "gamma"), "gamma"),
     "jump_eps": (("--jump-eps", "1e-6"), 1e-6),
+}
+
+
+# The settings `dpm sample` and `dpm characterize` take; `dpm verify` takes
+# all of them.
+TAKES = {
+    "sample": ("alpha", "seed", "base", "construction", "jump_eps"),
+    "characterize": ("alpha", "p", "n", "seed", "threshold"),
+}
+# Each (command, setting) pair; the verify pairs are named by the setting.
+FLAG_CASES = [pytest.param("verify", k, id=k) for k in FLAGS] + [
+    pytest.param(c, k, id=f"{c}-{k}") for c in TAKES for k in TAKES[c]
+]
+
+# The flags in each command's --help.
+HELP_FLAGS = {
+    "sample": {"--alpha", "--base", "--construction", "--jump-eps", "--n", "--out", "--seed"},
+    "moments": {"--alphas", "--format", "--max-degree", "--method", "--out"},
+    "verify": {"--alpha", "--base", "--construction", "--format", "--jobs", "--jump-eps", "--n",
+               "--out", "--p", "--seed", "--threshold"},
+    "characterize": {"--alpha", "--depth", "--format", "--n", "--out", "--p", "--p-known",
+                     "--seed", "--threshold"},
 }
 
 
@@ -119,7 +142,7 @@ class TestSample:
         assert len(target.read_text().splitlines()) == 2
         # A usage error leaves an existing file as it was.
         code, _, _ = run_cli(
-            capsys, "sample", "--construction", "gamma", "--eps", "0.5", "--out", str(target)
+            capsys, "sample", "--construction", "gamma", "--jump-eps", "0.5", "--out", str(target)
         )
         assert code == 2
         assert len(target.read_text().splitlines()) == 2
@@ -180,16 +203,23 @@ class TestSample:
         assert "n must be non-negative" in err
 
     def test_eps_with_stick_construction_is_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "sample", "--eps", "0.5")
+        code, out, err = run_cli(capsys, "sample", "--jump-eps", "1e-6")
         assert code == 2
         assert out == ""
-        assert "--construction gamma only" in err
+        assert "dpm: error: --jump-eps applies to --construction gamma only" in err
+
+    def test_eps_is_not_a_flag(self, capsys):
+        # Jump truncation is --jump-eps in every command.
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--eps", "1e-6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --eps" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n", ["0", "1"])
     def test_gamma_eps_out_of_range_is_usage_error(self, capsys, n):
         # Checked up front, so it does not depend on a batch being drawn.
         code, out, err = run_cli(
-            capsys, "sample", "--n", n, "--construction", "gamma", "--eps", "0.5"
+            capsys, "sample", "--n", n, "--construction", "gamma", "--jump-eps", "0.5"
         )
         assert code == 2
         assert out == ""
@@ -197,7 +227,7 @@ class TestSample:
 
     def test_eps_is_the_jump_truncation(self, capsys):
         args = ("sample", "--n", "5", "--seed", "3", "--construction", "gamma")
-        code, out, _ = run_cli(capsys, *args, "--eps", "1e-3")
+        code, out, _ = run_cli(capsys, *args, "--jump-eps", "1e-3")
         assert code == 0
         model = BaseModel.default(CampaignSettings().alpha)
         rows = sample_jump_measure(model, RngStream(3), 5, trunc_eps=1e-3)
@@ -338,27 +368,43 @@ class TestVerify:
     def test_flags_cover_every_setting(self):
         assert set(FLAGS) == {f.name for f in fields(CampaignSettings)}
 
-    @pytest.mark.parametrize("key", list(FLAGS))
-    def test_each_flag_reaches_its_field(self, capsys, monkeypatch, key):
+    @pytest.mark.parametrize("command, key", FLAG_CASES)
+    def test_each_flag_reaches_its_field(self, capsys, monkeypatch, command, key):
         flag, value = FLAGS[key]
-        # The worker count is not echoed, so the settings the run got are read.
-        ran, real = [], cli.run_verify
+        # Not every setting is echoed, so the settings the command built are read.
+        built, real = [], cli._settings
 
-        def run_verify(name, settings):
-            ran.append(settings)
-            return real(name, settings)
+        def settings_of(args):
+            built.append(real(args))
+            return built[-1]
 
-        monkeypatch.setattr(cli, "run_verify", run_verify)
-        campaign = "sethuraman" if key in READS["sethuraman"] else "tbeta"
-        args = ("verify", campaign) + (() if key == "n" else ("--n", "2000"))
+        monkeypatch.setattr(cli, "_settings", settings_of)
+        if command == "verify":
+            campaign = "sethuraman" if key in READS["sethuraman"] else "tbeta"
+            args = ("verify", campaign) + (() if key == "n" else ("--n", "2000"))
+        elif command == "sample":
+            gamma = ("--construction", "gamma") if key == "jump_eps" else ()
+            args = ("sample", "--n", "2", *gamma)
+        else:
+            args = ("characterize",) + (() if key == "n" else ("--n", "2000"))
         code, out, _ = run_cli(capsys, *args, *flag)
         assert code == 0
-        [settings] = ran
+        [settings] = built
         assert getattr(settings, key) == (BaseModel.from_dict(value) if key == "base" else value)
+        if command != "sample" and key != "jobs":
+            assert json.loads(out)["config"][key] == value
         if key == "jobs":
             assert "jobs" not in json.loads(out)["config"]
-        else:
-            assert json.loads(out)["config"][key] == value
+
+    @pytest.mark.parametrize("command", list(HELP_FLAGS))
+    def test_help_lists_each_flag(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", text)) == HELP_FLAGS[command] | {
+            "-h", "--help"
+        }
 
     def test_echoed_defaults_are_the_settings_defaults(self, capsys):
         _, out, _ = run_cli(capsys, "verify", "tbeta", "--n", "2000", "--seed", "1")

@@ -783,13 +783,36 @@ class TestCharacterize:
 
     def test_zero_stderr_grades_like_verify(self):
         # Constant samples have no spread, so every row's stderr is 0.  A row
-        # that misses its empirical moment then reads z = -inf or +inf, as in
-        # verify, not NaN beside an infinite max_abs_z.
+        # that misses its empirical moment then reads the z a verify report
+        # reads at se 0: inf whatever the sign of the miss, not NaN beside an
+        # infinite max_abs_z.
         rep = characterize_from_samples(np.full(200, 0.3), np.full(200, 0.3), depth=3)
         assert [r.stderr for r in rep.rows] == [0.0, 0.0]
-        assert [r.z for r in rep.rows] == [-math.inf, -math.inf]
+        diffs = [r.predicted - r.empirical for r in rep.rows]
+        assert all(d < 0.0 for d in diffs)
+        graded = _grader().reports(["a", "b"], _estimate(diffs, [0.0, 0.0]))
+        assert [r.z for r in rep.rows] == [r.statistic for r in graded] == [math.inf, math.inf]
         assert rep.max_abs_z == math.inf
         assert rep.verdict == "fail"
+
+    @pytest.mark.parametrize("alpha", [1e4, 1e6])
+    def test_large_alpha_recovers_its_family(self, alpha):
+        # The W-moments are about k!/alpha^k.  A Jacobian step that does not
+        # scale with them, or a variance taken from the raw moments'
+        # covariance, which cancels to below 0, reads max|z| = inf here.
+        z, w = _beta_pair(200_000, 0.3, alpha, 211)
+        rep = characterize_from_samples(z, w)
+        assert rep.verdict == "pass"
+        assert rep.max_abs_z <= 4.0
+        assert rep.alpha_hat == pytest.approx(alpha, rel=0.01)
+
+    @pytest.mark.xfail(strict=True, reason="the chain cancels in float64 from alpha near 1e6")
+    def test_chain_rounding_at_alpha_1e6_is_open(self):
+        # Predicted b_3 is rounding noise near 1e-16, against a true 6e-18
+        # and a stderr of 2e-17, so the row reads z = 8.4.  3 of 40 seeds
+        # fail at alpha = 1e6, none up to 1e5.
+        z, w = samplers.beta_pairs(0.3, 1e6, 200_000, RngStream(6).gen)
+        assert characterize_from_samples(z, w).verdict == "pass"
 
     def test_input_validation(self):
         z, w = _beta_pair(500, 0.3, 2.0, 207)
