@@ -25,13 +25,7 @@ from . import __version__
 from .characterize import MAX_CHARACTERIZE_N, CharacterizationRow, characterize_from_samples
 from .measures import BaseModel
 from .moments import build_moment_table, multi_indices
-from .samplers import (
-    DEFAULT_JUMP_EPS,
-    RngStream,
-    beta_pairs,
-    sample_jump_measure,
-    sample_stick_breaking,
-)
+from .samplers import RngStream, beta_pairs, sample_jump_measure, sample_stick_breaking
 from .verify import (
     CAMPAIGN_NAMES,
     CampaignSettings,
@@ -141,8 +135,6 @@ def _settings(args: argparse.Namespace) -> CampaignSettings:
 def _cmd_sample(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise ValueError(f"n must be non-negative, got {args.n}")
-    if args.jump_eps is not None and args.construction != "gamma":
-        raise ValueError("--jump-eps applies to --construction gamma only")
     s = _settings(args)
     model = s.base or BaseModel.default(s.alpha)
     rng = RngStream(s.seed)
@@ -151,7 +143,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         m = min(_SAMPLE_BATCH, args.n - start)
         if s.construction == "stick":
             return sample_stick_breaking(model, rng, m)
-        return sample_jump_measure(model, rng, m, trunc_eps=s.jump_eps)
+        return sample_jump_measure(model, rng, m)
 
     batches = map(draw, range(0, args.n, _SAMPLE_BATCH))
     # The first batch is drawn before --out is opened, so an error raised
@@ -308,7 +300,6 @@ _SETTING_FLAGS = {
     "jobs": dict(type=int, help="worker processes"),
     "base": dict(help="base model as JSON"),
     "construction": dict(choices=("stick", "gamma"), help="stick-breaking or normalized jumps"),
-    "jump_eps": dict(type=float, help=f"jump truncation level (default {DEFAULT_JUMP_EPS:g})"),
 }
 
 
@@ -338,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = _add_command(
-        sub, "sample", _cmd_sample, ("alpha", "seed", "base", "construction", "jump_eps"),
+        sub, "sample", _cmd_sample, ("alpha", "seed", "base", "construction"),
         formats=False, help="draw random measures as JSON lines",
     )
     sp.add_argument("--n", type=int, default=10, help="number of draws")

@@ -200,23 +200,23 @@ _STEP_ARRIVALS = 1 << 14
 _INVERT_CHUNK = 1 << 15
 
 
-def _jump_blocks(alpha, block_probs, m, gen, trunc_eps):
+def _jump_blocks(alpha, block_probs, m, gen):
     """Yield (rows, jumps, marks), the next jumps of the rows still drawing.
 
     A row maps unit-rate Poisson arrivals G_1 < G_2 < ... through the
     decreasing inverse of E1 at G_k / alpha.  A step draws the next
     ``_JUMP_BLOCK`` arrivals of the rows ``rows`` whose last arrival is at
-    or below ``limit = alpha * E1(trunc_eps)``.  ``jumps[k, i]`` is the
-    step's k-th jump in row ``rows[i]``, and ``marks[k, i]`` its block, in
-    block j with probability ``block_probs[j]``: one :func:`draw_blocks`
-    call after the step's arrivals.  Arrivals beyond the limit would invert
-    below the threshold: their jumps and marks read 0, except each row's
-    first, largest jump.  So in step order a row's jumps are decreasing,
-    then zero.  A first arrival with G_1 / alpha > 690 (possible at small
-    alpha) inverts at 690: that jump is then its row's only one, about
-    1e-300 or less either way, so the normalized row is the same single
-    unit weight.  An expected jump count ``limit`` above
-    :data:`MAX_ROW_ATOMS` raises ValueError.
+    or below ``limit = alpha * E1(eps)``, eps being the constant
+    :data:`DEFAULT_JUMP_EPS`.  ``jumps[k, i]`` is the step's k-th jump in
+    row ``rows[i]``, and ``marks[k, i]`` its block, in block j with
+    probability ``block_probs[j]``: one :func:`draw_blocks` call after the
+    step's arrivals.  Arrivals beyond the limit would invert below eps:
+    their jumps and marks read 0, except each row's first, largest jump.
+    So in step order a row's jumps are decreasing, then zero.  A first
+    arrival with G_1 / alpha > 690 (possible at small alpha) inverts at
+    690: that jump is then its row's only one, about 1e-300 or less either
+    way, so the normalized row is the same single unit weight.  An expected
+    jump count ``limit`` above :data:`MAX_ROW_ATOMS` raises ValueError.
 
     One step is held at a time: the arrival block goes once the next rows
     and last arrivals are taken, the kept targets are inverted in place
@@ -225,9 +225,7 @@ def _jump_blocks(alpha, block_probs, m, gen, trunc_eps):
     """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if not 0.0 < trunc_eps <= 0.1:
-        raise ValueError(f"trunc_eps must lie in (0, 0.1], got {trunc_eps}")
-    limit = alpha * exp_integral_e1(trunc_eps)
+    limit = alpha * exp_integral_e1(DEFAULT_JUMP_EPS)
     _check_row_atoms(limit, alpha, "jumps")
     rows, last = np.arange(m), np.zeros(m)
     first = True
@@ -263,11 +261,11 @@ def _jump_blocks(alpha, block_probs, m, gen, trunc_eps):
         rows = rows[drawing]
 
 
-def _jump_matrices(alpha, block_probs, m, gen, trunc_eps):
+def _jump_matrices(alpha, block_probs, m, gen):
     """The jumps and marks of :func:`_jump_blocks`, each stacked into one
     (m, K) matrix of decreasing, zero-padded rows, K being the most jumps
     a row keeps."""
-    steps = list(_jump_blocks(alpha, block_probs, m, gen, trunc_eps))
+    steps = list(_jump_blocks(alpha, block_probs, m, gen))
     ends = np.cumsum([w.shape[0] for _, w, _ in steps]).tolist()
     jumps = np.zeros((m, ends[-1] if steps else 0))
     marks = np.zeros(jumps.shape, np.intp)
@@ -389,7 +387,6 @@ def gamma_projection_chunk(
     block_probs,
     m: int,
     gen: np.random.Generator,
-    trunc_eps: float = DEFAULT_JUMP_EPS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalized block projections of m jump-construction samples.
 
@@ -405,7 +402,7 @@ def gamma_projection_chunk(
     proj = np.zeros((m, len(p)))
     totals = np.zeros(m)
     largest = np.zeros(m)
-    for rows, jumps, marks in _jump_blocks(alpha, p, m, gen, trunc_eps):
+    for rows, jumps, marks in _jump_blocks(alpha, p, m, gen):
         # A row's jumps decrease: its first step's line 0 is its largest.
         largest[rows] = np.maximum(largest[rows], jumps[0])
         # Each (row, block) pair sums its jumps in one bin.
@@ -464,17 +461,12 @@ def sample_stick_breaking(model: BaseModel, rng: RngStream, n: int) -> list[Disc
     return _measures(model, w, b, rng.gen)
 
 
-def sample_jump_measure(
-    model: BaseModel,
-    rng: RngStream,
-    n: int,
-    trunc_eps: float = DEFAULT_JUMP_EPS,
-) -> list[DiscreteMeasure]:
+def sample_jump_measure(model: BaseModel, rng: RngStream, n: int) -> list[DiscreteMeasure]:
     """n normalized-jump samples with i.i.d. base marks, as measures.
 
     Same law as :func:`sample_stick_breaking` up to truncation error, by a
     different construction: the ranked jumps and marks of one run of the
     jump generator, stacked by :func:`_jump_matrices`, each row normalized.
     """
-    jumps, marks = _jump_matrices(model.alpha, model.blocks, n, rng.gen, trunc_eps)
+    jumps, marks = _jump_matrices(model.alpha, model.blocks, n, rng.gen)
     return _measures(model, jumps / jumps.sum(axis=1, keepdims=True), marks, rng.gen)

@@ -35,11 +35,12 @@ a fixed weight sequence with i.i.d. marks, run as a variant of the
 campaign, as is thm52's jump run.  mecke, sethuraman, thm52 and the
 construction check read every input from one place, :func:`_projections`.
 :data:`_CAMPAIGNS` maps each campaign's name to its function and to
-the settings it reads among p, base, construction and jump_eps.
+the settings it reads among p, base and construction.
 
 At ``jobs > 1`` a campaign sends every shard of every variant to one pool
-of min(jobs, shards, usable CPUs) worker processes, or computes them here
-when that is one; ``run_verify("all")`` binds one pool for all campaigns.
+of min(jobs, shards times variants, usable CPUs) worker processes, or
+computes them here when that is one; ``run_verify("all")`` binds one pool
+for all campaigns.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .measures import BaseModel
 from .moments import dirichlet_mixed_moment, multi_indices, quadratic_weight_c
 from .samplers import (
     _SLAB,
-    DEFAULT_JUMP_EPS,
     RngStream,
     beta_pairs,
     block_projection,
@@ -252,7 +252,6 @@ class CampaignSettings:
     jobs: int = 1
     base: BaseModel | None = None
     construction: str = "stick"
-    jump_eps: float = DEFAULT_JUMP_EPS
 
     def __post_init__(self) -> None:
         if self.construction not in ("stick", "gamma"):
@@ -267,8 +266,6 @@ class CampaignSettings:
             )
         if not MIN_KS_SAMPLES <= self.n <= MAX_N:
             raise ValueError(f"n must lie in [{MIN_KS_SAMPLES}, {MAX_N}], got {self.n}")
-        if not 0.0 < self.jump_eps <= 0.1:
-            raise ValueError(f"jump eps must lie in (0, 0.1], got {self.jump_eps}")
         if not 0.0 < self.threshold < math.inf:
             raise ValueError(f"threshold must be finite and positive, got {self.threshold}")
         if not self.jobs >= 1:
@@ -370,8 +367,8 @@ class _Campaign:
         from 0, the identity run first; its shard k draws from the
         substream keyed ``(*rng.key, v, k)``.  Every shard of every variant
         goes to the pool in one call: unless one is bound already, a pool
-        of min(jobs, shards) workers, so a campaign of one shard computes
-        here.
+        of min(jobs, shards times variants, usable CPUs) workers, or none
+        when that is one, and the shards are computed here.
         """
         sizes, seed = _shard_sizes(self.settings.n), self.rng.seed
         variants = [{**self.params, **c} for c in changes]
@@ -514,7 +511,7 @@ def _block_probs(model: BaseModel) -> tuple[float, ...]:
 # projection-identity campaigns (weighted and unweighted)
 
 
-def _projections(construction, alpha, probs, m, gen, jump_eps):
+def _projections(construction, alpha, probs, m, gen):
     """Block projections of m measures, their unnormalized totals under the
     jump construction and each row's largest weight, (proj, totals, largest).
 
@@ -525,18 +522,16 @@ def _projections(construction, alpha, probs, m, gen, jump_eps):
         proj, largest = stick_projection_chunk(alpha, probs, m, gen)
         return proj, None, largest
     if construction == "gamma":
-        return gamma_projection_chunk(alpha, probs, m, gen, trunc_eps=jump_eps)
+        return gamma_projection_chunk(alpha, probs, m, gen)
     weights = np.broadcast_to(construction, (m, len(construction)))
     return block_projection(weights, draw_blocks(probs, gen, weights.shape), len(probs)), None, None
 
 
-def _projection_kernel(
-    m, gen, *, alpha, probs, construction, jump_eps, exponents, targets
-) -> dict:
+def _projection_kernel(m, gen, *, alpha, probs, construction, exponents, targets) -> dict:
     """The projection monomials against ``targets``, the largest weights
     when the input has them and, under the jump construction, the total
     mass against alpha and its covariances with the projections."""
-    proj, totals, largest = _projections(construction, alpha, probs, m, gen, jump_eps)
+    proj, totals, largest = _projections(construction, alpha, probs, m, gen)
     out = {"identity": _pair(_monomials(proj, exponents), targets)}
     if largest is not None:
         out["largest"] = largest
@@ -545,13 +540,11 @@ def _projection_kernel(
     return out
 
 
-def _mix_kernel(
-    m, gen, *, alpha, probs, construction, jump_eps, control, exponents, weighted
-) -> dict:
+def _mix_kernel(m, gen, *, alpha, probs, construction, control, exponents, weighted) -> dict:
     """The identity with Be(1, alpha) weights u and, unless ``control`` is
     None, the "control" statistic of the same measures and marks mixed by
     the weights ``control(u)``."""
-    proj = _projections(construction, alpha, probs, m, gen, jump_eps)[0]
+    proj = _projections(construction, alpha, probs, m, gen)[0]
     u = gen.beta(1.0, alpha, size=m)
     xblk = draw_blocks(probs, gen, m)
     # Weighted, f(zeta, x) = g(proj) h(x) for every monomial g and block
@@ -585,7 +578,7 @@ def _mix_params(s: CampaignSettings) -> dict:
         raise ValueError(
             f"the projection campaigns need a base with mass in at least two blocks, got {probs}"
         )
-    return dict(alpha=s.alpha, probs=probs, construction=s.construction, jump_eps=s.jump_eps)
+    return dict(alpha=s.alpha, probs=probs, construction=s.construction)
 
 
 def verify_mecke(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
@@ -862,7 +855,7 @@ def verify_marked_sizebias(s: CampaignSettings, rng: RngStream) -> list[TestRepo
 
     names, family = moments(1)
     control_names, control_family = moments(2)
-    params = dict(alpha=alpha, probs=probs, construction="stick", jump_eps=s.jump_eps, **family)
+    params = dict(alpha=alpha, probs=probs, construction="stick", **family)
     c = _Campaign(_projection_kernel, params, s, rng)
     gem, jump, geometric = c.runs(
         {}, dict(construction="gamma"), dict(construction=_GEOMETRIC, **control_family)
@@ -924,15 +917,15 @@ def verify_construction_equivalence(s: CampaignSettings, rng: RngStream) -> list
 # campaign reads.  The order is the order of "all" and fixes each
 # campaign's stream id, its index + 1, so new campaigns go at the end.
 _CAMPAIGNS = {
-    "mecke": (verify_mecke, ("base", "construction", "jump_eps")),
-    "sethuraman": (verify_sethuraman, ("base", "construction", "jump_eps")),
+    "mecke": (verify_mecke, ("base", "construction")),
+    "sethuraman": (verify_sethuraman, ("base", "construction")),
     "tbeta": (verify_beta_sizebias, ("p",)),
     "tbeta2": (verify_beta_general, ("p",)),
     "sizebias": (verify_sizebias_invariance, ()),
-    "thm52": (verify_marked_sizebias, ("jump_eps",)),
+    "thm52": (verify_marked_sizebias, ()),
 }
 CAMPAIGN_NAMES = tuple(_CAMPAIGNS)
-_OPTIONAL = ("p", "base", "construction", "jump_eps")
+_OPTIONAL = ("p", "base", "construction")
 _DEFAULTS = CampaignSettings()
 
 

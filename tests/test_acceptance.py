@@ -116,7 +116,7 @@ def test_criterion_04_projection_marginal_is_beta():
 
 def test_criterion_05_constructions_are_equivalent():
     model = BaseModel(alpha=2.0, atom_probs=(0.2, 0.35), diffuse_weight=0.45)
-    settings = CampaignSettings(n=100_000, base=model, jump_eps=1e-8)
+    settings = CampaignSettings(n=100_000, base=model)
     reports = verify_construction_equivalence(settings, RngStream(505))
     ok = campaign_ok(reports)
     total = next(r for r in reports if r.name == "construction:total-mass-mean")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import dpm
-from dpm import __version__, cli, verify
+from dpm import __version__, cli, samplers, verify
 from dpm.characterize import MAX_CHARACTERIZE_N
 from dpm.cli import main
 from dpm.measures import BaseModel
@@ -45,14 +45,13 @@ FLAGS = {
     "threshold": (("--threshold", "4.5"), 4.5),
     "jobs": (("--jobs", "2"), 2),
     "construction": (("--construction", "gamma"), "gamma"),
-    "jump_eps": (("--jump-eps", "1e-6"), 1e-6),
 }
 
 
 # The settings `dpm sample` and `dpm characterize` take; `dpm verify` takes
 # all of them.
 TAKES = {
-    "sample": ("alpha", "seed", "base", "construction", "jump_eps"),
+    "sample": ("alpha", "seed", "base", "construction"),
     "characterize": ("alpha", "p", "n", "seed", "threshold"),
 }
 # Each (command, setting) pair; the verify pairs are named by the setting.
@@ -62,10 +61,10 @@ FLAG_CASES = [pytest.param("verify", k, id=k) for k in FLAGS] + [
 
 # The flags in each command's --help.
 HELP_FLAGS = {
-    "sample": {"--alpha", "--base", "--construction", "--jump-eps", "--n", "--out", "--seed"},
+    "sample": {"--alpha", "--base", "--construction", "--n", "--out", "--seed"},
     "moments": {"--alphas", "--format", "--max-degree", "--method", "--out"},
-    "verify": {"--alpha", "--base", "--construction", "--format", "--jobs", "--jump-eps", "--n",
-               "--out", "--p", "--seed", "--threshold"},
+    "verify": {"--alpha", "--base", "--construction", "--format", "--jobs", "--n", "--out", "--p",
+               "--seed", "--threshold"},
     "characterize": {"--alpha", "--depth", "--format", "--n", "--out", "--p", "--p-known",
                      "--seed", "--threshold"},
 }
@@ -73,15 +72,14 @@ HELP_FLAGS = {
 
 # The settings each campaign reads among those that not every campaign reads.
 READS = {
-    "mecke": {"base", "construction", "jump_eps"},
-    "sethuraman": {"base", "construction", "jump_eps"},
+    "mecke": {"base", "construction"},
+    "sethuraman": {"base", "construction"},
     "tbeta": {"p"},
     "tbeta2": {"p"},
     "sizebias": set(),
-    "thm52": {"jump_eps"},
+    "thm52": set(),
 }
-UNREAD = [(c, k) for c in READS for k in ("p", "base", "construction", "jump_eps")
-          if k not in READS[c]]
+UNREAD = [(c, k) for c in READS for k in ("p", "base", "construction") if k not in READS[c]]
 
 
 def strict_loads(text):
@@ -141,9 +139,7 @@ class TestSample:
         assert out == ""
         assert len(target.read_text().splitlines()) == 2
         # A usage error leaves an existing file as it was.
-        code, _, _ = run_cli(
-            capsys, "sample", "--construction", "gamma", "--jump-eps", "0.5", "--out", str(target)
-        )
+        code, _, _ = run_cli(capsys, "sample", "--alpha", "0", "--out", str(target))
         assert code == 2
         assert len(target.read_text().splitlines()) == 2
 
@@ -202,37 +198,24 @@ class TestSample:
         assert out == ""
         assert "n must be non-negative" in err
 
-    def test_eps_with_stick_construction_is_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "sample", "--jump-eps", "1e-6")
-        assert code == 2
-        assert out == ""
-        assert "dpm: error: --jump-eps applies to --construction gamma only" in err
-
     def test_eps_is_not_a_flag(self, capsys):
-        # Jump truncation is --jump-eps in every command.
+        # Neither truncation is a setting of any command.
         with pytest.raises(SystemExit) as exc:
             main(["sample", "--eps", "1e-6"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --eps" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n", ["0", "1"])
-    def test_gamma_eps_out_of_range_is_usage_error(self, capsys, n):
-        # Checked up front, so it does not depend on a batch being drawn.
-        code, out, err = run_cli(
-            capsys, "sample", "--n", n, "--construction", "gamma", "--jump-eps", "0.5"
-        )
-        assert code == 2
-        assert out == ""
-        assert "jump eps must lie in (0, 0.1], got 0.5" in err
-
-    def test_eps_is_the_jump_truncation(self, capsys):
+    def test_eps_is_the_jump_truncation(self, capsys, monkeypatch):
+        # Jumps stop at samplers.DEFAULT_JUMP_EPS, read when a batch is drawn.
         args = ("sample", "--n", "5", "--seed", "3", "--construction", "gamma")
-        code, out, _ = run_cli(capsys, *args, "--jump-eps", "1e-3")
+        code, out, _ = run_cli(capsys, *args)
         assert code == 0
         model = BaseModel.default(CampaignSettings().alpha)
-        rows = sample_jump_measure(model, RngStream(3), 5, trunc_eps=1e-3)
+        rows = sample_jump_measure(model, RngStream(3), 5)
         assert out == "".join(cli._canonical_json(zeta.to_dict()) for zeta in rows)
-        assert out != run_cli(capsys, *args)[1]
+        monkeypatch.setattr(samplers, "DEFAULT_JUMP_EPS", 1e-3)
+        coarse = run_cli(capsys, *args)[1]
+        assert len(coarse) < len(out)
 
     def test_gamma_construction_at_small_alpha(self, capsys):
         # Some rows' first arrival G_1 / alpha lies beyond 690, where E1
@@ -367,6 +350,9 @@ class TestVerify:
 
     def test_flags_cover_every_setting(self):
         assert set(FLAGS) == {f.name for f in fields(CampaignSettings)}
+        # Jump truncation is the constant samplers.DEFAULT_JUMP_EPS.
+        with pytest.raises(TypeError):
+            CampaignSettings(jump_eps=1e-6)
 
     @pytest.mark.parametrize("command, key", FLAG_CASES)
     def test_each_flag_reaches_its_field(self, capsys, monkeypatch, command, key):
@@ -383,8 +369,7 @@ class TestVerify:
             campaign = "sethuraman" if key in READS["sethuraman"] else "tbeta"
             args = ("verify", campaign) + (() if key == "n" else ("--n", "2000"))
         elif command == "sample":
-            gamma = ("--construction", "gamma") if key == "jump_eps" else ()
-            args = ("sample", "--n", "2", *gamma)
+            args = ("sample", "--n", "2")
         else:
             args = ("characterize",) + (() if key == "n" else ("--n", "2000"))
         code, out, _ = run_cli(capsys, *args, *flag)
@@ -492,13 +477,6 @@ class TestVerify:
         assert out == ""
         assert f"{campaign} does not read {key}" in err
 
-    @pytest.mark.parametrize("campaign", ["mecke", "sethuraman"])
-    def test_jump_eps_is_read_under_the_stick_construction(self, capsys, campaign):
-        # The stick construction ignores it, but the campaign reads it.
-        code, out, _ = run_cli(capsys, "verify", campaign, "--n", "2000", "--jump-eps", "1e-6")
-        assert code in (0, 1)
-        assert json.loads(out)["config"]["jump_eps"] == 1e-6
-
     def test_n_beyond_the_limit_is_usage_error(self, capsys, monkeypatch):
         # A settings range check: the run fails before it builds a task list
         # or runs a shard.
@@ -568,21 +546,6 @@ class TestVerify:
         assert (code, out) == (0, "")
         assert json.loads(target.read_text())["command"] == "verify"
 
-    def test_truncation_levels_are_usage_errors(self, capsys, monkeypatch):
-        # Rejected before any campaign runs, not reported as failed tests.
-        def no_campaign(*args, **kwargs):
-            raise AssertionError("a campaign ran")
-
-        monkeypatch.setattr(cli, "run_verify", no_campaign)
-        for value in ("0.5", "0"):
-            code, out, err = run_cli(
-                capsys, "verify", "sethuraman", "--construction", "gamma", "--n", "2000",
-                f"--jump-eps={value}",
-            )
-            assert code == 2
-            assert out == ""
-            assert "jump eps must lie in" in err
-
     def test_stick_truncation_is_not_a_setting(self, capsys, monkeypatch):
         # Sticks close at samplers.DEFAULT_STICK_EPS: no flag sets it.
         monkeypatch.setattr(cli, "run_verify", no_campaign)
@@ -590,6 +553,22 @@ class TestVerify:
             main(["verify", "all", "--eps", "1e-10"])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("sample", "--construction", "stick"), ("sample", "--construction", "gamma"),
+         ("verify", "mecke")],
+        ids=["sample-stick", "sample-gamma", "verify-mecke"],
+    )
+    def test_jump_truncation_is_not_a_setting(self, capsys, monkeypatch, argv):
+        # Jumps stop at samplers.DEFAULT_JUMP_EPS: no flag sets it.
+        monkeypatch.setattr(cli, "run_verify", no_campaign)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--jump-eps", "1e-6"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --jump-eps 1e-6" in captured.err
 
     def test_constant_ks_cdf_is_degenerate_not_a_usage_error(self, capsys):
         # At alpha 1e-6 the rests underflow, so the control's cdf

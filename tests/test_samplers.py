@@ -39,9 +39,10 @@ def normalized_rows(jumps):
     return jumps / jumps.sum(axis=1, keepdims=True)
 
 
-def jump_arrivals(alpha, m, seed, eps=1e-8):
+def jump_arrivals(alpha, m, seed):
     """The unit-rate arrivals the jump kernel draws from RngStream(seed), drawn
-    again in the kernel's layout, with the kernel's limit alpha * E1(eps).
+    again in the kernel's layout, with the kernel's limit alpha * E1(eps),
+    eps being DEFAULT_JUMP_EPS.
 
     A step draws the next arrivals of each row whose last arrival is within
     the limit, 16 of them or, below 1024 such rows, 2^14 // rows, one
@@ -51,7 +52,7 @@ def jump_arrivals(alpha, m, seed, eps=1e-8):
     limit.
     """
     gen = RngStream(seed).gen
-    limit = alpha * exp_integral_e1(eps)
+    limit = alpha * exp_integral_e1(DEFAULT_JUMP_EPS)
     steps, rows, last = [], np.arange(m), np.zeros(m)
     while rows.size:
         e = gen.standard_exponential((max(16, 2**14 // rows.size), rows.size))
@@ -229,14 +230,13 @@ class TestStickConfig:
         [
             lambda gen: stick_ensemble_chunk(1e15, (1.0,), 1, gen),
             lambda gen: stick_projection_chunk(4e4, (1.0,), 1, gen),
-            lambda gen: samplers._jump_matrices(1e9, (1.0,), 1, gen, DEFAULT_JUMP_EPS),
-            lambda gen: samplers._jump_matrices(6e4, (1.0,), 1, gen, DEFAULT_JUMP_EPS),
-            lambda gen: samplers._jump_matrices(2e4, (1.0,), 1, gen, 1e-30),
+            lambda gen: samplers._jump_matrices(1e9, (1.0,), 1, gen),
+            lambda gen: samplers._jump_matrices(6e4, (1.0,), 1, gen),
         ],
-        ids=["stick-1e15", "stick-4e4", "gamma-1e9", "gamma-6e4", "gamma-tiny-eps"],
+        ids=["stick-1e15", "stick-4e4", "gamma-1e9", "gamma-6e4"],
     )
     def test_row_work_ceiling_rejects_before_any_draw(self, draw):
-        # alpha E1(eps) jumps: 6e4 x 17.8 at eps 1e-8, 2e4 x 68.5 at 1e-30.
+        # alpha E1(eps) jumps: 6e4 x 17.8 at eps 1e-8.
         gen = RngStream(0).gen
         state = gen.bit_generator.state
         with pytest.raises(ValueError, match="above the limit of 1e\\+06"):
@@ -245,15 +245,12 @@ class TestStickConfig:
 
     def test_jump_matrices_just_under_the_ceiling(self):
         # 5e4 x E1(1e-8) is about 892 000 expected jumps: one row is drawn.
-        jumps, _ = samplers._jump_matrices(5e4, (1.0,), 1, RngStream(0).gen, DEFAULT_JUMP_EPS)
+        jumps, _ = samplers._jump_matrices(5e4, (1.0,), 1, RngStream(0).gen)
         assert 850_000 < np.count_nonzero(jumps) <= samplers.MAX_ROW_ATOMS
 
     def test_rejects_bad_params(self):
-        model = BaseModel(alpha=1.0, atom_probs=(1.0,))
         with pytest.raises(ValueError):
             stick_ensemble_chunk(0.0, (1.0,), 4, RngStream(0).gen)
-        with pytest.raises(ValueError):
-            sample_jump_measure(model, RngStream(0), 1, trunc_eps=0.0)
 
 
 class TestStickBreaking:
@@ -303,27 +300,26 @@ class TestStickBreaking:
 
 class TestJumpConstruction:
     def test_jumps_decreasing_and_thresholded(self):
-        jumps, _ = samplers._jump_matrices(2.0, (1.0,), 20, RngStream(10).gen, 1e-4)
+        jumps, _ = samplers._jump_matrices(2.0, (1.0,), 20, RngStream(10).gen)
         for row in jumps:
             kept = row[row > 0]
             # the kept jumps are a prefix and every row keeps its largest
             assert kept.size >= 1 and np.all(row[kept.size:] == 0.0)
             assert np.all(np.diff(kept) < 0)
-            assert np.all(kept[1:] >= 1e-4 * (1 - 1e-9))
+            assert np.all(kept[1:] >= DEFAULT_JUMP_EPS * (1 - 1e-9))
 
     def test_expected_jump_count(self):
-        eps = 1e-3
         alpha = 2.0
-        jumps, _ = samplers._jump_matrices(alpha, (1.0,), 3000, RngStream(11).gen, eps)
+        jumps, _ = samplers._jump_matrices(alpha, (1.0,), 3000, RngStream(11).gen)
         counts = np.count_nonzero(jumps, axis=1)
-        target = alpha * exp_integral_e1(eps)
+        target = alpha * exp_integral_e1(DEFAULT_JUMP_EPS)
         se = np.std(counts) / math.sqrt(len(counts))
         assert abs(np.mean(counts) - target) < 5 * se
 
     def test_total_mass_is_gamma(self):
         # total of the untruncated jumps is Gamma(alpha); with eps=1e-8 the
         # truncation bias is far below KS resolution
-        jumps, _ = samplers._jump_matrices(1.5, (1.0,), 3000, RngStream(12).gen, DEFAULT_JUMP_EPS)
+        jumps, _ = samplers._jump_matrices(1.5, (1.0,), 3000, RngStream(12).gen)
         totals = jumps.sum(axis=1)
         stat, p = stats.kstest(totals, stats.gamma(1.5).cdf)
         assert p > 1e-3
@@ -334,9 +330,7 @@ class TestJumpConstruction:
         # and it inverts that arrival's G / alpha.  Past a row's last step
         # the arrivals read inf, so nothing there is kept.
         for alpha, seed in ((5.0, 40), (0.3, 41)):
-            jumps, _ = samplers._jump_matrices(
-                alpha, (1.0,), 300, RngStream(seed).gen, DEFAULT_JUMP_EPS
-            )
+            jumps, _ = samplers._jump_matrices(alpha, (1.0,), 300, RngStream(seed).gen)
             arr, limit = jump_arrivals(alpha, 300, seed)
             keep = arr <= limit
             keep[:, 0] = True
@@ -350,7 +344,7 @@ class TestJumpConstruction:
 
     def test_first_arrival_beyond_the_cap_is_one_finite_jump(self):
         alpha, m, seed = 0.01, 3000, 42
-        jumps, _ = samplers._jump_matrices(alpha, (1.0,), m, RngStream(seed).gen, DEFAULT_JUMP_EPS)
+        jumps, _ = samplers._jump_matrices(alpha, (1.0,), m, RngStream(seed).gen)
         arr, _ = jump_arrivals(alpha, m, seed)
         capped = arr[:, 0] / alpha > 690.0
         assert capped.any()
@@ -363,7 +357,7 @@ class TestJumpConstruction:
         # read one generator: the same jumps and marks from the same stream.
         alpha, probs, m = 3.0, (0.3, 0.7), 400
         proj, totals, largest = gamma_projection_chunk(alpha, probs, m, RngStream(33).gen)
-        jumps, marks = samplers._jump_matrices(alpha, probs, m, RngStream(33).gen, 1e-8)
+        jumps, marks = samplers._jump_matrices(alpha, probs, m, RngStream(33).gen)
         assert np.allclose(totals, jumps.sum(axis=1), rtol=1e-14, atol=0.0)
         assert np.array_equal(largest, jumps[:, 0] / totals)
         assert np.all(marks[jumps == 0.0] == 0)
@@ -376,29 +370,29 @@ class TestJumpConstruction:
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 5.0])
     def test_largest_weight_has_the_exact_tail(self, alpha):
         # Over 50 000 rows.  Small alpha is left out: the absolute
-        # truncation at jump_eps biases the largest weight there.
+        # truncation at DEFAULT_JUMP_EPS biases the largest weight there.
         _, _, largest = gamma_projection_chunk(alpha, (0.5, 0.5), 50_000, RngStream(44).gen)
         assert_exact_tail(largest, alpha, (0.5, 0.7, 0.9))
 
     def test_kernel_validation(self):
         gen = RngStream(0).gen
-        for alpha, eps in ((0.0, 1e-8), (-1.0, 1e-8), (2.0, 0.0), (2.0, 0.5)):
+        for alpha in (0.0, -1.0):
             with pytest.raises(ValueError):
-                samplers._jump_matrices(alpha, (1.0,), 10, gen, eps)
+                samplers._jump_matrices(alpha, (1.0,), 10, gen)
 
     def test_per_measure_path_is_row_zero_of_the_kernel(self):
         # With a diffuse base no jumps merge: each measure's weights are a
         # normalized row of the kernel's jumps, in decreasing order.
         for seed, alpha in ((30, 2.0), (31, 0.3), (32, 15.0)):
             model = BaseModel(alpha=alpha, atom_probs=(), diffuse_weight=1.0)
-            measures = sample_jump_measure(model, RngStream(seed), 5, 1e-6)
-            jumps, _ = samplers._jump_matrices(alpha, (1.0,), 5, RngStream(seed).gen, 1e-6)
+            measures = sample_jump_measure(model, RngStream(seed), 5)
+            jumps, _ = samplers._jump_matrices(alpha, (1.0,), 5, RngStream(seed).gen)
             rows = normalized_rows(jumps)
             for zeta, row in zip(measures, rows):
                 assert np.array_equal([w for *_, w in zeta.atoms], row[row > 0])
 
     def test_normalized_sums_to_one(self):
-        jumps, _ = samplers._jump_matrices(2.0, (1.0,), 20, RngStream(13).gen, DEFAULT_JUMP_EPS)
+        jumps, _ = samplers._jump_matrices(2.0, (1.0,), 20, RngStream(13).gen)
         for w in normalized_rows(jumps):
             assert w.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(np.diff(w) <= 0)
@@ -406,7 +400,7 @@ class TestJumpConstruction:
     def test_largest_weight_mean_matches_ranked_law(self):
         # E(largest weight) for alpha=1 is known to be 0.6243...; a loose
         # band around it exercises the whole pipeline
-        jumps, _ = samplers._jump_matrices(1.0, (1.0,), 4000, RngStream(14).gen, DEFAULT_JUMP_EPS)
+        jumps, _ = samplers._jump_matrices(1.0, (1.0,), 4000, RngStream(14).gen)
         largest = normalized_rows(jumps)[:, 0]
         assert largest.mean() == pytest.approx(0.6243, abs=0.012)
 
@@ -513,7 +507,7 @@ class TestChunkKernels:
             w, b = stick_ensemble_chunk(2.0, probs, m, gen)
         else:
             if source == "jumps":
-                w = samplers._jump_matrices(5.0, (1.0,), m, gen, 1e-4)[0]
+                w = samplers._jump_matrices(5.0, (1.0,), m, gen)[0]
             else:
                 geometric = 0.1 * 0.9 ** np.arange(263)
                 w = np.broadcast_to(geometric / geometric.sum(), (m, 263))
@@ -581,7 +575,7 @@ _MODEL = BaseModel(alpha=2.0, atom_probs=(0.3, 0.7))
         lambda gen: stick_ensemble_chunk(2.0, (0.3, 0.7), 0, gen),
         lambda gen: sample_stick_breaking(_MODEL, RngStream(0), 0),
         lambda gen: gamma_projection_chunk(2.0, (0.3, 0.7), 0, gen),
-        lambda gen: samplers._jump_matrices(2.0, (1.0,), 0, gen, DEFAULT_JUMP_EPS),
+        lambda gen: samplers._jump_matrices(2.0, (1.0,), 0, gen),
         lambda gen: sample_jump_measure(_MODEL, RngStream(0), 0),
     ],
     ids=["stick_projection", "stick_ensemble", "sample_stick",

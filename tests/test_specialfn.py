@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from dpm import samplers, specialfn
-from dpm.samplers import DEFAULT_JUMP_EPS, RngStream
+from dpm.samplers import RngStream
 from dpm.specialfn import (
     EULER_GAMMA,
     count_at_or_below,
@@ -218,7 +218,7 @@ class TestInverseE1:
         counts = self._count_e1(monkeypatch)
         for alpha, rows in ((5.0, 2000), (0.2, 30000)):
             counts.update(e1=0, inverse=0)
-            samplers._jump_matrices(alpha, (1.0,), rows, RngStream(1).gen, DEFAULT_JUMP_EPS)
+            samplers._jump_matrices(alpha, (1.0,), rows, RngStream(1).gen)
             assert counts["inverse"] > 100_000
             assert counts["e1"] <= 1.1 * counts["inverse"]
 

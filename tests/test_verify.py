@@ -486,6 +486,26 @@ class TestAlphaGrid:
         assert [r.name for r in reports if not r.ok()] == []
 
 
+def _open_defect(name, alpha, construction, reason):
+    mark = pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
+    return pytest.param(name, alpha, construction, marks=mark, id=f"{name}-{construction}-{alpha:g}")
+
+
+# Known wrong outcomes at n=20000, seed 1.  Each is a strict xfail, so a
+# change that mends one sees it pass and fail the run, and removes its mark.
+@pytest.mark.parametrize("name, alpha, construction", [
+    _open_defect("mecke", 0.01, "gamma", "jumps below the absolute DEFAULT_JUMP_EPS are dropped, "
+                 "so many rows are one atom: 16 of 32 reports wrong (ROADMAP item 4)"),
+    _open_defect("sethuraman", 0.01, "gamma", "jumps below the absolute DEFAULT_JUMP_EPS are "
+                 "dropped, so many rows are one atom: 9 of 20 reports wrong (ROADMAP item 4)"),
+    _open_defect("sizebias", 1e-3, "stick", "the rest 1 - W underflows to 0 in about half the "
+                 "rows: 10 of 30 reports wrong (ROADMAP item 2)"),
+])
+def test_open_defect_cells(name, alpha, construction):
+    settings = CampaignSettings(alpha=alpha, n=N_SMOKE, seed=1, construction=construction)
+    assert campaign_ok(run_verify(name, settings))
+
+
 class TestConstructionEquivalence:
     def test_constructions_agree(self, base_model):
         settings = CampaignSettings(n=N_SMOKE, base=base_model)
@@ -599,19 +619,18 @@ class TestRunVerify:
         assert merged == singles
 
     def test_all_passes_construction_only_to_the_campaigns_that_read_it(self):
-        # Each campaign gets the settings it reads of p, base, construction
-        # and jump_eps; the others stay at their defaults.
+        # Each campaign gets the settings it reads of p, base and
+        # construction; the others stay at their defaults.
         settings = CampaignSettings(
             n=verify.SHARD_SIZE,
             seed=34,
             p=0.4,
             construction="gamma",
-            jump_eps=1e-6,
             base=BaseModel(alpha=2.0, atom_probs=(0.3, 0.3), diffuse_weight=0.4),
         )
-        reads = {"mecke": ("base", "construction", "jump_eps"), "tbeta": ("p",),
-                 "sethuraman": ("base", "construction", "jump_eps"), "tbeta2": ("p",),
-                 "sizebias": (), "thm52": ("jump_eps",)}
+        reads = {"mecke": ("base", "construction"), "tbeta": ("p",),
+                 "sethuraman": ("base", "construction"), "tbeta2": ("p",),
+                 "sizebias": (), "thm52": ()}
         defaults = CampaignSettings()
         merged = [r.to_dict() for r in run_verify("all", settings)]
         singles = [
@@ -619,7 +638,7 @@ class TestRunVerify:
             for name in CAMPAIGN_NAMES
             for r in run_verify(name, replace(settings, **{
                 k: getattr(defaults, k)
-                for k in ("p", "base", "construction", "jump_eps") if k not in reads[name]
+                for k in ("p", "base", "construction") if k not in reads[name]
             }))
         ]
         assert merged == singles
