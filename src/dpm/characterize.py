@@ -84,14 +84,14 @@ def characterize_from_samples(
     depth: int = 6,
     *,
     p: float | None = None,
-    threshold: float = DEFAULT_THRESHOLD,
 ) -> CharacterizationReport:
     """Recover the mixing-weight moments from data and grade the fit.
 
     Estimates p and the Z-moments from ``z_samples``, seeds the chain with
     the first empirical W-moment, predicts the higher W-moments degree by
     degree, and compares each prediction against its empirical value with
-    a delta-method standard error propagated through the whole chain.
+    a delta-method standard error propagated through the whole chain; the
+    fit passes when every |z| is at most :data:`DEFAULT_THRESHOLD`.
     The ``reference`` column restates the Be(1, alpha_hat) moments implied
     by the first one.  Estimated p within 0.02 of 1/2 makes the
     odd-degree steps (b_3, b_5, ...) ill-conditioned; a chain deep enough
@@ -162,7 +162,7 @@ def characterize_from_samples(
                     condition=float(conditions[k - 1]),
                 )
             )
-    verdict = "degenerate" if ill else "pass" if max_abs_z <= threshold else "fail"
+    verdict = "degenerate" if ill else "pass" if max_abs_z <= DEFAULT_THRESHOLD else "fail"
     return CharacterizationReport(
         p_hat=p_hat,
         alpha_hat=alpha_hat,

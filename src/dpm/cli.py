@@ -159,19 +159,15 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 # moments
 
 
-def _moment_entries(alphas, max_degree: int, method: str):
-    tables = {}
-    for m in ("exact", "recursion") if method == "both" else (method,):
-        tables[m] = build_moment_table(alphas, max_degree, method=m)
+def _moment_entries(alphas, max_degree: int):
+    """Each moment up to ``max_degree`` by both routes, and their gap."""
+    exact = build_moment_table(alphas, max_degree, method="exact")
+    recursion = build_moment_table(alphas, max_degree, method="recursion")
     entries = []
     for degree in range(max_degree + 1):
         for ks in multi_indices(len(alphas), degree):
-            row = {"k": list(ks)}
-            for m, table in tables.items():
-                row[m] = table.value(ks)
-            if method == "both":
-                row["abs_diff"] = abs(row["exact"] - row["recursion"])
-            entries.append(row)
+            e, r = exact.value(ks), recursion.value(ks)
+            entries.append({"k": list(ks), "exact": e, "recursion": r, "abs_diff": abs(e - r)})
     return entries
 
 
@@ -187,17 +183,12 @@ def _cmd_moments(args: argparse.Namespace) -> int:
         raise ValueError("--alphas must have a positive, finite total")
     if args.max_degree < 0:
         raise ValueError("--max-degree must be non-negative")
-    entries = _moment_entries(alphas, args.max_degree, args.method)
+    entries = _moment_entries(alphas, args.max_degree)
     if args.format == "json":
-        text = _envelope(
-            "moments",
-            alphas=list(alphas),
-            max_degree=args.max_degree,
-            method=args.method,
-            entries=entries,
-        )
+        text = _envelope("moments", alphas=list(alphas), max_degree=args.max_degree,
+                         entries=entries)
     else:
-        value_cols = ["exact", "recursion", "abs_diff"] if args.method == "both" else [args.method]
+        value_cols = ["exact", "recursion", "abs_diff"]
         text = _csv(
             [f"k{i}" for i in range(len(alphas))] + value_cols,
             [row["k"] + [row[c] for c in value_cols] for row in entries],
@@ -220,7 +211,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     reports = run_verify(args.campaign, settings)
     elapsed = time.monotonic() - started
     ok = campaign_ok(reports)
-    budget = false_alarm_budget(reports, settings.threshold)
+    budget = false_alarm_budget(reports)
     if args.format == "csv":
         text = _csv(
             [f.name for f in fields(TestReport)], [r.to_dict().values() for r in reports]
@@ -263,7 +254,6 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
         w,
         depth=args.depth,
         p=s.p if args.p_known else None,
-        threshold=s.threshold,
     )
     if args.format == "csv":
         text = _csv(
@@ -296,7 +286,6 @@ _SETTING_FLAGS = {
     "p": dict(type=float, help="Z ~ Be(p alpha, (1 - p) alpha)"),
     "n": dict(type=int, help="number of samples"),
     "seed": dict(help="integer seed or 'random'"),
-    "threshold": dict(type=float, help="|z| acceptance bound"),
     "jobs": dict(type=int, help="worker processes"),
     "base": dict(help="base model as JSON"),
     "construction": dict(choices=("stick", "gamma"), help="stick-breaking or normalized jumps"),
@@ -337,15 +326,13 @@ def _build_parser() -> argparse.ArgumentParser:
     mp = _add_command(sub, "moments", _cmd_moments, help="tabulate mixed projection moments")
     mp.add_argument("--alphas", required=True, help="comma-separated block parameters")
     mp.add_argument("--max-degree", type=int, default=4, help="largest total degree")
-    mp.add_argument("--method", choices=("exact", "recursion", "both"), default="both",
-                    help="closed form, one-step recursion, or both with their gap")
 
     vp = _add_command(sub, "verify", _cmd_verify, tuple(_SETTING_FLAGS),
                       help="run a Monte Carlo verification campaign")
     vp.add_argument("campaign", choices=CAMPAIGN_NAMES + ("all",))
 
     cp = _add_command(
-        sub, "characterize", _cmd_characterize, ("alpha", "p", "n", "seed", "threshold"),
+        sub, "characterize", _cmd_characterize, ("alpha", "p", "n", "seed"),
         help="recover mixing-weight moments from sampled data",
     )
     cp.add_argument("--depth", type=int, default=6)

@@ -156,10 +156,12 @@ def moment_recursion_step(table: MomentTable, alphas, j: int, ks) -> float:
     for r in range(kj + 1):
         lower = ks[:j] + (r,) + ks[j + 1 :]
         term = math.comb(kj, r) * table.value(lower)
-        # B(n, x) = (n - 1)! / (x (x + 1) ... (x + n - 1)) for integer n.
-        term *= _rising_ratio([1, *range(1, kj + 1 - r)], total + (ksum - kj + r))
+        # alpha_j B(n, x) = alpha_j (n - 1)! / (x (x + 1) ... (x + n - 1)) for
+        # integer n.  alpha_j / x comes first: 1 / x overflows at a subnormal
+        # total.
+        term *= _rising_ratio([alphas[j], *range(1, kj + 1 - r)], total + (ksum - kj + r))
         acc += term
-    return alphas[j] * acc
+    return acc
 
 
 def build_moment_table(alphas, max_degree: int, method: str = "recursion") -> MomentTable:

@@ -43,28 +43,15 @@ def kolmogorov_sf(lam: float) -> float:
     return min(1.0, max(0.0, 2.0 * acc))
 
 
-class DegenerateTest(ValueError):
-    """The cdf is constant on the sample, so the test cannot compare laws."""
-
-
-def _check_cdf_values(f: np.ndarray) -> None:
-    if not np.all((f >= -1e-9) & (f <= 1.0 + 1e-9)):
-        raise ValueError("cdf values are NaN or fall outside [0, 1]")
-    if np.any(np.diff(f) < -1e-12):
-        raise ValueError("cdf is not monotone on the sample")
-    if f.max() - f.min() == 0.0:
-        raise DegenerateTest("cdf is constant on the sample; the test is degenerate")
-
-
 def ks_test(samples, cdf) -> tuple[float, float]:
     """One-sample Kolmogorov-Smirnov test against a continuous cdf.
 
     Returns (statistic, asymptotic p-value).  The cdf callable is applied
-    to the sorted sample array; it must be monotone with values in [0, 1]
-    and non-constant over the sample, otherwise the input is rejected
-    (a constant cdf by :class:`DegenerateTest`).
-    Fewer than 100 samples are rejected too, as the asymptotic p-value
-    would be meaningless.
+    to the sorted sample array; it must be monotone with values in [0, 1],
+    otherwise the input is rejected.  A cdf constant on the sample cannot
+    compare laws: both values are then NaN, which a report grades
+    degenerate.  Fewer than 100 samples are rejected too, as the asymptotic
+    p-value would be meaningless.
     """
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
@@ -73,7 +60,12 @@ def ks_test(samples, cdf) -> tuple[float, float]:
     f = np.asarray(cdf(x), dtype=float)
     if f.shape != x.shape:
         raise ValueError("cdf must map the sample array to an equal-length array")
-    _check_cdf_values(f)
+    if not np.all((f >= -1e-9) & (f <= 1.0 + 1e-9)):
+        raise ValueError("cdf values are NaN or fall outside [0, 1]")
+    if np.any(np.diff(f) < -1e-12):
+        raise ValueError("cdf is not monotone on the sample")
+    if f.min() == f.max():
+        return math.nan, math.nan
     gaps = []
     for start in range(0, n, _KS_CHUNK):
         part = f[start : start + _KS_CHUNK]

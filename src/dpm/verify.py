@@ -68,8 +68,10 @@ from .samplers import (
     stick_ensemble_chunk,
     stick_projection_chunk,
 )
-from .stats import MIN_KS_SAMPLES, DegenerateTest, ks_test, ks_two_sample, two_sided_p
+from .stats import MIN_KS_SAMPLES, ks_test, ks_two_sample, two_sided_p
 
+# The grading rules of _Campaign.report are constants, not settings: a report
+# keeps its statistic and p-value, so another level can be applied without a rerun.
 DEFAULT_THRESHOLD = 4.0
 DEFAULT_P_FLOOR = 1e-3
 DEFAULT_N = 200_000
@@ -248,7 +250,6 @@ class CampaignSettings:
     p: float = 0.3
     n: int = DEFAULT_N
     seed: int = 12345
-    threshold: float = DEFAULT_THRESHOLD
     jobs: int = 1
     base: BaseModel | None = None
     construction: str = "stick"
@@ -266,8 +267,6 @@ class CampaignSettings:
             )
         if not MIN_KS_SAMPLES <= self.n <= MAX_N:
             raise ValueError(f"n must lie in [{MIN_KS_SAMPLES}, {MAX_N}], got {self.n}")
-        if not 0.0 < self.threshold < math.inf:
-            raise ValueError(f"threshold must be finite and positive, got {self.threshold}")
         if not self.jobs >= 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
 
@@ -352,7 +351,7 @@ class _Campaign:
     draws another way is a second statistic of the same kernel call, named
     "control"; one that changes the input is a variant of the campaign,
     which :meth:`runs` runs with changed parameters on its own substreams.
-    ``n``, ``jobs`` and ``threshold`` come from the settings.
+    ``n`` and ``jobs`` come from the settings.
     """
 
     kernel: Callable[..., dict]
@@ -391,7 +390,7 @@ class _Campaign:
 
     def report(self, name, stat, lhs, rhs, se, n, *, p=None, kind="z", notes="") -> TestReport:
         """The one report builder and grading rule.  Without ``p``, ``stat``
-        is a z-score: it passes at |z| <= threshold and its p-value is
+        is a z-score: it passes at |z| <= DEFAULT_THRESHOLD and its p-value is
         two-sided (0 for an infinite z).  With ``p`` it is a KS statistic,
         passing at p >= DEFAULT_P_FLOOR.  Either is degenerate when NaN, which
         no report, a control included, counts as its expected outcome.  A
@@ -399,7 +398,7 @@ class _Campaign:
         repr would leak into the CSV."""
         if p is None:
             p = two_sided_p(stat) if math.isfinite(stat) else 0.0
-            verdict = "pass" if abs(stat) <= self.settings.threshold else "fail"
+            verdict = "pass" if abs(stat) <= DEFAULT_THRESHOLD else "fail"
         else:
             verdict = "pass" if p >= DEFAULT_P_FLOOR else "fail"
         verdict = "degenerate" if math.isnan(stat) else verdict
@@ -433,11 +432,13 @@ class _Campaign:
                            notes=f"{notes}; worst sub-test {w.name}")
 
 
-def false_alarm_budget(reports, threshold: float) -> float:
+def false_alarm_budget(reports) -> float:
     """A Bonferroni bound on a false alarm in a correct run: the sum over
     non-control reports of their rule's null rejection rate (see
-    :meth:`_Campaign.report`), 2 Phi(-threshold) per z-score, DEFAULT_P_FLOOR per KS test."""
-    rate = {"ks": DEFAULT_P_FLOOR, "z": two_sided_p(threshold), "cov": two_sided_p(threshold)}
+    :meth:`_Campaign.report`), 2 Phi(-DEFAULT_THRESHOLD) per z-score,
+    DEFAULT_P_FLOOR per KS test."""
+    z_rate = two_sided_p(DEFAULT_THRESHOLD)
+    rate = {"ks": DEFAULT_P_FLOOR, "z": z_rate, "cov": z_rate}
     return sum(rate[r.kind] for r in reports if r.kind != "control")
 
 
@@ -768,16 +769,6 @@ def _removal_kernel(m, gen, *, alpha, probs, exponents) -> dict:
     }
 
 
-def _ks_or_nan(samples, cdf) -> tuple[float, float]:
-    """:func:`ks_test`, or NaN for both when ``cdf`` is constant on the
-    sample, as when every rest underflows to 0 at tiny alpha; a NaN
-    statistic is graded degenerate."""
-    try:
-        return ks_test(samples, cdf)
-    except DegenerateTest:
-        return math.nan, math.nan
-
-
 def verify_sizebias_invariance(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
     """Check invariance under removal of a size-biased pick.
 
@@ -806,7 +797,7 @@ def verify_sizebias_invariance(s: CampaignSettings, rng: RngStream) -> list[Test
     # that 1 - W would round away when W is near 1.
     rest = stats["rest"]
     mean, n = np.mean(rest), len(rest)
-    stat, p = _ks_or_nan(rest, lambda y: y**alpha)
+    stat, p = ks_test(rest, lambda y: y**alpha)
     notes = f"rest 1-W of the picked weight W against Be({alpha:g},1)"
     reports.append(c.report("sizebias:picked-weight-law", stat, mean, alpha / (alpha + 1.0), 0.0,
                             n, p=p, kind="ks", notes=notes))
@@ -814,7 +805,7 @@ def verify_sizebias_invariance(s: CampaignSettings, rng: RngStream) -> list[Test
     names = [f"sizebias:indep[{pair.format(j=j)}]" for j in range(len(probs)) for pair in pairs]
     reports += c.reports(names, stats["indep"].covariance(), kind="cov")
     wrong = alpha + 1.5
-    stat, p = _ks_or_nan(rest, lambda y: y**wrong)
+    stat, p = ks_test(rest, lambda y: y**wrong)
     notes = f"rest 1-W against Be({wrong:g},1) must be rejected"
     name = "sizebias:control:wrong-weight-shape"
     reports.append(c.report(name, stat, mean, wrong / (wrong + 1.0), 0.0, n, p=p, kind="control",

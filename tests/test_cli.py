@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import dpm
-from dpm import __version__, cli, samplers, verify
+from dpm import __version__, characterize, cli, samplers, verify
 from dpm.characterize import MAX_CHARACTERIZE_N
 from dpm.cli import main
 from dpm.measures import BaseModel
@@ -42,7 +42,6 @@ FLAGS = {
     "alpha": (("--alpha", "3"), 3),
     "p": (("--p", "0.4"), 0.4),
     "n": (("--n", "3000"), 3000),
-    "threshold": (("--threshold", "4.5"), 4.5),
     "jobs": (("--jobs", "2"), 2),
     "construction": (("--construction", "gamma"), "gamma"),
 }
@@ -52,7 +51,7 @@ FLAGS = {
 # all of them.
 TAKES = {
     "sample": ("alpha", "seed", "base", "construction"),
-    "characterize": ("alpha", "p", "n", "seed", "threshold"),
+    "characterize": ("alpha", "p", "n", "seed"),
 }
 # Each (command, setting) pair; the verify pairs are named by the setting.
 FLAG_CASES = [pytest.param("verify", k, id=k) for k in FLAGS] + [
@@ -62,11 +61,11 @@ FLAG_CASES = [pytest.param("verify", k, id=k) for k in FLAGS] + [
 # The flags in each command's --help.
 HELP_FLAGS = {
     "sample": {"--alpha", "--base", "--construction", "--n", "--out", "--seed"},
-    "moments": {"--alphas", "--format", "--max-degree", "--method", "--out"},
+    "moments": {"--alphas", "--format", "--max-degree", "--out"},
     "verify": {"--alpha", "--base", "--construction", "--format", "--jobs", "--n", "--out", "--p",
-               "--seed", "--threshold"},
+               "--seed"},
     "characterize": {"--alpha", "--depth", "--format", "--n", "--out", "--p", "--p-known",
-                     "--seed", "--threshold"},
+                     "--seed"},
 }
 
 
@@ -247,8 +246,7 @@ class TestMoments:
 
     def test_cross_moment_worked_example(self, capsys):
         code, out, _ = run_cli(
-            capsys, "moments", "--alphas", "2,3", "--max-degree", "2",
-            "--method", "exact", "--format", "csv",
+            capsys, "moments", "--alphas", "2,3", "--max-degree", "2", "--format", "csv",
         )
         assert code == 0
         rows = dict(
@@ -267,6 +265,22 @@ class TestMoments:
         assert payload["command"] == "moments"
         assert payload["max_degree"] == 4
         assert len(payload["entries"]) == 15
+
+    def test_method_is_not_a_flag(self, capsys):
+        # Every run prints both routes and their gap.
+        with pytest.raises(SystemExit) as exc:
+            main(["moments", "--alphas", "1,1", "--method", "exact"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --method exact" in capsys.readouterr().err
+
+    def test_subnormal_total_is_tabulated(self, capsys):
+        # 1 / total overflows below about 5.6e-309; the total is still
+        # positive and finite, so both routes must tabulate it.
+        code, out, _ = run_cli(capsys, "moments", "--alphas", "5e-324,5e-324", "--max-degree", "3")
+        assert code == 0
+        entries = strict_loads(out)["entries"]
+        assert len(entries) == 10
+        assert all(e["abs_diff"] == 0.0 for e in entries)
 
     def test_bad_alphas(self, capsys):
         assert run_cli(capsys, "moments", "--alphas", "1,oops")[0] == 2
@@ -306,11 +320,9 @@ class TestVerify:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
 
-    def test_tiny_threshold_exits_one(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "tbeta", "--n", "20000", "--seed", "42",
-            "--threshold", "0.001",
-        )
+    def test_tiny_threshold_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "DEFAULT_THRESHOLD", 0.001)
+        code, out, _ = run_cli(capsys, "verify", "tbeta", "--n", "20000", "--seed", "42")
         assert code == 1
         assert json.loads(out)["ok"] is False
 
@@ -350,9 +362,13 @@ class TestVerify:
 
     def test_flags_cover_every_setting(self):
         assert set(FLAGS) == {f.name for f in fields(CampaignSettings)}
-        # Jump truncation is the constant samplers.DEFAULT_JUMP_EPS.
+        assert len(FLAGS) == 7
+        # Jump truncation is the constant samplers.DEFAULT_JUMP_EPS, and the
+        # z threshold verify.DEFAULT_THRESHOLD.
         with pytest.raises(TypeError):
             CampaignSettings(jump_eps=1e-6)
+        with pytest.raises(TypeError):
+            CampaignSettings(threshold=4.0)
 
     @pytest.mark.parametrize("command, key", FLAG_CASES)
     def test_each_flag_reaches_its_field(self, capsys, monkeypatch, command, key):
@@ -519,12 +535,14 @@ class TestVerify:
         assert abs(law["lhs"] - law["rhs"]) <= 4.0 * se
         assert abs(control["lhs"] - control["rhs"]) > 4.0 * se
 
-    @pytest.mark.parametrize("threshold", [None, "3.5"])
-    def test_false_alarm_budget_sums_each_rule(self, capsys, threshold):
-        given = () if threshold is None else ("--threshold", threshold)
-        _, out, err = run_cli(capsys, "verify", "all", "--n", "20000", "--seed", "42", *given)
+    @pytest.mark.parametrize("threshold", [None, 3.5])
+    def test_false_alarm_budget_sums_each_rule(self, capsys, monkeypatch, threshold):
+        # The budget reads the z threshold when it is computed.
+        if threshold is not None:
+            monkeypatch.setattr(verify, "DEFAULT_THRESHOLD", threshold)
+        _, out, err = run_cli(capsys, "verify", "all", "--n", "20000", "--seed", "42")
         payload = json.loads(out)
-        z_rate = math.erfc(float(threshold or 4.0) / math.sqrt(2.0))
+        z_rate = math.erfc((threshold or 4.0) / math.sqrt(2.0))
         rate = {"z": z_rate, "cov": z_rate, "ks": 1e-3}
         kinds = [r["kind"] for r in payload["reports"] if r["kind"] != "control"]
         assert (len(kinds), kinds.count("ks")) == (111, 2)
@@ -585,14 +603,20 @@ class TestVerify:
         assert control["verdict"] == "degenerate"
         assert control["statistic"] is None and control["p_value"] is None
 
+    @pytest.mark.parametrize("command", ["verify", "characterize"])
+    def test_threshold_is_not_a_setting(self, capsys, monkeypatch, command):
+        # A z-score passes at |z| <= verify.DEFAULT_THRESHOLD: no flag sets it.
+        monkeypatch.setattr(cli, "run_verify", no_campaign)
+        monkeypatch.setattr(cli, "beta_pairs", no_campaign)
+        with pytest.raises(SystemExit) as exc:
+            main([command, *(("tbeta",) if command == "verify" else ()), "--threshold", "3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --threshold 3" in captured.err
+
     @pytest.mark.parametrize(
-        "args, message",
-        [
-            (("--threshold", "nan"), "threshold must be finite and positive"),
-            (("--threshold=-1",), "threshold must be finite and positive"),
-            (("--jobs", "0"), "jobs must be at least 1"),
-        ],
-        ids=["threshold-nan", "threshold-negative", "jobs-zero"],
+        "args, message", [(("--jobs", "0"), "jobs must be at least 1")], ids=["jobs-zero"]
     )
     def test_bad_settings_are_usage_errors(self, capsys, monkeypatch, args, message):
         # Rejected before any campaign runs, not reported as failed tests.
@@ -657,24 +681,15 @@ class TestCharacterize:
         assert payload["report"]["verdict"] == "degenerate"
         assert payload["report"]["ill_conditioned"] is True
 
-    def test_tiny_threshold_exits_one(self, capsys):
-        code, _, _ = run_cli(
-            capsys, "characterize", "--n", "50000", "--seed", "9",
-            "--depth", "4", "--threshold", "0.001",
-        )
+    def test_tiny_threshold_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(characterize, "DEFAULT_THRESHOLD", 0.001)
+        code, _, _ = run_cli(capsys, "characterize", "--n", "50000", "--seed", "9", "--depth", "4")
         assert code == 1
 
     def test_usage_errors(self, capsys):
         assert run_cli(capsys, "characterize", "--p", "0")[0] == 2
         assert run_cli(capsys, "characterize", "--n", "50")[0] == 2
         assert run_cli(capsys, "characterize", "--depth", "12", "--n", "500")[0] == 2
-
-    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
-    def test_bad_threshold_is_usage_error(self, capsys, value):
-        code, out, err = run_cli(capsys, "characterize", "--n", "5000", f"--threshold={value}")
-        assert code == 2
-        assert out == ""
-        assert "threshold must be finite and positive" in err
 
     def test_n_beyond_the_memory_bound_is_usage_error(self, capsys, monkeypatch):
         # Every pair is held at once, so a larger n is refused before any draw.

@@ -220,6 +220,16 @@ class TestRecursionVsClosedForm:
                 for value in (dirichlet_mixed_moment(alphas, ks), table.value(ks)):
                     assert abs(Fraction(value) - exact) <= 2e-15 * exact
 
+    @pytest.mark.parametrize("alphas", [(5e-324, 5e-324), (1e-310, 1e-310)])
+    def test_recursion_at_a_subnormal_total(self, alphas):
+        # 1 / total overflows below about 5.6e-309: the recursion forms
+        # alpha_j / total instead, and agrees with the closed form.
+        t_rec = build_moment_table(alphas, 3, method="recursion")
+        t_cf = build_moment_table(alphas, 3, method="exact")
+        for degree in range(4):
+            for ks in multi_indices(2, degree):
+                assert abs(t_rec.value(ks) - t_cf.value(ks)) <= 2e-15 * t_cf.value(ks)
+
     def test_single_block_moments_are_one(self):
         # one block carrying everything: Z = 1 a.s., all moments 1
         t = build_moment_table((2.0,), 4, method="recursion")
