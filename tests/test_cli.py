@@ -616,7 +616,14 @@ class TestVerify:
         assert "unrecognized arguments: --threshold 3" in captured.err
 
     @pytest.mark.parametrize(
-        "args, message", [(("--jobs", "0"), "jobs must be at least 1")], ids=["jobs-zero"]
+        "args, message",
+        [
+            # The z threshold is the constant verify.DEFAULT_THRESHOLD.
+            (("--threshold", "nan"), "unrecognized arguments: --threshold nan"),
+            (("--threshold=-1",), "unrecognized arguments: --threshold=-1"),
+            (("--jobs", "0"), "jobs must be at least 1"),
+        ],
+        ids=["threshold-nan", "threshold-negative", "jobs-zero"],
     )
     def test_bad_settings_are_usage_errors(self, capsys, monkeypatch, args, message):
         # Rejected before any campaign runs, not reported as failed tests.
@@ -624,7 +631,10 @@ class TestVerify:
             raise AssertionError("a campaign ran")
 
         monkeypatch.setattr(cli, "run_verify", no_campaign)
-        code, out, err = run_cli(capsys, "verify", "tbeta", "--n", "2000", *args)
+        try:
+            code, out, err = run_cli(capsys, "verify", "tbeta", "--n", "2000", *args)
+        except SystemExit as exc:
+            code, (out, err) = exc.code, capsys.readouterr()
         assert code == 2
         assert out == ""
         assert message in err
@@ -690,6 +700,17 @@ class TestCharacterize:
         assert run_cli(capsys, "characterize", "--p", "0")[0] == 2
         assert run_cli(capsys, "characterize", "--n", "50")[0] == 2
         assert run_cli(capsys, "characterize", "--depth", "12", "--n", "500")[0] == 2
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_bad_threshold_is_usage_error(self, capsys, monkeypatch, value):
+        # No threshold is a setting, so every value is refused before any draw.
+        monkeypatch.setattr(cli, "beta_pairs", no_campaign)
+        with pytest.raises(SystemExit) as exc:
+            main(["characterize", "--n", "5000", f"--threshold={value}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: --threshold={value}" in captured.err
 
     def test_n_beyond_the_memory_bound_is_usage_error(self, capsys, monkeypatch):
         # Every pair is held at once, so a larger n is refused before any draw.

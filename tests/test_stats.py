@@ -86,6 +86,12 @@ class TestOneSampleKs:
         with pytest.raises(ValueError, match="monotone"):
             ks_test(x, lambda t: np.where(t < 0.5, t, 1.0 - t))
 
+    def test_constant_cdf_rejected(self):
+        # A cdf constant everywhere yields no statistic, only NaN.
+        x = np.linspace(0.01, 0.99, 200)
+        stat, p = ks_test(x, lambda t: np.full_like(t, 0.5))
+        assert math.isnan(stat) and math.isnan(p)
+
     def test_constant_cdf_reads_nan(self):
         # As sizebias's rest is when every value underflows to 0: the test
         # cannot compare laws, and a report grades the NaN degenerate.

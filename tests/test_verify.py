@@ -19,7 +19,7 @@ from dpm import samplers, verify
 from dpm.characterize import CharacterizationReport, characterize_from_samples
 from dpm.measures import BaseModel
 from dpm.samplers import RngStream, TruncationError
-from dpm.stats import two_sided_p
+from dpm.stats import ks_test, two_sided_p
 from dpm.verify import (
     CAMPAIGN_NAMES,
     CampaignSettings,
@@ -372,6 +372,17 @@ class TestSizebiasInvarianceCampaign:
         reports = verify_sizebias_invariance(CampaignSettings(n=N_SMOKE), RngStream(76))
         assert campaign_ok(reports)
         assert any(r.kind == "ks" for r in reports)
+
+    def test_only_a_constant_ks_cdf_reads_nan(self):
+        # The rest 1 - W can underflow to 0 in every row: its KS test then
+        # reads NaN, while a bad cdf or too few rows is still an error.
+        rest = np.zeros(200)
+        stat, p = ks_test(rest, lambda y: y**3.5)
+        assert math.isnan(stat) and math.isnan(p)
+        with pytest.raises(ValueError, match="outside"):
+            ks_test(rest, lambda y: y - 1.0)
+        with pytest.raises(ValueError, match="at least"):
+            ks_test(rest[:10], lambda y: y**3.5)
 
     def test_atomic_base_rejected(self):
         # The campaign runs on a diffuse base of its own and reads no base.
