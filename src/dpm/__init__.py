@@ -36,7 +36,6 @@ from .verify import (
     run_verify,
     verify_beta_general,
     verify_beta_sizebias,
-    verify_construction_equivalence,
     verify_marked_sizebias,
     verify_mecke,
     verify_sethuraman,
@@ -77,7 +76,6 @@ __all__ = [
     "run_verify",
     "verify_beta_general",
     "verify_beta_sizebias",
-    "verify_construction_equivalence",
     "verify_marked_sizebias",
     "verify_mecke",
     "verify_sethuraman",

@@ -32,10 +32,11 @@ wrong p, tbeta2's wrong c) is a second statistic of the identity's own
 kernel call: it reads the identity's draws and draws nothing.  A control
 that changes the input (mecke's single atom, thm52's geometric weights) is
 a fixed weight sequence with i.i.d. marks, run as a variant of the
-campaign, as is thm52's jump run.  mecke, sethuraman, thm52 and the
-construction check read every input from one place, :func:`_projections`.
-:data:`_CAMPAIGNS` maps each campaign's name to its function and to
-the settings it reads among p, base and construction.
+campaign, as is thm52's jump run, which thm52 grades as it grades its
+sticks.  mecke, sethuraman and thm52 read every input from one place,
+:func:`_projections`.  :data:`_CAMPAIGNS` maps each campaign's name to its
+function and to the settings it reads among p, base and construction;
+every campaign is registered there.
 
 At ``jobs > 1`` a campaign sends every shard of every variant to one pool
 of min(jobs, shards times variants, usable CPUs) worker processes, or
@@ -223,13 +224,6 @@ def _pair(lhs, rhs) -> Moments:
 
 def _cov(x, y) -> Moments:
     return Moments.of(x, y, order=(2, 2))
-
-
-def _two_sample(a: Moments, b: Moments) -> Estimate:
-    """Difference of the x-means of two independent paired statistics."""
-    lhs, rhs = a.paired().lhs, b.paired().lhs
-    se = np.sqrt(a.sums[2, 0] / (a.n - 1) / a.n + b.sums[2, 0] / (b.n - 1) / b.n)
-    return Estimate(lhs, rhs, lhs - rhs, se, a.n + b.n)
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +564,8 @@ def _mix_kernel(m, gen, *, alpha, probs, construction, control, exponents, weigh
 
 
 def _mix_params(s: CampaignSettings) -> dict:
-    """Kernel parameters shared by mecke, sethuraman and the construction
-    check, on the blocks of the configured base or of the default base."""
+    """Kernel parameters shared by mecke and sethuraman, on the blocks of
+    the configured base or of the default base."""
     probs = _block_probs(s.base or BaseModel.default(s.alpha))
     # With one block of positive mass every projection is 1: both sides of
     # each identity agree to rounding and no control can reject.
@@ -825,13 +819,17 @@ _GEOMETRIC = tuple((_GEOMETRIC / _GEOMETRIC.sum()).tolist())
 
 
 def verify_marked_sizebias(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
-    """Check the sequence-level characterization of stick weights.
+    """Check the sequence-level characterization of PD weights with marks.
 
-    Pairs stick-breaking (GEM) weights with i.i.d. marks over two atoms of
-    probabilities 0.25 and 0.75 and tests the projections against the exact
-    mixed moments of the Dirichlet law (monomials up to degree 3), and the
-    largest weight against the jump-construction path via a two-sample KS
-    test (the ranked weight sets share one law, so their maxima do too).
+    Pairs PD(alpha) weights with i.i.d. marks over two atoms of
+    probabilities 0.25 and 0.75, in two orders: the size-biased order of
+    stick-breaking (GEM) weights and the ranked order of normalized gamma
+    jumps.  Each order's projections are tested against the exact mixed
+    moments of the Dirichlet law (monomials up to degree 3).  The jump run
+    also tests its unnormalized total against its mean alpha and the
+    covariance of the total with the first projection (the two sum to
+    one), and its largest weight against the largest stick by a two-sample
+    KS test (the ranked weight sets share one law, so their maxima do too).
     The negative control replaces the weights by a deterministic geometric
     sequence with the same marks; its degree-2 and degree-3 moments must
     fail.
@@ -852,6 +850,16 @@ def verify_marked_sizebias(s: CampaignSettings, rng: RngStream) -> list[TestRepo
         {}, dict(construction="gamma"), dict(construction=_GEOMETRIC, **control_family)
     )
     reports = c.reports(names, gem["identity"].paired())
+    notes = "ranked normalized jumps"
+    jump_names = [name.replace("thm52:", "thm52:jump:") for name in names]
+    reports += c.reports(jump_names, jump["identity"].paired(), notes=notes)
+    notes = "unnormalized jump total against alpha"
+    reports += c.reports(["thm52:jump:total-mass-mean"], jump["total"].paired(), notes=notes)
+    # One name reports the first block's column only: the second block's
+    # covariance is its negative.
+    notes = "normalized projection vs unnormalized total"
+    reports += c.reports(["thm52:jump:indep[Z0,total]"], jump["indep"].covariance(), kind="cov",
+                         notes=notes)
     a, b = gem["largest"], jump["largest"]
     stat, p = ks_two_sample(a, b)
     notes = "largest stick weight vs largest normalized jump"
@@ -860,44 +868,6 @@ def verify_marked_sizebias(s: CampaignSettings, rng: RngStream) -> list[TestRepo
     notes = "deterministic geometric weights (ratio 0.9) with i.i.d. marks"
     name = "thm52:control:geometric-weights"
     reports.append(c.control(name, control_names, geometric["identity"], notes))
-    return reports
-
-
-# ---------------------------------------------------------------------------
-# construction equivalence
-
-
-def verify_construction_equivalence(s: CampaignSettings, rng: RngStream) -> list[TestReport]:
-    """Compare the stick and jump constructions of the same law.
-
-    Two-sample z-tests on every projection monomial up to degree 3, a
-    one-sample z-test of the unnormalized total mass against its mean
-    alpha, and covariance checks that the normalized projections are
-    uncorrelated with the total.  ``s.construction`` is not read: both
-    constructions run.
-    """
-    params = _mix_params(s)
-    nb = len(params["probs"])
-    exponents = _exponents(nb, 3)
-    params.update(exponents=exponents, targets=0.0)
-    c = _Campaign(_projection_kernel, params, s, rng)
-    stick, gamma = c.runs(dict(construction="stick"), dict(construction="gamma"))
-    reports = c.reports(
-        [f"construction:moment[{_monomial_name(ks)}]" for ks in exponents],
-        _two_sample(stick["identity"], gamma["identity"]),
-        notes="stick vs jump construction",
-    )
-    reports += c.reports(
-        ["construction:total-mass-mean"],
-        gamma["total"].paired(),
-        notes="unnormalized jump total against alpha",
-    )
-    reports += c.reports(
-        [f"construction:indep[proj{j},total]" for j in range(nb)],
-        gamma["indep"].covariance(),
-        kind="cov",
-        notes="normalized projection vs unnormalized total",
-    )
     return reports
 
 

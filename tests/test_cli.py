@@ -545,7 +545,7 @@ class TestVerify:
         z_rate = math.erfc((threshold or 4.0) / math.sqrt(2.0))
         rate = {"z": z_rate, "cov": z_rate, "ks": 1e-3}
         kinds = [r["kind"] for r in payload["reports"] if r["kind"] != "control"]
-        assert (len(kinds), kinds.count("ks")) == (111, 2)
+        assert (len(kinds), kinds.count("ks")) == (122, 2)
         expected = sum(rate[kind] for kind in kinds)
         assert payload["false_alarm_budget"] == pytest.approx(expected, rel=1e-12)
         assert f"false-alarm budget {expected:.2g}," in err
