@@ -22,10 +22,10 @@ import time
 from dataclasses import astuple, fields
 
 from . import __version__
-from .characterize import MAX_CHARACTERIZE_N, CharacterizationRow, characterize_from_samples
+from .characterize import CharacterizationRow, run_characterize
 from .measures import BaseModel
 from .moments import build_moment_table, multi_indices
-from .samplers import RngStream, beta_pairs, sample_jump_measure, sample_stick_breaking
+from .samplers import RngStream, sample_jump_measure, sample_stick_breaking
 from .verify import (
     CAMPAIGN_NAMES,
     CampaignSettings,
@@ -245,16 +245,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
     s = _settings(args)
-    if s.n > MAX_CHARACTERIZE_N:
-        raise ValueError(f"characterize holds every pair in memory: n must be at most "
-                         f"{MAX_CHARACTERIZE_N}, got {s.n}")
-    z, w = beta_pairs(s.p, s.alpha, s.n, RngStream(s.seed).gen)
-    report = characterize_from_samples(
-        z,
-        w,
-        depth=args.depth,
-        p=s.p if args.p_known else None,
-    )
+    report = run_characterize(s, depth=args.depth, p_known=args.p_known)
     if args.format == "csv":
         text = _csv(
             [f.name for f in fields(CharacterizationRow)], [astuple(row) for row in report.rows]
@@ -269,9 +260,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
         f"max|z|={report.max_abs_z:.3g} verdict={report.verdict}",
         file=sys.stderr,
     )
-    if report.verdict == "fail":
-        return 1
-    return 0
+    return 1 if report.verdict == "fail" else 0
 
 
 # ---------------------------------------------------------------------------

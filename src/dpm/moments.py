@@ -10,11 +10,11 @@ Each gamma-function ratio either route needs is one product of ratios,
 parameters in both routes alike, where their agreement cannot show it.
 
 The scalar half of the module inverts the size-biased mixing identities
-for a pair (Z, W) of independent [0,1] variables: given the Z-moment
-sequence, the first W-moment and the mean parameter p, `solve_b_next`
-recovers the W-moments one degree at a time.  The step for an odd-degree
-moment b_{n+1} (identity index n even) degenerates exactly at p = 1/2,
-which `check_solvability` predicts in closed form.
+for a pair (Z, W) of independent [0,1] variables: given the central
+moments of Z about a centre c, the first W-moment and the mean parameter
+p, `solve_b_next` recovers the W-moments one degree at a time.  The step
+for an odd-degree moment b_{n+1} (identity index n even) degenerates
+exactly at p = 1/2, which `check_solvability` predicts in closed form.
 """
 
 from __future__ import annotations
@@ -182,11 +182,6 @@ def build_moment_table(alphas, max_degree: int, method: str = "recursion") -> Mo
     return table
 
 
-def _binomial_mixed(af, k: int, m: int) -> float:
-    # E[Z^k (1-Z)^m] from the raw moments af[i] = E Z^i.
-    return sum(math.comb(m, i) * (-1) ** i * af[k + i] for i in range(m + 1))
-
-
 def check_solvability(p: float, alpha: float, n: int) -> float:
     """Closed-form solvability indicator for the degree-(n+1) recovery step.
 
@@ -209,71 +204,75 @@ def check_solvability(p: float, alpha: float, n: int) -> float:
     return p * prod_p + (-1.0) ** (n + 1) * (1.0 - p) * prod_q
 
 
-def solve_b_next(a, b, p: float) -> tuple[float, float]:
-    """Recover the next W-moment b_{n+1} from Z-moments and b_1..b_n.
+def _centred_terms(mf, c: float, p: float, m: int, k: int) -> list[float]:
+    """The summands of T_k = p E[(1-Z)^k (Z-c)^(m-k)] + (-1)^k (1-p) E[Z^k (Z-c)^(m-k)]
+    in the central moments mf[j] = E(Z-c)^j, by writing 1 - Z = (1-c) - (Z-c)
+    and Z = c + (Z-c): one of each branch for each power of Z - c."""
+    return [
+        math.comb(k, i) * mf[m - k + i] * weight
+        for i in range(k + 1)
+        for weight in (p * (1.0 - c) ** (k - i) * (-1.0) ** i,
+                       (-1.0) ** k * (1.0 - p) * c ** (k - i))
+    ]
 
-    Feeds the test function x^{n+1} through the mixture identity
-    E g(Z) = p E g((1-W)Z + W) + (1-p) E g((1-W)Z), which the pair of
-    size-biased moment equations implies, and solves the resulting linear
-    equation for the single unknown E W^{n+1}.  ``a`` must supply at least
-    n+1 Z-moments.  Raises :class:`SingularSystemError` when the
-    coefficient of the unknown falls below 1e-13 in absolute value, which
-    happens exactly at the symmetric parameter point for even n.
 
-    Returns the pair (b_{n+1}, condition), the condition being the ratio of
-    the largest intermediate term to the coefficient, a growth factor for
-    relative input error.
+def solve_b_next(mu, c: float, b, p: float) -> tuple[float, float]:
+    """Recover the next W-moment b_m, m = n+1, from Z's central moments and b_1..b_n.
+
+    ``mu`` holds mu_j = E(Z-c)^j for j = 1..m at least, about a centre
+    ``c``, any centre (mu_1 = 0 at the mean of Z).  Feeds the test function
+    (x-c)^m through the mixture identity E g(Z) = p E g((1-W)Z + W) +
+    (1-p) E g((1-W)Z), which the pair of size-biased moment equations
+    implies.  As (1-W)Z + W - c = (Z-c) + W(1-Z) and (1-W)Z - c =
+    (Z-c) - WZ, the W^0 terms cancel exactly and leave
+    sum_{k=1..m} C(m, k) b_k T_k = 0, solved for b_m.  The terms shrink
+    with the spread of Z, where on raw moments of Z they stay of order 1
+    against a b_m near m!/alpha^m at large alpha, and rounding swamps it.
+    Raises :class:`SingularSystemError` when |T_m| < 1e-13, which happens
+    exactly at the symmetric parameter point for odd m.
+
+    Returns (b_m, condition): the largest summand of the sum, each T_k
+    expanded, over |T_m b_m|, a growth factor for relative input error.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     n = len(b)
     if n < 1:
         raise ValueError("need at least the first W-moment b_1")
-    if len(a) < n + 1:
-        raise ValueError(f"need {n + 1} Z-moments to recover b_{n + 1}, got {len(a)}")
-    af = [1.0] + [float(x) for x in a[: n + 1]]
+    m = n + 1
+    if len(mu) < m:
+        raise ValueError(f"need {m} central Z-moments to recover b_{m}, got {len(mu)}")
+    mf = [1.0] + [float(x) for x in mu[:m]]
     bf = [1.0] + [float(x) for x in b]
-
-    coeff = p * _binomial_mixed(af, 0, n + 1) + (-1.0) ** (n + 1) * (1.0 - p) * af[n + 1]
-    # Known part of p * E((1-W)Z + W)^{n+1}: the expansion in powers of W
-    # with every W-moment of index <= n.
-    s_mixed = sum(
-        math.comb(n + 1, k) * bf[n + 1 - k] * _binomial_mixed(af, k, n + 1 - k)
-        for k in range(1, n + 2)
-    )
-    # Known part of E(1-W)^{n+1} for the (1-p) branch.
-    s_low = sum(math.comb(n + 1, j) * (-1.0) ** j * bf[j] for j in range(n + 1))
-    numer = af[n + 1] - p * s_mixed - (1.0 - p) * af[n + 1] * s_low
-
+    t = [_centred_terms(mf, c, p, m, k) for k in range(m + 1)]
+    coeff = sum(t[m])
     if abs(coeff) < SOLVE_SINGULAR_ATOL:
         raise SingularSystemError(
-            f"degree-{n + 1} recovery step is singular (coefficient {coeff:.3e}); "
-            "this happens at the symmetric parameter point for even n"
+            f"degree-{m} recovery step is singular (coefficient {coeff:.3e}); "
+            "this happens at the symmetric parameter point for odd degree"
         )
-    scale = max(
-        abs(af[n + 1]),
-        abs(p * s_mixed),
-        abs((1.0 - p) * af[n + 1] * s_low),
-        abs(coeff),
-    )
-    return numer / coeff, scale / abs(coeff)
+    known = [math.comb(m, k) * bf[k] * x for k in range(1, m) for x in t[k]]
+    value = -sum(known) / coeff
+    unknown = coeff * value
+    scale = max(abs(x) for x in known + [x * value for x in t[m]] + [unknown])
+    return value, scale / abs(unknown) if unknown else math.inf
 
 
-def recover_moment_sequence(a, b1: float, p: float, depth: int):
+def recover_moment_sequence(mu, c: float, b1: float, p: float, depth: int):
     """Run the recovery chain: predicted W-moments b_1..b_depth plus conditions.
 
-    ``a`` must hold at least ``depth`` Z-moments.  Each step feeds the
-    previously predicted values back in, so errors compound the way they
-    would for a caller working from data.
+    ``mu`` holds at least ``depth`` central Z-moments about ``c``.  Each step
+    feeds the previously predicted values back in, so errors compound the
+    way they would for a caller working from data.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    if len(a) < depth:
-        raise ValueError(f"need {depth} Z-moments, got {len(a)}")
+    if len(mu) < depth:
+        raise ValueError(f"need {depth} central Z-moments, got {len(mu)}")
     bs = [float(b1)]
     conditions = [1.0]
     for n in range(1, depth):
-        value, cond = solve_b_next(a[: n + 1], bs, p)
+        value, cond = solve_b_next(mu[: n + 1], c, bs, p)
         bs.append(value)
         conditions.append(cond)
     return bs, conditions

@@ -9,6 +9,7 @@ import math
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,9 +69,14 @@ def test_criterion_02_moment_recovery_round_trip():
     started = time.monotonic()
     worst = 0.0
     for p, alpha in ((0.3, 2.0), (0.7, 0.5), (0.1, 5.0)):
-        a = [beta_moment(p * alpha, (1 - p) * alpha, k) for k in range(1, 9)]
+        # Z's exact central moments about its mean c, in rationals.
+        a, b = Fraction(p * alpha), Fraction((1 - p) * alpha)
+        raw = [math.prod((a + r) / (a + b + r) for r in range(k)) for k in range(9)]
+        c = raw[1]
+        mu = [float(sum(math.comb(j, i) * (-c) ** (j - i) * raw[i] for i in range(j + 1)))
+              for j in range(1, 9)]
         b1 = beta_moment(1.0, alpha, 1)
-        bs, _ = recover_moment_sequence(a, b1, p, 8)
+        bs, _ = recover_moment_sequence(mu, float(c), b1, p, 8)
         for n in range(1, 9):
             truth = beta_moment(1.0, alpha, n)
             worst = max(worst, abs(bs[n - 1] - truth) / truth)

@@ -14,7 +14,6 @@ import pytest
 
 import dpm
 from dpm import __version__, characterize, cli, samplers, verify
-from dpm.characterize import MAX_CHARACTERIZE_N
 from dpm.cli import main
 from dpm.measures import BaseModel
 from dpm.samplers import RngStream, sample_jump_measure
@@ -607,7 +606,7 @@ class TestVerify:
     def test_threshold_is_not_a_setting(self, capsys, monkeypatch, command):
         # A z-score passes at |z| <= verify.DEFAULT_THRESHOLD: no flag sets it.
         monkeypatch.setattr(cli, "run_verify", no_campaign)
-        monkeypatch.setattr(cli, "beta_pairs", no_campaign)
+        monkeypatch.setattr(characterize, "beta_pairs", no_campaign)
         with pytest.raises(SystemExit) as exc:
             main([command, *(("tbeta",) if command == "verify" else ()), "--threshold", "3"])
         assert exc.value.code == 2
@@ -704,7 +703,7 @@ class TestCharacterize:
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     def test_bad_threshold_is_usage_error(self, capsys, monkeypatch, value):
         # No threshold is a setting, so every value is refused before any draw.
-        monkeypatch.setattr(cli, "beta_pairs", no_campaign)
+        monkeypatch.setattr(characterize, "beta_pairs", no_campaign)
         with pytest.raises(SystemExit) as exc:
             main(["characterize", "--n", "5000", f"--threshold={value}"])
         assert exc.value.code == 2
@@ -712,21 +711,26 @@ class TestCharacterize:
         assert captured.out == ""
         assert f"unrecognized arguments: --threshold={value}" in captured.err
 
-    def test_n_beyond_the_memory_bound_is_usage_error(self, capsys, monkeypatch):
-        # Every pair is held at once, so a larger n is refused before any draw.
-        def drew(*args, **kwargs):
-            raise AssertionError("pairs were drawn")
+    def test_pairs_are_drawn_shard_by_shard(self, capsys, monkeypatch):
+        # No more than SHARD_SIZE pairs are drawn at once, so memory stays
+        # flat in --n.
+        sizes = []
 
-        monkeypatch.setattr(cli, "beta_pairs", drew)
-        code, out, err = run_cli(capsys, "characterize", "--n", str(MAX_CHARACTERIZE_N + 1))
-        assert (code, out) == (2, "")
-        assert f"n must be at most {MAX_CHARACTERIZE_N}" in err
+        def counted(p, alpha, m, gen):
+            sizes.append(m)
+            return samplers.beta_pairs(p, alpha, m, gen)
+
+        monkeypatch.setattr(characterize, "beta_pairs", counted)
+        code, _, _ = run_cli(capsys, "characterize", "--n", "25000", "--depth", "4")
+        assert code == 0
+        assert len(sizes) == 3 and max(sizes) <= verify.SHARD_SIZE
+        assert sum(sizes) == 25000
 
     def test_infinite_z_is_written_as_null(self, capsys, monkeypatch):
         # Constant samples have a zero standard error, so every nonzero
         # difference reads z = +-inf; the payload stays strict JSON.
         monkeypatch.setattr(
-            cli, "beta_pairs", lambda p, alpha, n, gen: (np.full(n, 0.3), np.full(n, 0.5))
+            characterize, "beta_pairs", lambda p, alpha, n, gen: (np.full(n, 0.3), np.full(n, 0.5))
         )
         code, out, _ = run_cli(capsys, "characterize", "--n", "1000", "--depth", "4")
         assert code == 1

@@ -292,57 +292,76 @@ class TestSolvability:
 
 
 def _beta_pair_moments(p: float, alpha: float, depth: int):
-    a = [beta_moment(p * alpha, (1 - p) * alpha, k) for k in range(1, depth + 1)]
-    b = [beta_moment(1.0, alpha, k) for k in range(1, depth + 1)]
-    return a, b
+    """mu_1..mu_depth of Z ~ Be(p alpha, (1-p) alpha) about its mean c,
+    computed in exact rationals and rounded once; c; and b_1..b_depth of
+    W ~ Be(1, alpha)."""
+    a, total = Fraction(p * alpha), Fraction(p * alpha) + Fraction((1 - p) * alpha)
+    raw = [Fraction(1)]
+    for r in range(depth):
+        raw.append(raw[-1] * (a + r) / (total + r))
+    c = raw[1]
+    mu = [float(sum(math.comb(j, i) * (-c) ** (j - i) * raw[i] for i in range(j + 1)))
+          for j in range(1, depth + 1)]
+    return mu, float(c), [beta_moment(1.0, alpha, k) for k in range(1, depth + 1)]
 
 
 class TestSolveChain:
     @pytest.mark.parametrize("p,alpha", [(0.3, 2.0), (0.7, 0.5), (0.1, 5.0)])
     def test_recovers_beta_moments(self, p, alpha):
         depth = 8
-        a, b_true = _beta_pair_moments(p, alpha, depth)
-        bs, conditions = recover_moment_sequence(a, b_true[0], p, depth)
+        mu, c, b_true = _beta_pair_moments(p, alpha, depth)
+        bs, conditions = recover_moment_sequence(mu, c, b_true[0], p, depth)
         for k in range(depth):
             assert bs[k] == pytest.approx(b_true[k], abs=1e-6)
-        assert all(c >= 1.0 for c in conditions)
+        assert all(cond >= 1.0 for cond in conditions)
 
     def test_single_step_matches_chain(self):
         p, alpha = 0.3, 2.0
-        a, b_true = _beta_pair_moments(p, alpha, 4)
-        nxt, cond = solve_b_next(a[:2], b_true[:1], p)
-        bs, conditions = recover_moment_sequence(a[:2], b_true[0], p, 2)
+        mu, c, b_true = _beta_pair_moments(p, alpha, 4)
+        nxt, cond = solve_b_next(mu[:2], c, b_true[:1], p)
+        bs, conditions = recover_moment_sequence(mu[:2], c, b_true[0], p, 2)
         assert nxt == pytest.approx(b_true[1], rel=1e-10)
         assert (nxt, cond) == (bs[1], conditions[1])
+
+    def test_any_centre_gives_the_same_moments(self):
+        # The identity holds for every centre c, not only the mean.
+        p, alpha = 0.3, 2.0
+        mu, c, b_true = _beta_pair_moments(p, alpha, 5)
+        for shift in (-0.2, 0.1, 0.4):
+            # Central moments about c + shift, from those about c.
+            about = [sum(math.comb(j, i) * (-shift) ** (j - i) * ([1.0] + mu)[i]
+                         for i in range(j + 1)) for j in range(1, 6)]
+            bs, _ = recover_moment_sequence(about, c + shift, b_true[0], p, 5)
+            assert bs == pytest.approx(b_true, rel=1e-9)
 
     def test_singular_at_symmetric_odd_moment(self):
         # at p = 1/2 the step recovering b_3 (identity index n = 2, even)
         # has an exactly zero coefficient: p E(1-Z)^3 - (1-p) E Z^3 = 0 for
         # symmetric Z
-        a, b_true = _beta_pair_moments(0.5, 2.0, 4)
+        mu, c, b_true = _beta_pair_moments(0.5, 2.0, 4)
         with pytest.raises(SingularSystemError):
-            solve_b_next(a[:3], b_true[:2], 0.5)
+            solve_b_next(mu[:3], c, b_true[:2], 0.5)
 
     def test_even_moment_survives_symmetric(self):
         # recovering b_2 stays regular at p = 1/2: both coefficient terms
         # are positive
-        a, b_true = _beta_pair_moments(0.5, 2.0, 4)
-        val, cond = solve_b_next(a[:2], b_true[:1], 0.5)
+        mu, c, b_true = _beta_pair_moments(0.5, 2.0, 4)
+        val, cond = solve_b_next(mu[:2], c, b_true[:1], 0.5)
         assert val == pytest.approx(b_true[1], rel=1e-9)
         assert 1.0 <= cond < 10.0
 
     def test_requires_enough_z_moments(self):
         with pytest.raises(ValueError):
-            solve_b_next([0.3], [0.33], 0.3)
+            solve_b_next([0.0], 0.3, [0.33], 0.3)
         with pytest.raises(ValueError):
-            solve_b_next([0.3, 0.2], [], 0.3)
+            solve_b_next([0.0, 0.04], 0.3, [], 0.3)
 
     def test_condition_grows_near_symmetric(self):
         # the b_3 step loses accuracy as p -> 1/2
-        a1, b1 = _beta_pair_moments(0.49, 2.0, 4)
-        _, cond_near = solve_b_next(a1[:3], b1[:2], 0.49)
-        a2, b2 = _beta_pair_moments(0.3, 2.0, 4)
-        _, cond_far = solve_b_next(a2[:3], b2[:2], 0.3)
+        mu1, c1, b1 = _beta_pair_moments(0.49, 2.0, 4)
+        _, cond_near = solve_b_next(mu1[:3], c1, b1[:2], 0.49)
+        mu2, c2, b2 = _beta_pair_moments(0.3, 2.0, 4)
+        _, cond_far = solve_b_next(mu2[:3], c2, b2[:2], 0.3)
         assert cond_near > 10.0 * cond_far
 
     @given(
@@ -352,8 +371,8 @@ class TestSolveChain:
     @settings(max_examples=60, deadline=None)
     def test_chain_property(self, p, alpha):
         depth = 5
-        a, b_true = _beta_pair_moments(p, alpha, depth)
-        bs, _ = recover_moment_sequence(a, b_true[0], p, depth)
+        mu, c, b_true = _beta_pair_moments(p, alpha, depth)
+        bs, _ = recover_moment_sequence(mu, c, b_true[0], p, depth)
         for k in range(depth):
             assert bs[k] == pytest.approx(b_true[k], abs=1e-7)
 

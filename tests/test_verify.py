@@ -562,6 +562,7 @@ _RARE = "a z-test on a mean carried by a few rows is not calibrated (ROADMAP ite
     _open_defect("tbeta2", 10, "stick", f"wrong-c z -2.06: {_WEAK}", p=0.5),
     _open_defect("tbeta2", 50, "stick", f"wrong-c z -0.93: {_WEAK}"),
     _open_defect("tbeta", 0.01, "stick", f"5 rest reports, z down to -16.2: {_RARE}", p=0.999),
+    _open_defect("tbeta", 0.01, "stick", f"rest[g=x^6] z -4.02: {_RARE}", p=0.99),
     _open_defect("tbeta2", 0.01, "stick", f"indep[ratio^2,sum] z -4.91: {_RARE}", p=0.5),
 ])
 def test_open_defect_cells(name, alpha, construction, p):
@@ -856,24 +857,33 @@ class TestCharacterize:
         assert rep.max_abs_z == math.inf
         assert rep.verdict == "fail"
 
-    @pytest.mark.parametrize("alpha", [1e4, 1e6])
+    @pytest.mark.parametrize("alpha", [1e4, 1e6, 1e8, 1e12])
     def test_large_alpha_recovers_its_family(self, alpha):
         # The W-moments are about k!/alpha^k.  A Jacobian step that does not
-        # scale with them, or a variance taken from the raw moments'
-        # covariance, which cancels to below 0, reads max|z| = inf here.
+        # scale with them, or a chain on raw Z-moments, whose known part is
+        # of order 1 against an unknown of order alpha^-k, reads a wrong
+        # verdict here; the chain runs on Z's central moments instead.
         z, w = _beta_pair(200_000, 0.3, alpha, 211)
         rep = characterize_from_samples(z, w)
         assert rep.verdict == "pass"
         assert rep.max_abs_z <= 4.0
         assert rep.alpha_hat == pytest.approx(alpha, rel=0.01)
 
-    @pytest.mark.xfail(strict=True, reason="the chain cancels in float64 from alpha near 1e6")
-    def test_chain_rounding_at_alpha_1e6_is_open(self):
-        # Predicted b_3 is rounding noise near 1e-16, against a true 6e-18
-        # and a stderr of 2e-17, so the row reads z = 8.4.  3 of 40 seeds
-        # fail at alpha = 1e6, none up to 1e5.
+    def test_chain_holds_at_alpha_1e6(self):
+        # On raw moments, predicted b_3 was rounding noise near 1e-16
+        # against a true 6e-18 and a stderr of 2e-17, and this seed read
+        # z = 8.4.
         z, w = samplers.beta_pairs(0.3, 1e6, 200_000, RngStream(6).gen)
         assert characterize_from_samples(z, w).verdict == "pass"
+
+    @pytest.mark.parametrize("alpha", [1e4, 1e8])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_wrong_mixing_law_is_rejected_at_large_alpha(self, alpha, seed):
+        # W ~ Be(1, 1.05 alpha) in place of Be(1, alpha).
+        gen = RngStream(seed).gen
+        z, _ = samplers.beta_pairs(0.3, alpha, 200_000, gen)
+        w = gen.beta(1.0, 1.05 * alpha, 200_000)
+        assert characterize_from_samples(z, w).verdict == "fail"
 
     def test_input_validation(self):
         z, w = _beta_pair(500, 0.3, 2.0, 207)
@@ -881,6 +891,10 @@ class TestCharacterize:
             characterize_from_samples(z[:50], w)
         with pytest.raises(ValueError, match="lie in"):
             characterize_from_samples(z + 1.0, w)
+        w_nan, z_nan = np.append(w[:-1], np.nan), np.append(z[:-1], np.nan)
+        for args, kwargs in [((z, w_nan), {}), ((z_nan, w), {"p": 0.3}), ((z_nan, w), {})]:
+            with pytest.raises(ValueError, match=r"samples must lie in \[0, 1\]"):
+                characterize_from_samples(*args, **kwargs)
         with pytest.raises(ValueError, match="depth"):
             characterize_from_samples(z, w, depth=0)
         with pytest.raises(ValueError, match="depth"):
